@@ -3,9 +3,13 @@
 An arrangement is a finite set of affine subspaces of C^n, each given by an
 exact rational linear system.  The intersection lattice orders all nonempty
 intersections by inclusion, with the ambient space as unique top element.
-From it we compute the Cech-de Rham table (one reduced homology group of an
-open-interval order complex per flat), the reduced Betti numbers of the
-complement, a Moebius-function cross-check for central hyperplane
+Each flat carries its component bitmask, the set of components containing
+it; F is contained in G exactly when mask(G) is a subset of mask(F), so the
+order comes from integer subset tests.  From the lattice we compute the
+Cech-de Rham table (the reduced homology of each open interval (F, ambient),
+read off its order complex or its crosscut complex, whichever has fewer
+faces, with ranks by exact integer elimination), the reduced Betti numbers
+of the complement, a Moebius-function cross-check for central hyperplane
 arrangements, and the closed-form Lyubeznik tables in dimension <= 2.
 """
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, InputWarning
-from .posets import FinitePoset, order_complex, reduced_betti
+from .posets import FinitePoset, SimplicialComplex, order_complex, reduced_betti
 from .qlinalg import QMatrix
 from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable, canonical_small_tables
 
@@ -113,15 +117,28 @@ class Flat:
 
 
 class IntersectionLattice:
-    """All nonempty intersections of the components, ordered by inclusion."""
+    """All nonempty intersections of the components, ordered by inclusion.
 
-    __slots__ = ("ambient_dim", "flats", "poset", "top_id")
+    `masks[i]` is the component bitmask of the flat with id i: bit j is set
+    when the j-th (normalized) component contains the flat.  The ambient
+    space has mask 0.
+    """
 
-    def __init__(self, ambient_dim: int, flats: Sequence[Flat], poset: FinitePoset, top_id: int):
+    __slots__ = ("ambient_dim", "flats", "poset", "top_id", "masks")
+
+    def __init__(
+        self,
+        ambient_dim: int,
+        flats: Sequence[Flat],
+        poset: FinitePoset,
+        top_id: int,
+        masks: Sequence[int],
+    ):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "flats", tuple(flats))
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "top_id", top_id)
+        object.__setattr__(self, "masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionLattice is immutable")
@@ -181,43 +198,96 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
 
 
 def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
-    """Close the components under pairwise intersection and order by inclusion."""
+    """All nonempty intersections of the components, ordered by inclusion.
+
+    Every flat is met with every component only: F & c == F puts c into F's
+    mask, any other nonempty meet is a flat.  A flat is the intersection of
+    the components in its mask, so inclusion is reverse mask inclusion.
+    """
     comps = _normalize_components(components)
     n = comps[0].ambient_dim
-    found: dict[AffineSubspace, None] = {c: None for c in comps}
-    worklist = list(found)
+    masks: dict[AffineSubspace, int] = {}
+    seen = set(comps)
+    worklist = list(comps)
     while worklist:
-        current = worklist.pop()
-        for other in list(found):
-            meet = current.intersect(other)
-            if meet is not None and meet not in found:
-                found[meet] = None
+        flat = worklist.pop()
+        mask = 0
+        for j, c in enumerate(comps):
+            meet = flat.intersect(c)
+            if meet == flat:
+                mask |= 1 << j
+            elif meet is not None and meet not in seen:
+                seen.add(meet)
                 worklist.append(meet)
-    ordered = sorted(found, key=AffineSubspace.sort_key)
+        masks[flat] = mask
+    ordered = sorted(masks, key=AffineSubspace.sort_key)
     flats = [Flat(i, s) for i, s in enumerate(ordered)]
     top = Flat(len(flats), AffineSubspace.ambient(n))
     flats.append(top)
-    pairs = []
-    for a in flats:
-        for b in flats:
-            if a.id != b.id and a.subspace != b.subspace and a.subspace.contained_in(b.subspace):
-                pairs.append((a.id, b.id))
+    flat_masks = [masks[s] for s in ordered] + [0]
+    pairs = [
+        (a, b)
+        for a, mask_a in enumerate(flat_masks)
+        for b, mask_b in enumerate(flat_masks)
+        if mask_a & mask_b == mask_b and mask_a != mask_b
+    ]
     poset = FinitePoset([f.id for f in flats], pairs)
-    return IntersectionLattice(n, flats, poset, top.id)
+    return IntersectionLattice(n, flats, poset, top.id, flat_masks)
+
+
+def _bits(mask: int) -> list[int]:
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _interval_complexes(lattice: IntersectionLattice):
+    """Yield (flat, complex) for every proper flat F, where the complex is
+    homotopy equivalent to the order complex of the open interval (F, ambient).
+
+    Two complexes qualify: the order complex itself, with one face per chain
+    of proper flats above F, and, by the crosscut theorem (Rota 1964;
+    Bjorner, Topological Methods, 1995), the crosscut complex on the
+    components containing F, whose faces are the component sets with meet
+    strictly above F: the subsets of the masks of the proper flats above F.
+    Neither is small everywhere: on boolean arrangements the order complex
+    grows like n! and the crosscut like 2^n, on a pencil of planes through a
+    line the crosscut grows like 2^k and the order complex linearly.  So each
+    flat gets the one with fewer faces, counted exactly before building:
+    chains(G), the chains starting at G, and cross(G), the nonempty component
+    sets with meet exactly G, both summed over the proper flats G above F.
+    """
+    masks = lattice.masks
+    less = lattice.poset.less
+    proper = lattice.proper_flats()
+    above = {f.id: [g.id for g in proper if (f.id, g.id) in less] for f in proper}
+    chains: dict[int, int] = {}
+    cross: dict[int, int] = {}
+    # a flat strictly above another has larger dimension, hence a larger id
+    for f in reversed(proper):
+        up = above[f.id]
+        chains[f.id] = 1 + sum(chains[g] for g in up)
+        cross[f.id] = (1 << masks[f.id].bit_count()) - 1 - sum(cross[g] for g in up)
+    for f in proper:
+        up = above[f.id]
+        if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
+            union = 0
+            for g in up:
+                union |= masks[g]
+            yield f, SimplicialComplex(_bits(union), [_bits(masks[g]) for g in up])
+        else:
+            yield f, order_complex(lattice.poset, f.id, lattice.top_id)
 
 
 def cdr_table(lattice: IntersectionLattice) -> InvariantTable:
     """The Cech-de Rham table of the arrangement.
 
     Each proper flat F of dimension p contributes the reduced Betti numbers
-    of the order complex of the open interval (F, ambient): homology in
-    degree q - p - 1 lands in cell (p, q).  The table is the same on every
-    page from 2 on, because all differentials vanish for arrangements.
+    of the open interval (F, ambient): homology in degree q - p - 1 lands in
+    cell (p, q).  The table is the same on every page from 2 on, because all
+    differentials vanish for arrangements.
     """
     d = lattice.dim()
     rows = [[0] * (d + 1) for _ in range(d + 1)]
-    for flat in lattice.proper_flats():
-        complex_ = order_complex(lattice.poset, flat.id, lattice.top_id)
+    for flat, complex_ in _interval_complexes(lattice):
         betti = reduced_betti(complex_)
         p = flat.dim
         for k in range(-1, betti.max_degree() + 1):

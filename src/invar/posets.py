@@ -2,7 +2,11 @@
 
 Homology is reduced throughout: the augmented chain complex always carries a
 rank-one degree -(1) term, so the empty complex has b_{-1} = 1 and a point is
-acyclic.  Betti numbers are computed from exact boundary-matrix ranks over Q.
+acyclic.  Betti numbers are computed from the ranks of the integer boundary
+matrices, found by exact division-free integer elimination; the rank over Q
+of an integer matrix is its rank over Z.  Any complex can be passed in: the
+arrangement code hands over an order complex or a crosscut complex, whichever
+is smaller.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from .errors import InputError
-from .qlinalg import QMatrix
+from .qlinalg import QMatrix, _rank_int
 
 
 class FinitePoset:
@@ -20,26 +24,30 @@ class FinitePoset:
 
     def __init__(self, elements: Iterable[Hashable], less_than: Iterable[tuple]):
         elems = tuple(elements)
-        elem_set = set(elems)
-        if len(elem_set) != len(elems):
+        index = {x: i for i, x in enumerate(elems)}
+        if len(index) != len(elems):
             raise InputError("duplicate poset elements")
-        pairs = set()
+        # up[i]: bitmask over element positions of everything above elems[i]
+        up = [0] * len(elems)
         for a, b in less_than:
-            if a not in elem_set or b not in elem_set:
+            if a not in index or b not in index:
                 raise InputError(f"relation mentions unknown element: ({a!r}, {b!r})")
-            pairs.add((a, b))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(pairs):
-                for c, d in list(pairs):
-                    if b == c and (a, d) not in pairs:
-                        pairs.add((a, d))
-                        changed = True
-        for a, b in pairs:
-            if a == b:
-                raise InputError(f"order relation is not irreflexive at {a!r}")
+            up[index[a]] |= 1 << index[b]
+        # Warshall: after step k, up[i] holds everything reachable from i
+        # through intermediates among the first k + 1 elements
+        for k in range(len(up)):
+            bit, up_k = 1 << k, up[k]
+            for i, up_i in enumerate(up):
+                if up_i & bit:
+                    up[i] = up_i | up_k
+        pairs = []
+        for i, up_i in enumerate(up):
+            if up_i >> i & 1:
+                raise InputError(f"order relation is not irreflexive at {elems[i]!r}")
+            while up_i:
+                low = up_i & -up_i
+                pairs.append((elems[i], elems[low.bit_length() - 1]))
+                up_i ^= low
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "less", frozenset(pairs))
 
@@ -220,6 +228,18 @@ def cone(k: SimplicialComplex, apex) -> SimplicialComplex:
     return SimplicialComplex(k.vertices + (apex,), coned)
 
 
+def _boundary_rows(top: list[tuple], low: list[tuple]) -> list[list[int]]:
+    """Integer boundary matrix from `top` simplices (columns) to their faces
+    in `low` (rows); every simplex is a vertex tuple in vertex order."""
+    low_index = {s: i for i, s in enumerate(low)}
+    rows = [[0] * len(top) for _ in low]
+    for j, simplex in enumerate(top):
+        for i in range(len(simplex)):
+            face = simplex[:i] + simplex[i + 1:]
+            rows[low_index[face]][j] += -1 if i & 1 else 1
+    return rows
+
+
 def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
     """Boundary map from degree-k chains to degree-(k-1) chains.
 
@@ -231,28 +251,30 @@ def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
     top = k.k_simplices(degree)
     if degree == 0:
         return QMatrix([[1] * len(top)], ncols=len(top))
-    low = k.k_simplices(degree - 1)
-    low_index = {s: i for i, s in enumerate(low)}
-    cols = len(top)
-    rows = [[0] * cols for _ in low]
-    for j, simplex in enumerate(top):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            rows[low_index[face]][j] += (-1) ** i
-    return QMatrix(rows, ncols=cols)
+    return QMatrix(_boundary_rows(top, k.k_simplices(degree - 1)), ncols=len(top))
 
 
 def reduced_betti(k: SimplicialComplex) -> BettiVector:
     """Reduced rational Betti numbers from boundary-matrix ranks."""
     d = k.dim()
-    if d <= -2:
-        return BettiVector([1])  # empty complex: only H~_{-1} survives
+    if d < 0:
+        return BettiVector([1])  # no vertices: only H~_{-1} survives
+    # simplices as tuples of vertex positions, in lexicographic order as in
+    # boundary_matrix: that order keeps the fill-in of the elimination low
+    pos = k._pos
+    by_degree: list[list[tuple]] = [[] for _ in range(d + 1)]
+    for s in k.simplices:
+        if s:
+            by_degree[len(s) - 1].append(tuple(sorted(pos[v] for v in s)))
+    for simplices in by_degree:
+        simplices.sort()
     counts = {-1: 1}
-    for deg in range(0, d + 1):
-        counts[deg] = len(k.k_simplices(deg))
-    ranks = {deg: boundary_matrix(k, deg).rank() for deg in range(0, d + 1)}
-    ranks[-1] = 0
-    ranks[d + 1] = 0
+    # degree 0 is the augmentation, of rank one as there is a vertex
+    ranks = {-1: 0, 0: 1, d + 1: 0}
+    for deg, top in enumerate(by_degree):
+        counts[deg] = len(top)
+        if deg:
+            ranks[deg] = _rank_int(_boundary_rows(top, by_degree[deg - 1]), len(top))
     betti = []
     for deg in range(-1, d + 1):
         betti.append(counts[deg] - ranks[deg] - ranks[deg + 1])

@@ -7,15 +7,20 @@ import pytest
 
 from invar import (
     AffineSubspace,
+    BettiVector,
     InputError,
     InputWarning,
+    boundary_matrix,
     build_lattice,
     cdr_table,
     complement_betti,
     euler_sum,
     lyubeznik_dim2,
     moebius_betti_oracle,
+    order_complex,
+    reduced_betti,
 )
+from invar.arrangements import _interval_complexes
 from conftest import coordinate_hyperplane, random_hyperplane, random_subspace
 
 
@@ -23,6 +28,58 @@ def coordinate_line(n, axis):
     """The axis-th coordinate axis in C^n (all other coordinates vanish)."""
     rows = [[1 if j == i else 0 for j in range(n)] + [0] for i in range(n) if i != axis]
     return AffineSubspace.from_rows(n, rows)
+
+
+def braid_arrangement(n):
+    """The hyperplanes x_i = x_j of C^n."""
+    comps = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [0] * (n + 1)
+            row[i], row[j] = 1, -1
+            comps.append(AffineSubspace.from_rows(n, [row]))
+    return comps
+
+
+def pencil_arrangement(k):
+    """k planes of C^3 through the z-axis, plus the transversal plane z = 0."""
+    comps = [AffineSubspace.from_rows(3, [[1, i, 0, 0]]) for i in range(k)]
+    return comps + [AffineSubspace.from_rows(3, [[0, 0, 1, 0]])]
+
+
+def random_mixed_arrangements(rng, count):
+    """Seeded central and affine arrangements of subspaces of mixed dimension."""
+    corpus = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        central = rng.random() < 0.5
+        comps = [random_subspace(rng, n, central) for _ in range(rng.randint(1, 5))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InputWarning)
+            corpus.append(build_lattice(comps))
+    return corpus
+
+
+def pairwise_inclusion_order(lattice):
+    """Reference order: a rank test for every ordered pair of distinct flats."""
+    return {
+        (a.id, b.id)
+        for a in lattice.flats
+        for b in lattice.flats
+        if a.id != b.id and a.subspace != b.subspace and a.subspace.contained_in(b.subspace)
+    }
+
+
+def qmatrix_betti(k):
+    """Reference reduced Betti numbers from QMatrix boundary ranks over Q."""
+    d = k.dim()
+    if d <= -2:
+        return BettiVector([1])
+    ranks = {deg: boundary_matrix(k, deg).rank() for deg in range(d + 1)}
+    ranks[-1] = ranks[d + 1] = 0
+    counts = {deg: len(k.k_simplices(deg)) for deg in range(d + 1)}
+    counts[-1] = 1
+    return BettiVector(counts[deg] - ranks[deg] - ranks[deg + 1] for deg in range(-1, d + 1))
 
 
 def torus_reduced_betti(k, n):
@@ -187,6 +244,76 @@ class TestCdrTable:
             maxima = lattice.maximal_proper_flats()
             for p in range(table.d + 1):
                 assert table.entry(p, p) == sum(1 for f in maxima if f.dim == p)
+
+
+class TestAgainstReferencePaths:
+    """The mask order and the per-flat complexes against the paths they replace."""
+
+    def corpus(self, rng):
+        lattices = random_mixed_arrangements(rng, 60)
+        for n in (2, 3, 4, 5):
+            lattices.append(build_lattice([coordinate_hyperplane(n, i) for i in range(n)]))
+        for n in (3, 4, 5):
+            lattices.append(build_lattice(braid_arrangement(n)))
+        return lattices
+
+    def test_order_matches_pairwise_inclusion(self, rng):
+        for lattice in self.corpus(rng):
+            assert lattice.poset.less == pairwise_inclusion_order(lattice)
+
+    def test_masks_are_the_containing_components(self, rng):
+        for lattice in random_mixed_arrangements(rng, 30):
+            # each component's own mask is its single bit
+            bits = {lattice.masks[f.id]: f.subspace for f in lattice.maximal_proper_flats()}
+            assert all(bit.bit_count() == 1 for bit in bits)
+            for flat in lattice.flats:
+                expected = sum(bit for bit, c in bits.items() if flat.subspace.contained_in(c))
+                assert lattice.masks[flat.id] == expected
+
+    def test_interval_betti_matches_order_complex(self, rng):
+        for lattice in self.corpus(rng):
+            for flat, complex_ in _interval_complexes(lattice):
+                reference = order_complex(lattice.poset, flat.id, lattice.top_id)
+                assert reduced_betti(complex_) == qmatrix_betti(reference)
+
+    def test_both_complexes_are_used(self):
+        # faces at the bottom point, the empty face included.  Boolean n=4:
+        # the crosscut has the 2^4 - 1 proper subsets of the hyperplanes, the
+        # order complex 74 chains plus the empty one.  Pencil k=5: the crosscut
+        # has 2^k + k + 1 = 38 faces, the order complex 5k + 3 = 28
+        boolean = build_lattice([coordinate_hyperplane(4, i) for i in range(4)])
+        assert max(len(k.simplices) for _, k in _interval_complexes(boolean)) == 2**4 - 1
+        pencil = build_lattice(pencil_arrangement(5))
+        assert max(len(k.simplices) for _, k in _interval_complexes(pencil)) == 5 * 5 + 3
+
+    def test_pencil_of_planes(self):
+        # the crosscut at the point has 2^k + k + 1 faces, so this stalls
+        # unless the point gets its order complex
+        k = 20
+        table = cdr_table(build_lattice(pencil_arrangement(k)))
+        assert [list(r) for r in table.entries] == [
+            [0, 0, k - 1],
+            [0, 0, 2 * k - 1],
+            [0, 0, k + 1],
+        ]
+
+    def test_hall_rows(self, rng):
+        # Hall: the reduced Euler characteristic of (F, ambient) is mu(F, ambient),
+        # so each row's alternating sum is the sum of mu over the flats of that
+        # dimension; mu comes from the order alone
+        for lattice in random_mixed_arrangements(rng, 60):
+            table = cdr_table(lattice)
+            less = lattice.poset.less
+            mu = {lattice.top_id: 1}
+            for flat in sorted(lattice.proper_flats(), key=lambda f: -f.dim):
+                mu[flat.id] = -sum(m for g, m in mu.items() if (flat.id, g) in less)
+            for p in range(table.d + 1):
+                alternating = sum(
+                    (-1) ** (q - p - 1) * table.entry(p, q) for q in range(table.d + 1)
+                )
+                assert alternating == sum(
+                    mu[f.id] for f in lattice.proper_flats() if f.dim == p
+                )
 
 
 class TestComplementBetti:

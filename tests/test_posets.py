@@ -102,6 +102,32 @@ class TestPosetValidation:
         poset = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
         assert poset.less_than(0, 2)
 
+    def test_closure_matches_pairwise_fixpoint(self, rng):
+        def fixpoint(pairs):
+            """Reference closure: compose pairs until nothing new appears."""
+            closed = set(pairs)
+            changed = True
+            while changed:
+                changed = False
+                for a, b in list(closed):
+                    for c, d in list(closed):
+                        if b == c and (a, d) not in closed:
+                            closed.add((a, d))
+                            changed = True
+            return closed
+
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            rank = {x: rng.random() for x in "abcdefghi"[:n]}
+            elements = sorted(rank, key=lambda _: rng.random())
+            pairs = [(a, b) for a in elements for b in elements
+                     if rank[a] < rank[b] and rng.random() < 0.3]
+            assert FinitePoset(elements, pairs).less == fixpoint(pairs)
+            if pairs:
+                a, b = rng.choice(sorted(fixpoint(pairs)))
+                with pytest.raises(InputError):
+                    FinitePoset(elements, pairs + [(b, a)])
+
 
 class TestReducedBetti:
     def test_empty_complex(self):
