@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 input or validation error (diagnostics on stderr),
-3 infeasibility reported by table check / table deduce.  Output is either an
+3 infeasibility reported by table check / table deduce, 4 a search that hit
+its node limit (INVAR_SEARCH_LIMIT; message on stderr).  Output is either an
 aligned text table (zeros printed as a middle dot) or a single JSON document;
 for tables the JSON keys are always kind, dim, entries, notes in that order.
 """
@@ -27,6 +28,7 @@ from .qlinalg import format_rational
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
+EXIT_SEARCH_LIMIT = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except SearchLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_SEARCH_LIMIT
     print(output)
     return code
 

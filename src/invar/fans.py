@@ -286,11 +286,6 @@ def _common_face_violation(fan: Fan3, ci: int, cj: int, facet_normals) -> str | 
     return None
 
 
-_COVER_DIRECTIONS = tuple(
-    v for v in product(range(-2, 3), repeat=3) if v != (0, 0, 0)
-)
-
-
 @lru_cache(maxsize=None)
 def _analyze(fan: Fan3) -> FanReport:
     violations: list[str] = []
@@ -374,26 +369,9 @@ def _analyze(fan: Fan3) -> FanReport:
                      tuple(walls), tuple(facet_normals))
 
 
-def validate_fan(fan: Fan3, *, sample_cover: bool = False) -> FanReport:
-    """Run all structural checks and report violations.
-
-    sample_cover additionally tests a fixed grid of directions for membership
-    in some maximal cone (a debugging aid; the wall condition is the binding
-    completeness criterion).
-    """
-    report = _analyze(fan)
-    if sample_cover and report.valid:
-        misses = []
-        for v in _COVER_DIRECTIONS:
-            if not any(
-                all(_dot(n, v) >= 0 for n in normals) for normals in report.facet_normals
-            ):
-                misses.append(v)
-        if misses:
-            extra = tuple(f"direction {v} is not covered by any cone" for v in misses[:5])
-            return FanReport(False, False, report.violations + extra,
-                             report.walls, report.facet_normals)
-    return report
+def validate_fan(fan: Fan3) -> FanReport:
+    """Run all structural checks and report violations."""
+    return _analyze(fan)
 
 
 def _require_valid(fan: Fan3) -> FanReport:

@@ -10,9 +10,11 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
   and the limit page is compared against reduced Betti numbers of the
   complement along the anti-diagonals 2n - p - q - 1 = k.
 
-All searches are exhaustive bounded integer searches; the environment
-variable INVAR_SEARCH_LIMIT (default 10**7) caps the number of visited
-nodes.
+Lyubeznik convergence is decided by one bipartite max-flow (every arrow
+flips the parity of p+q; see _lambda_witness).  Deduction enumerates the
+completions with entries up to a bound, and the CdR check is a depth-first
+search over differential ranks; the environment variable INVAR_SEARCH_LIMIT
+(default 10**7) caps the nodes of both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SearchLimitError
-from .qlinalg import QMatrix
+from .qlinalg import QMatrix, _rank_int
 
 KIND_LYUBEZNIK = "lyubeznik"
 KIND_CDR = "cdr"
@@ -230,22 +232,6 @@ def _page_candidates(entries, kind: str, page: int, d: int) -> list[tuple[Cell, 
     return out
 
 
-def _can_change_later(entries, kind: str, cell: Cell, next_page: int, d: int) -> bool:
-    """Whether any differential on page >= next_page can still lower this cell."""
-    p, q = cell
-    for r in range(next_page, d + 2):
-        tgt = differential_target(kind, r, (p, q))
-        if _in_table(tgt, d) and entries[tgt[0]][tgt[1]] > 0:
-            return True
-        if kind == KIND_LYUBEZNIK:
-            src = (p - r, q - r + 1)
-        else:
-            src = (p + r, q - r + 1)
-        if _in_table(src, d) and entries[src[0]][src[1]] > 0:
-            return True
-    return False
-
-
 class _Counter:
     __slots__ = ("nodes", "limit")
 
@@ -262,70 +248,80 @@ class _Counter:
             )
 
 
-def _search_ranks(entries, kind: str, d: int, page: int, counter: _Counter,
-                  accept, prune, witness: list):
-    """Depth-first search over differential ranks, one page at a time."""
-    counter.tick()
-    if page > d + 1:
-        return accept(entries)
-    cands = _page_candidates(entries, kind, page, d)
-    if not cands:
-        return _search_ranks(entries, kind, d, page + 1, counter, accept, prune, witness)
+def _lambda_witness(entries) -> tuple | None:
+    """Differential ranks that leave one diagonal 1 on the limit page, or None.
 
-    rows = [list(r) for r in entries]
-
-    def choose(i: int) -> bool:
-        if i == len(cands):
-            new = tuple(tuple(r) for r in rows)
-            if not prune(new, page + 1):
-                return False
-            return _search_ranks(new, kind, d, page + 1, counter, accept, prune, witness)
-        counter.tick()
-        (sp, sq), (tp, tq) = cands[i]
-        top = min(rows[sp][sq], rows[tp][tq])
-        for rank in range(top, -1, -1):
-            rows[sp][sq] -= rank
-            rows[tp][tq] -= rank
-            if rank:
-                witness.append((page, (sp, sq), (tp, tq), rank))
-            if choose(i + 1):
-                return True
-            if rank:
-                witness.pop()
-            rows[sp][sq] += rank
-            rows[tp][tq] += rank
-        return False
-
-    return choose(0)
-
-
-def _lambda_accept(entries) -> bool:
+    Every arrow (p,q) -> (p+r, q+r-1) joins cells of opposite parity of p+q,
+    so rank choices are a bipartite b-matching: nonnegative arrow weights
+    summing at each cell to its entry, less one surviving diagonal unit.
+    Such weights are realizable page by page (a cell's remainder always
+    covers its later ranks), so one max-flow decides: source -> even cell
+    (its entry) -> arrow (unbounded) -> odd cell -> sink (its entry), and
+    every diagonal cell -> one capacity-1 edge to the sink.
+    """
     d = len(entries) - 1
-    total = 0
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if p == q:
-                total += entries[p][q]
-            elif entries[p][q] != 0:
-                return False
-    return total == 1
+    cells = [(p, q) for p in range(d + 1) for q in range(d + 1) if entries[p][q]]
+    even_total = sum(entries[p][q] for p, q in cells if (p + q) % 2 == 0)
+    if 2 * even_total != sum(entries[p][q] for p, q in cells) + 1:
+        return None  # the alternating sum is conserved and must end at 1
+    source, sink, diag = "s", "t", "diag"
+    cap: dict = {}
+    adj: dict = {}
+
+    def edge(u, v, c):
+        cap[u, v] = c
+        cap[v, u] = 0
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+
+    arrows = []
+    for p, q in cells:
+        if (p + q) % 2:
+            edge((p, q), sink, entries[p][q])
+            continue
+        edge(source, (p, q), entries[p][q])
+        if p == q:
+            edge((p, q), diag, entries[p][q])
+    edge(diag, sink, 1)
+    for p, q in cells:
+        for r in range(2, d + 1):
+            tgt = (p + r, q + r - 1)
+            if tgt[0] <= d and tgt[1] <= d and entries[tgt[0]][tgt[1]]:
+                ends = ((p, q), tgt) if (p + q) % 2 == 0 else (tgt, (p, q))
+                edge(*ends, even_total)
+                arrows.append((r, (p, q), tgt, ends))
+    flow = 0
+    while True:  # Edmonds-Karp: augment along shortest residual paths
+        parent = {source: None}
+        queue = [source]
+        for u in queue:
+            for v in adj[u]:
+                if v not in parent and cap[u, v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+            if sink in parent:
+                break
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(cap[e] for e in path)
+        for u, v in path:
+            cap[u, v] -= push
+            cap[v, u] += push
+        flow += push
+    if flow != even_total:
+        return None
+    return tuple(sorted(
+        (r, src, tgt, cap[ends[1], ends[0]])
+        for r, src, tgt, ends in arrows if cap[ends[1], ends[0]]
+    ))
 
 
-def _lambda_prune(entries, next_page: int, kind: str = KIND_LYUBEZNIK) -> bool:
-    d = len(entries) - 1
-    diag = 0
-    for p in range(d + 1):
-        for q in range(d + 1):
-            v = entries[p][q]
-            if p == q:
-                diag += v
-            elif v > 0 and not _can_change_later(entries, kind, (p, q), next_page, d):
-                return False
-    return diag >= 1
-
-
-def check_convergence_lambda(table: InvariantTable, *, search_limit: int | None = None,
-                             _counter: _Counter | None = None):
+def check_convergence_lambda(table: InvariantTable):
     """Decide whether differential ranks can converge the table to one socle copy.
 
     Returns (feasible, witness); the witness is a tuple of
@@ -335,17 +331,8 @@ def check_convergence_lambda(table: InvariantTable, *, search_limit: int | None 
         raise InputError("check_convergence_lambda expects a lyubeznik table")
     if not table.is_complete():
         raise InputError("check_convergence_lambda requires a table without unknown cells")
-    # differentials flip parity, so the alternating sum is conserved; a limit
-    # page concentrated on the diagonal with total 1 forces it to be 1 already
-    if euler_sum(table) != 1:
-        return False, None
-    counter = _counter if _counter is not None else _Counter(_search_limit(search_limit))
-    witness: list = []
-    ok = _search_ranks(
-        table.entries, KIND_LYUBEZNIK, table.d, 2, counter, _lambda_accept,
-        lambda entries, nxt: _lambda_prune(entries, nxt), witness,
-    )
-    return (True, tuple(witness)) if ok else (False, None)
+    witness = _lambda_witness(table.entries)
+    return (False, None) if witness is None else (True, witness)
 
 
 def _antidiagonal_sums(entries, n: int) -> list[int]:
@@ -372,6 +359,40 @@ def _normalize_betti(betti: Sequence[int], n: int) -> list[int]:
     return vals + [0] * (2 * n - len(vals))
 
 
+def _search_cdr(entries, target: list[int], n: int, page: int, counter: _Counter) -> bool:
+    """Depth-first search over CdR differential ranks, one page at a time."""
+    counter.tick()
+    d = len(entries) - 1
+    if page > d + 1:
+        return _antidiagonal_sums(entries, n) == target
+    cands = _page_candidates(entries, KIND_CDR, page, d)
+    if not cands:
+        return _search_cdr(entries, target, n, page + 1, counter)
+
+    rows = [list(r) for r in entries]
+
+    def choose(i: int) -> bool:
+        if i == len(cands):
+            new = tuple(tuple(r) for r in rows)
+            # ranks only lower antidiagonal sums, so a sum below its target is final
+            if any(s < t for s, t in zip(_antidiagonal_sums(new, n), target)):
+                return False
+            return _search_cdr(new, target, n, page + 1, counter)
+        counter.tick()
+        (sp, sq), (tp, tq) = cands[i]
+        top = min(rows[sp][sq], rows[tp][tq])
+        for rank in range(top, -1, -1):
+            rows[sp][sq] -= rank
+            rows[tp][tq] -= rank
+            if choose(i + 1):
+                return True
+            rows[sp][sq] += rank
+            rows[tp][tq] += rank
+        return False
+
+    return choose(0)
+
+
 def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
               require_degenerate: bool = False,
               search_limit: int | None = None) -> bool:
@@ -390,25 +411,15 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
             f"ambient dimension {n} is too small for a table of dimension {table.d}"
         )
     target = _normalize_betti(betti, n)
-
-    def accept(entries) -> bool:
-        return _antidiagonal_sums(entries, n) == target
-
     if require_degenerate and table.d <= 3:
-        return accept(table.entries)
+        return _antidiagonal_sums(table.entries, n) == target
 
     if sum((-1) ** k * v for k, v in enumerate(target)) != -sum(
         (-1) ** (p + q) * table.entry(p, q) for p, q in table.cells()
     ):
         return False
-
-    def prune(entries, next_page: int) -> bool:
-        sums = _antidiagonal_sums(entries, n)
-        return all(s >= t for s, t in zip(sums, target))
-
     counter = _Counter(_search_limit(search_limit))
-    witness: list = []
-    return _search_ranks(table.entries, KIND_CDR, table.d, 2, counter, accept, prune, witness)
+    return _search_cdr(table.entries, target, n, 2, counter)
 
 
 class SpectralState:
@@ -563,27 +574,6 @@ class DeductionResult:
         return out
 
 
-def _reduce_against_basis(vec: list[int], basis: list[list[int]]) -> list[int] | None:
-    """Integer echelon reduction; returns the new independent vector or None."""
-    v = list(vec)
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x != 0)
-        if v[lead] != 0:
-            pivot = b[lead]
-            coeff = v[lead]
-            v = [x * pivot - y * coeff for x, y in zip(v, b)]
-    if not any(v):
-        return None
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    v = [x // g for x in v]
-    lead = next(i for i, x in enumerate(v) if x != 0)
-    if v[lead] < 0:
-        v = [-x for x in v]
-    return v
-
-
 _COMPLETION_CAP = 20000
 
 
@@ -641,30 +631,28 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
                     varying.add(cell)
                     constant.pop(cell, None)
             diff = [a - b_ for a, b_ in zip(vec, first)]
-            reduced = _reduce_against_basis(diff, diffs)
-            if reduced is not None:
-                diffs.append(reduced)
-                diffs.sort(key=lambda v: next(i for i, x in enumerate(v) if x != 0))
+            if _rank_int(diffs + [diff], len(diff)) > len(diffs):
+                diffs.append(diff)
         if len(completions) < _COMPLETION_CAP:
             completions.append(vec)
         else:
             truncated = True
 
+    grid = [list(row) for row in base.entries]
+
     def try_completion(values: tuple[int, ...]):
-        candidate = base.with_entries(dict(zip(unknowns, values)))
-        if validate_lambda(candidate):
-            return
-        ok, _ = check_convergence_lambda(candidate, _counter=counter)
-        if ok:
+        for (p, q), v in zip(unknowns, values):
+            grid[p][q] = v
+        # the structural zeros are in place and the known entries already
+        # passed validate_lambda, so (d,d) > 0 is its only check left
+        if grid[d][d] > 0 and _lambda_witness(grid) is not None:
             record(values)
 
     if base_diags:
         pass  # the known entries alone violate the structure: no completion exists
     elif not unknowns:
         counter.tick()
-        ok, _ = check_convergence_lambda(base, _counter=counter)
-        if ok:
-            record(())
+        try_completion(())
     else:
         # the alternating sum of a convergent table is 1, so the last unknown
         # is determined by the others; enumerate only the free ones

@@ -242,6 +242,25 @@ class TestTableCommands:
         assert code == 3
         assert "contradiction" in out
 
+    def test_deduce_search_limit_exit_4(self, tmp_path, capsys, monkeypatch):
+        doc = {
+            "kind": "lyubeznik",
+            "dim": 3,
+            "entries": [
+                [0, 0, None, 0],
+                [0, 0, None, 0],
+                [0, 0, 0, None],
+                [0, 0, 0, None],
+            ],
+            "bound": 5,
+        }
+        path = write(tmp_path, "shape.json", doc)
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", "50")
+        code, out, err = run(capsys, "table", "deduce", "--input", path)
+        assert code == 4
+        assert out == ""
+        assert "node limit of 50" in err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

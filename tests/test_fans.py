@@ -144,10 +144,6 @@ class TestValidation:
         assert not report.valid
         assert any("not used" in v for v in report.violations)
 
-    def test_sample_cover_debug_flag(self):
-        report = validate_fan(p3_fan(), sample_cover=True)
-        assert report.valid
-
 
 class TestPicard:
     def test_p3(self):

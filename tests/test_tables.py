@@ -1,6 +1,7 @@
 """Table validators, the Euler constraint, and the convergence/deduction engine."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,118 @@ from invar import (
 )
 
 N = None
+
+
+def reference_convergence(entries):
+    """The former depth-first search over differential ranks, page by page.
+
+    Kept as an oracle for the max-flow in check_convergence_lambda: it tries
+    every rank of every page-r differential, largest first, and prunes a
+    branch when an off-diagonal cell can no longer be lowered or the
+    diagonal is empty.  Returns a witness tuple or None.
+    """
+    d = len(entries) - 1
+    if sum((-1) ** (p + q) * entries[p][q] for p in range(d + 1) for q in range(d + 1)) != 1:
+        return None
+
+    def live(rows, cell):
+        return 0 <= cell[0] <= d and 0 <= cell[1] <= d and rows[cell[0]][cell[1]] > 0
+
+    def can_change_later(rows, p, q, next_page):
+        return any(
+            live(rows, (p + r, q + r - 1)) or live(rows, (p - r, q - r + 1))
+            for r in range(next_page, d + 2)
+        )
+
+    def prune(rows, next_page):
+        if any(rows[p][q] and p != q and not can_change_later(rows, p, q, next_page)
+               for p in range(d + 1) for q in range(d + 1)):
+            return False
+        return sum(rows[p][p] for p in range(d + 1)) >= 1
+
+    def accept(rows):
+        off = any(rows[p][q] for p in range(d + 1) for q in range(d + 1) if p != q)
+        return not off and sum(rows[p][p] for p in range(d + 1)) == 1
+
+    witness = []
+
+    def search(rows, page):
+        if page > d + 1:
+            return accept(rows)
+        cands = [((p, q), (p + page, q + page - 1))
+                 for p in range(d + 1) for q in range(d + 1)
+                 if rows[p][q] and live(rows, (p + page, q + page - 1))]
+
+        def choose(i):
+            if i == len(cands):
+                return prune(rows, page + 1) and search(rows, page + 1)
+            (sp, sq), (tp, tq) = cands[i]
+            for rank in range(min(rows[sp][sq], rows[tp][tq]), -1, -1):
+                rows[sp][sq] -= rank
+                rows[tp][tq] -= rank
+                if rank:
+                    witness.append((page, (sp, sq), (tp, tq), rank))
+                if choose(i + 1):
+                    return True
+                if rank:
+                    witness.pop()
+                rows[sp][sq] += rank
+                rows[tp][tq] += rank
+            return False
+
+        return choose(0)
+
+    return tuple(witness) if search([list(r) for r in entries], 2) else None
+
+
+def replay(entries, witness):
+    """Limit page after applying the witness ranks page by page."""
+    state = SpectralState.start(lam(entries))
+    for page in range(2, len(entries) + 1):
+        state = state.apply_page({src: rank for pg, src, _, rank in witness if pg == page})
+    return state.entries
+
+
+def random_lambda(rng, d, adjust):
+    """Upper-triangular table with sparse entries 0..3; adjust sets the alternating sum to 1."""
+    rows = [[rng.randint(1, 3) if p <= q and rng.random() < 0.4 else 0
+             for q in range(d + 1)] for p in range(d + 1)]
+    if adjust:
+        euler = sum((-1) ** (p + q) * rows[p][q] for p in range(d + 1) for q in range(d + 1))
+        if euler < 1:
+            rows[d][d] += 1 - euler
+        elif d >= 1:
+            rows[0][1] += euler - 1
+    return rows
+
+
+def constructed_lambda(rng, d, perturb):
+    """One diagonal 1 plus random arrows between upper-triangular cells: convergent.
+
+    perturb moves one unit between two cells of the same parity, which keeps
+    the alternating sum at 1 but usually breaks convergence.
+    """
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    k = rng.randint(0, d)
+    rows[k][k] = 1
+    arrows = [((p, q), (p + r, q + r - 1)) for r in range(2, d + 1)
+              for p in range(d + 1) for q in range(p + 1, d + 1)
+              if p + r <= q + r - 1 <= d]
+    for _ in range(rng.randint(1, 4) if arrows else 0):
+        (sp, sq), (tp, tq) = rng.choice(arrows)
+        w = rng.randint(1, 2)
+        rows[sp][sq] += w
+        rows[tp][tq] += w
+    if perturb:
+        full = [(p, q) for p in range(d + 1) for q in range(p, d + 1) if rows[p][q]]
+        sp, sq = rng.choice(full)
+        same = [(p, q) for p in range(d + 1) for q in range(p, d + 1)
+                if (p + q) % 2 == (sp + sq) % 2 and (p, q) != (sp, sq)]
+        if same:
+            tp, tq = rng.choice(same)
+            rows[sp][sq] -= 1
+            rows[tp][tq] += 1
+    return rows
 
 
 def lam(rows):
@@ -147,6 +260,44 @@ class TestConvergenceLambda:
     def test_unknown_rejected(self):
         with pytest.raises(InputError):
             check_convergence_lambda(dim3_shape())
+
+
+class TestFlowAgainstSearch:
+    def test_feasibility_matches_reference(self):
+        rng = random.Random(4242)
+        feasible = 0
+        for i in range(3000):
+            if i < 2000:
+                rows = random_lambda(rng, rng.randint(0, 6), adjust=i % 2 == 0)
+            else:
+                rows = constructed_lambda(rng, rng.randint(2, 6), perturb=i % 2 == 0)
+            ok, witness = check_convergence_lambda(lam(rows))
+            assert ok == (reference_convergence(rows) is not None), rows
+            if ok:
+                feasible += 1
+                limit = replay(rows, witness)
+                nonzero = [(p, q, v) for p, row in enumerate(limit)
+                           for q, v in enumerate(row) if v]
+                assert len(nonzero) == 1 and nonzero[0][0] == nonzero[0][1], (rows, witness)
+                assert nonzero[0][2] == 1
+                assert [w[0] for w in witness] == sorted(w[0] for w in witness)
+            else:
+                assert witness is None
+        # both verdicts are well represented
+        assert 500 < feasible < 2500
+
+    @pytest.mark.parametrize("shape,bound", [(dim3_shape, b) for b in range(9)]
+                             + [(dim4_shape, 2)])
+    def test_deduction_matches_reference(self, shape, bound):
+        table = shape()
+        result = deduce_lambda(table, bound)
+        expected = []
+        for values in product(range(bound + 1), repeat=len(result.unknown_cells)):
+            candidate = table.with_entries(dict(zip(result.unknown_cells, values)))
+            if not validate_lambda(candidate) and reference_convergence(candidate.entries) is not None:
+                expected.append(values)
+        assert list(result.completions) == expected
+        assert result.feasible_count == len(expected)
 
 
 class TestSpectralState:
