@@ -1,0 +1,98 @@
+"""Time the fan code on subdivided cubes and triangular prisms.
+
+    PYTHONPATH=src python3 scripts/fan_scale.py
+
+For each fan, prints the wall time of `validate_fan`, `picard_rank` and
+`is_projective`, and checks:
+
+* the Picard rank: 6k - 2 for the face fan over the unit squares of the
+  boundary of [-k, k]^3 (k = 1, 2, 3), 3 for both prisms;
+* that the rank is the same after a signed permutation of the coordinates
+  followed by a shear;
+* projectivity: every subdivided cube is projective; the prism whose side
+  quadrilaterals are split cyclically (A1B2, A2B3, A3B1) is not, the one
+  split along A1B2, A2B3, A1B3 is.
+
+Exits 1 on a mismatch.
+"""
+
+from __future__ import annotations
+
+import sys
+from itertools import product
+from math import gcd
+from time import perf_counter
+
+from invar import Fan3, is_projective, picard_rank, validate_fan
+
+# (x, y, z) -> (z, -x, y), then the shear x += z: determinant -1
+MOVE = ((0, 1, 1), (-1, 0, 0), (0, 1, 0))
+
+
+def subdivided_cube(k: int) -> Fan3:
+    """Face fan over the unit squares of the boundary of [-k, k]^3."""
+    points = [p for p in product(range(-k, k + 1), repeat=3) if max(map(abs, p)) == k]
+    index = {p: i for i, p in enumerate(points)}
+    cones = []
+    for axis in range(3):
+        u, v = [a for a in range(3) if a != axis]
+        for side in (-k, k):
+            for i, j in product(range(-k, k), repeat=2):
+                cone = []
+                for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                    p = [0, 0, 0]
+                    p[axis], p[u], p[v] = side, i + di, j + dj
+                    cone.append(index[tuple(p)])
+                cones.append(cone)
+    rays = []
+    for p in points:
+        g = gcd(*p)
+        rays.append(tuple(x // g for x in p))
+    return Fan3(rays, cones)
+
+
+def prism(twisted: bool) -> Fan3:
+    """Face fan of the triangular prism with rays A1 A2 A3 at z = -1 and
+    B1 B2 B3 at z = 1, side quadrilaterals split by a diagonal."""
+    a = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
+    b = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
+    cones = [(0, 1, 2), (3, 4, 5)]
+    for i in range(3):
+        j = (i + 1) % 3
+        if twisted or i < 2:  # diagonal A_i B_j
+            cones += [(i, j, 3 + j), (i, 3 + j, 3 + i)]
+        else:  # diagonal A_j B_i
+            cones += [(i, j, 3 + i), (j, 3 + j, 3 + i)]
+    return Fan3(a + b, cones)
+
+
+def moved(fan: Fan3) -> Fan3:
+    return Fan3([tuple(sum(m * x for m, x in zip(row, r)) for row in MOVE) for r in fan.rays],
+                fan.max_cones)
+
+
+def main() -> int:
+    ok = True
+    cases = [(f"subdivided cube k={k}", subdivided_cube(k), 6 * k - 2, True) for k in (1, 2, 3)]
+    cases += [("prism A1B2 A2B3 A3B1", prism(True), 3, False),
+              ("prism A1B2 A2B3 A1B3", prism(False), 3, True)]
+    for name, fan, rank, projective in cases:
+        start = perf_counter()
+        valid = validate_fan(fan).valid
+        validated = perf_counter()
+        got_rank = picard_rank(fan)
+        ranked = perf_counter()
+        got_projective = is_projective(fan)
+        done = perf_counter()
+        right = (valid and got_rank == rank and picard_rank(moved(fan)) == rank
+                 and got_projective == projective)
+        ok &= right
+        print(f"{name}: {len(fan.rays)} rays, {len(fan.max_cones)} cones, "
+              f"validate_fan {validated - start:.2f} s, picard_rank {ranked - validated:.2f} s, "
+              f"is_projective {done - ranked:.2f} s, Picard rank {got_rank} (expected {rank}), "
+              f"projective {got_projective} {'ok' if right else 'WRONG'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

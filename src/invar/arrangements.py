@@ -17,23 +17,33 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError, InputWarning
 from .posets import FinitePoset, SimplicialComplex, order_complex, reduced_betti
-from .qlinalg import QMatrix
+from .qlinalg import QMatrix, _echelon_int, _reduced_int
 from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable, canonical_small_tables
 
 
+def _canonical_rows(ambient_dim: int, rows) -> tuple[tuple[int, ...], ...] | None:
+    """Primitive integer reduced rows of an integer system; None if unsolvable."""
+    reduced = _reduced_int(_echelon_int(rows, ambient_dim + 1))
+    if reduced and not any(reduced[-1][:-1]):  # a pivot in the constant column
+        return None
+    return tuple(reduced)
+
+
 class AffineSubspace:
-    """A nonempty affine subspace of C^n in canonical (rref) form.
+    """A nonempty affine subspace of C^n in canonical form.
 
     Each equation row has n coefficient entries followed by a constant term;
     a point x lies on the subspace when coeffs . x + const = 0 for every row.
-    Two values are equal exactly when their canonical matrices coincide.
+    `rows` is the system's primitive integer reduced echelon form, so two
+    values are equal exactly when their rows coincide; `equations` is its rref.
     """
 
-    __slots__ = ("ambient_dim", "equations")
+    __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, equations: QMatrix):
         if ambient_dim < 1:
@@ -43,14 +53,11 @@ class AffineSubspace:
                 f"equation rows must have {ambient_dim + 1} entries "
                 f"(coefficients then constant), got {equations.ncols}"
             )
-        reduced = equations.rref()
-        rows = [row for row in reduced.entries if any(x != 0 for x in row)]
-        for row in rows:
-            if all(x == 0 for x in row[:-1]):
-                raise InputError("inconsistent linear system: no solutions")
-        canonical = QMatrix(rows, ncols=ambient_dim + 1)
+        rows = _canonical_rows(ambient_dim, equations.scale_rows_to_int())
+        if rows is None:
+            raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "equations", canonical)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineSubspace is immutable")
@@ -64,38 +71,49 @@ class AffineSubspace:
         return cls(ambient_dim, QMatrix([], ncols=ambient_dim + 1))
 
     @property
+    def equations(self) -> QMatrix:
+        rref = []
+        for row in self.rows:
+            pivot = next(x for x in row if x)
+            rref.append([Fraction(x, pivot) for x in row])
+        return QMatrix(rref, ncols=self.ambient_dim + 1)
+
+    @property
     def dim(self) -> int:
-        return self.ambient_dim - self.equations.nrows
+        return self.ambient_dim - len(self.rows)
 
     def is_linear(self) -> bool:
         """Whether the subspace passes through the origin."""
-        return all(row[-1] == 0 for row in self.equations.entries)
+        return all(row[-1] == 0 for row in self.rows)
 
     def intersect(self, other: "AffineSubspace") -> "AffineSubspace | None":
         """Intersection as a subspace, or None when empty."""
         if self.ambient_dim != other.ambient_dim:
             raise InputError("subspaces live in different ambient spaces")
-        try:
-            return AffineSubspace(self.ambient_dim, self.equations.stack(other.equations))
-        except InputError:
+        rows = _canonical_rows(self.ambient_dim, self.rows + other.rows)
+        if rows is None:
             return None
+        meet = object.__new__(AffineSubspace)
+        object.__setattr__(meet, "ambient_dim", self.ambient_dim)
+        object.__setattr__(meet, "rows", rows)
+        return meet
 
     def contained_in(self, other: "AffineSubspace") -> bool:
         """Inclusion test by ranks of stacked equation systems."""
         if self.ambient_dim != other.ambient_dim:
             raise InputError("subspaces live in different ambient spaces")
-        stacked = self.equations.stack(other.equations)
-        return stacked.rank() == self.equations.nrows
+        stacked = _echelon_int(self.rows + other.rows, self.ambient_dim + 1)
+        return len(stacked) == len(self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, AffineSubspace)
             and self.ambient_dim == other.ambient_dim
-            and self.equations == other.equations
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.equations))
+        return hash((self.ambient_dim, self.rows))
 
     def sort_key(self):
         return (self.dim, self.equations.entries)

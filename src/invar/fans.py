@@ -8,8 +8,10 @@ certifies completeness for a fan that passes the other checks.
 
 The Picard rank is computed from piecewise-linear support functions: one
 linear form per maximal cone, glued along walls, modulo the globally linear
-ones.  Projectivity asks for a strictly convex support function and is
-decided by exact rational Fourier-Motzkin elimination.
+ones.  The gluing equations are integer, ranked and solved by the integer
+kernel of qlinalg.  Projectivity asks for a strictly convex support function
+and is decided by exact Fourier-Motzkin elimination on integer inequalities;
+Fractions appear only in witness points and in the cone hulls.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .qlinalg import QMatrix
+from .qlinalg import _content_free, _echelon_int, _nullspace_int
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
 IVec = tuple[int, int, int]
@@ -49,23 +51,7 @@ def primitive(v: Sequence[int]) -> IVec:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination over Q
-
-
-def _normalize_ineq(coeffs: tuple, const: Fraction):
-    """Scale an inequality by a positive rational so entries are coprime ints."""
-    denom = 1
-    for x in list(coeffs) + [const]:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in coeffs]
-    c = int(const * denom)
-    g = 0
-    for x in ints + [c]:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-        c //= g
-    return tuple(Fraction(x) for x in ints), Fraction(c)
+# Fourier-Motzkin elimination
 
 
 def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | None:
@@ -73,52 +59,52 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 
     Returns a rational witness point, or None when the system is infeasible.
     Variables are eliminated one at a time (smallest positive*negative count
-    first); desk-scale systems only.
+    first), on each inequality scaled once to a tuple of coprime integers
+    (coeffs..., const); only the witness is in Fractions.  Desk-scale only.
     """
     system = []
     for coeffs, const in inequalities:
-        row = tuple(Fraction(c) for c in coeffs)
+        row = [Fraction(c) for c in coeffs]
         if len(row) != nvars:
             raise InputError("inequality arity does not match the variable count")
-        system.append(_normalize_ineq(row, Fraction(const)))
+        row.append(Fraction(const))
+        m = lcm(*(x.denominator for x in row))
+        system.append(_content_free([x.numerator * (m // x.denominator) for x in row]))
     system = list(dict.fromkeys(system))
     remaining = list(range(nvars))
     stages = []
     while remaining:
-        trivial = [r for r in system if all(r[0][j] == 0 for j in remaining)]
-        if any(r[1] > 0 for r in trivial):
+        if any(r[-1] > 0 for r in system if not any(r[j] for j in remaining)):
             return None
-        system = [r for r in system if r not in trivial]
+        system = [r for r in system if any(r[j] for j in remaining)]
         best, best_cost = None, None
         for j in remaining:
-            pos = sum(1 for r in system if r[0][j] > 0)
-            neg = sum(1 for r in system if r[0][j] < 0)
+            pos = sum(1 for r in system if r[j] > 0)
+            neg = sum(1 for r in system if r[j] < 0)
             cost = pos * neg - pos - neg
             if best_cost is None or cost < best_cost:
                 best, best_cost = j, cost
         j = best
         stages.append((j, system))
-        pos = [r for r in system if r[0][j] > 0]
-        neg = [r for r in system if r[0][j] < 0]
-        zero = [r for r in system if r[0][j] == 0]
-        new = list(zero)
-        for (cp, bp), (cn, bn) in product(pos, neg):
-            s, t = cp[j], -cn[j]
-            coeffs = tuple(t * a + s * b for a, b in zip(cp, cn))
-            new.append(_normalize_ineq(coeffs, t * bp + s * bn))
+        pos = [r for r in system if r[j] > 0]
+        neg = [r for r in system if r[j] < 0]
+        new = [r for r in system if r[j] == 0]
+        for rp, rn in product(pos, neg):
+            s, t = rp[j], -rn[j]
+            new.append(_content_free([t * a + s * b for a, b in zip(rp, rn)]))
         system = list(dict.fromkeys(new))
         remaining.remove(j)
-    if any(const > 0 for _, const in system):
+    if any(r[-1] > 0 for r in system):
         return None
     witness = [Fraction(0)] * nvars
     for j, stage_system in reversed(stages):
         lo = hi = None
-        for coeffs, const in stage_system:
-            cj = coeffs[j]
+        for r in stage_system:
+            cj = r[j]
             if cj == 0:
                 continue
-            rest = sum(c * witness[k] for k, c in enumerate(coeffs) if k != j)
-            bound = (const - rest) / cj
+            rest = sum(r[k] * witness[k] for k in range(nvars) if k != j)
+            bound = Fraction(r[-1] - rest) / cj
             if cj > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:
@@ -323,8 +309,7 @@ def _analyze(fan: Fan3) -> FanReport:
     facet_pairs = []
     facet_normals = []
     for k, cone in enumerate(fan.max_cones):
-        mat = QMatrix([list(rays[i]) for i in cone])
-        if mat.rank() != 3:
+        if len(_echelon_int([rays[i] for i in cone], 3)) != 3:
             violations.append(f"maximal cone {k} is not 3-dimensional")
             continue
         pairs, normals, errs = _cone_facets(fan, k)
@@ -381,9 +366,8 @@ def _require_valid(fan: Fan3) -> FanReport:
     return report
 
 
-def support_function_space_dim(fan: Fan3) -> int:
-    """Dimension of the space of continuous piecewise-linear support functions."""
-    report = _require_valid(fan)
+def _gluing_rows(fan: Fan3, report: FanReport) -> list[list[int]]:
+    """Equations on one linear form per maximal cone: they agree on each wall's rays."""
     m = len(fan.max_cones)
     rows = []
     for wall in report.walls:
@@ -395,9 +379,14 @@ def support_function_space_dim(fan: Fan3) -> int:
                 row[3 * a + t] = v[t]
                 row[3 * b + t] = -v[t]
             rows.append(row)
-    if not rows:
-        return 3 * m
-    return QMatrix(rows).nullspace_dim()
+    return rows
+
+
+def support_function_space_dim(fan: Fan3) -> int:
+    """Dimension of the space of continuous piecewise-linear support functions."""
+    report = _require_valid(fan)
+    ncols = 3 * len(fan.max_cones)
+    return ncols - len(_echelon_int(_gluing_rows(fan, report), ncols))
 
 
 def picard_rank(fan: Fan3) -> int:
@@ -414,39 +403,24 @@ def class_rank(fan: Fan3) -> int:
 def is_projective(fan: Fan3) -> bool:
     """Whether a strictly convex support function exists.
 
-    The gluing equalities are solved first; the strict-convexity conditions
-    (each cone's linear form exceeds its neighbor's across every wall,
-    normalized to >= 1 by homogeneity) are then decided by Fourier-Motzkin
-    elimination on the solution space.
+    The gluing equalities are solved first, by an integer nullspace basis;
+    the strict-convexity conditions (each cone's linear form exceeds its
+    neighbor's across every wall, normalized to >= 1 by homogeneity) are
+    then decided by Fourier-Motzkin elimination on the solution space.
     """
     report = _require_valid(fan)
-    m = len(fan.max_cones)
-    rows = []
-    for wall in report.walls:
-        a, b = wall.cones
-        for ray_index in wall.rays:
-            v = fan.rays[ray_index]
-            row = [0] * (3 * m)
-            for t in range(3):
-                row[3 * a + t] = v[t]
-                row[3 * b + t] = -v[t]
-            rows.append(row)
-    basis = QMatrix(rows).nullspace_basis() if rows else [
-        tuple(Fraction(1 if i == j else 0) for i in range(3 * m)) for j in range(3 * m)
-    ]
+    basis = _nullspace_int(_gluing_rows(fan, report), 3 * len(fan.max_cones))
     inequalities = []
     for wall in report.walls:
         for near, far in (wall.cones, wall.cones[::-1]):
             for ray_index in fan.max_cones[far]:
                 if ray_index in wall.rays:
                     continue
+                # <l_near - l_far, v> has six nonzero terms
                 v = fan.rays[ray_index]
-                full = [0] * (3 * m)
-                for t in range(3):
-                    full[3 * near + t] += v[t]
-                    full[3 * far + t] -= v[t]
                 coeffs = tuple(
-                    sum(Fraction(full[i]) * vec[i] for i in range(3 * m)) for vec in basis
+                    sum(v[t] * (vec[3 * near + t] - vec[3 * far + t]) for t in range(3))
+                    for vec in basis
                 )
                 inequalities.append((coeffs, 1))
     return fm_feasible(inequalities, len(basis)) is not None

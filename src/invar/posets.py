@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable
 
 from .errors import InputError
-from .qlinalg import QMatrix, _rank_int
+from .qlinalg import QMatrix, _echelon_int
 
 
 class FinitePoset:
@@ -274,7 +274,7 @@ def reduced_betti(k: SimplicialComplex) -> BettiVector:
     for deg, top in enumerate(by_degree):
         counts[deg] = len(top)
         if deg:
-            ranks[deg] = _rank_int(_boundary_rows(top, by_degree[deg - 1]), len(top))
+            ranks[deg] = len(_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
     betti = []
     for deg in range(-1, d + 1):
         betti.append(counts[deg] - ranks[deg] - ranks[deg + 1])

@@ -1,8 +1,14 @@
-"""Exact rational matrices: rank, reduced row echelon form, nullspace.
+"""Exact linear algebra: one integer elimination kernel, rational matrices
+at the boundary.
 
-Scalars are `fractions.Fraction`, so all arithmetic is arbitrary-precision
-and nothing ever rounds.  Matrices are dense and immutable; every operation
-returns a fresh value.  Desk-scale sizes only (a few hundred rows).
+All elimination runs on Python ints and is fraction-free (cross-multiplied
+rows, with a gcd content reduction against entry growth): `_echelon_int`
+gives an echelon form, `_reduced_int` its primitive reduced form and
+`_nullspace_int` primitive nullspace vectors.  The arrangement, fan and
+table layers call these directly.  `fractions.Fraction` appears only at the
+boundary: rational literals, and the `QMatrix` wrappers, which scale their
+rows to integers once and read the rational rref off the reduced rows.
+Nothing ever rounds.  Matrices are dense; desk-scale sizes only.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError
-
-Rat = Fraction
 
 # Entries larger than this trigger a gcd content reduction during integer
 # elimination; keeps bit growth polynomial without dividing every step.
@@ -71,10 +75,6 @@ class QMatrix:
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -92,9 +92,6 @@ class QMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
@@ -104,69 +101,36 @@ class QMatrix:
             ncols=self.nrows,
         )
 
-    def stack(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.ncols:
-            raise InputError("cannot stack matrices with different column counts")
-        return QMatrix(self.entries + other.entries, ncols=self.ncols)
-
     def scale_rows_to_int(self) -> list[list[int]]:
         """Clear denominators row by row (rank-preserving)."""
         out = []
         for row in self.entries:
-            m = lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * m) for x in row])
+            m = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (m // x.denominator) for x in row])
         return out
 
     def rank(self) -> int:
-        return _rank_int(self.scale_rows_to_int(), self.ncols)
+        return len(_echelon_int(self.scale_rows_to_int(), self.ncols))
 
     def nullspace_dim(self) -> int:
         return self.ncols - self.rank()
 
     def rref(self) -> "QMatrix":
-        """The unique reduced row echelon form (pivots 1, pivot columns cleared)."""
-        rows = [list(r) for r in self.entries]
-        nr, nc = self.nrows, self.ncols
-        r = 0
-        for c in range(nc):
-            # first nonzero entry in column order
-            piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(nr):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            if r == nr:
-                break
-        return QMatrix(rows, ncols=nc)
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        red = self.rref()
-        pivots = []
-        for row in red.entries:
-            for j, x in enumerate(row):
-                if x != 0:
-                    pivots.append(j)
-                    break
-        return tuple(pivots)
+        """The unique reduced row echelon form; zero rows stay, at the bottom."""
+        rows = []
+        for row in _reduced_int(_echelon_int(self.scale_rows_to_int(), self.ncols)):
+            pivot = next(x for x in row if x)
+            rows.append([Fraction(x, pivot) for x in row])
+        rows += [[0] * self.ncols] * (self.nrows - len(rows))
+        return QMatrix(rows, ncols=self.ncols)
 
     def nullspace_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right nullspace, in the canonical rref parameterization."""
-        red = self.rref()
-        pivots = list(red.pivot_columns())
-        free = [j for j in range(self.ncols) if j not in pivots]
         basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[f] = Fraction(1)
-            for i, p in enumerate(pivots):
-                vec[p] = -red.entries[i][f]
-            basis.append(tuple(vec))
+        for vec in _nullspace_int(self.scale_rows_to_int(), self.ncols):
+            # an integer basis vector's last nonzero entry sits at its free column
+            free = next(x for x in reversed(vec) if x)
+            basis.append(tuple(Fraction(x, free) for x in vec))
         return basis
 
 
@@ -176,7 +140,7 @@ def rank(m: QMatrix) -> int:
 
 
 def rref(m: QMatrix) -> QMatrix:
-    """Reduced row echelon form; canonical form for subspace comparisons."""
+    """The unique reduced row echelon form."""
     return m.rref()
 
 
@@ -185,13 +149,24 @@ def nullspace_dim(m: QMatrix) -> int:
     return m.nullspace_dim()
 
 
-def _rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by exact division-free elimination.
+def _content_reduced(row: list[int]) -> list[int]:
+    """Divide a row by the gcd of its entries once they outgrow the threshold."""
+    if max(map(abs, row)) > _REDUCE_THRESHOLD:
+        g = gcd(*row)
+        if g > 1:
+            return [x // g for x in row]
+    return row
 
-    Rows with a zero leading entry are left untouched, which keeps the
-    elimination cheap on sparse incidence-style matrices.  Pivot rows with a
-    unit entry are preferred so that cross-multiplication does not grow
-    entries; a gcd content reduction bounds growth in the remaining cases.
+
+def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Row echelon form of an integer matrix by exact division-free elimination.
+
+    Returns the nonzero rows, leading entries in strictly increasing columns;
+    their number is the rank.  Rows with a zero leading entry are left
+    untouched, which keeps the elimination cheap on sparse incidence-style
+    matrices.  Pivot rows with a unit entry are preferred so that
+    cross-multiplication does not grow entries; a gcd content reduction
+    bounds growth in the remaining cases.  The input rows are not modified.
     """
     work = [r for r in rows if any(r)]
     r = 0
@@ -219,17 +194,58 @@ def _rank_int(rows: list[list[int]], ncols: int) -> int:
             elif pv == -1:
                 work[i] = [a + lead * b for a, b in zip(row, prow)]
             else:
-                new = [a * pv - lead * b for a, b in zip(row, prow)]
-                if max(map(abs, new)) > _REDUCE_THRESHOLD:
-                    g = 0
-                    for x in new:
-                        g = gcd(g, x)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        new = [x // g for x in new]
-                work[i] = new
+                work[i] = _content_reduced([a * pv - lead * b for a, b in zip(row, prow)])
         r += 1
         if r == len(work):
             break
-    return r
+    # every row below the last pivot has been eliminated to zero
+    return work[:r]
+
+
+def _content_free(row: Sequence[int]) -> tuple[int, ...]:
+    """An integer row divided by the (positive) gcd of its entries."""
+    g = gcd(*row) or 1
+    return tuple(x // g for x in row)
+
+
+def _reduced_int(echelon: list[list[int]]) -> list[tuple[int, ...]]:
+    """The reduced form of `_echelon_int` output, by back-substitution.
+
+    Each row is primitive with a positive pivot, and every pivot column is
+    zero outside its pivot row; dividing each row by its pivot gives the
+    unique rref, so equal row spaces give equal results.
+    """
+    done: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row), bottom up
+    for row in reversed(echelon):
+        lead = next(j for j, x in enumerate(row) if x)
+        for c, below in done:
+            v = row[c]
+            if v:
+                # below[c] > 0 and below is zero at every other pivot column
+                # of the rows done so far
+                row = _content_reduced([a * below[c] - v * b for a, b in zip(row, below)])
+        row = _content_free(row)
+        done.append((lead, row if row[lead] > 0 else tuple(-x for x in row)))
+    return [row for _, row in reversed(done)]
+
+
+def _nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right nullspace of an integer matrix.
+
+    One vector per free (non-pivot) column f, in increasing order of f: it is
+    positive at f, zero at the other free columns, so it is a positive
+    multiple of the rref-parameterized basis vector of f.
+    """
+    reduced = _reduced_int(_echelon_int(rows, ncols))
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    # a common multiple of the pivots clears every denominator of the rref
+    scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [0] * ncols
+            vec[f] = scale
+            for c, row in zip(pivots, reduced):
+                vec[c] = -row[f] * (scale // row[c])
+            basis.append(_content_free(vec))
+    return basis

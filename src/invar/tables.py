@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SearchLimitError
-from .qlinalg import QMatrix, _rank_int
+from .qlinalg import _echelon_int, _nullspace_int
 
 KIND_LYUBEZNIK = "lyubeznik"
 KIND_CDR = "cdr"
@@ -631,7 +630,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
                     varying.add(cell)
                     constant.pop(cell, None)
             diff = [a - b_ for a, b_ in zip(vec, first)]
-            if _rank_int(diffs + [diff], len(diff)) > len(diffs):
+            if len(_echelon_int(diffs + [diff], len(diff))) > len(diffs):
                 diffs.append(diff)
         if len(completions) < _COMPLETION_CAP:
             completions.append(vec)
@@ -682,16 +681,8 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     if count > 0 and diffs:
         nonforced = [c for c in unknowns if c in varying]
         col_of = {c: i for i, c in enumerate(unknowns)}
-        dmat = QMatrix([[row[col_of[c]] for c in nonforced] for row in diffs])
-        for basis_vec in dmat.nullspace_basis():
-            denom_lcm = 1
-            for x in basis_vec:
-                denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-            ints = [int(x * denom_lcm) for x in basis_vec]
-            g = 0
-            for x in ints:
-                g = gcd(g, x)
-            ints = [x // g for x in ints]
+        dmat = [[row[col_of[c]] for c in nonforced] for row in diffs]
+        for ints in _nullspace_int(dmat, len(nonforced)):
             lead = next(i for i, x in enumerate(ints) if x != 0)
             if ints[lead] < 0:
                 ints = [-x for x in ints]

@@ -34,6 +34,23 @@ def octant_fan() -> Fan3:
     return Fan3(rays, cones)
 
 
+def prism_fan(twisted: bool) -> Fan3:
+    """Face fan of a triangular prism, rays A1 A2 A3 (z = -1) and B1 B2 B3
+    (z = 1), with each side quadrilateral split by a diagonal: cyclically
+    A1B2, A2B3, A3B1 when twisted, which admits no strictly convex support
+    function, and A1B2, A2B3, A1B3 otherwise.  Both have Picard rank 3."""
+    a = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
+    b = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
+    cones = [(0, 1, 2), (3, 4, 5)]
+    for i in range(3):
+        j = (i + 1) % 3
+        if twisted or i < 2:  # diagonal A_i B_j
+            cones += [(i, j, 3 + j), (i, 3 + j, 3 + i)]
+        else:  # diagonal A_j B_i
+            cones += [(i, j, 3 + i), (j, 3 + j, 3 + i)]
+    return Fan3(a + b, cones)
+
+
 def coordinate_hyperplane(n: int, axis: int) -> AffineSubspace:
     row = [1 if j == axis else 0 for j in range(n)] + [0]
     return AffineSubspace.from_rows(n, [row])

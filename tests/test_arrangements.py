@@ -1,6 +1,8 @@
 """Intersection lattices, Cech-de Rham tables, and the small Lyubeznik tables."""
 
+import random
 import warnings
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -10,6 +12,7 @@ from invar import (
     BettiVector,
     InputError,
     InputWarning,
+    QMatrix,
     boundary_matrix,
     build_lattice,
     cdr_table,
@@ -22,6 +25,7 @@ from invar import (
 )
 from invar.arrangements import _interval_complexes
 from conftest import coordinate_hyperplane, random_hyperplane, random_subspace
+from test_qlinalg import reference_rref
 
 
 def coordinate_line(n, axis):
@@ -116,6 +120,70 @@ class TestAffineSubspace:
     def test_linear(self):
         assert coordinate_hyperplane(3, 0).is_linear()
         assert not AffineSubspace.from_rows(2, [[1, 0, 5]]).is_linear()
+
+
+def reference_canonical(n, rows):
+    """Nonzero rows of the Fraction rref of a system, or None when it has
+    no solution: the canonical form before the integer kernel."""
+    red = tuple(tuple(r) for r in reference_rref(rows, n + 1) if any(r))
+    if red and not any(red[-1][:-1]):
+        return None
+    return red
+
+
+def random_presentation_pairs(seed, count):
+    """Seeded (n, rows_a, rows_b) with rational entries, where b is often a
+    re-presentation of a, a subspace of it, or one meeting it."""
+    rng = random.Random(seed)
+    entry = lambda: rng.choice((0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        rows_a = [[entry() for _ in range(n + 1)] for _ in range(rng.randint(1, n))]
+        kind = rng.randrange(4)
+        if kind == 0:  # the same system, presented by random combinations
+            rows_b = [[sum(rng.randint(-2, 2) * r[j] for r in rows_a) for j in range(n + 1)]
+                      for _ in range(len(rows_a) + 1)] + rows_a[:1]
+        elif kind == 1:  # one more equation
+            rows_b = rows_a + [[entry() for _ in range(n + 1)]]
+        else:
+            rows_b = [[entry() for _ in range(n + 1)] for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.5:
+            rows_a, rows_b = rows_b, rows_a
+        if reference_canonical(n, rows_a) is None or reference_canonical(n, rows_b) is None:
+            continue
+        out.append((n, rows_a, rows_b))
+    return out
+
+
+class TestAffineSubspaceAgainstReference:
+    """Integer canonical rows against the Fraction rref they replace."""
+
+    def test_random_pairs(self):
+        kinds = {"equal": 0, "contained": 0, "empty": 0}
+        for n, rows_a, rows_b in random_presentation_pairs(1234, 400):
+            a, b = AffineSubspace.from_rows(n, rows_a), AffineSubspace.from_rows(n, rows_b)
+            ref_a, ref_b = reference_canonical(n, rows_a), reference_canonical(n, rows_b)
+            for sub, ref in ((a, ref_a), (b, ref_b)):
+                assert sub.equations == QMatrix(ref, ncols=n + 1)
+                assert sub.sort_key() == (n - len(ref), ref)
+                assert sub.dim == n - len(ref)
+            assert (a == b) == (ref_a == ref_b)
+            if a == b:
+                assert hash(a) == hash(b)
+                kinds["equal"] += 1
+            meet = a.intersect(b)
+            ref_meet = reference_canonical(n, rows_a + rows_b)
+            if ref_meet is None:
+                assert meet is None
+                kinds["empty"] += 1
+            else:
+                assert meet == AffineSubspace.from_rows(n, rows_a + rows_b)
+                assert meet.equations == QMatrix(ref_meet, ncols=n + 1)
+            stacked = sum(1 for r in reference_rref(list(ref_a) + list(ref_b), n + 1) if any(r))
+            assert a.contained_in(b) == (stacked == len(ref_a))
+            kinds["contained"] += a.contained_in(b)
+        assert min(kinds.values()) >= 20
 
 
 class TestBuildLattice:

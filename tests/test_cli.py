@@ -7,6 +7,7 @@ import pytest
 from invar.cli import main
 from invar.fileio import dumps_table, parse_table
 from invar.tables import InvariantTable
+from conftest import prism_fan
 
 
 BOOLEAN3 = {
@@ -151,6 +152,18 @@ class TestFanCommands:
         code, out, _ = run(capsys, "fan", "projective", "--input", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["projective"] is True
+
+    def test_non_projective_lyubeznik_exit_2(self, tmp_path, capsys):
+        fan = prism_fan(twisted=True)
+        doc = {"rays": [list(r) for r in fan.rays], "max_cones": [list(c) for c in fan.max_cones]}
+        path = write(tmp_path, "twisted.json", doc)
+        code, out, err = run(capsys, "fan", "lyubeznik", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "not projective" in err
+        code, out, _ = run(capsys, "fan", "projective", "--input", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["projective"] is False
 
     def test_ray_rescaling_warns(self, tmp_path, capsys):
         doc = {

@@ -19,7 +19,7 @@ from invar import (
     validate_lambda,
 )
 from invar.fans import fm_feasible, primitive
-from conftest import cube_fan, octant_fan, p3_fan
+from conftest import cube_fan, octant_fan, p3_fan, prism_fan
 
 
 def unimodular_matrix(rng: random.Random):
@@ -75,6 +75,18 @@ class TestFourierMotzkin:
     def test_witness_is_exact(self):
         witness = fm_feasible([((3,), 1), ((-3,), -1)], 1)
         assert witness == [Fraction(1, 3)]
+
+    def test_fraction_coefficients_exact_witness(self):
+        # x/2 >= 1/3, -2x/3 >= -1, y - x/4 >= 1/5.  x goes first (a tie at
+        # cost -1), leaving y >= 1/5 + (2/3)/4 = 11/30 with no upper bound;
+        # y = 11/30 then caps x at 2/3, its lower bound
+        system = [
+            ((Fraction(1, 2), 0), Fraction(1, 3)),
+            ((Fraction(-2, 3), 0), -1),
+            ((Fraction(-1, 4), 1), Fraction(1, 5)),
+        ]
+        assert fm_feasible(system, 2) == [Fraction(2, 3), Fraction(11, 30)]
+        assert fm_feasible(system + [((Fraction(3, 7), 0), 1)], 2) is None
 
 
 class TestValidation:
@@ -202,6 +214,19 @@ class TestProjectivity:
     def test_subdivisions_remain_projective(self, rng):
         fan = star_subdivide(octant_fan(), 0, [1, 1, 1])
         assert is_projective(fan)
+
+    def test_prisms(self, rng):
+        for twisted in (True, False):
+            for fan in (prism_fan(twisted), transform_fan(prism_fan(twisted),
+                                                         unimodular_matrix(rng))):
+                report = validate_fan(fan)
+                assert report.valid and report.complete
+                assert picard_rank(fan) == 3
+                assert is_projective(fan) is not twisted
+
+    def test_twisted_prism_has_no_lyubeznik_table(self):
+        with pytest.raises(InputError, match="not projective"):
+            toric_lyubeznik(prism_fan(True))
 
 
 class TestToricLyubeznik:

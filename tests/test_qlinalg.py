@@ -3,11 +3,80 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from invar import InputError, QMatrix, nullspace_dim, parse_rational, rank, rref
-from invar.qlinalg import format_rational
+from invar import InputError, QMatrix, nullspace_dim, parse_rational, qlinalg, rank, rref
+from invar.qlinalg import _echelon_int, _nullspace_int, _reduced_int, format_rational
+
+
+def reference_rref(rows, ncols):
+    """Reference oracle: plain Gauss-Jordan elimination over Fractions (the
+    implementation the integer kernel replaced).  Keeps zero rows, last."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nr = len(rows)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == nr:
+            break
+    return rows
+
+
+def reference_nullspace(rows, ncols):
+    """Nullspace basis in the rref parameterization, from `reference_rref`."""
+    red = [r for r in reference_rref(rows, ncols) if any(r)]
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in zip(red, pivots):
+            vec[p] = -r[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def differential_matrices(seed, count):
+    """Seeded matrices for the kernel-against-reference comparison: integer
+    and rational entries, zero and duplicate rows, wide and tall shapes, and
+    entries large enough to set off the content reduction."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        kind = t % 5
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        if kind == 1:  # wide
+            ncols = rng.randint(nrows + 1, nrows + 9)
+        elif kind == 2:  # tall
+            nrows = rng.randint(ncols + 1, ncols + 8)
+        if kind == 3:
+            entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        elif kind == 4:
+            entry = lambda: rng.choice((0, 1, -1, rng.getrandbits(90) - (1 << 89)))
+        else:
+            entry = lambda: rng.choice((0, 0, rng.randint(-5, 5)))
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.4:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        if rows and rng.random() < 0.4:
+            src = rng.choice(rows)
+            rows.insert(rng.randrange(len(rows) + 1), [x * rng.choice((1, -2)) for x in src])
+        out.append((rows, ncols))
+    return out
 
 
 def cofactor_det(rows):
@@ -130,6 +199,61 @@ class TestNullspace:
                     assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
+class TestAgainstReferenceRref:
+    """The integer kernel and its QMatrix wrappers against the deleted
+    Fraction Gauss-Jordan, on 600 seeded matrices."""
+
+    CASES = differential_matrices(4711, 600)
+
+    def test_content_reduction_is_exercised(self, monkeypatch):
+        calls = []
+
+        def counting_gcd(*args):
+            calls.append(len(args))
+            return gcd(*args)
+
+        # in `_echelon_int` gcd is called only by the content reduction
+        monkeypatch.setattr(qlinalg, "gcd", counting_gcd)
+        reduced = 0
+        for rows, ncols in self.CASES:
+            before = len(calls)
+            _echelon_int(QMatrix(rows, ncols=ncols).scale_rows_to_int(), ncols)
+            reduced += len(calls) > before
+        assert reduced >= 30
+
+    def test_rref_rank_nullspace_match(self):
+        for rows, ncols in self.CASES:
+            m = QMatrix(rows, ncols=ncols)
+            want = reference_rref(rows, ncols)
+            assert m.rref() == QMatrix(want, ncols=ncols)
+            assert m.rref().nrows == len(rows)
+            assert m.rank() == sum(1 for r in want if any(r))
+            assert m.nullspace_basis() == reference_nullspace(rows, ncols)
+
+    def test_integer_kernel_shapes(self):
+        for rows, ncols in self.CASES:
+            ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
+            want = [r for r in reference_rref(rows, ncols) if any(r)]
+            echelon = _echelon_int(ints, ncols)
+            leads = [next(j for j, x in enumerate(r) if x) for r in echelon]
+            assert leads == sorted(set(leads)) and len(echelon) == len(want)
+            reduced = _reduced_int(echelon)
+            for row, ref in zip(reduced, want):
+                pivot = next(x for x in row if x)
+                assert pivot > 0 and gcd(*row) == 1
+                assert [Fraction(x, pivot) for x in row] == ref
+            for vec, ref in zip(_nullspace_int(ints, ncols), reference_nullspace(rows, ncols)):
+                assert gcd(*vec) == 1
+                free = next(x for x in reversed(vec) if x)
+                assert free > 0 and [Fraction(x, free) for x in vec] == list(ref)
+
+    def test_input_rows_untouched(self):
+        rows = [[2, 4, 6], [3, 1, 0], [5, 5, 6]]
+        copy = [list(r) for r in rows]
+        _nullspace_int(rows, 3)
+        assert rows == copy
+
+
 class TestRationalLiterals:
     def test_parse(self):
         assert parse_rational(5) == 5
@@ -156,10 +280,6 @@ class TestMatrixBasics:
     def test_ragged_rejected(self):
         with pytest.raises(InputError):
             QMatrix([[1, 2], [3]])
-
-    def test_stack_mismatch(self):
-        with pytest.raises(InputError):
-            QMatrix([[1]]).stack(QMatrix([[1, 2]]))
 
     def test_immutable(self):
         m = QMatrix([[1]])
