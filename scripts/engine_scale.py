@@ -1,4 +1,4 @@
-"""Time the spectral deduction engine on the criterion-6 shapes.
+"""Time the spectral engine: deductions on the criterion-6 shapes and CdR checks.
 
     PYTHONPATH=src python3 scripts/engine_scale.py
 
@@ -8,15 +8,24 @@ Runs `deduce_lambda` on the dim-3 shape (unknowns (0,2), (1,2), (2,3),
 the enumeration nodes and the reported identities, and checks the feasible
 completion count and the identities of acceptance criterion 6:
 (2,3) = (0,2) and (3,3) = (1,2) + 1 in dim 3, (0,4) = (2,5) and
-(1,4) = (3,5) - (0,3) in dim 4.  Exits 1 on a mismatch.
+(1,4) = (3,5) - (0,3) in dim 4.
+
+Then runs `check_cdr` on seeded CdR tables of dimension 5, 6 and 7 with
+entries up to 9 (or less) on and above the diagonal, in ambient dimension
+d + 1.  The Betti numbers are the antidiagonal sums left by random ranks
+replayed page by page, so those checks are feasible; a shifted case asks the
+ranks to remove one more class from antidiagonals k and k + 1, and its
+expected answer was computed by exhaustive search over the ranks.  Exits 1
+on any mismatch.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from time import perf_counter
 
-from invar import InvariantTable, deduce_lambda
+from invar import InvariantTable, SpectralState, check_cdr, deduce_lambda
 
 N = None
 
@@ -44,6 +53,36 @@ CASES = [
     ("dim4", DIM4, 3, 160), ("dim4", DIM4, 4, 375), ("dim4", DIM4, 5, 756),
     ("dim4", DIM4, 6, 1372),
 ]
+# (d, seed, largest entry, shifted antidiagonal k or None, feasible)
+CDR_CASES = [
+    (5, 1, 9, None, True), (5, 1, 9, 9, False), (5, 3, 9, 3, False),
+    (6, 1, 9, None, True), (6, 1, 9, 5, False), (6, 2, 9, 3, False),
+    (7, 1, 9, None, True), (7, 2, 9, None, True), (7, 2, 3, 7, False),
+    (7, 3, 4, 7, False),
+]
+
+
+def cdr_case(d: int, seed: int, top: int, shift: int | None):
+    rng = random.Random(seed)
+    n = d + 1
+    rows = [[rng.randint(0, top) if p <= q else 0 for q in range(d + 1)] for p in range(d + 1)]
+    state = SpectralState.start(InvariantTable("cdr", rows))
+    while state.page <= d:
+        left = [list(r) for r in state.entries]
+        ranks = {}
+        for (sp, sq), (tp, tq) in state.differentials():
+            ranks[sp, sq] = rank = rng.randint(0, min(left[sp][sq], left[tp][tq]))
+            left[sp][sq] -= rank
+            left[tp][tq] -= rank
+        state = state.apply_page(ranks)
+    betti = [0] * (2 * n)
+    for p, row in enumerate(state.entries):
+        for q, v in enumerate(row):
+            betti[2 * n - p - q - 1] += v
+    if shift is not None:
+        betti[shift] -= 1
+        betti[shift + 1] -= 1
+    return InvariantTable("cdr", rows), betti, n
 
 
 def main() -> int:
@@ -59,6 +98,14 @@ def main() -> int:
         print(f"{name} B={bound}: {elapsed:.2f} s, {result.nodes} nodes, "
               f"{result.feasible_count} feasible (expected {want}), "
               f"identities [{identities}] {'ok' if right else 'WRONG'}")
+    for d, seed, top, shift, want in CDR_CASES:
+        table, betti, n = cdr_case(d, seed, top, shift)
+        start = perf_counter()
+        feasible = check_cdr(table, betti, n)
+        elapsed = perf_counter() - start
+        ok &= feasible == want
+        print(f"cdr d={d} seed={seed} top={top} shift={shift}: {elapsed * 1000:.2f} ms, "
+              f"feasible {feasible} (expected {want}) {'ok' if feasible == want else 'WRONG'}")
     return 0 if ok else 1
 
 

@@ -10,11 +10,12 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
   and the limit page is compared against reduced Betti numbers of the
   complement along the anti-diagonals 2n - p - q - 1 = k.
 
-Lyubeznik convergence is decided by one bipartite max-flow (every arrow
-flips the parity of p+q; see _lambda_witness).  Deduction enumerates the
-completions with entries up to a bound, and the CdR check is a depth-first
-search over differential ranks; the environment variable INVAR_SEARCH_LIMIT
-(default 10**7) caps the nodes of both.
+Every differential flips the parity of p+q, so both convergence checks are
+one bipartite max-flow from even to odd cells (see _lambda_witness and
+_cdr_witness).  Ranks only subtract, so a cell's remainder always covers its
+later ranks and any flow is realizable page by page.  Deduction enumerates
+the completions with entries up to a bound; the environment variable
+INVAR_SEARCH_LIMIT (default 10**7) caps its nodes.
 """
 
 from __future__ import annotations
@@ -193,15 +194,19 @@ def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> 
     return diags
 
 
+def _alternating_sum(entries) -> int:
+    """Sum of (-1)^(p+q) * entry over the known cells."""
+    return sum(-v if (p + q) % 2 else v for p, row in enumerate(entries)
+               for q, v in enumerate(row) if v is not None)
+
+
 def euler_sum(table: InvariantTable) -> int:
     """Alternating sum of all entries with sign (-1)^(p+q)."""
     if table.kind != KIND_LYUBEZNIK:
         raise InputError("euler_sum expects a lyubeznik table")
     if not table.is_complete():
         raise InputError("euler_sum requires a table without unknown cells")
-    return sum(
-        (-1) ** (p + q) * table.entry(p, q) for p, q in table.cells()
-    )
+    return _alternating_sum(table.entries)
 
 
 def differential_target(kind: str, page: int, cell: Cell) -> Cell:
@@ -219,15 +224,19 @@ def _in_table(cell: Cell, d: int) -> bool:
     return 0 <= p <= d and 0 <= q <= d
 
 
-def _page_candidates(entries, kind: str, page: int, d: int) -> list[tuple[Cell, Cell]]:
+def _arrows(entries, kind: str) -> list[tuple[int, Cell, Cell]]:
+    """(page, source, target) of each differential between nonzero cells, by source."""
+    d = len(entries) - 1
+    step = 1 if kind == KIND_LYUBEZNIK else -1
     out = []
-    for p in range(d + 1):
-        for q in range(d + 1):
-            if entries[p][q] <= 0:
-                continue
-            tgt = differential_target(kind, page, (p, q))
-            if _in_table(tgt, d) and entries[tgt[0]][tgt[1]] > 0:
-                out.append(((p, q), tgt))
+    for p, row in enumerate(entries):
+        last_p = d - p if step > 0 else p  # the last page whose target row is inside
+        for q, v in enumerate(row):
+            if v:
+                for r in range(2, min(last_p, d + 1 - q) + 1):
+                    tp = p + step * r
+                    if entries[tp][q + r - 1]:
+                        out.append((r, (p, q), (tp, q + r - 1)))
     return out
 
 
@@ -238,8 +247,8 @@ class _Counter:
         self.nodes = 0
         self.limit = limit
 
-    def tick(self, amount: int = 1):
-        self.nodes += amount
+    def tick(self):
+        self.nodes += 1
         if self.nodes > self.limit:
             raise SearchLimitError(
                 f"search exceeded the node limit of {self.limit}; "
@@ -247,50 +256,21 @@ class _Counter:
             )
 
 
-def _lambda_witness(entries) -> tuple | None:
-    """Differential ranks that leave one diagonal 1 on the limit page, or None.
+def _max_flow(edges, source, sink) -> tuple[int, dict]:
+    """Edmonds-Karp over (u, v, capacity) edges with no antiparallel pair.
 
-    Every arrow (p,q) -> (p+r, q+r-1) joins cells of opposite parity of p+q,
-    so rank choices are a bipartite b-matching: nonnegative arrow weights
-    summing at each cell to its entry, less one surviving diagonal unit.
-    Such weights are realizable page by page (a cell's remainder always
-    covers its later ranks), so one max-flow decides: source -> even cell
-    (its entry) -> arrow (unbounded) -> odd cell -> sink (its entry), and
-    every diagonal cell -> one capacity-1 edge to the sink.
+    Returns the flow value and the residual capacities; the flow on (u, v)
+    is the residual capacity of (v, u).
     """
-    d = len(entries) - 1
-    cells = [(p, q) for p in range(d + 1) for q in range(d + 1) if entries[p][q]]
-    even_total = sum(entries[p][q] for p, q in cells if (p + q) % 2 == 0)
-    if 2 * even_total != sum(entries[p][q] for p, q in cells) + 1:
-        return None  # the alternating sum is conserved and must end at 1
-    source, sink, diag = "s", "t", "diag"
     cap: dict = {}
     adj: dict = {}
-
-    def edge(u, v, c):
+    for u, v, c in edges:
         cap[u, v] = c
         cap[v, u] = 0
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-
-    arrows = []
-    for p, q in cells:
-        if (p + q) % 2:
-            edge((p, q), sink, entries[p][q])
-            continue
-        edge(source, (p, q), entries[p][q])
-        if p == q:
-            edge((p, q), diag, entries[p][q])
-    edge(diag, sink, 1)
-    for p, q in cells:
-        for r in range(2, d + 1):
-            tgt = (p + r, q + r - 1)
-            if tgt[0] <= d and tgt[1] <= d and entries[tgt[0]][tgt[1]]:
-                ends = ((p, q), tgt) if (p + q) % 2 == 0 else (tgt, (p, q))
-                edge(*ends, even_total)
-                arrows.append((r, (p, q), tgt, ends))
     flow = 0
-    while True:  # Edmonds-Karp: augment along shortest residual paths
+    while True:  # augment along shortest residual paths
         parent = {source: None}
         queue = [source]
         for u in queue:
@@ -312,12 +292,52 @@ def _lambda_witness(entries) -> tuple | None:
             cap[u, v] -= push
             cap[v, u] += push
         flow += push
-    if flow != even_total:
+    return flow, cap
+
+
+def _flow_witness(entries, kind: str, edges: list, total: int) -> tuple | None:
+    """Arrow ranks, by page, of a flow of value total from "s" to "t", or None.
+
+    edges holds the graph around the cells; each arrow joins its even p+q
+    end to its odd end with capacity total, and its rank is its flow.
+    """
+    arrows = []
+    for r, src, tgt in _arrows(entries, kind):
+        even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
+        edges.append((even, odd, total))
+        arrows.append((r, src, tgt, (odd, even)))
+    flow, cap = _max_flow(edges, "s", "t")
+    if flow != total:
         return None
-    return tuple(sorted(
-        (r, src, tgt, cap[ends[1], ends[0]])
-        for r, src, tgt, ends in arrows if cap[ends[1], ends[0]]
-    ))
+    return tuple(sorted((r, src, tgt, cap[back]) for r, src, tgt, back in arrows if cap[back]))
+
+
+def _lambda_witness(entries) -> tuple | None:
+    """Differential ranks that leave one diagonal 1 on the limit page, or None.
+
+    Rank choices are nonnegative arrow weights summing at each cell to its
+    entry, less one surviving diagonal unit: source -> even cell (its entry)
+    -> arrow (unbounded) -> odd cell -> sink (its entry), and every diagonal
+    cell -> one capacity-1 edge to the sink.
+    """
+    edges = []
+    even_total = odd_total = 0
+    for p, row in enumerate(entries):
+        for q, v in enumerate(row):
+            if not v:
+                continue
+            if (p + q) % 2:
+                odd_total += v
+                edges.append(((p, q), "t", v))
+                continue
+            even_total += v
+            edges.append(("s", (p, q), v))
+            if p == q:
+                edges.append(((p, q), "diag", v))
+    if even_total != odd_total + 1:
+        return None  # the alternating sum is conserved and must end at 1
+    edges.append(("diag", "t", 1))
+    return _flow_witness(entries, KIND_LYUBEZNIK, edges, even_total)
 
 
 def check_convergence_lambda(table: InvariantTable):
@@ -331,16 +351,14 @@ def check_convergence_lambda(table: InvariantTable):
     if not table.is_complete():
         raise InputError("check_convergence_lambda requires a table without unknown cells")
     witness = _lambda_witness(table.entries)
-    return (False, None) if witness is None else (True, witness)
+    return witness is not None, witness
 
 
 def _antidiagonal_sums(entries, n: int) -> list[int]:
-    d = len(entries) - 1
     sums = [0] * (2 * n)
-    for p in range(d + 1):
-        for q in range(d + 1):
-            k = 2 * n - p - q - 1
-            sums[k] += entries[p][q]
+    for p, row in enumerate(entries):
+        for q, v in enumerate(row):
+            sums[2 * n - p - q - 1] += v
     return sums
 
 
@@ -358,47 +376,38 @@ def _normalize_betti(betti: Sequence[int], n: int) -> list[int]:
     return vals + [0] * (2 * n - len(vals))
 
 
-def _search_cdr(entries, target: list[int], n: int, page: int, counter: _Counter) -> bool:
-    """Depth-first search over CdR differential ranks, one page at a time."""
-    counter.tick()
-    d = len(entries) - 1
-    if page > d + 1:
-        return _antidiagonal_sums(entries, n) == target
-    cands = _page_candidates(entries, KIND_CDR, page, d)
-    if not cands:
-        return _search_cdr(entries, target, n, page + 1, counter)
+def _cdr_witness(entries, target: list[int], n: int) -> tuple | None:
+    """Differential ranks that carry the antidiagonal sums to target, or None.
 
-    rows = [list(r) for r in entries]
-
-    def choose(i: int) -> bool:
-        if i == len(cands):
-            new = tuple(tuple(r) for r in rows)
-            # ranks only lower antidiagonal sums, so a sum below its target is final
-            if any(s < t for s, t in zip(_antidiagonal_sums(new, n), target)):
-                return False
-            return _search_cdr(new, target, n, page + 1, counter)
-        counter.tick()
-        (sp, sq), (tp, tq) = cands[i]
-        top = min(rows[sp][sq], rows[tp][tq])
-        for rank in range(top, -1, -1):
-            rows[sp][sq] -= rank
-            rows[tp][tq] -= rank
-            if choose(i + 1):
-                return True
-            rows[sp][sq] += rank
-            rows[tp][tq] += rank
-        return False
-
-    return choose(0)
+    The ranks must take D_k = sum_k - target_k off antidiagonal k (see
+    check_cdr), so every D_k >= 0 and the odd and even k demand the same.
+    Graph: source -> odd k (D_k) -> cell (its entry) -> arrow (unbounded)
+    -> cell (its entry) -> even k (D_k) -> sink; feasible when the flow
+    saturates the source.
+    """
+    demand = [s - t for s, t in zip(_antidiagonal_sums(entries, n), target)]
+    odd_total = sum(demand[1::2])
+    if min(demand) < 0 or odd_total != sum(demand[0::2]):
+        return None
+    edges = [("s", k, demand[k]) if k % 2 else (k, "t", demand[k]) for k in range(2 * n)]
+    for p, row in enumerate(entries):
+        for q, v in enumerate(row):
+            if v:
+                k = 2 * n - p - q - 1
+                edges.append((k, (p, q), v) if k % 2 else ((p, q), k, v))
+    return _flow_witness(entries, KIND_CDR, edges, odd_total)
 
 
 def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
-              require_degenerate: bool = False,
-              search_limit: int | None = None) -> bool:
+              require_degenerate: bool = False) -> bool:
     """Decide whether the table can converge to the given complement Betti numbers.
 
     betti is the reduced Betti vector of the complement, indexed from degree 0.
-    With require_degenerate (honored for tables of dimension <= 3), only the
+    Every differential (p,q) -> (p-r, q+r-1) joins antidiagonal
+    k = 2n-p-q-1 to k+1, so the ranks must remove exactly sum_k - betti_k
+    from each antidiagonal k.  The k's alternate in parity, which makes this
+    a bipartite transportation problem decided by one max-flow.  With
+    require_degenerate (honored for tables of dimension <= 3), only the
     all-ranks-zero assignment is accepted.
     """
     if table.kind != KIND_CDR:
@@ -412,13 +421,7 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     target = _normalize_betti(betti, n)
     if require_degenerate and table.d <= 3:
         return _antidiagonal_sums(table.entries, n) == target
-
-    if sum((-1) ** k * v for k, v in enumerate(target)) != -sum(
-        (-1) ** (p + q) * table.entry(p, q) for p, q in table.cells()
-    ):
-        return False
-    counter = _Counter(_search_limit(search_limit))
-    return _search_cdr(table.entries, target, n, 2, counter)
+    return _cdr_witness(table.entries, target, n) is not None
 
 
 class SpectralState:
@@ -451,14 +454,11 @@ class SpectralState:
 
     def differentials(self) -> list[tuple[Cell, Cell]]:
         """Source/target pairs that admit a nonzero rank on this page."""
-        return _page_candidates(self.entries, self.kind, self.page, self.d)
+        return [(src, tgt) for r, src, tgt in _arrows(self.entries, self.kind)
+                if r == self.page]
 
     def euler(self) -> int:
-        return sum(
-            (-1) ** (p + q) * self.entries[p][q]
-            for p in range(self.d + 1)
-            for q in range(self.d + 1)
-        )
+        return _alternating_sum(self.entries)
 
     def apply_page(self, ranks: Mapping[Cell, int]) -> "SpectralState":
         """Advance one page, subtracting each rank from its source and target."""
@@ -611,11 +611,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     truncated = False
     count = 0
 
-    known_euler = sum(
-        (-1) ** (p + q) * base.entry(p, q)
-        for p, q in base.cells()
-        if base.entry(p, q) is not None
-    )
+    known_euler = _alternating_sum(base.entries)
 
     def record(vec: tuple[int, ...]):
         nonlocal first, truncated, count

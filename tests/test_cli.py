@@ -274,6 +274,21 @@ class TestTableCommands:
         assert out == ""
         assert "node limit of 50" in err
 
+    def test_check_cdr_ignores_search_limit(self, tmp_path, capsys, monkeypatch):
+        # the abutment is one max-flow, so no node limit applies to it
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", "1")
+        doc = {"kind": "cdr", "dim": 3, "ambient_dim": 4, "betti": [0] * 8,
+               "entries": [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]}
+        code, out, _ = run(capsys, "table", "check", "--input", write(tmp_path, "a.json", doc),
+                           "--format", "json")
+        assert code == 0
+        assert "abutment: feasible" in json.loads(out)["notes"]
+        # (1,1) and (0,3) lie on adjacent antidiagonals, but no differential joins them
+        doc["entries"] = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        code, out, _ = run(capsys, "table", "check", "--input", write(tmp_path, "b.json", doc))
+        assert code == 3
+        assert "abutment: infeasible" in out
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])

@@ -19,6 +19,7 @@ from invar import (
     euler_sum,
     validate_lambda,
 )
+from invar.tables import _antidiagonal_sums, _cdr_witness
 
 N = None
 
@@ -85,9 +86,56 @@ def reference_convergence(entries):
     return tuple(witness) if search([list(r) for r in entries], 2) else None
 
 
-def replay(entries, witness):
+def reference_cdr(entries, target, n):
+    """The former CdR check: an alternating-sum test, then a depth-first search.
+
+    Kept as an oracle for the max-flow in check_cdr: it tries every rank of
+    every page-r differential (p,q) -> (p-r, q+r-1), largest first, and drops
+    a page whose antidiagonal sums fell below the target.  target has length
+    2n.  Returns whether some choice of ranks ends on the target sums.
+    """
+    d = len(entries) - 1
+    if sum((-1) ** k * v for k, v in enumerate(target)) != -sum(
+        (-1) ** (p + q) * entries[p][q] for p in range(d + 1) for q in range(d + 1)
+    ):
+        return False
+
+    def search(rows, page):
+        if page > d + 1:
+            return _antidiagonal_sums(rows, n) == target
+        cands = [((p, q), (p - page, q + page - 1))
+                 for p in range(d + 1) for q in range(d + 1)
+                 if rows[p][q] and p - page >= 0 and q + page - 1 <= d
+                 and rows[p - page][q + page - 1]]
+        if not cands:
+            return search(rows, page + 1)
+        work = [list(r) for r in rows]
+
+        def choose(i):
+            if i == len(cands):
+                new = tuple(tuple(r) for r in work)
+                # ranks only lower antidiagonal sums, so a sum below its target is final
+                if any(s < t for s, t in zip(_antidiagonal_sums(new, n), target)):
+                    return False
+                return search(new, page + 1)
+            (sp, sq), (tp, tq) = cands[i]
+            for rank in range(min(work[sp][sq], work[tp][tq]), -1, -1):
+                work[sp][sq] -= rank
+                work[tp][tq] -= rank
+                if choose(i + 1):
+                    return True
+                work[sp][sq] += rank
+                work[tp][tq] += rank
+            return False
+
+        return choose(0)
+
+    return search(entries, 2)
+
+
+def replay(entries, witness, kind="lyubeznik"):
     """Limit page after applying the witness ranks page by page."""
-    state = SpectralState.start(lam(entries))
+    state = SpectralState.start(InvariantTable(kind, entries))
     for page in range(2, len(entries) + 1):
         state = state.apply_page({src: rank for pg, src, _, rank in witness if pg == page})
     return state.entries
@@ -133,6 +181,27 @@ def constructed_lambda(rng, d, perturb):
             rows[sp][sq] -= 1
             rows[tp][tq] += 1
     return rows
+
+
+def random_cdr(rng, d, triangular):
+    """Entries 0..3, about two nonzero per row, on and above the diagonal or anywhere."""
+    return [[rng.randint(1, 3) if (p <= q or not triangular) and rng.random() < 2 / (d + 2) else 0
+             for q in range(d + 1)] for p in range(d + 1)]
+
+
+def replayed_betti(rng, rows, n):
+    """Antidiagonal sums of the limit page after random ranks: a feasible target."""
+    state = SpectralState.start(cdr(rows))
+    while state.page <= state.d:
+        left = [list(r) for r in state.entries]
+        ranks = {}
+        for (sp, sq), (tp, tq) in state.differentials():
+            rank = rng.randint(0, min(left[sp][sq], left[tp][tq]))
+            left[sp][sq] -= rank
+            left[tp][tq] -= rank
+            ranks[sp, sq] = rank
+        state = state.apply_page(ranks)
+    return _antidiagonal_sums(state.entries, n)
 
 
 def lam(rows):
@@ -298,6 +367,50 @@ class TestFlowAgainstSearch:
                 expected.append(values)
         assert list(result.completions) == expected
         assert result.feasible_count == len(expected)
+
+
+class TestCdrFlowAgainstSearch:
+    def cases(self):
+        """Seeded (rows, target, n, kind).
+
+        kind 0: a replayed target; kind 1: the same one shifted by +-1 on two
+        adjacent antidiagonals, which keeps the alternating sum and, when it
+        can, every demand nonnegative; kind 2: random values up to the
+        antidiagonal sums.
+        """
+        rng = random.Random(5151)
+        for i in range(3600):
+            d = rng.randint(0, 6)
+            n = d + rng.randint(1, 2)
+            rows = random_cdr(rng, d, triangular=i % 4 != 0)
+            sums = _antidiagonal_sums(rows, n)
+            target = replayed_betti(rng, rows, n)
+            kind = i % 3
+            if kind == 1:
+                shifts = [(k, step) for k in range(2 * n - 1) for step in (1, -1)
+                          if min(target[k], target[k + 1]) >= max(0, -step)
+                          and min(sums[k] - target[k], sums[k + 1] - target[k + 1]) >= step]
+                k, step = rng.choice(shifts) if shifts else (0, 1)
+                target[k] += step
+                target[k + 1] += step
+            elif kind == 2:
+                target = [rng.randint(0, s) for s in sums]
+            yield rows, target, n, kind
+
+    def test_feasibility_matches_reference(self):
+        verdicts = {0: [0, 0], 1: [0, 0], 2: [0, 0]}
+        for rows, target, n, kind in self.cases():
+            ok = check_cdr(cdr(rows), target, n)
+            assert ok == reference_cdr(rows, target, n), (rows, target, n)
+            witness = _cdr_witness(rows, target, n)
+            assert ok == (witness is not None)
+            verdicts[kind][ok] += 1
+            if ok:
+                assert _antidiagonal_sums(replay(rows, witness, "cdr"), n) == target
+                assert [w[0] for w in witness] == sorted(w[0] for w in witness)
+        # replayed targets are always feasible; the others give both verdicts
+        assert verdicts[0] == [0, 1200]
+        assert min(verdicts[1] + verdicts[2]) > 100
 
 
 class TestSpectralState:
