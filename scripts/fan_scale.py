@@ -1,17 +1,21 @@
-"""Time the fan code on subdivided cubes and triangular prisms.
+"""Time the fan code on subdivided cubes, triangular prisms and a double cover.
 
     PYTHONPATH=src python3 scripts/fan_scale.py
 
-For each fan, prints the wall time of `validate_fan`, `picard_rank` and
-`is_projective`, and checks:
+For each fan, prints the wall time of `validate_fan` and of `picard_data`
+(which validates once more, then computes the Picard rank and decides
+projectivity), and checks:
 
 * the Picard rank: 6k - 2 for the face fan over the unit squares of the
-  boundary of [-k, k]^3 (k = 1, 2, 3), 3 for both prisms;
+  boundary of [-k, k]^3 (k = 1, 2, 3, 4), 3 for both prisms;
 * that the rank is the same after a signed permutation of the coordinates
   followed by a shear;
 * projectivity: every subdivided cube is projective; the prism whose side
   quadrilaterals are split cyclically (A1B2, A2B3, A3B1) is not, the one
-  split along A1B2, A2B3, A1B3 is.
+  split along A1B2, A2B3, A1B3 is;
+* that the double cover (five equator rays visited twice around, coned to
+  both poles) is invalid: each of its walls passes, only the covering degree
+  rejects it.
 
 Exits 1 on a mismatch.
 """
@@ -23,7 +27,7 @@ from itertools import product
 from math import gcd
 from time import perf_counter
 
-from invar import Fan3, is_projective, picard_rank, validate_fan
+from invar import Fan3, picard_data, picard_rank, validate_fan
 
 # (x, y, z) -> (z, -x, y), then the shear x += z: determinant -1
 MOVE = ((0, 1, 1), (-1, 0, 0), (0, 1, 0))
@@ -66,6 +70,12 @@ def prism(twisted: bool) -> Fan3:
     return Fan3(a + b, cones)
 
 
+def double_cover() -> Fan3:
+    equator = [(1, 0, 0), (1, 3, 0), (-4, 3, 0), (-4, -3, 0), (1, -3, 0)]
+    cones = [(i, (i + 2) % 5, pole) for i in range(5) for pole in (5, 6)]
+    return Fan3(equator + [(0, 0, 1), (0, 0, -1)], cones)
+
+
 def moved(fan: Fan3) -> Fan3:
     return Fan3([tuple(sum(m * x for m, x in zip(row, r)) for row in MOVE) for r in fan.rays],
                 fan.max_cones)
@@ -73,24 +83,32 @@ def moved(fan: Fan3) -> Fan3:
 
 def main() -> int:
     ok = True
-    cases = [(f"subdivided cube k={k}", subdivided_cube(k), 6 * k - 2, True) for k in (1, 2, 3)]
+    cases = [(f"subdivided cube k={k}", subdivided_cube(k), 6 * k - 2, True)
+             for k in (1, 2, 3, 4)]
     cases += [("prism A1B2 A2B3 A3B1", prism(True), 3, False),
               ("prism A1B2 A2B3 A1B3", prism(False), 3, True)]
     for name, fan, rank, projective in cases:
         start = perf_counter()
         valid = validate_fan(fan).valid
         validated = perf_counter()
-        got_rank = picard_rank(fan)
-        ranked = perf_counter()
-        got_projective = is_projective(fan)
+        data = picard_data(fan)
         done = perf_counter()
-        right = (valid and got_rank == rank and picard_rank(moved(fan)) == rank
-                 and got_projective == projective)
+        right = (valid and data.picard_rank == rank and picard_rank(moved(fan)) == rank
+                 and data.projective == projective)
         ok &= right
         print(f"{name}: {len(fan.rays)} rays, {len(fan.max_cones)} cones, "
-              f"validate_fan {validated - start:.2f} s, picard_rank {ranked - validated:.2f} s, "
-              f"is_projective {done - ranked:.2f} s, Picard rank {got_rank} (expected {rank}), "
-              f"projective {got_projective} {'ok' if right else 'WRONG'}")
+              f"validate_fan {validated - start:.2f} s, picard_data {done - validated:.2f} s, "
+              f"Picard rank {data.picard_rank} (expected {rank}), "
+              f"projective {data.projective} {'ok' if right else 'WRONG'}")
+    fan = double_cover()
+    start = perf_counter()
+    report = validate_fan(fan)
+    done = perf_counter()
+    right = not report.valid
+    ok &= right
+    print(f"double cover: {len(fan.rays)} rays, {len(fan.max_cones)} cones, "
+          f"validate_fan {done - start:.2f} s, valid {report.valid} (expected False) "
+          f"{'ok' if right else 'WRONG'}")
     return 0 if ok else 1
 
 

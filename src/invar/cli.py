@@ -178,7 +178,7 @@ def _cmd_fan(args) -> tuple[int, str]:
         return EXIT_OK, _emit_doc(doc, args.format,
                                   [f"projective = {'yes' if result else 'no'}"])
     table = fans.toric_lyubeznik(fan)
-    notes = [f"picard_rank: {fans.picard_rank(fan)}"]
+    notes = [f"picard_rank: {table.entry(0, 3) + 1}"]
     return EXIT_OK, _emit_table(table, notes, args.format)
 
 

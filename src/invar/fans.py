@@ -1,25 +1,26 @@
 """Complete fans in a rank-3 lattice: validation, Picard rank, projectivity.
 
 A fan is a list of primitive integer rays plus maximal cones given as ray
-index sets.  Validation checks primitivity, strong convexity, that cones are
-3-dimensional and meet pairwise in common faces, and the wall condition
-(every 2-dimensional face shared by exactly two maximal cones), which
-certifies completeness for a fan that passes the other checks.
+index sets.  Every check is local to a ray, a cone or a wall.  Validation
+checks the rays, then each cone (3-dimensional, strongly convex, extremal
+generators), then each wall: a facet must lie in exactly two cones, on
+opposite sides of its plane.  The cones then cover the sphere of directions
+with a constant degree, so they meet in common faces and fill space exactly
+when one direction off every facet plane lies in exactly one cone.
 
-The Picard rank is computed from piecewise-linear support functions: one
-linear form per maximal cone, glued along walls, modulo the globally linear
-ones.  The gluing equations are integer, ranked and solved by the integer
-kernel of qlinalg.  Projectivity asks for a strictly convex support function
-and is decided by exact Fourier-Motzkin elimination on integer inequalities;
-Fractions appear only in witness points and in the cone hulls.
+A support function is fixed by its values on the rays, one unknown per ray,
+subject to one integer Cramer equation per ray of a cone beyond its first
+three; the Picard rank is the nullspace dimension minus 3.  Projectivity
+asks for a strictly convex support function, one inequality per wall,
+decided by exact Fourier-Motzkin elimination.  Fractions appear only in
+witness points and in the cone hulls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -242,37 +243,6 @@ def _hull_indices(points) -> list[int]:
     return lower[:-1] + upper[:-1]
 
 
-def _intersection_rays(normals_a, normals_b) -> list[IVec]:
-    """Extremal rays of the cone cut out by both inward-normal systems."""
-    stacked = list(normals_a) + list(normals_b)
-    found: dict[IVec, None] = {}
-    for na, nb in combinations(stacked, 2):
-        r = _cross(na, nb)
-        if r == (0, 0, 0):
-            continue
-        for cand in (r, tuple(-x for x in r)):
-            if all(_dot(n, cand) >= 0 for n in stacked):
-                found[primitive(cand)] = None
-    return list(found)
-
-
-def _common_face_violation(fan: Fan3, ci: int, cj: int, facet_normals) -> str | None:
-    inter = _intersection_rays(facet_normals[ci], facet_normals[cj])
-    for this, other in ((ci, cj), (cj, ci)):
-        zero_set = [
-            n for n in facet_normals[this] if all(_dot(n, r) == 0 for r in inter)
-        ]
-        gens = [fan.rays[i] for i in fan.max_cones[this]]
-        face_gens = [g for g in gens if all(_dot(n, g) == 0 for n in zero_set)]
-        for g in face_gens:
-            if any(_dot(n, g) < 0 for n in facet_normals[other]):
-                return (
-                    f"maximal cones {ci} and {cj} do not intersect in a common face"
-                )
-    return None
-
-
-@lru_cache(maxsize=None)
 def _analyze(fan: Fan3) -> FanReport:
     violations: list[str] = []
     rays = fan.rays
@@ -296,8 +266,9 @@ def _analyze(fan: Fan3) -> FanReport:
         if any(i < 0 or i >= len(rays) for i in cone):
             violations.append(f"maximal cone {k} references a ray index out of range")
         used.update(cone)
+    first: dict[tuple[int, ...], int] = {}
     for k, cone in enumerate(fan.max_cones):
-        if fan.max_cones.index(cone) != k:
+        if first.setdefault(cone, k) != k:
             violations.append(f"maximal cone {k} duplicates an earlier cone")
     if not violations:
         unused = sorted(set(range(len(rays))) - used)
@@ -306,7 +277,7 @@ def _analyze(fan: Fan3) -> FanReport:
     if violations:
         return FanReport(False, False, tuple(violations), (), ())
 
-    facet_pairs = []
+    incidence: dict[tuple[int, int], list[tuple[int, IVec]]] = {}
     facet_normals = []
     for k, cone in enumerate(fan.max_cones):
         if len(_echelon_int([rays[i] for i in cone], 3)) != 3:
@@ -316,42 +287,49 @@ def _analyze(fan: Fan3) -> FanReport:
         if errs:
             violations.extend(errs)
             continue
-        facet_pairs.append((k, pairs))
+        for pair, normal in zip(pairs, normals):
+            incidence.setdefault(pair, []).append((k, normal))
         facet_normals.append(normals)
     if violations:
         return FanReport(False, False, tuple(violations), (), ())
+    facet_normals = tuple(facet_normals)
 
-    for ci in range(len(fan.max_cones)):
-        for cj in range(ci + 1, len(fan.max_cones)):
-            msg = _common_face_violation(fan, ci, cj, facet_normals)
-            if msg:
-                violations.append(msg)
-    if violations:
-        return FanReport(False, False, tuple(violations), (), tuple(facet_normals))
-
-    incidence: dict[tuple[int, int], list[int]] = {}
-    for k, pairs in facet_pairs:
-        for pair in pairs:
-            incidence.setdefault(pair, []).append(k)
     walls = []
-    complete = True
     for pair in sorted(incidence):
-        cones = incidence[pair]
-        if len(cones) == 1:
+        sides = incidence[pair]
+        if len(sides) != 2:
+            shared = "one cone only" if len(sides) == 1 else f"{len(sides)} cones"
             violations.append(
-                f"wall spanned by rays {pair[0]} and {pair[1]} is shared by one cone only"
+                f"wall spanned by rays {pair[0]} and {pair[1]} is shared by {shared}"
             )
-            complete = False
-        elif len(cones) > 2:
+        elif sides[0][1] == sides[1][1]:  # equal inward normals: the same side
             violations.append(
-                f"wall spanned by rays {pair[0]} and {pair[1]} is shared by {len(cones)} cones"
+                f"maximal cones {sides[0][0]} and {sides[1][0]} do not intersect in a "
+                f"common face: both lie on one side of the wall spanned by rays "
+                f"{pair[0]} and {pair[1]}"
             )
-            complete = False
         else:
-            walls.append(Wall(cones=(cones[0], cones[1]), rays=pair))
-    valid = not violations
-    return FanReport(valid, complete and valid, tuple(violations),
-                     tuple(walls), tuple(facet_normals))
+            walls.append(Wall(cones=(sides[0][0], sides[1][0]), rays=pair))
+    if violations:
+        return FanReport(False, False, tuple(violations), tuple(walls), facet_normals)
+
+    # Radial projection to the sphere of directions is now a covering away
+    # from the rays, so every direction off the facet planes lies in the
+    # same number (at least one) of cones; the cones meet in common faces
+    # exactly when that number is one.
+    t = 0
+    while any(_dot(n, (1, t, t * t)) == 0 for normals in facet_normals for n in normals):
+        t += 1
+    direction = (1, t, t * t)
+    inside = [k for k, normals in enumerate(facet_normals)
+              if all(_dot(n, direction) > 0 for n in normals)]
+    if len(inside) != 1:
+        violations.append(
+            f"maximal cones {', '.join(map(str, inside))} do not intersect in common "
+            f"faces: each contains the direction {direction}"
+        )
+        return FanReport(False, False, tuple(violations), (), facet_normals)
+    return FanReport(True, True, (), tuple(walls), facet_normals)
 
 
 def validate_fan(fan: Fan3) -> FanReport:
@@ -366,27 +344,68 @@ def _require_valid(fan: Fan3) -> FanReport:
     return report
 
 
-def _gluing_rows(fan: Fan3, report: FanReport) -> list[list[int]]:
-    """Equations on one linear form per maximal cone: they agree on each wall's rays."""
-    m = len(fan.max_cones)
+def _cramer(basis, v) -> tuple[int, IVec]:
+    """(D, c) with D * v = c[0] basis[0] + c[1] basis[1] + c[2] basis[2], D = det."""
+    b0, b1, b2 = basis
+    n12 = _cross(b1, b2)
+    return _dot(b0, n12), (_dot(v, n12), _dot(b0, _cross(v, b2)), _dot(b0, _cross(b1, v)))
+
+
+def _support_functions(fan: Fan3) -> list[tuple[int, ...]]:
+    """Integer basis of the support functions, as their values on the rays.
+
+    Values on the rays extend to a function linear on every cone exactly when
+    each cone's rays beyond its first three (a basis, since no three
+    generators of a valid cone are coplanar) get the value of the linear form
+    through those three: one Cramer equation per extra ray.  The columns are
+    the rays in lexicographic order, a sweep across space, so the basis does
+    not depend on the ray labels; on non-simplicial fans it keeps the
+    Fourier-Motzkin systems of `_strictly_convex` small.
+    """
+    n = len(fan.rays)
+    col = {i: c for c, i in enumerate(sorted(range(n), key=fan.rays.__getitem__))}
     rows = []
-    for wall in report.walls:
-        a, b = wall.cones
-        for ray_index in wall.rays:
-            v = fan.rays[ray_index]
-            row = [0] * (3 * m)
-            for t in range(3):
-                row[3 * a + t] = v[t]
-                row[3 * b + t] = -v[t]
+    for cone in fan.max_cones:
+        basis = cone[:3]
+        for v in cone[3:]:
+            det, coeffs = _cramer([fan.rays[i] for i in basis], fan.rays[v])
+            row = [0] * n
+            row[col[v]] = det
+            for i, c in zip(basis, coeffs):
+                row[col[i]] = -c
             rows.append(row)
-    return rows
+    return [tuple(vec[col[i]] for i in range(n)) for vec in _nullspace_int(rows, n)]
+
+
+def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
+    """Whether some combination of `basis` is a strictly convex support function.
+
+    Across each wall the two linear forms differ by a multiple of the wall's
+    normal, so one ray suffices: the far cone's first off-wall ray v must lie
+    strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
+    each row may be divided by its content and asked to be >= 1; rows of
+    parallel walls then coincide.  Fourier-Motzkin decides the system.
+    """
+    inequalities = []
+    for wall in report.walls:
+        near, far = (fan.max_cones[k] for k in wall.cones)
+        w = next(i for i in near if i not in wall.rays)
+        v = next(i for i in far if i not in wall.rays)
+        cols = (*wall.rays, w)
+        det, coeffs = _cramer([fan.rays[i] for i in cols], fan.rays[v])
+        sign = 1 if det > 0 else -1
+        # sign * (det * l_near(v) - det * value(v))
+        inequalities.append((_content_free([
+            sign * (sum(c * vec[i] for c, i in zip(coeffs, cols)) - det * vec[v])
+            for vec in basis
+        ]), 1))
+    return fm_feasible(inequalities, len(basis)) is not None
 
 
 def support_function_space_dim(fan: Fan3) -> int:
     """Dimension of the space of continuous piecewise-linear support functions."""
-    report = _require_valid(fan)
-    ncols = 3 * len(fan.max_cones)
-    return ncols - len(_echelon_int(_gluing_rows(fan, report), ncols))
+    _require_valid(fan)
+    return len(_support_functions(fan))
 
 
 def picard_rank(fan: Fan3) -> int:
@@ -401,36 +420,18 @@ def class_rank(fan: Fan3) -> int:
 
 
 def is_projective(fan: Fan3) -> bool:
-    """Whether a strictly convex support function exists.
-
-    The gluing equalities are solved first, by an integer nullspace basis;
-    the strict-convexity conditions (each cone's linear form exceeds its
-    neighbor's across every wall, normalized to >= 1 by homogeneity) are
-    then decided by Fourier-Motzkin elimination on the solution space.
-    """
+    """Whether a strictly convex support function exists."""
     report = _require_valid(fan)
-    basis = _nullspace_int(_gluing_rows(fan, report), 3 * len(fan.max_cones))
-    inequalities = []
-    for wall in report.walls:
-        for near, far in (wall.cones, wall.cones[::-1]):
-            for ray_index in fan.max_cones[far]:
-                if ray_index in wall.rays:
-                    continue
-                # <l_near - l_far, v> has six nonzero terms
-                v = fan.rays[ray_index]
-                coeffs = tuple(
-                    sum(v[t] * (vec[3 * near + t] - vec[3 * far + t]) for t in range(3))
-                    for vec in basis
-                )
-                inequalities.append((coeffs, 1))
-    return fm_feasible(inequalities, len(basis)) is not None
+    return _strictly_convex(fan, report, _support_functions(fan))
 
 
 def picard_data(fan: Fan3) -> PicardData:
+    report = _require_valid(fan)
+    basis = _support_functions(fan)
     return PicardData(
-        picard_rank=picard_rank(fan),
-        class_rank=class_rank(fan),
-        projective=is_projective(fan),
+        picard_rank=len(basis) - 3,
+        class_rank=len(fan.rays) - 3,
+        projective=_strictly_convex(fan, report, basis),
     )
 
 
@@ -441,19 +442,14 @@ def toric_lyubeznik(fan: Fan3) -> InvariantTable:
     5x5 table has p in cells (0,3) and (2,4), 1 in cell (4,4), zeros
     elsewhere.
     """
-    report = _analyze(fan)
-    if not report.valid:
-        raise InputError("invalid fan: " + report.violations[0])
-    if not is_projective(fan):
+    data = picard_data(fan)
+    if not data.projective:
         raise InputError(
             "fan is not projective: no strictly convex support function exists, "
             "so no Lyubeznik table is emitted"
         )
-    p = picard_rank(fan) - 1
-    rows = [[0] * 5 for _ in range(5)]
-    rows[0][3] = p
-    rows[2][4] = p
-    rows[4][4] = 1
+    p = data.picard_rank - 1
+    rows = [[0, 0, 0, p, 0], [0] * 5, [0, 0, 0, 0, p], [0] * 5, [0, 0, 0, 0, 1]]
     return InvariantTable(KIND_LYUBEZNIK, rows)
 
 

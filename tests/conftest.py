@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from invar import AffineSubspace, Fan3
+from invar.fans import primitive
 
 
 def p3_fan() -> Fan3:
@@ -49,6 +50,34 @@ def prism_fan(twisted: bool) -> Fan3:
         else:  # diagonal A_j B_i
             cones += [(i, j, 3 + i), (j, 3 + j, 3 + i)]
     return Fan3(a + b, cones)
+
+
+def subdivided_cube(k: int) -> Fan3:
+    """Face fan over the unit squares of the boundary of [-k, k]^3: Picard
+    rank 6k - 2, projective."""
+    points = [p for p in product(range(-k, k + 1), repeat=3) if max(map(abs, p)) == k]
+    index = {p: i for i, p in enumerate(points)}
+    cones = []
+    for axis in range(3):
+        u, v = [a for a in range(3) if a != axis]
+        for side in (-k, k):
+            for i, j in product(range(-k, k), repeat=2):
+                cone = []
+                for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                    p = [0, 0, 0]
+                    p[axis], p[u], p[v] = side, i + di, j + dj
+                    cone.append(index[tuple(p)])
+                cones.append(cone)
+    return Fan3([primitive(p) for p in points], cones)
+
+
+def double_cover_fan() -> Fan3:
+    """Five rays on the equator, visited twice around (each step turns by
+    about 144 degrees), coned to both poles.  Every wall lies in two cones on
+    opposite sides of its plane, yet every direction lies in two cones."""
+    equator = [(1, 0, 0), (1, 3, 0), (-4, 3, 0), (-4, -3, 0), (1, -3, 0)]
+    cones = [(i, (i + 2) % 5, pole) for i in range(5) for pole in (5, 6)]
+    return Fan3(equator + [(0, 0, 1), (0, 0, -1)], cones)
 
 
 def coordinate_hyperplane(n: int, axis: int) -> AffineSubspace:

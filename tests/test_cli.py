@@ -7,7 +7,7 @@ import pytest
 from invar.cli import main
 from invar.fileio import dumps_table, parse_table
 from invar.tables import InvariantTable
-from conftest import prism_fan
+from conftest import double_cover_fan, prism_fan
 
 
 BOOLEAN3 = {
@@ -146,6 +146,28 @@ class TestFanCommands:
         code, _, err = run(capsys, "fan", "validate", "--input", path)
         assert code == 2
         assert "shared by one cone" in err
+
+    def test_validate_overlaps(self, tmp_path, capsys):
+        overlap = {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+                   "max_cones": [[0, 1, 2], [0, 1, 3]]}
+        fan = double_cover_fan()
+        double_cover = {"rays": [list(r) for r in fan.rays],
+                        "max_cones": [list(c) for c in fan.max_cones]}
+        code, out, err = run(capsys, "fan", "validate", "--input",
+                             write(tmp_path, "overlap.json", overlap))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: maximal cones 0 and 1 do not intersect in a common face: both lie on "
+            "one side of the wall spanned by rays 0 and 1; wall spanned by rays 0 and 2 is "
+            "shared by one cone only; wall spanned by rays 0 and 3 is shared by one cone "
+            "only; wall spanned by rays 1 and 2 is shared by one cone only; wall spanned by "
+            "rays 1 and 3 is shared by one cone only\n"
+        )
+        code, out, err = run(capsys, "fan", "validate", "--input",
+                             write(tmp_path, "double_cover.json", double_cover))
+        assert (code, out) == (2, "")
+        assert err == ("error: maximal cones 0, 8 do not intersect in common faces: "
+                       "each contains the direction (1, 1, 1)\n")
 
     def test_projective(self, tmp_path, capsys):
         path = write(tmp_path, "cube.json", CUBE)

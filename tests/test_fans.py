@@ -1,13 +1,16 @@
 """Fan validation, Picard ranks, projectivity, and the toric Lyubeznik table."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from invar import (
     Fan3,
     InputError,
+    QMatrix,
     class_rank,
     euler_sum,
     is_projective,
@@ -18,8 +21,18 @@ from invar import (
     validate_fan,
     validate_lambda,
 )
-from invar.fans import fm_feasible, primitive
-from conftest import cube_fan, octant_fan, p3_fan, prism_fan
+from invar import fans
+from invar.cli import main
+from invar.fans import Wall, _cone_facets, _cross, _dot, fm_feasible, primitive
+from invar.qlinalg import _nullspace_int
+from conftest import (
+    cube_fan,
+    double_cover_fan,
+    octant_fan,
+    p3_fan,
+    prism_fan,
+    subdivided_cube,
+)
 
 
 def unimodular_matrix(rng: random.Random):
@@ -259,3 +272,214 @@ class TestToricLyubeznik:
         broken = Fan3(fan.rays, fan.max_cones[:-1])
         with pytest.raises(InputError):
             toric_lyubeznik(broken)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the pairwise common-face check and the gluing system with
+# one linear form per cone, which the local wall and ray-value checks replace.
+
+
+def _intersection_rays(normals_a, normals_b):
+    """Extremal rays of the cone cut out by both inward-normal systems."""
+    stacked = list(normals_a) + list(normals_b)
+    found = {}
+    for na, nb in combinations(stacked, 2):
+        r = _cross(na, nb)
+        if r == (0, 0, 0):
+            continue
+        for cand in (r, tuple(-x for x in r)):
+            if all(_dot(n, cand) >= 0 for n in stacked):
+                found[primitive(cand)] = None
+    return list(found)
+
+
+def _meet_in_common_face(fan, ci, cj, facet_normals) -> bool:
+    inter = _intersection_rays(facet_normals[ci], facet_normals[cj])
+    for this, other in ((ci, cj), (cj, ci)):
+        zero_set = [n for n in facet_normals[this] if all(_dot(n, r) == 0 for r in inter)]
+        gens = [fan.rays[i] for i in fan.max_cones[this]]
+        for g in gens:
+            if all(_dot(n, g) == 0 for n in zero_set) and any(
+                _dot(n, g) < 0 for n in facet_normals[other]
+            ):
+                return False
+    return True
+
+
+def reference_validation(fan):
+    """(valid, walls, facet_normals): every pair of cones meets in a common
+    face and every facet lies in exactly two cones."""
+    cones = fan.max_cones
+    if len(set(cones)) != len(cones) or any(
+        QMatrix([fan.rays[i] for i in cone]).rank() != 3 for cone in cones
+    ):
+        return False, None, None
+    facets = [_cone_facets(fan, k) for k in range(len(cones))]
+    if any(errs for _, _, errs in facets):
+        return False, None, None
+    normals = tuple(n for _, n, _ in facets)
+    for ci, cj in combinations(range(len(cones)), 2):
+        if not _meet_in_common_face(fan, ci, cj, normals):
+            return False, None, normals
+    incidence = {}
+    for k, (pairs, _, _) in enumerate(facets):
+        for pair in pairs:
+            incidence.setdefault(pair, []).append(k)
+    if any(len(ks) != 2 for ks in incidence.values()):
+        return False, None, normals
+    return True, tuple(Wall(tuple(incidence[p]), p) for p in sorted(incidence)), normals
+
+
+def reference_gluing(fan, walls):
+    """(support function space dimension, projective) from one linear form
+    per cone, glued on each wall's rays; strict convexity asked across every
+    wall in both directions at every off-wall ray."""
+    ncols = 3 * len(fan.max_cones)
+    rows = []
+    for wall in walls:
+        a, b = wall.cones
+        for i in wall.rays:
+            row = [0] * ncols
+            for t in range(3):
+                row[3 * a + t] = fan.rays[i][t]
+                row[3 * b + t] = -fan.rays[i][t]
+            rows.append(row)
+    basis = _nullspace_int(rows, ncols)
+    inequalities = []
+    for wall in walls:
+        for near, far in (wall.cones, wall.cones[::-1]):
+            for i in fan.max_cones[far]:
+                if i not in wall.rays:
+                    v = fan.rays[i]
+                    inequalities.append((tuple(
+                        sum(v[t] * (vec[3 * near + t] - vec[3 * far + t]) for t in range(3))
+                        for vec in basis
+                    ), 1))
+    return len(basis), fm_feasible(inequalities, len(basis)) is not None
+
+
+def _stars(fan, rng, steps):
+    for _ in range(steps):
+        k = rng.choice([k for k, c in enumerate(fan.max_cones) if len(c) == 3])
+        fan = star_subdivide(fan, k, [rng.randint(1, 3) for _ in range(3)])
+    return fan
+
+
+DIFFERENTIAL_BASES = {
+    "p3": lambda rng: p3_fan(),
+    "cube": lambda rng: cube_fan(),
+    "octants": lambda rng: octant_fan(),
+    "prism": lambda rng: prism_fan(False),
+    "twisted prism": lambda rng: prism_fan(True),
+    "subdivided cube k=1": lambda rng: subdivided_cube(1),
+    "subdivided cube k=2": lambda rng: subdivided_cube(2),
+    "stars on octants": lambda rng: _stars(octant_fan(), rng, 4),
+    "stars on twisted prism": lambda rng: _stars(prism_fan(True), rng, 3),
+}
+
+
+def _assert_matches_reference(fan):
+    report = validate_fan(fan)
+    valid, walls, normals = reference_validation(fan)
+    assert report.valid is valid
+    if valid:
+        assert report.walls == walls
+        assert report.facet_normals == normals
+        dim, projective = reference_gluing(fan, walls)
+        assert picard_rank(fan) == dim - 3
+        assert is_projective(fan) is projective
+    return valid
+
+
+class TestAgainstPairwiseReference:
+    @pytest.mark.parametrize("name", DIFFERENTIAL_BASES)
+    def test_valid_fans(self, name, rng):
+        fan = DIFFERENTIAL_BASES[name](rng)
+        assert _assert_matches_reference(fan)
+        assert _assert_matches_reference(transform_fan(fan, unimodular_matrix(rng)))
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_BASES)
+    def test_broken_fans(self, name, rng):
+        fan = DIFFERENTIAL_BASES[name](rng)
+        cones = list(fan.max_cones)
+        assert not _assert_matches_reference(Fan3(fan.rays, cones[:-1]))
+        assert not _assert_matches_reference(Fan3(fan.rays, cones + [cones[0]]))
+        extra = rng.sample(range(len(fan.rays)), 3)
+        assert not _assert_matches_reference(Fan3(fan.rays, cones + [extra]))
+
+    def test_overlapping_pair_and_double_cover(self):
+        overlap = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
+        for fan in (overlap, double_cover_fan()):
+            assert not _assert_matches_reference(fan)
+
+
+OVERLAP_VIOLATIONS = (
+    "maximal cones 0 and 1 do not intersect in a common face: both lie on one side "
+    "of the wall spanned by rays 0 and 1",
+    "wall spanned by rays 0 and 2 is shared by one cone only",
+    "wall spanned by rays 0 and 3 is shared by one cone only",
+    "wall spanned by rays 1 and 2 is shared by one cone only",
+    "wall spanned by rays 1 and 3 is shared by one cone only",
+)
+DOUBLE_COVER_VIOLATIONS = (
+    "maximal cones 0, 8 do not intersect in common faces: "
+    "each contains the direction (1, 1, 1)",
+)
+
+
+class TestDiagnostics:
+    def test_overlapping_pair_found_at_a_wall(self):
+        fan = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
+        report = validate_fan(fan)
+        assert report.violations == OVERLAP_VIOLATIONS
+        assert report.walls == ()
+        assert not report.complete
+
+    def test_double_cover_found_by_degree(self):
+        fan = double_cover_fan()
+        report = validate_fan(fan)
+        assert report.violations == DOUBLE_COVER_VIOLATIONS
+        assert report.walls == ()
+        assert not report.complete
+        # every facet lies in two cones, on opposite sides of its plane
+        incidence = {}
+        for k in range(len(fan.max_cones)):
+            pairs, normals, _ = _cone_facets(fan, k)
+            for pair, n in zip(pairs, normals):
+                incidence.setdefault(pair, []).append(n)
+        assert len(incidence) == 15
+        assert all(len(ns) == 2 and ns[0] == tuple(-x for x in ns[1])
+                   for ns in incidence.values())
+
+
+def _fan_file(tmp_path, fan):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rays": [list(r) for r in fan.rays],
+                                "max_cones": [list(c) for c in fan.max_cones]}))
+    return str(path)
+
+
+class TestOneValidationPerCall:
+    @pytest.mark.parametrize("call", [
+        lambda fan, path: picard_data(fan),
+        lambda fan, path: toric_lyubeznik(fan),
+        lambda fan, path: is_projective(fan),
+        lambda fan, path: main(["fan", "picard", "--input", path]),
+        lambda fan, path: main(["fan", "projective", "--input", path]),
+        lambda fan, path: main(["fan", "lyubeznik", "--input", path]),
+    ], ids=["picard_data", "toric_lyubeznik", "is_projective",
+            "cli picard", "cli projective", "cli lyubeznik"])
+    def test_analyze_runs_once(self, call, tmp_path, monkeypatch, capsys):
+        fan = octant_fan()
+        path = _fan_file(tmp_path, fan)
+        calls = []
+        analyze = fans._analyze
+
+        def counting(f):
+            calls.append(f)
+            return analyze(f)
+
+        monkeypatch.setattr(fans, "_analyze", counting)
+        call(fan, path)
+        assert capsys.readouterr().err == ""
+        assert calls == [fan]
