@@ -1,8 +1,9 @@
 """Complete fans in a rank-3 lattice: validation, Picard rank, projectivity.
 
 A fan is a list of primitive integer rays plus maximal cones given as ray
-index sets.  Every check is local to a ray, a cone or a wall.  Validation
-checks the rays, then each cone (3-dimensional, strongly convex, extremal
+index sets.  Every check is local to a ray, a cone or a wall, and validation
+is integer-only.  It checks the rays, then each cone (3-dimensional, strongly
+convex, extremal generators, facets found by sign tests on pairs of
 generators), then each wall: a facet must lie in exactly two cones, on
 opposite sides of its plane.  The cones then cover the sphere of directions
 with a constant degree, so they meet in common faces and fill space exactly
@@ -13,14 +14,14 @@ subject to one integer Cramer equation per ray of a cone beyond its first
 three; the Picard rank is the nullspace dimension minus 3.  Projectivity
 asks for a strictly convex support function, one inequality per wall,
 decided by exact Fourier-Motzkin elimination.  Fractions appear only in
-witness points and in the cone hulls.
+the witness points of `fm_feasible`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -131,13 +132,16 @@ class Fan3:
     __slots__ = ("rays", "max_cones")
 
     def __init__(self, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]):
-        ray_tuple = tuple(tuple(int(x) for x in r) for r in rays)
+        ray_tuple = tuple(tuple(r) for r in rays)
         for r in ray_tuple:
-            if len(r) != 3:
+            if len(r) != 3 or any(not isinstance(x, int) or isinstance(x, bool) for x in r):
                 raise InputError(f"rays must be integer 3-vectors, got {r!r}")
-        cone_tuple = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
+        cone_tuple = tuple(tuple(c) for c in max_cones)
+        for c in cone_tuple:
+            if any(not isinstance(i, int) or isinstance(i, bool) for i in c):
+                raise InputError(f"maximal cones must list integer ray indices, got {c!r}")
         object.__setattr__(self, "rays", ray_tuple)
-        object.__setattr__(self, "max_cones", cone_tuple)
+        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cone_tuple))
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan3 is immutable")
@@ -170,7 +174,7 @@ class FanReport:
     complete: bool
     violations: tuple[str, ...]
     walls: tuple[Wall, ...]
-    facet_normals: tuple[tuple[IVec, ...], ...]  # inward normals per maximal cone
+    facet_normals: tuple[tuple[IVec, ...], ...]  # inward, per cone, by sorted ray pair
 
 
 @dataclass(frozen=True)
@@ -181,66 +185,37 @@ class PicardData:
 
 
 def _cone_facets(fan: Fan3, cone_index: int):
-    """Facets of one maximal cone via a 2-dimensional convex hull.
+    """Facets of one maximal cone by integer sign tests on pairs of generators.
 
-    Returns (facet_ray_pairs, inward_normals, violations).  A transversal
-    plane <w, x> = 1 with w strictly positive on the generators exists by
-    strong convexity; the hull of the projected generators gives the facet
-    structure even for non-simplicial cones.
+    Returns (facet_ray_pairs, inward_normals, violations), in sorted ray-pair
+    order.  The plane through two independent generators supports the cone,
+    and so holds a facet, exactly when no two generators lie strictly on
+    opposite sides of it.  The sum w of these inward normals is positive on
+    every nonzero point of a strongly convex cone, whose facet normals span
+    space, and vanishes on some generator of a cone containing a line.  A
+    generator of a strongly convex cone is extremal exactly when it lies on
+    two different facet planes; once all are, each facet holds one pair.
     """
     cone = fan.max_cones[cone_index]
     gens = [fan.rays[i] for i in cone]
-    w = fm_feasible([(g, 1) for g in gens], 3)
-    if w is None:
+    facets: dict[tuple[int, int], IVec] = {}
+    for a, b in combinations(range(len(gens)), 2):
+        n = _cross(gens[a], gens[b])
+        sides = [_dot(n, g) for g in gens]
+        if n == (0, 0, 0) or min(sides) < 0 < max(sides):
+            continue
+        facets[cone[a], cone[b]] = primitive(n if min(sides) == 0 else tuple(-x for x in n))
+    w = tuple(sum(n[t] for n in facets.values()) for t in range(3))
+    if any(_dot(w, g) <= 0 for g in gens):
         return None, None, [f"maximal cone {cone_index} contains a line"]
-    axis = min(range(3), key=lambda i: abs(w[i]))
-    e = tuple(1 if i == axis else 0 for i in range(3))
-    u = _cross(e, tuple(w))
-    v = _cross(tuple(w), u)
-    points = []
-    for g in gens:
-        h = _dot(w, g)
-        points.append((Fraction(_dot(u, g), 1) / h, Fraction(_dot(v, g), 1) / h))
-    hull = _hull_indices(points)
-    if len(hull) != len(gens):
-        extra = sorted(set(range(len(gens))) - set(hull))
-        names = ", ".join(str(cone[i]) for i in extra)
+    extra = [i for i, g in zip(cone, gens)
+             if len({n for n in facets.values() if _dot(n, g) == 0}) < 2]
+    if extra:
+        names = ", ".join(map(str, extra))
         return None, None, [
             f"maximal cone {cone_index} lists non-extremal generators (rays {names})"
         ]
-    pairs = []
-    normals = []
-    for a in range(len(hull)):
-        i, j = hull[a], hull[(a + 1) % len(hull)]
-        n = _cross(gens[i], gens[j])
-        if any(_dot(n, g) < 0 for g in gens):
-            n = tuple(-x for x in n)
-        if any(_dot(n, g) < 0 for g in gens):
-            return None, None, [f"maximal cone {cone_index} is not convex"]
-        pairs.append(tuple(sorted((cone[i], cone[j]))))
-        normals.append(primitive(n))
-    return pairs, tuple(normals), []
-
-
-def _hull_indices(points) -> list[int]:
-    """Indices of the convex hull vertices of 2-d points, counterclockwise."""
-    order = sorted(range(len(points)), key=lambda i: points[i])
-
-    def turn(o, a, b):
-        (ox, oy), (ax, ay), (bx, by) = points[o], points[a], points[b]
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+    return list(facets), tuple(facets.values()), []
 
 
 def _analyze(fan: Fan3) -> FanReport:

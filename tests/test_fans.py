@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,7 +141,13 @@ class TestValidation:
         fan = Fan3([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
         report = validate_fan(fan)
         assert not report.valid
-        assert any("line" in v for v in report.violations)
+        assert report.violations == ("maximal cone 0 contains a line",)
+
+    def test_wedge_with_opposite_pair(self):
+        # z is free, so the line is reported before the non-extremal (1,1,0)
+        rays = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, -1)]
+        report = validate_fan(Fan3(rays, [(0, 1, 2, 3, 4)]))
+        assert report.violations == ("maximal cone 0 contains a line",)
 
     def test_two_dimensional_cone(self):
         fan = Fan3([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 1, 2)])
@@ -154,7 +161,17 @@ class TestValidation:
         fan = Fan3(rays, [(0, 1, 2, 3, 4)])
         report = validate_fan(fan)
         assert not report.valid
-        assert any("non-extremal" in v for v in report.violations)
+        assert report.violations == (
+            "maximal cone 0 lists non-extremal generators (rays 4)",
+        )
+
+    def test_generator_inside_a_facet(self):
+        # (1,0,1) lies between (1,1,1) and (1,-1,1) on the square pyramid
+        rays = [(1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1)]
+        report = validate_fan(Fan3(rays, [(0, 1, 2, 3, 4)]))
+        assert report.violations == (
+            "maximal cone 0 lists non-extremal generators (rays 1)",
+        )
 
     def test_overlapping_cones(self):
         rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
@@ -162,6 +179,19 @@ class TestValidation:
         report = validate_fan(fan)
         assert not report.valid
         assert any("common face" in v for v in report.violations)
+
+    @pytest.mark.parametrize("rays, cones", [
+        ([(1.7, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
+        ([(True, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
+        ([("1", 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
+        (None, [(0.9, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+        (None, [(False, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+    ], ids=["float coordinate", "bool coordinate", "str coordinate",
+            "float index", "bool index"])
+    def test_non_integer_input_refused(self, rays, cones):
+        fan = p3_fan()
+        with pytest.raises(InputError, match="integer"):
+            Fan3(rays or fan.rays, cones or fan.max_cones)
 
     def test_unused_ray(self):
         fan = p3_fan()
@@ -275,8 +305,70 @@ class TestToricLyubeznik:
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the pairwise common-face check and the gluing system with
-# one linear form per cone, which the local wall and ray-value checks replace.
+# Reference oracles: cone facets from a Fourier-Motzkin transversal plane and
+# a convex hull of Fraction points, the pairwise common-face check and the
+# gluing system with one linear form per cone, which the integer sign tests
+# and the local wall and ray-value checks replace.
+
+
+def reference_cone_facets(fan: Fan3, cone_index: int):
+    """(facet_ray_pairs, inward_normals, violations) of one maximal cone, in
+    hull order.  A transversal plane <w, x> = 1 with w strictly positive on
+    the generators exists by strong convexity; the hull of the projected
+    generators gives the facet structure even for non-simplicial cones."""
+    cone = fan.max_cones[cone_index]
+    gens = [fan.rays[i] for i in cone]
+    w = fm_feasible([(g, 1) for g in gens], 3)
+    if w is None:
+        return None, None, [f"maximal cone {cone_index} contains a line"]
+    axis = min(range(3), key=lambda i: abs(w[i]))
+    e = tuple(1 if i == axis else 0 for i in range(3))
+    u = _cross(e, tuple(w))
+    v = _cross(tuple(w), u)
+    points = []
+    for g in gens:
+        h = _dot(w, g)
+        points.append((Fraction(_dot(u, g), 1) / h, Fraction(_dot(v, g), 1) / h))
+    hull = _hull_indices(points)
+    if len(hull) != len(gens):
+        extra = sorted(set(range(len(gens))) - set(hull))
+        names = ", ".join(str(cone[i]) for i in extra)
+        return None, None, [
+            f"maximal cone {cone_index} lists non-extremal generators (rays {names})"
+        ]
+    pairs = []
+    normals = []
+    for a in range(len(hull)):
+        i, j = hull[a], hull[(a + 1) % len(hull)]
+        n = _cross(gens[i], gens[j])
+        if any(_dot(n, g) < 0 for g in gens):
+            n = tuple(-x for x in n)
+        if any(_dot(n, g) < 0 for g in gens):
+            return None, None, [f"maximal cone {cone_index} is not convex"]
+        pairs.append(tuple(sorted((cone[i], cone[j]))))
+        normals.append(primitive(n))
+    return pairs, tuple(normals), []
+
+
+def _hull_indices(points) -> list[int]:
+    """Indices of the convex hull vertices of 2-d points, counterclockwise."""
+    order = sorted(range(len(points)), key=lambda i: points[i])
+
+    def turn(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = points[o], points[a], points[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    lower: list[int] = []
+    for i in order:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], i) <= 0:
+            lower.pop()
+        lower.append(i)
+    upper: list[int] = []
+    for i in reversed(order):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], i) <= 0:
+            upper.pop()
+        upper.append(i)
+    return lower[:-1] + upper[:-1]
 
 
 def _intersection_rays(normals_a, normals_b):
@@ -314,7 +406,7 @@ def reference_validation(fan):
         QMatrix([fan.rays[i] for i in cone]).rank() != 3 for cone in cones
     ):
         return False, None, None
-    facets = [_cone_facets(fan, k) for k in range(len(cones))]
+    facets = [reference_cone_facets(fan, k) for k in range(len(cones))]
     if any(errs for _, _, errs in facets):
         return False, None, None
     normals = tuple(n for _, n, _ in facets)
@@ -384,7 +476,8 @@ def _assert_matches_reference(fan):
     assert report.valid is valid
     if valid:
         assert report.walls == walls
-        assert report.facet_normals == normals
+        # hull order started at the Fourier-Motzkin witness; compare as sets
+        assert [set(ns) for ns in report.facet_normals] == [set(ns) for ns in normals]
         dim, projective = reference_gluing(fan, walls)
         assert picard_rank(fan) == dim - 3
         assert is_projective(fan) is projective
@@ -411,6 +504,69 @@ class TestAgainstPairwiseReference:
         overlap = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
         for fan in (overlap, double_cover_fan()):
             assert not _assert_matches_reference(fan)
+
+
+def _box_ray(rng, half_space=None):
+    """A random primitive ray with coordinates up to 5, optionally strictly
+    inside the half-space <half_space, x> > 0."""
+    while True:
+        v = tuple(rng.randint(-5, 5) for _ in range(3))
+        if v != (0, 0, 0) and (half_space is None or _dot(half_space, v) > 0):
+            return primitive(v)
+
+
+def random_cone(rng, kind):
+    """Distinct primitive generators, coordinates up to 5, of a 3-dimensional
+    cone: "box" anywhere, "pointed" in an open half-space, "non-extremal" a
+    pointed cone plus positive sums of two or three of its generators (on a
+    facet or inside), "opposite" with a pair of opposite generators."""
+    while True:
+        m = rng.randint(3, 8)
+        if kind == "box":
+            gens = [_box_ray(rng) for _ in range(m)]
+        elif kind == "opposite":
+            g = _box_ray(rng)
+            gens = [g, tuple(-x for x in g)] + [_box_ray(rng) for _ in range(m - 2)]
+        else:
+            d = _box_ray(rng)
+            gens = [_box_ray(rng, d) for _ in range(m)]
+            if kind == "non-extremal":
+                for _ in range(rng.randint(1, 2)):
+                    extra = primitive(tuple(map(sum, zip(*rng.sample(gens, rng.randint(2, 3))))))
+                    if max(map(abs, extra)) <= 5:
+                        gens.insert(rng.randint(0, len(gens)), extra)
+        if len(set(gens)) == len(gens) and QMatrix(gens).rank() == 3:
+            return gens
+
+
+def _verdict(fan, errs):
+    """Classify a cone: "facets", "line", or where its non-extremal generators lie."""
+    if not errs:
+        return "facets"
+    if errs[0].endswith("contains a line"):
+        return "line"
+    listed = {int(i) for i in errs[0].split("(rays ")[1].rstrip(")").split(", ")}
+    hull = Fan3(fan.rays, [[i for i in fan.max_cones[0] if i not in listed]])
+    _, normals, _ = reference_cone_facets(hull, 0)
+    on_facet = any(_dot(n, fan.rays[i]) == 0 for n in normals for i in listed)
+    return "non-extremal on a facet" if on_facet else "non-extremal inside"
+
+
+class TestConeFacetsAgainstHull:
+    def test_random_cones(self, rng):
+        verdicts = Counter()
+        for trial in range(2000):
+            kind = ("box", "pointed", "non-extremal", "opposite")[trial % 4]
+            gens = random_cone(rng, kind)
+            fan = Fan3(gens, [range(len(gens))])
+            pairs, normals, errs = _cone_facets(fan, 0)
+            ref_pairs, ref_normals, ref_errs = reference_cone_facets(fan, 0)
+            assert errs == ref_errs, gens
+            if not errs:
+                assert pairs == sorted(pairs), gens
+                assert dict(zip(pairs, normals)) == dict(zip(ref_pairs, ref_normals)), gens
+            verdicts[_verdict(fan, errs)] += 1
+        assert min(verdicts.values()) >= 100 and len(verdicts) == 4
 
 
 OVERLAP_VIOLATIONS = (
@@ -483,3 +639,21 @@ class TestOneValidationPerCall:
         call(fan, path)
         assert capsys.readouterr().err == ""
         assert calls == [fan]
+
+
+class TestFourierMotzkinCalls:
+    @pytest.mark.parametrize("call, expected", [
+        (validate_fan, 0), (picard_data, 1), (is_projective, 1),
+    ], ids=["validate_fan", "picard_data", "is_projective"])
+    def test_only_projectivity_eliminates(self, call, expected, monkeypatch):
+        feasible = fans.fm_feasible
+        for fan in (p3_fan(), cube_fan(), prism_fan(True), subdivided_cube(2)):
+            calls = []
+
+            def counting(inequalities, nvars):
+                calls.append(nvars)
+                return feasible(inequalities, nvars)
+
+            monkeypatch.setattr(fans, "fm_feasible", counting)
+            call(fan)
+            assert len(calls) == expected
