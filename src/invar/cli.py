@@ -5,6 +5,9 @@ Exit codes: 0 success, 2 input or validation error (diagnostics on stderr),
 its node limit (INVAR_SEARCH_LIMIT; message on stderr).  Output is either an
 aligned text table (zeros printed as a middle dot) or a single JSON document;
 for tables the JSON keys are always kind, dim, entries, notes in that order.
+
+One table, _GROUPS, names each group's help, handler and commands.  A call
+builds the parsers of all four groups but only the named group's commands.
 """
 
 from __future__ import annotations
@@ -29,49 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_SEARCH_LIMIT = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="invar",
-        description="Invariant tables of subspace arrangements and toric 3-folds",
-    )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="path to a JSON input file")
-        p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-        p.add_argument("--strict", action="store_true",
-                       help="treat input warnings as errors")
-
-    arrangement = sub.add_parser("arrangement", help="subspace arrangement commands")
-    asub = arrangement.add_subparsers(dest="command", required=True)
-    for name in ("lattice", "cdr", "betti", "lyubeznik", "oracle"):
-        common(asub.add_parser(name))
-
-    fan = sub.add_parser("fan", help="toric fan commands")
-    fsub = fan.add_subparsers(dest="command", required=True)
-    for name in ("validate", "picard", "projective", "lyubeznik"):
-        common(fsub.add_parser(name))
-
-    table = sub.add_parser("table", help="invariant table commands")
-    tsub = table.add_subparsers(dest="command", required=True)
-    check = tsub.add_parser("check")
-    common(check)
-    deduce = tsub.add_parser("deduce")
-    common(deduce)
-    deduce.add_argument("--bound", type=int, default=None,
-                        help="upper bound for unknown entries (default 10)")
-
-    small = sub.add_parser("tables", help="closed-form small tables")
-    ssub = small.add_subparsers(dest="command", required=True)
-    sm = ssub.add_parser("small")
-    sm.add_argument("--dim", type=int, required=True, help="dimension (0, 1 or 2)")
-    sm.add_argument("--a", type=int, default=1,
-                    help="connected components of the punctured spectrum (dim 2 only)")
-    common(sm, needs_input=False)
-    return parser
 
 
 def _emit_table(table: tables.InvariantTable, notes: list[str], fmt: str) -> str:
@@ -115,12 +75,9 @@ def _cmd_arrangement(args) -> tuple[int, str]:
             "notes": [],
         }
         lines = [f"ambient dimension {n}, {len(flats)} flats, top id {lattice.top_id}"]
-        for f in lattice.flats:
-            eqs = "; ".join(
-                " ".join(str(format_rational(x)) for x in row)
-                for row in f.subspace.equations.entries
-            )
-            lines.append(f"flat {f.id}: dim {f.dim}" + (f"  [{eqs}]" if eqs else "  [ambient]"))
+        for f in flats:
+            eqs = "; ".join(" ".join(map(str, row)) for row in f["equations"])
+            lines.append(f"flat {f['id']}: dim {f['dim']}" + (f"  [{eqs}]" if eqs else "  [ambient]"))
         lines.append("order: " + ", ".join(f"{a}<{b}" for a, b in order))
         return EXIT_OK, _emit_doc(doc, args.format, lines)
     table = arrangements.cdr_table(lattice)
@@ -243,24 +200,65 @@ def _cmd_tables(args) -> tuple[int, str]:
     return EXIT_OK, _emit_table(table, [], args.format)
 
 
-_HANDLERS = {
-    "arrangement": _cmd_arrangement,
-    "fan": _cmd_fan,
-    "table": _cmd_table,
-    "tables": _cmd_tables,
+_OUTPUT = (
+    ("--format", {"choices": ("json", "pretty"), "default": "pretty"}),
+    ("--strict", {"action": "store_true", "help": "treat input warnings as errors"}),
+)
+_FILE = (("--input", {"required": True, "help": "path to a JSON input file"}),) + _OUTPUT
+
+# group -> (help, handler, {command: its arguments in usage order})
+_GROUPS = {
+    "arrangement": ("subspace arrangement commands", _cmd_arrangement,
+                    dict.fromkeys(("lattice", "cdr", "betti", "lyubeznik", "oracle"), _FILE)),
+    "fan": ("toric fan commands", _cmd_fan,
+            dict.fromkeys(("validate", "picard", "projective", "lyubeznik"), _FILE)),
+    "table": ("invariant table commands", _cmd_table, {
+        "check": _FILE,
+        "deduce": _FILE + (("--bound", {"type": int, "default": None,
+                                        "help": "upper bound for unknown entries (default 10)"}),),
+    }),
+    "tables": ("closed-form small tables", _cmd_tables, {
+        "small": (
+            ("--dim", {"type": int, "required": True, "help": "dimension (0, 1 or 2)"}),
+            ("--a", {"type": int, "default": 1,
+                     "help": "connected components of the punctured spectrum (dim 2 only)"}),
+        ) + _OUTPUT,
+    }),
 }
 
 
+def _build_parser(group: str | None) -> argparse.ArgumentParser:
+    """All four groups, with command parsers only under `group`."""
+    parser = argparse.ArgumentParser(
+        prog="invar",
+        description="Invariant tables of subspace arrangements and toric 3-folds",
+    )
+    sub = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, _, commands) in _GROUPS.items():
+        group_parser = sub.add_parser(name, help=help_text)
+        if name != group:
+            continue
+        csub = group_parser.add_subparsers(dest="command", required=True)
+        for command, arguments in commands.items():
+            command_parser = csub.add_parser(command)
+            for flag, options in arguments:
+                command_parser.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handler = _HANDLERS[args.group]
-    strict = getattr(args, "strict", False)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the first argument not starting with "-" as the group
+    # whenever that group exists, so no other group's commands can be reached
+    group = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = _build_parser(group).parse_args(argv)
+    handler = _GROUPS[args.group][1]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", InputWarning)
             code, output = handler(args)
         input_warnings = [w for w in caught if issubclass(w.category, InputWarning)]
-        if input_warnings and strict:
+        if input_warnings and args.strict:
             for w in input_warnings:
                 print(f"error (strict): {w.message}", file=sys.stderr)
             return EXIT_INPUT

@@ -1,7 +1,8 @@
 """JSON file formats for arrangements, fans, and invariant tables.
 
 All rational data travels as integers or "p/q" strings; floating point
-literals are rejected outright so nothing in the pipeline ever rounds.
+literals, NaN and Infinity included, are rejected outright so nothing in the
+pipeline ever rounds.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ def _reject_float(text: str):
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_reject_float)
+            doc = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests arrays or objects too deeply") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     return doc

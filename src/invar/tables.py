@@ -653,22 +653,33 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
         # is determined by the others; enumerate only the free ones
         last = unknowns[-1]
         last_sign = (-1) ** (last[0] + last[1])
-        free = unknowns[:-1]
-
-        def enumerate_free(i: int, values: list[int], partial_euler: int):
+        signs = [(-1) ** (p + q) for p, q in unknowns[:-1]]
+        n = len(signs)
+        values = [0] * n
+        # partial[i] is the alternating sum of values[:i]
+        partial = [0] * (n + 1)
+        # depth-first over the free values in lexicographic order, one tick
+        # per node; i is the depth of the node just entered
+        i = 0
+        while True:
             counter.tick()
-            if i == len(free):
-                residual = (1 - known_euler - partial_euler) * last_sign
-                if 0 <= residual <= b:
-                    try_completion(tuple(values) + (residual,))
-                return
-            sign = (-1) ** (free[i][0] + free[i][1])
-            for v in range(b + 1):
-                values.append(v)
-                enumerate_free(i + 1, values, partial_euler + sign * v)
-                values.pop()
-
-        enumerate_free(0, [], 0)
+            if i < n:
+                values[i] = 0
+                partial[i + 1] = partial[i]
+                i += 1
+                continue
+            residual = (1 - known_euler - partial[n]) * last_sign
+            if 0 <= residual <= b:
+                try_completion(tuple(values) + (residual,))
+            # move to the next sibling of the deepest node that has one
+            i -= 1
+            while i >= 0 and values[i] == b:
+                i -= 1
+            if i < 0:
+                break
+            values[i] += 1
+            partial[i + 1] += signs[i]
+            i += 1
 
     forced = dict(sorted(constant.items()))
     if count > 0:

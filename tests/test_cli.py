@@ -1,6 +1,8 @@
 """End-to-end command line tests: outputs, exit codes, JSON round trips."""
 
+import argparse
 import json
+import sys
 
 import pytest
 
@@ -28,6 +30,230 @@ CUBE = {
         [0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5],
         [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7],
     ],
+}
+
+# `invar ... -h` at 80 columns, keyed by the arguments before -h
+HELP = {
+    (): (
+        'usage: invar [-h] {arrangement,fan,table,tables} ...\n'
+        '\n'
+        'Invariant tables of subspace arrangements and toric 3-folds\n'
+        '\n'
+        'positional arguments:\n'
+        '  {arrangement,fan,table,tables}\n'
+        '    arrangement         subspace arrangement commands\n'
+        '    fan                 toric fan commands\n'
+        '    table               invariant table commands\n'
+        '    tables              closed-form small tables\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ('arrangement',): (
+        'usage: invar arrangement [-h] {lattice,cdr,betti,lyubeznik,oracle} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {lattice,cdr,betti,lyubeznik,oracle}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ('fan',): (
+        'usage: invar fan [-h] {validate,picard,projective,lyubeznik} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {validate,picard,projective,lyubeznik}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ('table',): (
+        'usage: invar table [-h] {check,deduce} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {check,deduce}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help      show this help message and exit\n'
+    ),
+    ('tables',): (
+        'usage: invar tables [-h] {small} ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {small}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+    ),
+    ('arrangement', 'lattice'): (
+        'usage: invar arrangement lattice [-h] --input INPUT [--format {json,pretty}]\n'
+        '                                 [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('arrangement', 'cdr'): (
+        'usage: invar arrangement cdr [-h] --input INPUT [--format {json,pretty}]\n'
+        '                             [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('arrangement', 'betti'): (
+        'usage: invar arrangement betti [-h] --input INPUT [--format {json,pretty}]\n'
+        '                               [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('arrangement', 'lyubeznik'): (
+        'usage: invar arrangement lyubeznik [-h] --input INPUT [--format {json,pretty}]\n'
+        '                                   [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('arrangement', 'oracle'): (
+        'usage: invar arrangement oracle [-h] --input INPUT [--format {json,pretty}]\n'
+        '                                [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('fan', 'validate'): (
+        'usage: invar fan validate [-h] --input INPUT [--format {json,pretty}]\n'
+        '                          [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('fan', 'picard'): (
+        'usage: invar fan picard [-h] --input INPUT [--format {json,pretty}] [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('fan', 'projective'): (
+        'usage: invar fan projective [-h] --input INPUT [--format {json,pretty}]\n'
+        '                            [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('fan', 'lyubeznik'): (
+        'usage: invar fan lyubeznik [-h] --input INPUT [--format {json,pretty}]\n'
+        '                           [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('table', 'check'): (
+        'usage: invar table check [-h] --input INPUT [--format {json,pretty}]\n'
+        '                         [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+    ('table', 'deduce'): (
+        'usage: invar table deduce [-h] --input INPUT [--format {json,pretty}]\n'
+        '                          [--strict] [--bound BOUND]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --input INPUT         path to a JSON input file\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+        '  --bound BOUND         upper bound for unknown entries (default 10)\n'
+    ),
+    ('tables', 'small'): (
+        'usage: invar tables small [-h] --dim DIM [--a A] [--format {json,pretty}]\n'
+        '                          [--strict]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --dim DIM             dimension (0, 1 or 2)\n'
+        '  --a A                 connected components of the punctured spectrum (dim 2\n'
+        '                        only)\n'
+        '  --format {json,pretty}\n'
+        '  --strict              treat input warnings as errors\n'
+    ),
+}
+
+# usage errors at 80 columns: stderr of an argv that exits 2
+USAGE_ERRORS = {
+    (): (
+        'usage: invar [-h] {arrangement,fan,table,tables} ...\n'
+        'invar: error: the following arguments are required: group\n'
+    ),
+    ('bogus',): (
+        'usage: invar [-h] {arrangement,fan,table,tables} ...\n'
+        "invar: error: argument group: invalid choice: 'bogus' "
+        "(choose from 'arrangement', 'fan', 'table', 'tables')\n"
+    ),
+    ('arrangement',): (
+        'usage: invar arrangement [-h] {lattice,cdr,betti,lyubeznik,oracle} ...\n'
+        'invar arrangement: error: the following arguments are required: command\n'
+    ),
+    ('fan', 'bogus'): (
+        'usage: invar fan [-h] {validate,picard,projective,lyubeznik} ...\n'
+        "invar fan: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'validate', 'picard', 'projective', 'lyubeznik')\n"
+    ),
+    ('fan', 'validate', '--input', 'in.json', 'extra'): (
+        'usage: invar [-h] {arrangement,fan,table,tables} ...\n'
+        'invar: error: unrecognized arguments: extra\n'
+    ),
+    ('table', 'check'): (
+        'usage: invar table check [-h] --input INPUT [--format {json,pretty}]\n'
+        '                         [--strict]\n'
+        'invar table check: error: the following arguments are required: --input\n'
+    ),
+    ('table', 'deduce', '--input', 'in.json', '--bound', 'x'): (
+        'usage: invar table deduce [-h] --input INPUT [--format {json,pretty}]\n'
+        '                          [--strict] [--bound BOUND]\n'
+        "invar table deduce: error: argument --bound: invalid int value: 'x'\n"
+    ),
+    ('table', 'check', '--input', 'in.json', '--format', 'xml'): (
+        'usage: invar table check [-h] --input INPUT [--format {json,pretty}]\n'
+        '                         [--strict]\n'
+        'invar table check: error: argument --format: invalid '
+        "choice: 'xml' (choose from 'json', 'pretty')\n"
+    ),
+    ('-x', 'table', 'check'): (
+        'usage: invar table check [-h] --input INPUT [--format {json,pretty}]\n'
+        '                         [--strict]\n'
+        'invar table check: error: the following arguments are required: --input\n'
+    ),
 }
 
 
@@ -71,6 +297,41 @@ class TestArrangementCommands:
         doc = json.loads(out)
         assert len(doc["flats"]) == 8
         assert doc["top"] == 7
+
+    def test_lattice_rational_both_formats(self, tmp_path, capsys):
+        doc = {"ambient_dim": 2, "subspaces": [
+            {"equations": [[2, 3, "1/2"]]},
+            {"equations": [[1, -1, 5]]},
+            {"equations": [["3/4", 1, 0]]},
+        ]}
+        path = write(tmp_path, "lines.json", doc)
+        code, out, _ = run(capsys, "arrangement", "lattice", "--input", path)
+        assert code == 0
+        assert out == (
+            "ambient dimension 2, 7 flats, top id 6\n"
+            "flat 0: dim 0  [1 0 -2; 0 1 3/2]\n"
+            "flat 1: dim 0  [1 0 20/7; 0 1 -15/7]\n"
+            "flat 2: dim 0  [1 0 31/10; 0 1 -19/10]\n"
+            "flat 3: dim 1  [1 -1 5]\n"
+            "flat 4: dim 1  [1 4/3 0]\n"
+            "flat 5: dim 1  [1 3/2 1/4]\n"
+            "flat 6: dim 2  [ambient]\n"
+            "order: 0<4, 0<5, 0<6, 1<3, 1<4, 1<6, 2<3, 2<5, 2<6, 3<6, 4<6, 5<6\n"
+        )
+        code, out, _ = run(capsys, "arrangement", "lattice", "--input", path, "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"ambient_dim": 2, "top": 6, "flats": ['
+            '{"id": 0, "dim": 0, "equations": [[1, 0, -2], [0, 1, "3/2"]]}, '
+            '{"id": 1, "dim": 0, "equations": [[1, 0, "20/7"], [0, 1, "-15/7"]]}, '
+            '{"id": 2, "dim": 0, "equations": [[1, 0, "31/10"], [0, 1, "-19/10"]]}, '
+            '{"id": 3, "dim": 1, "equations": [[1, -1, 5]]}, '
+            '{"id": 4, "dim": 1, "equations": [[1, "4/3", 0]]}, '
+            '{"id": 5, "dim": 1, "equations": [[1, "3/2", "1/4"]]}, '
+            '{"id": 6, "dim": 2, "equations": []}], '
+            '"order": [[0, 4], [0, 5], [0, 6], [1, 3], [1, 4], [1, 6], [2, 3], [2, 5], '
+            '[2, 6], [3, 6], [4, 6], [5, 6]], "notes": []}\n'
+        )
 
     def test_lyubeznik(self, tmp_path, capsys):
         doc = {
@@ -315,6 +576,97 @@ class TestTableCommands:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("d", [43, 45])
+    def test_deduce_large_table_hits_search_limit(self, d, tmp_path, capsys, monkeypatch):
+        # about a thousand free unknowns: deeper than the interpreter's recursion limit
+        doc = {"kind": "lyubeznik", "dim": d, "entries": [[None] * (d + 1)] * (d + 1)}
+        path = write(tmp_path, "all_unknown.json", doc)
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", "2000")
+        code, out, err = run(capsys, "table", "deduce", "--input", path)
+        assert (code, out) == (4, "")
+        assert err == ("error: search exceeded the node limit of 2000; "
+                       "raise INVAR_SEARCH_LIMIT to search further\n")
+
+
+class TestMalformedInput:
+    VALID = b'{"ambient_dim": 1, "subspaces": [{"equations": [[1, 0]]}], '
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"name": "\xff\xfe"}', "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 10**5 + b"]" * 10**5, "nests arrays or objects too deeply"),
+        (VALID + b'"unused": NaN}', "floating point literal 'NaN' is not allowed"),
+        (VALID + b'"unused": Infinity}', "floating point literal 'Infinity' is not allowed"),
+        (VALID + b'"unused": -Infinity}', "floating point literal '-Infinity' is not allowed"),
+    ], ids=["not-utf8", "deep-nesting", "nan", "infinity", "minus-infinity"])
+    def test_exit_2_with_error_line(self, content, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "arrangement", "cdr", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestParser:
+    """Help texts, usage errors and parser construction, pinned byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", list(HELP))
+    def test_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP[argv], "")
+
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS))
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", USAGE_ERRORS[argv])
+
+    def test_group_after_unknown_option(self, capsys):
+        # argparse reads the group past a leading unknown option, so its
+        # commands must be built too
+        with pytest.raises(SystemExit) as exc:
+            main(["-x", "table", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (HELP[("table",)], "")
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["table", "check", "--input", "in.json"], 7),
+        (["arrangement", "cdr", "--input", "in.json"], 10),
+        (["-h"], 5),
+    ], ids=["table-check", "arrangement-cdr", "help"])
+    def test_builds_only_the_named_group(self, argv, parsers, monkeypatch, capsys):
+        calls = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        # the top level and its four groups, then one parser per command of the group
+        assert len(calls) == parsers
+
+    def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["invar", "tables", "small", "--dim", "2", "--a", "3"])
+        assert main() == 0
+        assert capsys.readouterr() == ("·  2  ·\n·  ·  ·\n·  ·  3\n", "")
+        monkeypatch.setattr(sys, "argv", ["invar", "table", "check"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", USAGE_ERRORS[("table", "check")])
 
 
 class TestJsonRoundTrip:

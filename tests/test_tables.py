@@ -521,6 +521,44 @@ class TestDeduce:
         with pytest.raises(InputError):
             deduce_lambda(dim3_shape(), 1)
 
+    @pytest.mark.parametrize("table, bound", [
+        (dim3_shape(), b) for b in range(5)
+    ] + [
+        (lam([[N] * 3] * 3), b) for b in range(4)
+    ] + [
+        (lam([[0, N, N, N], [N, 0, N, N], [0, 0, 0, N], [0, 0, 0, N]]), 2),
+    ])
+    def test_enumeration_against_product(self, table, bound):
+        # every node of the search tree over the free unknowns is counted, and
+        # the completions come in the lexicographic order of the unknowns
+        result = deduce_lambda(table, bound)
+        k = len(result.unknown_cells)
+        assert result.nodes == sum((bound + 1) ** i for i in range(k))
+        structural = dict.fromkeys(table.unknown_cells(), 0)
+        expected = []
+        for vec in product(range(bound + 1), repeat=k):
+            full = table.with_entries({**structural, **dict(zip(result.unknown_cells, vec))})
+            if not validate_lambda(full) and check_convergence_lambda(full)[0]:
+                expected.append(vec)
+        assert list(result.completions) == expected
+        assert result.feasible_count == len(expected)
+
+    @pytest.mark.parametrize("d", [43, 45])
+    def test_large_table_hits_search_limit(self, d):
+        # about a thousand free unknowns, deeper than the recursion limit
+        with pytest.raises(SearchLimitError):
+            deduce_lambda(lam([[N] * (d + 1)] * (d + 1)), search_limit=2000)
+
+    def test_deep_search_completes(self):
+        d = 45
+        rows = [[N] * (d + 1) for _ in range(d + 1)]
+        rows[d][d] = 1
+        result = deduce_lambda(lam(rows), 0)
+        assert result.nodes == len(result.unknown_cells) > 1000
+        assert result.feasible_count == 1
+        assert result.completions == ((0,) * len(result.unknown_cells),)
+        assert set(result.forced.values()) == {0}
+
     def test_bound_respected(self):
         result = deduce_lambda(dim3_shape(), 0)
         # with every unknown capped at 0 the (3,3) = 1 requirement fails
