@@ -4,11 +4,14 @@
 
 Runs `deduce_lambda` on the dim-3 shape (unknowns (0,2), (1,2), (2,3),
 (3,3)) at bounds 5, 10, 20 and on the dim-4 shape (eight unknowns,
-(1,3) = (2,4) = 0) at bounds 3 to 6.  For each case it prints the wall time,
-the enumeration nodes and the reported identities, and checks the feasible
+(1,3) = (2,4) = 0) at bounds 3 to 8.  For each case it prints the wall time,
+the search nodes and the reported identities, and checks the feasible
 completion count and the identities of acceptance criterion 6:
 (2,3) = (0,2) and (3,3) = (1,2) + 1 in dim 3, (0,4) = (2,5) and
-(1,4) = (3,5) - (0,3) in dim 4.
+(1,4) = (3,5) - (0,3) in dim 4.  The counts at bounds 7 and 8 come from one
+run of the former enumeration, `reference_deduce` in tests/test_tables.py.
+The dim-4 shape with (1,1) = (2,2) = 1 known must be a contradiction, decided
+at the root: one node.
 
 Then runs `check_cdr` on seeded CdR tables of dimension 5, 6 and 7 with
 entries up to 9 (or less) on and above the diagonal, in ambient dimension
@@ -48,11 +51,14 @@ IDENTITIES = {
     "dim3": [({(2, 3): 1, (0, 2): -1}, 0), ({(3, 3): 1, (1, 2): -1}, -1)],
     "dim4": [({(0, 4): 1, (2, 5): -1}, 0), ({(1, 4): 1, (3, 5): -1, (0, 3): 1}, 0)],
 }
+DIM4_CONTRA = [list(row) for row in DIM4]
+DIM4_CONTRA[1][1] = DIM4_CONTRA[2][2] = 1
 CASES = [
     ("dim3", DIM3, 5, 30), ("dim3", DIM3, 10, 110), ("dim3", DIM3, 20, 420),
     ("dim4", DIM4, 3, 160), ("dim4", DIM4, 4, 375), ("dim4", DIM4, 5, 756),
-    ("dim4", DIM4, 6, 1372),
+    ("dim4", DIM4, 6, 1372), ("dim4", DIM4, 7, 2304), ("dim4", DIM4, 8, 3645),
 ]
+CONTRA_BOUND = 6
 # (d, seed, largest entry, shifted antidiagonal k or None, feasible)
 CDR_CASES = [
     (5, 1, 9, None, True), (5, 1, 9, 9, False), (5, 3, 9, 3, False),
@@ -98,6 +104,14 @@ def main() -> int:
         print(f"{name} B={bound}: {elapsed:.2f} s, {result.nodes} nodes, "
               f"{result.feasible_count} feasible (expected {want}), "
               f"identities [{identities}] {'ok' if right else 'WRONG'}")
+    start = perf_counter()
+    result = deduce_lambda(InvariantTable("lyubeznik", DIM4_CONTRA), CONTRA_BOUND)
+    elapsed = perf_counter() - start
+    right = result.contradiction and result.nodes == 1
+    ok &= right
+    print(f"dim4 contradiction B={CONTRA_BOUND}: {elapsed * 1000:.2f} ms, {result.nodes} nodes, "
+          f"contradiction {result.contradiction} (expected True after 1 node) "
+          f"{'ok' if right else 'WRONG'}")
     for d, seed, top, shift, want in CDR_CASES:
         table, betti, n = cdr_case(d, seed, top, shift)
         start = perf_counter()

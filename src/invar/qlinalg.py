@@ -202,6 +202,31 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     return work[:r]
 
 
+def _extend_sparse_echelon(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
+    """Add vec to a sparse echelon basis unless it lies in the basis's span.
+
+    Rows and vec map columns to nonzero ints; basis maps each row's smallest
+    column, its pivot, to the row.  This is the elimination of
+    `_echelon_int` one row at a time, at a cost proportional to the nonzero
+    entries instead of the columns.  Returns whether vec was added.
+    """
+    while vec:
+        c = min(vec)
+        row = basis.get(c)
+        if row is None:
+            basis[c] = vec
+            return True
+        a, b = row[c], vec[c]
+        out = {k: a * v for k, v in vec.items()}
+        for k, v in row.items():
+            out[k] = out.get(k, 0) - b * v
+        vec = {k: v for k, v in out.items() if v}
+        if vec:
+            g = gcd(*vec.values())
+            vec = {k: v // g for k, v in vec.items()}
+    return False
+
+
 def _content_free(row: Sequence[int]) -> tuple[int, ...]:
     """An integer row divided by the (positive) gcd of its entries."""
     g = gcd(*row) or 1

@@ -13,9 +13,23 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
 Every differential flips the parity of p+q, so both convergence checks are
 one bipartite max-flow from even to odd cells (see _lambda_witness and
 _cdr_witness).  Ranks only subtract, so a cell's remainder always covers its
-later ranks and any flow is realizable page by page.  Deduction enumerates
-the completions with entries up to a bound; the environment variable
-INVAR_SEARCH_LIMIT (default 10**7) caps its nodes.
+later ranks and any flow is realizable page by page.
+
+Deduction finds the completions with unknown entries up to a bound B on the
+same graph, with source and sink merged so that flows are circulations:
+each cell's edge (source to an even cell, odd cell to sink) carries the
+cell's value, bounded by [v, v] for a
+known cell and [0, B] for an unknown one ([1, B] at (d,d)), and the diagonal
+sends exactly one unit to the sink.  By Hoffman's circulation theorem and the
+integrality theorem, the convergent completions are exactly the integer
+circulations, read off the cell edges.  These form an integral polytope, so
+under any bounds the feasible values of one cell form an interval of
+integers.  The search fixes the unknowns in order.  At each node it moves the
+next cell's flow down as far as cycles through its edge allow, then up one
+unit at a time until no cycle is left.  So every node it enters is feasible,
+every leaf is a completion, and one flow at the root decides a
+contradiction.  The environment variable INVAR_SEARCH_LIMIT (default 10**7)
+caps its nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, SearchLimitError
-from .qlinalg import _echelon_int, _nullspace_int
+from .qlinalg import _extend_sparse_echelon, _nullspace_int
 
 KIND_LYUBEZNIK = "lyubeznik"
 KIND_CDR = "cdr"
@@ -39,14 +53,19 @@ Cell = tuple[int, int]
 
 def _search_limit(explicit: int | None) -> int:
     if explicit is not None:
+        if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 1:
+            raise InputError(f"search_limit must be a positive integer, got {explicit!r}")
         return explicit
     env = os.environ.get("INVAR_SEARCH_LIMIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"INVAR_SEARCH_LIMIT must be an integer, got {env!r}") from exc
-    return DEFAULT_SEARCH_LIMIT
+    if env is None:
+        return DEFAULT_SEARCH_LIMIT
+    try:
+        limit = int(env)
+    except ValueError as exc:
+        raise InputError(f"INVAR_SEARCH_LIMIT must be an integer, got {env!r}") from exc
+    if limit < 1:
+        raise InputError(f"INVAR_SEARCH_LIMIT must be a positive integer, got {env!r}")
+    return limit
 
 
 class InvariantTable:
@@ -256,43 +275,87 @@ class _Counter:
             )
 
 
-def _max_flow(edges, source, sink) -> tuple[int, dict]:
-    """Edmonds-Karp over (u, v, capacity) edges with no antiparallel pair.
+class _FlowGraph:
+    """Residual graph for Edmonds-Karp augmentation along shortest paths.
 
-    Returns the flow value and the residual capacities; the flow on (u, v)
-    is the residual capacity of (v, u).
+    Edges are numbered in pairs: edge e runs from node head[e ^ 1] to node
+    head[e] with residual capacity cap[e], so the flow on an edge added with
+    capacity c is cap[e ^ 1].  Nodes are numbered in order of first use, and
+    a path never passes through a node whose live flag is off.
     """
-    cap: dict = {}
-    adj: dict = {}
-    for u, v, c in edges:
-        cap[u, v] = c
-        cap[v, u] = 0
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    flow = 0
-    while True:  # augment along shortest residual paths
-        parent = {source: None}
-        queue = [source]
+
+    __slots__ = ("ids", "head", "cap", "adj", "live")
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.head: list[int] = []
+        self.cap: list[int] = []
+        self.adj: list[list[int]] = []
+        self.live: list[bool] = []
+
+    def node(self, name) -> int:
+        i = self.ids.get(name)
+        if i is None:
+            i = self.ids[name] = len(self.adj)
+            self.adj.append([])
+            self.live.append(True)
+        return i
+
+    def add(self, u, v, c: int) -> int:
+        """Add the edge u -> v of capacity c; returns its number."""
+        a, b = self.node(u), self.node(v)
+        e = len(self.head)
+        self.head += (b, a)
+        self.cap += (c, 0)
+        self.adj[a].append(e)
+        self.adj[b].append(e + 1)
+        return e
+
+    def _path(self, start: int, goal: int, flip: int) -> list[int] | None:
+        """Edges of a shortest residual path between start and goal, or None.
+
+        flip 0 searches forward from start; flip 1 searches backward, over
+        reversed residual edges, so the path then runs from goal to start.
+        """
+        head, cap, live = self.head, self.cap, self.live
+        via = {start: -1}
+        queue = [start]
         for u in queue:
-            for v in adj[u]:
-                if v not in parent and cap[u, v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-            if sink in parent:
+            for e in self.adj[u]:
+                if cap[e ^ flip] > 0:
+                    v = head[e]
+                    if v not in via and (live[v] or v == goal):
+                        via[v] = e ^ flip
+                        if v == goal:
+                            path = []
+                            while v != start:
+                                e = via[v]
+                                path.append(e)
+                                v = head[e ^ 1 ^ flip]
+                            return path
+                        queue.append(v)
+        return None
+
+    def push(self, src: int, dst: int, want: int | None = None, backward: bool = False) -> int:
+        """Augment from src to dst, up to want units (None: a maximum flow).
+
+        backward runs each search from dst, which is cheaper when dst has
+        the smaller neighbourhood.  Returns the units pushed.
+        """
+        cap = self.cap
+        pushed = 0
+        while want is None or pushed < want:
+            path = self._path(dst, src, 1) if backward else self._path(src, dst, 0)
+            if path is None:
                 break
-        if sink not in parent:
-            break
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[e] for e in path)
-        for u, v in path:
-            cap[u, v] -= push
-            cap[v, u] += push
-        flow += push
-    return flow, cap
+            step = min(cap[e] for e in path)
+            if want is not None:
+                step = min(step, want - pushed)
+            for e in path:
+                cap[e] -= step
+                cap[e ^ 1] += step
+            pushed += step
+        return pushed
 
 
 def _flow_witness(entries, kind: str, edges: list, total: int) -> tuple | None:
@@ -301,14 +364,16 @@ def _flow_witness(entries, kind: str, edges: list, total: int) -> tuple | None:
     edges holds the graph around the cells; each arrow joins its even p+q
     end to its odd end with capacity total, and its rank is its flow.
     """
+    graph = _FlowGraph()
+    for u, v, c in edges:
+        graph.add(u, v, c)
     arrows = []
     for r, src, tgt in _arrows(entries, kind):
         even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
-        edges.append((even, odd, total))
-        arrows.append((r, src, tgt, (odd, even)))
-    flow, cap = _max_flow(edges, "s", "t")
-    if flow != total:
+        arrows.append((r, src, tgt, graph.add(even, odd, total) ^ 1))
+    if graph.push(graph.ids["s"], graph.ids["t"]) != total:
         return None
+    cap = graph.cap
     return tuple(sorted((r, src, tgt, cap[back]) for r, src, tgt, back in arrows if cap[back]))
 
 
@@ -529,7 +594,13 @@ class LinearRelation:
 
 @dataclass(frozen=True)
 class DeductionResult:
-    """Summary of an exhaustive bounded completion search."""
+    """Summary of an exhaustive bounded completion search.
+
+    nodes counts the search-tree nodes entered, the root included: below it,
+    one per feasible value of each unknown but the last (which the
+    alternating sum fixes) under each feasible prefix.  So a contradiction
+    takes one node, and nodes <= 1 + (unknowns - 1) * feasible_count.
+    """
 
     unknown_cells: tuple[Cell, ...]
     bound: int
@@ -576,9 +647,124 @@ class DeductionResult:
 _COMPLETION_CAP = 20000
 
 
+def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
+    """Yield (since, values) for every convergent completion, in lexicographic order.
+
+    values are the unknowns' values; since is the first index at which they
+    differ from the previous completion's (0 for the first).
+
+    entries hold the known values, with None at the unknowns, and already
+    pass validate_lambda; every unknown ranges over 0..bound, and (d,d) over
+    1..bound.  The search walks the free unknowns (all but the last) in
+    order, keeping one flow of the graph of the module docstring that is
+    feasible for the current node; tick is called once per node below the
+    root.  A search never enters a cell fixed at 0, since no flow can pass
+    through it.
+    """
+    d = len(entries) - 1
+    upper = [[bound if v is None else v for v in row] for row in entries]
+    total = sum(map(sum, upper))  # no cell or arrow carries more
+    graph = _FlowGraph()
+    hub = graph.node("hub")
+    edge = {}
+    for p, row in enumerate(upper):
+        for q, u in enumerate(row):
+            if u or entries[p][q] is None:
+                ends = ("hub", (p, q)) if (p + q) % 2 == 0 else ((p, q), "hub")
+                edge[p, q] = graph.add(*ends, u)
+    for p in range(d + 1):
+        if upper[p][p]:
+            graph.add((p, p), "diag", total)
+    floors = [(edge[p, q], v) for p, row in enumerate(entries) for q, v in enumerate(row) if v]
+    if entries[d][d] is None:
+        floors.append((edge[d, d], 1))
+    floors.append((graph.add("diag", "hub", 1), 1))
+    for _, src, tgt in _arrows(upper, KIND_LYUBEZNIK):
+        even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
+        graph.add(even, odd, total)
+    head, cap, live = graph.head, graph.cap, graph.live
+
+    def shift(e: int, delta: int) -> int:
+        """Move the flow on edge e, blocked by the caller, by up to delta units.
+
+        Each unit goes round a cycle through e; the search starts at e's
+        cell end, away from the hub.  Returns the units moved.
+        """
+        a, b = head[e ^ 1], head[e]
+        if delta > 0:
+            return graph.push(b, a, delta, b == hub)
+        return graph.push(a, b, -delta, a == hub)
+
+    # the root: raise every lower bound in turn, each by one maximum flow
+    for e, floor in floors:
+        x, u = cap[e ^ 1], cap[e] + cap[e ^ 1]
+        cap[e] = cap[e ^ 1] = 0
+        if x < floor <= u:
+            x += shift(e, floor - x)
+        if x < floor:
+            return  # a contradiction
+        cap[e], cap[e ^ 1] = u - x, x - floor
+    if not unknowns:
+        yield 0, ()
+        return
+
+    # an O(1) prefilter: any convergent completion has alternating sum 1, so
+    # the unknowns' signed sum is need, and low[i]..high[i] bounds the signed
+    # sum of unknowns i and after
+    m = len(unknowns)
+    signs = [1 - 2 * ((p + q) % 2) for p, q in unknowns]
+    need = 1 - _alternating_sum(entries)
+    low, high = [0] * (m + 1), [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        floor = 1 if unknowns[j] == (d, d) else 0
+        if signs[j] > 0:
+            low[j], high[j] = low[j + 1] + floor, high[j + 1] + bound
+        else:
+            low[j], high[j] = low[j + 1] - bound, high[j + 1] - floor
+
+    n = m - 1  # the last unknown follows from the alternating sum
+    edges = [edge[c] for c in unknowns[:n]]
+    nodes = [graph.ids[c] for c in unknowns[:n]]
+    values, top, partial = [0] * n, [0] * n, [0] * (n + 1)
+    i = since = 0
+    while True:
+        while i < n:  # descend, fixing each unknown at its least feasible value
+            e, rest = edges[i], need - partial[i]
+            if signs[i] > 0:
+                lo, hi = rest - high[i + 1], rest - low[i + 1]
+            else:
+                lo, hi = low[i + 1] - rest, high[i + 1] - rest
+            x = cap[e ^ 1]
+            cap[e] = cap[e ^ 1] = 0
+            lo = max(lo, 0)
+            if x > lo:
+                x -= shift(e, lo - x)
+            values[i], top[i] = x, min(hi, bound)
+            live[nodes[i]] = x > 0
+            partial[i + 1] = partial[i] + signs[i] * x
+            tick()
+            i += 1
+        yield since, tuple(values) + ((need - partial[n]) * signs[n],)
+        while True:  # the next value of the deepest unknown that has one
+            i -= 1
+            if i < 0:
+                return
+            e, x = edges[i], values[i]
+            if x < top[i] and shift(e, 1):
+                values[i] = x + 1
+                live[nodes[i]] = True
+                partial[i + 1] += signs[i]
+                tick()
+                since = i
+                i += 1
+                break
+            cap[e], cap[e ^ 1] = bound - x, x
+            live[nodes[i]] = True
+
+
 def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
                   search_limit: int | None = None) -> DeductionResult:
-    """Enumerate all valid, convergent completions of a partially known table.
+    """Find all valid, convergent completions of a partially known table.
 
     Unknown cells first inherit the structural zeros (below the diagonal, and
     the (0,d)/(1,d) corner for d >= 2); the remaining unknowns range over
@@ -589,8 +775,8 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     if table.kind != KIND_LYUBEZNIK:
         raise InputError("deduce_lambda expects a lyubeznik table")
     b = DEFAULT_BOUND if bound is None else bound
-    if b < 0:
-        raise InputError("bound must be nonnegative")
+    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
+        raise InputError("bound must be a nonnegative integer")
     d = table.d
     structural = {}
     for p, q in table.unknown_cells():
@@ -599,106 +785,49 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     base = table.with_entries(structural)
     unknowns = base.unknown_cells()
     counter = _Counter(_search_limit(search_limit))
-
-    # reject early if the known part is already inconsistent
-    base_diags = validate_lambda(base)
+    counter.tick()  # the root
 
     first: tuple[int, ...] | None = None
-    diffs: list[list[int]] = []
-    constant: dict[Cell, int] = {}
-    varying: set[Cell] = set()
+    delta: dict[int, int] = {}  # the current completion less first, sparse
+    diffs: list[list[int]] = []  # completions less first that raised the rank
+    echelon: dict = {}
+    varying: set[int] = set()  # indices of unknowns that differ from first somewhere
     completions: list[tuple[int, ...]] = []
-    truncated = False
     count = 0
+    # if the known entries alone violate the structure, no completion exists
+    if not validate_lambda(base):
+        for since, vec in _lambda_completions(base.entries, unknowns, b, counter.tick):
+            count += 1
+            if first is None:
+                first = vec
+            else:
+                for i in range(since, len(vec)):
+                    if vec[i] != first[i]:
+                        delta[i] = vec[i] - first[i]
+                        varying.add(i)
+                    else:
+                        delta.pop(i, None)
+                if _extend_sparse_echelon(echelon, dict(delta)):
+                    diffs.append([v - f for v, f in zip(vec, first)])
+            if count <= _COMPLETION_CAP:
+                completions.append(vec)
 
-    known_euler = _alternating_sum(base.entries)
-
-    def record(vec: tuple[int, ...]):
-        nonlocal first, truncated, count
-        count += 1
-        if first is None:
-            first = vec
-            for cell, v in zip(unknowns, vec):
-                constant[cell] = v
-        else:
-            for i, cell in enumerate(unknowns):
-                if cell not in varying and constant.get(cell) != vec[i]:
-                    varying.add(cell)
-                    constant.pop(cell, None)
-            diff = [a - b_ for a, b_ in zip(vec, first)]
-            if len(_echelon_int(diffs + [diff], len(diff))) > len(diffs):
-                diffs.append(diff)
-        if len(completions) < _COMPLETION_CAP:
-            completions.append(vec)
-        else:
-            truncated = True
-
-    grid = [list(row) for row in base.entries]
-
-    def try_completion(values: tuple[int, ...]):
-        for (p, q), v in zip(unknowns, values):
-            grid[p][q] = v
-        # the structural zeros are in place and the known entries already
-        # passed validate_lambda, so (d,d) > 0 is its only check left
-        if grid[d][d] > 0 and _lambda_witness(grid) is not None:
-            record(values)
-
-    if base_diags:
-        pass  # the known entries alone violate the structure: no completion exists
-    elif not unknowns:
-        counter.tick()
-        try_completion(())
-    else:
-        # the alternating sum of a convergent table is 1, so the last unknown
-        # is determined by the others; enumerate only the free ones
-        last = unknowns[-1]
-        last_sign = (-1) ** (last[0] + last[1])
-        signs = [(-1) ** (p + q) for p, q in unknowns[:-1]]
-        n = len(signs)
-        values = [0] * n
-        # partial[i] is the alternating sum of values[:i]
-        partial = [0] * (n + 1)
-        # depth-first over the free values in lexicographic order, one tick
-        # per node; i is the depth of the node just entered
-        i = 0
-        while True:
-            counter.tick()
-            if i < n:
-                values[i] = 0
-                partial[i + 1] = partial[i]
-                i += 1
-                continue
-            residual = (1 - known_euler - partial[n]) * last_sign
-            if 0 <= residual <= b:
-                try_completion(tuple(values) + (residual,))
-            # move to the next sibling of the deepest node that has one
-            i -= 1
-            while i >= 0 and values[i] == b:
-                i -= 1
-            if i < 0:
-                break
-            values[i] += 1
-            partial[i + 1] += signs[i]
-            i += 1
-
-    forced = dict(sorted(constant.items()))
-    if count > 0:
-        forced = dict(sorted({**structural, **forced}.items()))
+    forced: dict[Cell, int] = {}
     identities: list[LinearRelation] = []
+    if count > 0:
+        forced = dict(sorted({**structural, **{
+            cell: v for i, (cell, v) in enumerate(zip(unknowns, first)) if i not in varying
+        }}.items()))
     if count > 0 and diffs:
-        nonforced = [c for c in unknowns if c in varying]
-        col_of = {c: i for i, c in enumerate(unknowns)}
-        dmat = [[row[col_of[c]] for c in nonforced] for row in diffs]
-        for ints in _nullspace_int(dmat, len(nonforced)):
+        cols = sorted(varying)
+        dmat = [[row[i] for i in cols] for row in diffs]
+        for ints in _nullspace_int(dmat, len(cols)):
             lead = next(i for i, x in enumerate(ints) if x != 0)
             if ints[lead] < 0:
                 ints = [-x for x in ints]
-            const = -sum(
-                coeff * first[col_of[cell]]
-                for cell, coeff in zip(nonforced, ints)
-            )
+            const = -sum(coeff * first[i] for i, coeff in zip(cols, ints))
             coeffs = tuple(
-                (cell, coeff) for cell, coeff in zip(nonforced, ints) if coeff
+                (unknowns[i], coeff) for i, coeff in zip(cols, ints) if coeff
             )
             identities.append(LinearRelation(coeffs, const))
         identities.sort(key=lambda r: r.coeffs)
@@ -711,7 +840,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
         forced=forced,
         identities=tuple(identities),
         completions=tuple(completions),
-        truncated=truncated,
+        truncated=count > _COMPLETION_CAP,
         nodes=counter.nodes,
         _first=first,
         _diffs=tuple(tuple(v) for v in diffs),

@@ -557,6 +557,15 @@ class TestTableCommands:
         assert out == ""
         assert "node limit of 50" in err
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_deduce_search_limit_below_one_exit_2(self, limit, tmp_path, capsys, monkeypatch):
+        doc = {"kind": "lyubeznik", "dim": 1, "entries": [[0, 0], [0, None]]}
+        path = write(tmp_path, "t.json", doc)
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", limit)
+        code, out, err = run(capsys, "table", "deduce", "--input", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: INVAR_SEARCH_LIMIT must be a positive integer, got '{limit}'\n"
+
     def test_check_cdr_ignores_search_limit(self, tmp_path, capsys, monkeypatch):
         # the abutment is one max-flow, so no node limit applies to it
         monkeypatch.setenv("INVAR_SEARCH_LIMIT", "1")

@@ -19,7 +19,19 @@ from invar import (
     euler_sum,
     validate_lambda,
 )
-from invar.tables import _antidiagonal_sums, _cdr_witness
+from invar.qlinalg import _echelon_int, _nullspace_int
+from invar.tables import (
+    _COMPLETION_CAP,
+    DEFAULT_BOUND,
+    DeductionResult,
+    LinearRelation,
+    _alternating_sum,
+    _antidiagonal_sums,
+    _cdr_witness,
+    _Counter,
+    _lambda_witness,
+    _search_limit,
+)
 
 N = None
 
@@ -133,6 +145,118 @@ def reference_cdr(entries, target, n):
     return search(entries, 2)
 
 
+def reference_deduce(table, bound=None, *, search_limit=None):
+    """The former deduce_lambda: every value vector up to the bound, then a flow.
+
+    Kept as an oracle for the pruned search.  It walks all (bound+1)^k
+    vectors of the k free unknowns (all but the last, which the alternating
+    sum determines) in lexicographic order, one tick per node, and checks
+    each leaf with _lambda_witness.  Returns a DeductionResult whose nodes is
+    the sum of (bound+1)^i for i < k+1.
+    """
+    b = DEFAULT_BOUND if bound is None else bound
+    d = table.d
+    structural = {}
+    for p, q in table.unknown_cells():
+        if p > q or (d >= 2 and q == d and p in (0, 1)):
+            structural[(p, q)] = 0
+    base = table.with_entries(structural)
+    unknowns = base.unknown_cells()
+    counter = _Counter(_search_limit(search_limit))
+    base_diags = validate_lambda(base)
+    first = None
+    diffs = []
+    constant = {}
+    varying = set()
+    completions = []
+    truncated = False
+    count = 0
+    known_euler = _alternating_sum(base.entries)
+
+    def record(vec):
+        nonlocal first, truncated, count
+        count += 1
+        if first is None:
+            first = vec
+            for cell, v in zip(unknowns, vec):
+                constant[cell] = v
+        else:
+            for i, cell in enumerate(unknowns):
+                if cell not in varying and constant.get(cell) != vec[i]:
+                    varying.add(cell)
+                    constant.pop(cell, None)
+            diff = [a - b_ for a, b_ in zip(vec, first)]
+            if len(_echelon_int(diffs + [diff], len(diff))) > len(diffs):
+                diffs.append(diff)
+        if len(completions) < _COMPLETION_CAP:
+            completions.append(vec)
+        else:
+            truncated = True
+
+    grid = [list(row) for row in base.entries]
+
+    def try_completion(values):
+        for (p, q), v in zip(unknowns, values):
+            grid[p][q] = v
+        if grid[d][d] > 0 and _lambda_witness(grid) is not None:
+            record(values)
+
+    if base_diags:
+        pass
+    elif not unknowns:
+        counter.tick()
+        try_completion(())
+    else:
+        last = unknowns[-1]
+        last_sign = (-1) ** (last[0] + last[1])
+        signs = [(-1) ** (p + q) for p, q in unknowns[:-1]]
+        n = len(signs)
+        values = [0] * n
+        partial = [0] * (n + 1)  # partial[i] is the alternating sum of values[:i]
+        i = 0  # the depth of the node just entered
+        while True:
+            counter.tick()
+            if i < n:
+                values[i] = 0
+                partial[i + 1] = partial[i]
+                i += 1
+                continue
+            residual = (1 - known_euler - partial[n]) * last_sign
+            if 0 <= residual <= b:
+                try_completion(tuple(values) + (residual,))
+            i -= 1
+            while i >= 0 and values[i] == b:
+                i -= 1
+            if i < 0:
+                break
+            values[i] += 1
+            partial[i + 1] += signs[i]
+            i += 1
+
+    forced = dict(sorted(constant.items()))
+    if count > 0:
+        forced = dict(sorted({**structural, **forced}.items()))
+    identities = []
+    if count > 0 and diffs:
+        nonforced = [c for c in unknowns if c in varying]
+        col_of = {c: i for i, c in enumerate(unknowns)}
+        dmat = [[row[col_of[c]] for c in nonforced] for row in diffs]
+        for ints in _nullspace_int(dmat, len(nonforced)):
+            lead = next(i for i, x in enumerate(ints) if x != 0)
+            if ints[lead] < 0:
+                ints = [-x for x in ints]
+            const = -sum(coeff * first[col_of[cell]] for cell, coeff in zip(nonforced, ints))
+            coeffs = tuple((cell, coeff) for cell, coeff in zip(nonforced, ints) if coeff)
+            identities.append(LinearRelation(coeffs, const))
+        identities.sort(key=lambda r: r.coeffs)
+    return DeductionResult(
+        unknown_cells=unknowns, bound=b, contradiction=count == 0, feasible_count=count,
+        forced=forced, identities=tuple(identities), completions=tuple(completions),
+        truncated=truncated, nodes=counter.nodes, _first=first,
+        _diffs=tuple(tuple(v) for v in diffs),
+    )
+
+
 def replay(entries, witness, kind="lyubeznik"):
     """Limit page after applying the witness ranks page by page."""
     state = SpectralState.start(InvariantTable(kind, entries))
@@ -204,6 +328,69 @@ def replayed_betti(rng, rows, n):
     return _antidiagonal_sums(state.entries, n)
 
 
+def replayed_lambda(rng, d):
+    """A convergent table built from random ranks over one diagonal unit.
+
+    Each rank is added to both ends of a random differential that avoids
+    the cells (0,d) and (1,d); replaying the ranks page by page through
+    SpectralState.apply_page must give back the diagonal unit.
+    """
+    limit = [[0] * (d + 1) for _ in range(d + 1)]
+    k = d if rng.random() < 0.75 else rng.randint(0, d)
+    limit[k][k] = 1
+    rows = [list(r) for r in limit]
+    corner = {(0, d), (1, d)} if d >= 2 else set()
+    arrows = [(r, (p, q), (p + r, q + r - 1)) for r in range(2, d + 1)
+              for p in range(d + 1) for q in range(p + 1, d + 1)
+              if p + r <= q + r - 1 <= d and not {(p, q), (p + r, q + r - 1)} & corner]
+    ranks: dict = {}
+    for _ in range(rng.randint(0, 4) if arrows else 0):
+        r, (sp, sq), (tp, tq) = rng.choice(arrows)
+        w = rng.randint(1, 2)
+        rows[sp][sq] += w
+        rows[tp][tq] += w
+        ranks.setdefault(r, {})
+        ranks[r][sp, sq] = ranks[r].get((sp, sq), 0) + w
+    state = SpectralState.start(lam(rows))
+    for page in range(2, d + 2):
+        state = state.apply_page(ranks.get(page, {}))
+    assert [list(r) for r in state.entries] == limit
+    return rows
+
+
+def perturbed(rng, rows):
+    """Move one unit from a nonzero cell to another cell of the same parity.
+
+    The alternating sum stays 1, but convergence usually breaks.
+    """
+    d = len(rows) - 1
+    rows = [list(r) for r in rows]
+    cells = [(p, q) for p in range(d + 1) for q in range(p, d + 1)
+             if not (d >= 2 and q == d and p < 2)]
+    sp, sq = rng.choice([c for c in cells if rows[c[0]][c[1]]])
+    same = [c for c in cells if (c[0] + c[1]) % 2 == (sp + sq) % 2 and c != (sp, sq)]
+    if same:
+        tp, tq = rng.choice(same)
+        rows[sp][sq] -= 1
+        rows[tp][tq] += 1
+    return rows
+
+
+def masked(rng, rows, k):
+    """rows with k cells on or above the diagonal unknown, and sometimes a
+    cell below it too (a structural zero)."""
+    d = len(rows) - 1
+    rows = [list(r) for r in rows]
+    upper = [(p, q) for p in range(d + 1) for q in range(p, d + 1)]
+    lower = [(p, q) for p in range(d + 1) for q in range(p)]
+    cells = rng.sample(upper, min(k, len(upper)))
+    if lower and rng.random() < 0.25:
+        cells.append(rng.choice(lower))
+    for p, q in cells:
+        rows[p][q] = None
+    return rows
+
+
 def lam(rows):
     return InvariantTable("lyubeznik", rows)
 
@@ -233,6 +420,41 @@ def dim4_shape():
         [0, 0, 0, 0, 0, N],
         [0, 0, 0, 0, 0, N],
     ])
+
+
+def dim3_contra(a, b):
+    """The dim-3 shape with (1,1) = a and (2,2) = b known; no differential
+    reaches either cell, so a + b >= 2 leaves two socle copies: a contradiction."""
+    return lam([[0, 0, N, 0], [0, a, N, 0], [0, 0, b, N], [0, 0, 0, N]])
+
+
+def dim4_contra():
+    """The dim-4 shape with (1,1) = (2,2) = 1 known: a contradiction."""
+    return lam([
+        [0, 0, N, N, N, 0],
+        [0, 1, 0, 0, N, 0],
+        [0, 0, 1, 0, 0, N],
+        [0, 0, 0, 0, 0, N],
+        [0, 0, 0, 0, 0, N],
+        [0, 0, 0, 0, 0, N],
+    ])
+
+
+DIM3_CONTRA = [(1, 1), (2, 0), (0, 2), (1, 2), (2, 1), (3, 0), (0, 3), (2, 2)]
+# the table deduce jobs of the engine benchmark: (table, bound)
+ENGINE_DEDUCTIONS = (
+    [(dim3_shape(), b) for b in (8, 10, 12)] + [(dim4_shape(), b) for b in (3, 4)]
+    + [(dim4_contra(), 3)] + [(dim3_contra(a, b), 10) for a, b in DIM3_CONTRA]
+)
+
+
+def assert_same_deduction(result, expected):
+    """Every field of two DeductionResults but nodes, and the notes."""
+    for name in ("unknown_cells", "bound", "contradiction", "feasible_count", "forced",
+                 "identities", "completions", "truncated"):
+        assert getattr(result, name) == getattr(expected, name), name
+    assert list(result.forced) == list(expected.forced)
+    assert result.notes() == expected.notes()
 
 
 class TestValidateLambda:
@@ -367,6 +589,43 @@ class TestFlowAgainstSearch:
                 expected.append(values)
         assert list(result.completions) == expected
         assert result.feasible_count == len(expected)
+
+
+class TestDeduceAgainstEnumeration:
+    """The pruned search against the former enumeration, reference_deduce."""
+
+    def test_random_partial_tables(self):
+        rng = random.Random(9090)
+        outcomes = {"contradiction": 0, "one": 0, "several": 0}
+        for i in range(600):
+            rows = replayed_lambda(rng, rng.randint(1, 4))
+            if i % 2:
+                rows = perturbed(rng, rows)
+            table = lam(masked(rng, rows, rng.randint(1, 6)))
+            bound = rng.randint(0, 4)
+            result = deduce_lambda(table, bound)
+            assert_same_deduction(result, reference_deduce(table, bound))
+            # one node per feasible value of each free unknown under a
+            # feasible prefix, and the root
+            k = len(result.unknown_cells)
+            assert result.nodes <= 1 + max(k - 1, 0) * result.feasible_count
+            if result.contradiction:
+                assert result.nodes == 1
+                outcomes["contradiction"] += 1
+            else:
+                outcomes["one" if result.feasible_count == 1 else "several"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+    @pytest.mark.parametrize("table, bound", ENGINE_DEDUCTIONS)
+    def test_engine_shapes(self, table, bound):
+        assert_same_deduction(deduce_lambda(table, bound), reference_deduce(table, bound))
+
+    @pytest.mark.parametrize("table, bound", [(dim4_contra(), 3), (dim4_contra(), 10)]
+                             + [(dim3_contra(a, b), 10) for a, b in DIM3_CONTRA])
+    def test_contradiction_decided_at_root(self, table, bound):
+        result = deduce_lambda(table, bound)
+        assert result.contradiction
+        assert result.nodes == 1
 
 
 class TestCdrFlowAgainstSearch:
@@ -529,11 +788,11 @@ class TestDeduce:
         (lam([[0, N, N, N], [N, 0, N, N], [0, 0, 0, N], [0, 0, 0, N]]), 2),
     ])
     def test_enumeration_against_product(self, table, bound):
-        # every node of the search tree over the free unknowns is counted, and
+        # the oracle counts every node of the tree over the free unknowns, and
         # the completions come in the lexicographic order of the unknowns
         result = deduce_lambda(table, bound)
         k = len(result.unknown_cells)
-        assert result.nodes == sum((bound + 1) ** i for i in range(k))
+        assert reference_deduce(table, bound).nodes == sum((bound + 1) ** i for i in range(k))
         structural = dict.fromkeys(table.unknown_cells(), 0)
         expected = []
         for vec in product(range(bound + 1), repeat=k):
@@ -542,6 +801,27 @@ class TestDeduce:
                 expected.append(vec)
         assert list(result.completions) == expected
         assert result.feasible_count == len(expected)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True, False, "3", -1])
+    def test_bound_must_be_a_nonnegative_int(self, bound):
+        with pytest.raises(InputError, match="bound must be a nonnegative integer"):
+            deduce_lambda(dim3_shape(), bound)
+
+    @pytest.mark.parametrize("limit", [0, -1, True, 2.5])
+    def test_search_limit_below_one_rejected(self, limit):
+        with pytest.raises(InputError, match="search_limit must be a positive integer"):
+            deduce_lambda(dim3_shape(), 1, search_limit=limit)
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_search_limit_below_one_rejected_from_environment(self, limit, monkeypatch):
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", limit)
+        with pytest.raises(InputError, match="INVAR_SEARCH_LIMIT must be a positive integer"):
+            deduce_lambda(dim3_shape(), 1)
+
+    def test_search_limit_of_one_allows_the_root(self):
+        assert deduce_lambda(dim4_contra(), 3, search_limit=1).nodes == 1
+        with pytest.raises(SearchLimitError):
+            deduce_lambda(dim3_shape(), 1, search_limit=1)
 
     @pytest.mark.parametrize("d", [43, 45])
     def test_large_table_hits_search_limit(self, d):
