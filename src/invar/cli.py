@@ -7,7 +7,7 @@ aligned text table (zeros printed as a middle dot) or a single JSON document;
 for tables the JSON keys are always kind, dim, entries, notes in that order.
 
 One table, _GROUPS, names each group's help, handler and commands.  A call
-builds the parsers of all four groups but only the named group's commands.
+builds parsers only for the top level, the named group and its named command.
 """
 
 from __future__ import annotations
@@ -227,31 +227,41 @@ _GROUPS = {
 }
 
 
-def _build_parser(group: str | None) -> argparse.ArgumentParser:
-    """All four groups, with command parsers only under `group`."""
+def _chosen_only(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """The parser_class of every add_subparsers: a parser for the chosen name only."""
+    return argparse.ArgumentParser(**kwargs) if chosen else None
+
+
+def _build_parser(group: str | None, command: str | None) -> argparse.ArgumentParser:
+    """The top level, and below it parsers only for `group` and its `command`.
+
+    Every name still goes through add_parser, so usage lines, choice lists,
+    help listings and "invalid choice" errors are unchanged.  argparse reads
+    a subparser only under a valid name it parsed, and main passes those here.
+    """
     parser = argparse.ArgumentParser(
         prog="invar",
         description="Invariant tables of subspace arrangements and toric 3-folds",
     )
-    sub = parser.add_subparsers(dest="group", required=True)
+    sub = parser.add_subparsers(dest="group", required=True, parser_class=_chosen_only)
     for name, (help_text, _, commands) in _GROUPS.items():
-        group_parser = sub.add_parser(name, help=help_text)
-        if name != group:
+        group_parser = sub.add_parser(name, help=help_text, chosen=name == group)
+        if group_parser is None:
             continue
-        csub = group_parser.add_subparsers(dest="command", required=True)
-        for command, arguments in commands.items():
-            command_parser = csub.add_parser(command)
-            for flag, options in arguments:
+        csub = group_parser.add_subparsers(dest="command", required=True, parser_class=_chosen_only)
+        for choice, arguments in commands.items():
+            command_parser = csub.add_parser(choice, chosen=choice == command)
+            for flag, options in arguments if choice == command else ():
                 command_parser.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes the first argument not starting with "-" as the group
-    # whenever that group exists, so no other group's commands can be reached
-    group = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(group).parse_args(argv)
+    # argparse takes the first two arguments not starting with "-" as the
+    # group and its command whenever they exist, so no other parser is reached
+    names = [arg for arg in argv if not arg.startswith("-")] + [None, None]
+    args = _build_parser(*names[:2]).parse_args(argv)
     handler = _GROUPS[args.group][1]
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -644,7 +644,10 @@ class DeductionResult:
         return out
 
 
+# DeductionResult.completions keeps at most this many completions, and at
+# most _VALUE_CAP values in all: so tables with up to 10 unknowns keep 20,000
 _COMPLETION_CAP = 20000
+_VALUE_CAP = 200000
 
 
 def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
@@ -793,6 +796,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     echelon: dict = {}
     varying: set[int] = set()  # indices of unknowns that differ from first somewhere
     completions: list[tuple[int, ...]] = []
+    cap = min(_COMPLETION_CAP, _VALUE_CAP // max(len(unknowns), 1))
     count = 0
     # if the known entries alone violate the structure, no completion exists
     if not validate_lambda(base):
@@ -809,7 +813,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
                         delta.pop(i, None)
                 if _extend_sparse_echelon(echelon, dict(delta)):
                     diffs.append([v - f for v, f in zip(vec, first)])
-            if count <= _COMPLETION_CAP:
+            if count <= cap:
                 completions.append(vec)
 
     forced: dict[Cell, int] = {}
@@ -840,7 +844,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
         forced=forced,
         identities=tuple(identities),
         completions=tuple(completions),
-        truncated=count > _COMPLETION_CAP,
+        truncated=count > cap,
         nodes=counter.nodes,
         _first=first,
         _diffs=tuple(tuple(v) for v in diffs),
@@ -853,15 +857,12 @@ def canonical_small_tables(dim_y: int, a: int = 1) -> InvariantTable:
     In dimension 2, a is the number of connected components of the punctured
     spectrum: the table has a-1 in cell (0,1) and a in cell (2,2).
     """
-    if a < 1:
+    if isinstance(a, bool) or not isinstance(a, int) or a < 1:
         raise InputError("a must be a positive integer")
+    if isinstance(dim_y, bool) or not isinstance(dim_y, int) or not 0 <= dim_y <= 2:
+        raise InputError("closed-form tables exist only for dimension 0, 1 or 2")
     if dim_y == 0:
         return InvariantTable(KIND_LYUBEZNIK, [[1]])
     if dim_y == 1:
         return InvariantTable(KIND_LYUBEZNIK, [[0, 0], [0, 1]])
-    if dim_y == 2:
-        return InvariantTable(
-            KIND_LYUBEZNIK,
-            [[0, a - 1, 0], [0, 0, 0], [0, 0, a]],
-        )
-    raise InputError("closed-form tables exist only for dimension <= 2")
+    return InvariantTable(KIND_LYUBEZNIK, [[0, a - 1, 0], [0, 0, 0], [0, 0, a]])

@@ -1,11 +1,16 @@
 """End-to-end command line tests: outputs, exit codes, JSON round trips."""
 
 import argparse
+import io
 import json
+import random
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from invar import cli
 from invar.cli import main
 from invar.fileio import dumps_table, parse_table
 from invar.tables import InvariantTable
@@ -647,10 +652,14 @@ class TestParser:
         assert capsys.readouterr() == (HELP[("table",)], "")
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["table", "check", "--input", "in.json"], 7),
-        (["arrangement", "cdr", "--input", "in.json"], 10),
-        (["-h"], 5),
-    ], ids=["table-check", "arrangement-cdr", "help"])
+        (["table", "check", "--input", "in.json"], 3),
+        (["arrangement", "cdr", "--input", "in.json"], 3),
+        (["fan", "picard", "--input", "in.json"], 3),
+        (["table", "-h"], 2),
+        (["-x", "table", "-h"], 2),
+        (["-h"], 1),
+    ], ids=["table-check", "arrangement-cdr", "fan-picard", "table-help",
+            "unknown-option-table-help", "help"])
     def test_builds_only_the_named_group(self, argv, parsers, monkeypatch, capsys):
         calls = []
         init = argparse.ArgumentParser.__init__
@@ -664,7 +673,7 @@ class TestParser:
             main(argv)
         except SystemExit:
             pass
-        # the top level and its four groups, then one parser per command of the group
+        # the top level, then the named group, then its named command
         assert len(calls) == parsers
 
     def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
@@ -676,6 +685,124 @@ class TestParser:
             main()
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", USAGE_ERRORS[("table", "check")])
+
+
+def reference_build_parser(group):
+    """The former _build_parser: every group, with command parsers only under `group`."""
+    parser = argparse.ArgumentParser(
+        prog="invar",
+        description="Invariant tables of subspace arrangements and toric 3-folds",
+    )
+    sub = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, _, commands) in cli._GROUPS.items():
+        group_parser = sub.add_parser(name, help=help_text)
+        if name != group:
+            continue
+        csub = group_parser.add_subparsers(dest="command", required=True)
+        for command, arguments in commands.items():
+            command_parser = csub.add_parser(command)
+            for flag, options in arguments:
+                command_parser.add_argument(flag, **options)
+    return parser
+
+
+def reference_parse(argv):
+    group = next((arg for arg in argv if not arg.startswith("-")), None)
+    return reference_build_parser(group).parse_args(argv)
+
+
+class _Parsed(Exception):
+    """Raised by a stubbed handler, carrying the namespace main parsed."""
+
+
+def _stub_handler(args):
+    raise _Parsed(args)
+
+
+def parse_by_main(argv):
+    try:
+        main(argv)
+    except _Parsed as exc:
+        return exc.args[0]
+    raise AssertionError(f"main returned without calling the handler for {argv}")
+
+
+def outcome(parse, argv):
+    """(("parsed", namespace) or ("exit", code), stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("parsed", vars(parse(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+# a valid value for every argument but --format that takes one
+_VALUES = {"--input": "in.json", "--bound": "4", "--dim": "2", "--a": "3"}
+
+
+def valid_argvs():
+    """Every command with each of its value arguments, in both formats."""
+    for group, (_, _, commands) in cli._GROUPS.items():
+        for command, arguments in commands.items():
+            values = [x for flag, _ in arguments if flag in _VALUES for x in (flag, _VALUES[flag])]
+            for fmt in ("json", "pretty"):
+                yield (group, command, *values, "--format", fmt)
+                yield (group, command, "--strict", *values, f"--format={fmt}")
+
+
+def random_argvs(count, seed):
+    """Seeded argvs of names, options, option fragments and stray words.
+
+    Half of them start from a group, one of its commands (now and then
+    another group's) and that command's value arguments, so that many parse.
+    """
+    commands = sorted({c for _, _, cs in cli._GROUPS.values() for c in cs})
+    tokens = list(cli._GROUPS) + commands + [
+        "--", "-", "-1", "-x", "-h", "--help", "--inp", "--form=json", "--bound=-2",
+        "--input", "in.json", "--format", "json", "pretty", "--strict", "--bound", "--dim",
+        "2", "--a", "stray", "extra words",
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        argv = []
+        if rng.random() < 0.5:
+            group = rng.choice(list(cli._GROUPS))
+            own = cli._GROUPS[group][2]
+            command = rng.choice(list(own) if rng.random() < 0.9 else commands)
+            argv = [group, command]
+            for flag, _ in own.get(command, ()):
+                if flag in _VALUES and rng.random() < 0.9:
+                    argv += [flag, _VALUES[flag]]
+        for _ in range(rng.randint(0, 2 if argv else 7)):  # tokens anywhere
+            argv.insert(rng.randint(0, len(argv)), rng.choice(tokens))
+        if argv and rng.random() < 0.2:  # repeat a flag
+            argv.append(rng.choice([t for t in argv if t.startswith("-")] or argv))
+        yield tuple(argv)
+
+
+class TestAgainstReferenceParser:
+    """main parses every argv as the former all-group parser did, byte for byte."""
+
+    @pytest.fixture(autouse=True)
+    def stubbed(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_GROUPS", {
+            name: (help_text, _stub_handler, commands)
+            for name, (help_text, _, commands) in cli._GROUPS.items()
+        })
+
+    def test_corpus(self):
+        corpus = [(*argv, "-h") for argv in HELP] + list(USAGE_ERRORS) + list(valid_argvs())
+        corpus += random_argvs(2000, seed=1010)
+        kinds = Counter()
+        for argv in corpus:
+            expected = outcome(reference_parse, argv)
+            assert outcome(parse_by_main, argv) == expected, argv
+            kinds[expected[0] if expected[0][0] == "exit" else "parsed"] += 1
+        # parses, help texts and usage errors all occur often
+        assert min(kinds.values()) >= 100 and len(kinds) == 3, kinds
 
 
 class TestJsonRoundTrip:

@@ -1,7 +1,7 @@
 """Table validators, the Euler constraint, and the convergence/deduction engine."""
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -29,6 +29,7 @@ from invar.tables import (
     _antidiagonal_sums,
     _cdr_witness,
     _Counter,
+    _lambda_completions,
     _lambda_witness,
     _search_limit,
 )
@@ -829,6 +830,16 @@ class TestDeduce:
         with pytest.raises(SearchLimitError):
             deduce_lambda(lam([[N] * (d + 1)] * (d + 1)), search_limit=2000)
 
+    def test_large_table_keeps_at_most_200000_values(self, monkeypatch):
+        # the search stops after 1,000 completions of 988 unknowns each, of
+        # which the list keeps the first 202
+        monkeypatch.setattr("invar.tables._lambda_completions",
+                            lambda *args: islice(_lambda_completions(*args), 1000))
+        result = deduce_lambda(lam([[N] * 44] * 44), search_limit=10**5)
+        assert (len(result.unknown_cells), result.feasible_count) == (988, 1000)
+        assert len(result.completions) == 202 and result.truncated
+        assert sum(map(len, result.completions)) <= 200000
+
     def test_deep_search_completes(self):
         d = 45
         rows = [[N] * (d + 1) for _ in range(d + 1)]
@@ -896,6 +907,13 @@ class TestSmallTables:
             canonical_small_tables(3)
         with pytest.raises(InputError):
             canonical_small_tables(2, 0)
+        for dim_y in (-1, 3, True, False, 2.0, "2"):
+            with pytest.raises(InputError, match=r"^closed-form tables exist only for "
+                                                 r"dimension 0, 1 or 2$"):
+                canonical_small_tables(dim_y)
+        for a in (0, True, 2.0, "2"):
+            with pytest.raises(InputError, match=r"^a must be a positive integer$"):
+                canonical_small_tables(2, a)
 
 
 class TestInvariantTable:
