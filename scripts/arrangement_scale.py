@@ -2,11 +2,14 @@
 
     PYTHONPATH=src python3 scripts/arrangement_scale.py
 
-For each case, builds the intersection lattice and the Cech-de Rham table,
-checks the complement's Poincare polynomial against its closed form, and
-prints the wall time of both steps.  The closed forms are (1+t)^n for the n
-coordinate hyperplanes of C^n and (1+t)(1+2t)...(1+(n-1)t) for the braid
-arrangement x_i = x_j of C^n.  Exits 1 if a table is wrong.
+For each case (boolean n = 6, 7 and braid n = 6, 7, 8), builds the
+intersection lattice and the Cech-de Rham table, checks the complement's
+Poincare polynomial against its closed form, and prints the wall time of
+both steps.  The closed forms are (1+t)^n for the n coordinate hyperplanes
+of C^n and (1+t)(1+2t)...(1+(n-1)t) for the braid arrangement x_i = x_j of
+C^n.  Both are hyperplane arrangements, so every cell comes from a Moebius
+number and the time is the lattice's: braid n = 8 has 4,140 flats.  Exits 1
+if a table is wrong.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ def poincare(roots: list[int]) -> list[int]:
 
 def main() -> int:
     ok = True
-    for name, build, n in (("boolean", boolean, 6), ("boolean", boolean, 7), ("braid", braid, 6)):
+    cases = [("boolean", boolean, 6), ("boolean", boolean, 7)]
+    cases += [("braid", braid, n) for n in (6, 7, 8)]
+    for name, build, n in cases:
         comps, roots = build(n)
         start = perf_counter()
         lattice = build_lattice(comps)

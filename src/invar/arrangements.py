@@ -1,15 +1,33 @@
 """Complex subspace arrangements: intersection lattices and invariant tables.
 
 An arrangement is a finite set of affine subspaces of C^n, each given by an
-exact rational linear system.  The intersection lattice orders all nonempty
-intersections by inclusion, with the ambient space as unique top element.
-Each flat carries its component bitmask, the set of components containing
-it; F is contained in G exactly when mask(G) is a subset of mask(F), so the
-order comes from integer subset tests.  From the lattice we compute the
-Cech-de Rham table (the reduced homology of each open interval (F, ambient),
-read off its order complex or its crosscut complex, whichever has fewer
-faces, with ranks by exact integer elimination), the reduced Betti numbers
-of the complement, a Moebius-function cross-check for central hyperplane
+exact rational linear system and stored as primitive integer reduced rows.
+The intersection lattice orders all nonempty intersections by inclusion,
+with the ambient space as unique top element.
+
+Flats are found by meeting each flat with each component.  A component
+contains a flat when each of its rows reduces to zero against the flat's
+rows; it then goes into the flat's component bitmask, and nothing is
+eliminated.  A flat is the meet of the components in its mask, so a meet
+whose generating set (the mask plus one component) has been met before is
+skipped; any other meet eliminates only the nonzero remainders and
+back-substitutes their pivots into the flat's rows.  Flats are listed by
+dimension, then by rational rref, compared exactly as integer rows scaled
+by one common multiple of all pivots.
+
+F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
+flat's up-set, the flats strictly above it, is a bitset over flat ids: the
+AND, over the components not in F's mask, of the flats lacking that
+component.  `IntersectionLattice.poset` is built from the up-sets on demand.
+
+The Cech-de Rham table is the reduced homology of each open interval
+(F, ambient).  When every component containing F is a hyperplane,
+[F, ambient] is a geometric lattice and, by Folkman's theorem, that homology
+is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
+the up-sets.  Every other interval is read off its order complex or its
+crosscut complex, whichever has fewer faces, with ranks by exact integer
+elimination.  The module also gives the reduced Betti numbers of the
+complement, a Moebius-function cross-check for central hyperplane
 arrangements, and the closed-form Lyubeznik tables in dimension <= 2.
 """
 
@@ -18,11 +36,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InputWarning
 from .posets import FinitePoset, SimplicialComplex, order_complex, reduced_betti
-from .qlinalg import QMatrix, _echelon_int, _reduced_int
+from .qlinalg import QMatrix, _content_free, _echelon_int, _reduced_int
 from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable, canonical_small_tables
 
 
@@ -32,6 +51,56 @@ def _canonical_rows(ambient_dim: int, rows) -> tuple[tuple[int, ...], ...] | Non
     if reduced and not any(reduced[-1][:-1]):  # a pivot in the constant column
         return None
     return tuple(reduced)
+
+
+def _leads(rows) -> tuple[int, ...]:
+    """The pivot column of each row of an echelon form."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in rows)
+
+
+def _remainders(rows, leads, others) -> list[list[int]]:
+    """The nonzero remainders of the rows `others` reduced against the
+    reduced rows `rows`, whose pivot columns are `leads`.
+
+    A remainder is zero at every pivot column: each pivot row is zero at the
+    other pivot columns, so clearing one column leaves the others alone.  It
+    vanishes exactly when its row lies in the span of `rows`.
+    """
+    out = []
+    for row in others:
+        for lead, pivot_row in zip(leads, rows):
+            v = row[lead]
+            if v:
+                p = pivot_row[lead]
+                row = [a * p - v * b for a, b in zip(row, pivot_row)]
+        if any(row):
+            out.append(row)
+    return out
+
+
+def _meet(rows, leads, remainders, ncols: int) -> tuple[tuple[int, ...], ...] | None:
+    """Canonical rows of a subspace (reduced `rows`, pivot columns `leads`)
+    cut by equations with the given nonzero remainders; None when empty.
+
+    Only the remainders are eliminated.  Their reduced rows are zero at the
+    old pivot columns, so the old rows need back-substitution at the new
+    pivot columns only, and the union is the unique primitive reduced form.
+    """
+    new = _reduced_int(_echelon_int(remainders, ncols))
+    if not any(new[-1][:-1]):  # a pivot in the constant column
+        return None
+    new_leads = _leads(new)
+    merged = list(zip(new_leads, new))
+    for lead, row in zip(leads, rows):
+        substituted = row
+        for c, new_row in zip(new_leads, new):
+            v = substituted[c]
+            if v:
+                # new_row[c] > 0 keeps this row's pivot positive
+                substituted = [a * new_row[c] - v * b for a, b in zip(substituted, new_row)]
+        merged.append((lead, row if substituted is row else _content_free(substituted)))
+    merged.sort(key=lambda pair: pair[0])
+    return tuple(row for _, row in merged)
 
 
 class AffineSubspace:
@@ -70,6 +139,14 @@ class AffineSubspace:
     def ambient(cls, ambient_dim: int) -> "AffineSubspace":
         return cls(ambient_dim, QMatrix([], ncols=ambient_dim + 1))
 
+    @classmethod
+    def _canonical(cls, ambient_dim: int, rows) -> "AffineSubspace":
+        """A subspace from rows already in canonical form."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        object.__setattr__(sub, "rows", rows)
+        return sub
+
     @property
     def equations(self) -> QMatrix:
         rref = []
@@ -86,24 +163,24 @@ class AffineSubspace:
         """Whether the subspace passes through the origin."""
         return all(row[-1] == 0 for row in self.rows)
 
+    def _check_same_ambient(self, other: "AffineSubspace"):
+        if self.ambient_dim != other.ambient_dim:
+            raise InputError("subspaces live in different ambient spaces")
+
     def intersect(self, other: "AffineSubspace") -> "AffineSubspace | None":
         """Intersection as a subspace, or None when empty."""
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("subspaces live in different ambient spaces")
-        rows = _canonical_rows(self.ambient_dim, self.rows + other.rows)
-        if rows is None:
-            return None
-        meet = object.__new__(AffineSubspace)
-        object.__setattr__(meet, "ambient_dim", self.ambient_dim)
-        object.__setattr__(meet, "rows", rows)
-        return meet
+        self._check_same_ambient(other)
+        leads = _leads(self.rows)
+        remainders = _remainders(self.rows, leads, other.rows)
+        if not remainders:
+            return self
+        rows = _meet(self.rows, leads, remainders, self.ambient_dim + 1)
+        return None if rows is None else AffineSubspace._canonical(self.ambient_dim, rows)
 
     def contained_in(self, other: "AffineSubspace") -> bool:
-        """Inclusion test by ranks of stacked equation systems."""
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("subspaces live in different ambient spaces")
-        stacked = _echelon_int(self.rows + other.rows, self.ambient_dim + 1)
-        return len(stacked) == len(self.rows)
+        """Whether every equation of `other` reduces to zero against ours."""
+        self._check_same_ambient(other)
+        return not _remainders(self.rows, _leads(self.rows), other.rows)
 
     def __eq__(self, other):
         return (
@@ -115,11 +192,25 @@ class AffineSubspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.rows))
 
-    def sort_key(self):
-        return (self.dim, self.equations.entries)
-
     def __repr__(self):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
+
+
+def _sorted_by_rref(subspaces: Iterable[AffineSubspace]) -> list[AffineSubspace]:
+    """Sorted by dimension, then by the rational rref's rows.
+
+    The rref row of a primitive row is the row divided by its pivot.  Scaled
+    by a common multiple of all pivots, every rref is an integer matrix and
+    the order is unchanged, as all scale by the same positive constant.
+    """
+    subspaces = list(subspaces)
+    pivots = {row: next(x for x in row if x) for s in subspaces for row in s.rows}
+    scale = lcm(*pivots.values())
+    scaled = {
+        row: row if p == scale else tuple(x * (scale // p) for x in row)
+        for row, p in pivots.items()
+    }
+    return sorted(subspaces, key=lambda s: (s.dim, tuple(scaled[row] for row in s.rows)))
 
 
 @dataclass(frozen=True)
@@ -134,56 +225,66 @@ class Flat:
         return self.subspace.dim
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class IntersectionLattice:
     """All nonempty intersections of the components, ordered by inclusion.
 
-    `masks[i]` is the component bitmask of the flat with id i: bit j is set
-    when the j-th (normalized) component contains the flat.  The ambient
-    space has mask 0.
+    Flats are listed by dimension, so a flat's id is smaller than the ids of
+    the flats above it, and the ambient space comes last.  `masks[i]` is the
+    component bitmask of the flat with id i: bit j is set when the j-th
+    (normalized) component contains the flat; the ambient space has mask 0.
+    `up[i]` is the bitset, over flat ids, of the flats strictly above it.
     """
 
-    __slots__ = ("ambient_dim", "flats", "poset", "top_id", "masks")
+    __slots__ = ("ambient_dim", "flats", "top_id", "masks", "up")
 
     def __init__(
         self,
         ambient_dim: int,
         flats: Sequence[Flat],
-        poset: FinitePoset,
         top_id: int,
         masks: Sequence[int],
+        up: Sequence[int],
     ):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "flats", tuple(flats))
-        object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "top_id", top_id)
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "up", tuple(up))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionLattice is immutable")
+
+    @property
+    def poset(self) -> FinitePoset:
+        """The inclusion order on flat ids, built from the up-sets on each access."""
+        return FinitePoset.from_up_sets([f.id for f in self.flats], self.up)
 
     def proper_flats(self) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.id != self.top_id)
 
     def maximal_proper_flats(self) -> tuple[Flat, ...]:
         """Flats covered only by the ambient space: the arrangement components."""
-        proper = self.proper_flats()
-        ids = {f.id for f in proper}
-        return tuple(
-            f
-            for f in proper
-            if not any((f.id, g) in self.poset.less for g in ids if g != f.id)
-        )
+        top = 1 << self.top_id
+        return tuple(f for f in self.proper_flats() if self.up[f.id] == top)
 
     def dim(self) -> int:
         return max(f.dim for f in self.proper_flats())
 
     def minimal_flats(self) -> tuple[Flat, ...]:
-        ids = {f.id for f in self.flats}
-        return tuple(
-            f
-            for f in self.flats
-            if not any((g, f.id) in self.poset.less for g in ids if g != f.id)
-        )
+        above_some = 0
+        for up in self.up:
+            above_some |= up
+        return tuple(f for f in self.flats if not above_some >> f.id & 1)
 
 
 def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSubspace]:
@@ -218,48 +319,77 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
 def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     """All nonempty intersections of the components, ordered by inclusion.
 
-    Every flat is met with every component only: F & c == F puts c into F's
-    mask, any other nonempty meet is a flat.  A flat is the intersection of
-    the components in its mask, so inclusion is reverse mask inclusion.
+    Every flat is met with every component only.  The remainders of a
+    component's rows against the flat's rows decide containment (all zero:
+    the component goes into the flat's mask) and otherwise give the meet.
+    A flat is the intersection of the components in its mask, so the meet
+    with component j is determined by the set mask | 1 << j, and each such
+    set is met once.
     """
     comps = _normalize_components(components)
     n = comps[0].ambient_dim
-    masks: dict[AffineSubspace, int] = {}
-    seen = set(comps)
-    worklist = list(comps)
+    comp_rows = [c.rows for c in comps]
+    masks: dict[tuple, int] = {}
+    seen = set(comp_rows)
+    met: set[int] = set()
+    worklist = list(comp_rows)
     while worklist:
-        flat = worklist.pop()
+        rows = worklist.pop()
+        leads = _leads(rows)
+        remainders = [_remainders(rows, leads, other) for other in comp_rows]
         mask = 0
-        for j, c in enumerate(comps):
-            meet = flat.intersect(c)
-            if meet == flat:
+        for j, rem in enumerate(remainders):
+            if not rem:
                 mask |= 1 << j
-            elif meet is not None and meet not in seen:
+        masks[rows] = mask
+        for j, rem in enumerate(remainders):
+            generators = mask | 1 << j
+            if not rem or generators in met:
+                continue
+            met.add(generators)
+            meet = _meet(rows, leads, rem, n + 1)
+            if meet is not None and meet not in seen:
                 seen.add(meet)
                 worklist.append(meet)
-        masks[flat] = mask
-    ordered = sorted(masks, key=AffineSubspace.sort_key)
+    ordered = _sorted_by_rref(AffineSubspace._canonical(n, rows) for rows in masks)
     flats = [Flat(i, s) for i, s in enumerate(ordered)]
     top = Flat(len(flats), AffineSubspace.ambient(n))
     flats.append(top)
-    flat_masks = [masks[s] for s in ordered] + [0]
-    pairs = [
-        (a, b)
-        for a, mask_a in enumerate(flat_masks)
-        for b, mask_b in enumerate(flat_masks)
-        if mask_a & mask_b == mask_b and mask_a != mask_b
-    ]
-    poset = FinitePoset([f.id for f in flats], pairs)
-    return IntersectionLattice(n, flats, poset, top.id, flat_masks)
+    flat_masks = [masks[s.rows] for s in ordered] + [0]
+    everything = (1 << len(flats)) - 1
+    lacking = [everything] * len(comps)  # flats whose mask lacks component j
+    for i, mask in enumerate(flat_masks):
+        for j in _bits(mask):
+            lacking[j] ^= 1 << i
+    all_components = (1 << len(comps)) - 1
+    up = []
+    for i, mask in enumerate(flat_masks):
+        above = everything
+        for j in _bits(all_components & ~mask):
+            above &= lacking[j]
+        up.append(above ^ (1 << i))
+    return IntersectionLattice(n, flats, top.id, flat_masks, up)
 
 
-def _bits(mask: int) -> list[int]:
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+def _moebius(lattice: IntersectionLattice) -> list[int]:
+    """mu(F, ambient) for every flat F, indexed by id.
+
+    mu(ambient, ambient) = 1 and mu(F, ambient) is minus the sum of mu over
+    the up-set of F; one pass down the ids, as a flat above another has a
+    larger id.
+    """
+    up = lattice.up
+    mu = [0] * len(up)
+    mu[lattice.top_id] = 1
+    for i in range(lattice.top_id - 1, -1, -1):
+        mu[i] = -sum(mu[g] for g in _bits(up[i]))
+    return mu
 
 
-def _interval_complexes(lattice: IntersectionLattice):
-    """Yield (flat, complex) for every proper flat F, where the complex is
-    homotopy equivalent to the order complex of the open interval (F, ambient).
+def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
+    """Yield (flat, complex) for each of the given proper flats F, where the
+    complex is homotopy equivalent to the order complex of the open interval
+    (F, ambient).
 
     Two complexes qualify: the order complex itself, with one face per chain
     of proper flats above F, and, by the crosscut theorem (Rota 1964;
@@ -273,18 +403,19 @@ def _interval_complexes(lattice: IntersectionLattice):
     chains(G), the chains starting at G, and cross(G), the nonempty component
     sets with meet exactly G, both summed over the proper flats G above F.
     """
+    if not flats:
+        return
     masks = lattice.masks
-    less = lattice.poset.less
-    proper = lattice.proper_flats()
-    above = {f.id: [g.id for g in proper if (f.id, g.id) in less] for f in proper}
-    chains: dict[int, int] = {}
-    cross: dict[int, int] = {}
+    proper = (1 << lattice.top_id) - 1
+    above = [_bits(up & proper) for up in lattice.up[: lattice.top_id]]
+    chains = [0] * lattice.top_id
+    cross = [0] * lattice.top_id
     # a flat strictly above another has larger dimension, hence a larger id
-    for f in reversed(proper):
-        up = above[f.id]
-        chains[f.id] = 1 + sum(chains[g] for g in up)
-        cross[f.id] = (1 << masks[f.id].bit_count()) - 1 - sum(cross[g] for g in up)
-    for f in proper:
+    for i in range(lattice.top_id - 1, -1, -1):
+        chains[i] = 1 + sum(chains[g] for g in above[i])
+        cross[i] = (1 << masks[i].bit_count()) - 1 - sum(cross[g] for g in above[i])
+    poset = None
+    for f in flats:
         up = above[f.id]
         if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
             union = 0
@@ -292,7 +423,19 @@ def _interval_complexes(lattice: IntersectionLattice):
                 union |= masks[g]
             yield f, SimplicialComplex(_bits(union), [_bits(masks[g]) for g in up])
         else:
-            yield f, order_complex(lattice.poset, f.id, lattice.top_id)
+            if poset is None:
+                poset = lattice.poset
+            yield f, order_complex(poset, f.id, lattice.top_id)
+
+
+def _hyperplane_components(lattice: IntersectionLattice) -> int:
+    """The bitmask of the components that are hyperplanes: a flat of
+    dimension n - 1 is contained only in itself."""
+    hyperplanes = 0
+    for f in lattice.flats:
+        if f.dim == lattice.ambient_dim - 1:
+            hyperplanes |= lattice.masks[f.id]
+    return hyperplanes
 
 
 def cdr_table(lattice: IntersectionLattice) -> InvariantTable:
@@ -300,12 +443,26 @@ def cdr_table(lattice: IntersectionLattice) -> InvariantTable:
 
     Each proper flat F of dimension p contributes the reduced Betti numbers
     of the open interval (F, ambient): homology in degree q - p - 1 lands in
-    cell (p, q).  The table is the same on every page from 2 on, because all
-    differentials vanish for arrangements.
+    cell (p, q).  When every component containing F is a hyperplane,
+    [F, ambient] is the lattice of a central hyperplane arrangement, a
+    geometric lattice of rank codim F; by Folkman's theorem (J. Folkman, "The
+    homology groups of a lattice", 1966) the open interval then has homology
+    only in degree codim F - 2, of rank |mu(F, ambient)|, so it adds |mu| to
+    cell (p, n - 1) and no complex is built.  The table is the same on every
+    page from 2 on, because all differentials vanish for arrangements.
     """
     d = lattice.dim()
+    n = lattice.ambient_dim
     rows = [[0] * (d + 1) for _ in range(d + 1)]
-    for flat, complex_ in _interval_complexes(lattice):
+    hyperplanes = _hyperplane_components(lattice)
+    mu = _moebius(lattice)
+    others = []
+    for flat in lattice.proper_flats():
+        if lattice.masks[flat.id] & ~hyperplanes:
+            others.append(flat)
+        else:  # a hyperplane contains the flat, so d = n - 1
+            rows[flat.dim][n - 1] += abs(mu[flat.id])
+    for flat, complex_ in _interval_complexes(lattice, others):
         betti = reduced_betti(complex_)
         p = flat.dim
         for k in range(-1, betti.max_degree() + 1):
@@ -357,13 +514,7 @@ def moebius_betti_oracle(lattice: IntersectionLattice) -> list[int]:
             raise InputError("Moebius oracle needs hyperplane components only")
     if len(lattice.minimal_flats()) != 1:
         raise InputError("Moebius oracle needs a central arrangement (a common point)")
-    mu: dict[int, int] = {lattice.top_id: 1}
-    above: dict[int, list[int]] = {
-        f.id: [g.id for g in lattice.flats if (f.id, g.id) in lattice.poset.less]
-        for f in lattice.flats
-    }
-    for flat in sorted(lattice.proper_flats(), key=lambda f: -f.dim):
-        mu[flat.id] = -sum(mu[g] for g in above[flat.id])
+    mu = _moebius(lattice)
     betti = [0] * (n + 1)
     for flat in lattice.flats:
         betti[n - flat.dim] += abs(mu[flat.id])

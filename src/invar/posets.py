@@ -11,22 +11,21 @@ is smaller.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .errors import InputError
 from .qlinalg import QMatrix, _echelon_int
 
 
 class FinitePoset:
-    """A finite strict partial order, closed transitively at construction."""
+    """A finite strict partial order, closed transitively at construction
+    or given by closed up-sets (`from_up_sets`); `less` holds its pairs."""
 
     __slots__ = ("elements", "less")
 
     def __init__(self, elements: Iterable[Hashable], less_than: Iterable[tuple]):
         elems = tuple(elements)
-        index = {x: i for i, x in enumerate(elems)}
-        if len(index) != len(elems):
-            raise InputError("duplicate poset elements")
+        index = _positions(elems)
         # up[i]: bitmask over element positions of everything above elems[i]
         up = [0] * len(elems)
         for a, b in less_than:
@@ -40,14 +39,35 @@ class FinitePoset:
             for i, up_i in enumerate(up):
                 if up_i & bit:
                     up[i] = up_i | up_k
+        self._store(elems, up)
+
+    @classmethod
+    def from_up_sets(cls, elements: Iterable[Hashable], up_sets: Iterable[int]) -> "FinitePoset":
+        """The poset whose i-th element lies below exactly the elements at
+        the set bits of up_sets[i].  No closure is run: the up-sets must
+        already be transitively closed, and are checked to be."""
+        elems = tuple(elements)
+        _positions(elems)
+        up = tuple(up_sets)
+        if len(up) != len(elems) or any(u < 0 or u >> len(elems) for u in up):
+            raise InputError("need one up-set per element, over element positions")
+        poset = object.__new__(cls)
+        poset._store(elems, up)
+        return poset
+
+    def _store(self, elems: tuple, up: Sequence[int]):
         pairs = []
         for i, up_i in enumerate(up):
             if up_i >> i & 1:
                 raise InputError(f"order relation is not irreflexive at {elems[i]!r}")
-            while up_i:
-                low = up_i & -up_i
-                pairs.append((elems[i], elems[low.bit_length() - 1]))
-                up_i ^= low
+            rest = up_i
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if up[j] & ~up_i:
+                    raise InputError(f"up-sets are not transitively closed at {elems[i]!r}")
+                pairs.append((elems[i], elems[j]))
+                rest ^= low
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "less", frozenset(pairs))
 
@@ -65,6 +85,13 @@ class FinitePoset:
         return tuple(
             x for x in self.elements if (lower, x) in self.less and (x, upper) in self.less
         )
+
+
+def _positions(elems: tuple) -> dict:
+    index = {x: i for i, x in enumerate(elems)}
+    if len(index) != len(elems):
+        raise InputError("duplicate poset elements")
+    return index
 
 
 def _vertex_key(v):

@@ -336,6 +336,13 @@ class _FlowGraph:
                         queue.append(v)
         return None
 
+    def hold(self, node: int, flow: int):
+        """Mark a node whose edges to the hub are blocked with `flow` units
+        on them.  At flow 0 nothing can pass through it, so no search enters
+        it; with positive flow a path may still reroute that flow between
+        its other edges, so it stays open."""
+        self.live[node] = flow > 0
+
     def push(self, src: int, dst: int, want: int | None = None, backward: bool = False) -> int:
         """Augment from src to dst, up to want units (None: a maximum flow).
 
@@ -743,7 +750,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             if x > lo:
                 x -= shift(e, lo - x)
             values[i], top[i] = x, min(hi, bound)
-            live[nodes[i]] = x > 0
+            graph.hold(nodes[i], x)
             partial[i + 1] = partial[i] + signs[i] * x
             tick()
             i += 1
@@ -755,7 +762,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             e, x = edges[i], values[i]
             if x < top[i] and shift(e, 1):
                 values[i] = x + 1
-                live[nodes[i]] = True
+                graph.hold(nodes[i], x + 1)
                 partial[i + 1] += signs[i]
                 tick()
                 since = i

@@ -10,9 +10,11 @@ import pytest
 from invar import (
     AffineSubspace,
     BettiVector,
+    FinitePoset,
     InputError,
     InputWarning,
     QMatrix,
+    SimplicialComplex,
     boundary_matrix,
     build_lattice,
     cdr_table,
@@ -23,7 +25,15 @@ from invar import (
     order_complex,
     reduced_betti,
 )
-from invar.arrangements import _interval_complexes
+from invar import arrangements
+from invar.arrangements import (
+    _canonical_rows,
+    _hyperplane_components,
+    _interval_complexes,
+    _moebius,
+    _sorted_by_rref,
+)
+from invar.qlinalg import _echelon_int
 from conftest import coordinate_hyperplane, random_hyperplane, random_subspace
 from test_qlinalg import reference_rref
 
@@ -51,17 +61,88 @@ def pencil_arrangement(k):
     return comps + [AffineSubspace.from_rows(3, [[0, 0, 1, 0]])]
 
 
-def random_mixed_arrangements(rng, count):
+def random_mixed_components(rng, count):
     """Seeded central and affine arrangements of subspaces of mixed dimension."""
     corpus = []
     for _ in range(count):
         n = rng.randint(2, 5)
         central = rng.random() < 0.5
-        comps = [random_subspace(rng, n, central) for _ in range(rng.randint(1, 5))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InputWarning)
-            corpus.append(build_lattice(comps))
+        corpus.append([random_subspace(rng, n, central) for _ in range(rng.randint(1, 5))])
     return corpus
+
+
+def quiet_lattice(comps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InputWarning)
+        return build_lattice(comps)
+
+
+def random_mixed_arrangements(rng, count):
+    return [quiet_lattice(comps) for comps in random_mixed_components(rng, count)]
+
+
+def random_hyperplane_components(rng, count):
+    """Seeded central and affine hyperplane arrangements, some with lines or
+    planes added, so that hyperplane-type flats sit next to the others."""
+    corpus = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        central = rng.random() < 0.5
+        comps = [random_hyperplane(rng, n, central) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            comps += [random_subspace(rng, n, central) for _ in range(rng.randint(1, 2))]
+        corpus.append(comps)
+    return corpus
+
+
+def reference_build_lattice(components):
+    """The former builder, as an oracle: prune by stacked ranks, meet every
+    flat with every component by eliminating the stacked system, sort by the
+    Fraction rref, list every ordered pair of masks and close them by
+    FinitePoset's Warshall.  Returns (subspaces, masks, poset), ambient last."""
+    n = components[0].ambient_dim
+    unique = list(dict.fromkeys(components))
+
+    def inside(a, b):
+        return len(_echelon_int(a.rows + b.rows, n + 1)) == len(a.rows)
+
+    comps = [c for c in unique if not any(c != o and inside(c, o) for o in unique)]
+    masks = {}
+    seen = set(comps)
+    worklist = list(comps)
+    while worklist:
+        flat = worklist.pop()
+        mask = 0
+        for j, c in enumerate(comps):
+            rows = _canonical_rows(n, flat.rows + c.rows)
+            meet = None if rows is None else AffineSubspace.from_rows(n, rows)
+            if meet == flat:
+                mask |= 1 << j
+            elif meet is not None and meet not in seen:
+                seen.add(meet)
+                worklist.append(meet)
+        masks[flat] = mask
+    ordered = sorted(masks, key=lambda s: (s.dim, reference_canonical(n, s.rows)))
+    subspaces = ordered + [AffineSubspace.ambient(n)]
+    flat_masks = [masks[s] for s in ordered] + [0]
+    pairs = [
+        (a, b)
+        for a, mask_a in enumerate(flat_masks)
+        for b, mask_b in enumerate(flat_masks)
+        if mask_a & mask_b == mask_b and mask_a != mask_b
+    ]
+    return subspaces, flat_masks, FinitePoset(range(len(subspaces)), pairs)
+
+
+def homology_path_table(lattice):
+    """The Cech-de Rham table with every interval ranked through its complex."""
+    d = lattice.dim()
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
+        betti = reduced_betti(complex_)
+        for k in range(-1, betti.max_degree() + 1):
+            rows[flat.dim][flat.dim + 1 + k] += betti[k]
+    return rows
 
 
 def pairwise_inclusion_order(lattice):
@@ -161,13 +242,14 @@ class TestAffineSubspaceAgainstReference:
 
     def test_random_pairs(self):
         kinds = {"equal": 0, "contained": 0, "empty": 0}
+        by_ambient = {}  # n -> {subspace: (dim, Fraction rref rows)}
         for n, rows_a, rows_b in random_presentation_pairs(1234, 400):
             a, b = AffineSubspace.from_rows(n, rows_a), AffineSubspace.from_rows(n, rows_b)
             ref_a, ref_b = reference_canonical(n, rows_a), reference_canonical(n, rows_b)
             for sub, ref in ((a, ref_a), (b, ref_b)):
                 assert sub.equations == QMatrix(ref, ncols=n + 1)
-                assert sub.sort_key() == (n - len(ref), ref)
                 assert sub.dim == n - len(ref)
+                by_ambient.setdefault(n, {})[sub] = (sub.dim, ref)
             assert (a == b) == (ref_a == ref_b)
             if a == b:
                 assert hash(a) == hash(b)
@@ -184,6 +266,13 @@ class TestAffineSubspaceAgainstReference:
             assert a.contained_in(b) == (stacked == len(ref_a))
             kinds["contained"] += a.contained_in(b)
         assert min(kinds.values()) >= 20
+        # the integer sort key orders flats exactly as the Fraction rref does
+        rng = random.Random(4321)
+        assert sum(map(len, by_ambient.values())) >= 500
+        for subspaces in by_ambient.values():
+            shuffled = list(subspaces)
+            rng.shuffle(shuffled)
+            assert _sorted_by_rref(shuffled) == sorted(shuffled, key=subspaces.__getitem__)
 
 
 class TestBuildLattice:
@@ -284,6 +373,21 @@ class TestCdrTable:
         assert table.entry(0, 1) == 1  # their crossing point
         assert complement_betti(table, 3) == [0, 1, 0, 1, 1, 0]
 
+    def test_only_flats_below_a_non_hyperplane_are_ranked(self, monkeypatch):
+        ranked = []
+
+        def counted(complex_):
+            ranked.append(complex_)
+            return reduced_betti(complex_)
+
+        monkeypatch.setattr(arrangements, "reduced_betti", counted)
+        table = cdr_table(build_lattice(braid_arrangement(5)))
+        assert [r[-1] for r in table.entries] == [0, 24, 50, 35, 10]
+        assert ranked == []
+        plane = AffineSubspace.from_rows(3, [[0, 0, 1, 0]])
+        cdr_table(build_lattice([plane, coordinate_line(3, 2)]))
+        assert len(ranked) == 2  # the line and the point; the plane gets mu
+
     def test_non_central_parallel_and_crossing_lines(self):
         # x=0, x=1, y=0: two crossing points, one parallel pair.
         # oracle: b1 of a line-arrangement complement equals the number of
@@ -340,7 +444,7 @@ class TestAgainstReferencePaths:
 
     def test_interval_betti_matches_order_complex(self, rng):
         for lattice in self.corpus(rng):
-            for flat, complex_ in _interval_complexes(lattice):
+            for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
                 reference = order_complex(lattice.poset, flat.id, lattice.top_id)
                 assert reduced_betti(complex_) == qmatrix_betti(reference)
 
@@ -350,9 +454,11 @@ class TestAgainstReferencePaths:
         # order complex 74 chains plus the empty one.  Pencil k=5: the crosscut
         # has 2^k + k + 1 = 38 faces, the order complex 5k + 3 = 28
         boolean = build_lattice([coordinate_hyperplane(4, i) for i in range(4)])
-        assert max(len(k.simplices) for _, k in _interval_complexes(boolean)) == 2**4 - 1
+        flats = boolean.proper_flats()
+        assert max(len(k.simplices) for _, k in _interval_complexes(boolean, flats)) == 2**4 - 1
         pencil = build_lattice(pencil_arrangement(5))
-        assert max(len(k.simplices) for _, k in _interval_complexes(pencil)) == 5 * 5 + 3
+        flats = pencil.proper_flats()
+        assert max(len(k.simplices) for _, k in _interval_complexes(pencil, flats)) == 5 * 5 + 3
 
     def test_pencil_of_planes(self):
         # the crosscut at the point has 2^k + k + 1 faces, so this stalls
@@ -382,6 +488,72 @@ class TestAgainstReferencePaths:
                 assert alternating == sum(
                     mu[f.id] for f in lattice.proper_flats() if f.dim == p
                 )
+
+
+class TestBuildLatticeAgainstReference:
+    """Containment-first meets, the integer sort and the up-sets against
+    the former pair-list builder, reference_build_lattice."""
+
+    def corpus(self):
+        rng = random.Random(6060)
+        comps = random_mixed_components(rng, 80) + random_hyperplane_components(rng, 40)
+        comps += [[coordinate_hyperplane(n, i) for i in range(n)] for n in (2, 3, 4)]
+        comps += [braid_arrangement(n) for n in (3, 4, 5)]
+        comps += [pencil_arrangement(k) for k in (2, 5)]
+        return comps
+
+    def test_flats_masks_and_order(self):
+        affine = 0
+        for comps in self.corpus():
+            lattice = quiet_lattice(comps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", InputWarning)
+                subspaces, masks, poset = reference_build_lattice(comps)
+            assert [f.subspace for f in lattice.flats] == subspaces
+            assert [f.id for f in lattice.flats] == list(range(len(subspaces)))
+            assert list(lattice.masks) == masks
+            assert lattice.poset.less == poset.less
+            for i, up in enumerate(lattice.up):
+                assert up == sum(1 << b for a, b in poset.less if a == i)
+            affine += not all(s.is_linear() for s in subspaces)
+        assert affine >= 30
+
+    def test_moebius_cells_match_interval_homology(self):
+        # Folkman: for a hyperplane-type flat F, both complexes of (F, ambient)
+        # have reduced homology |mu(F, ambient)| in degree codim F - 2 only
+        checked = 0
+        for comps in self.corpus():
+            lattice = quiet_lattice(comps)
+            n, top = lattice.ambient_dim, lattice.top_id
+            hyperplanes = sum(
+                lattice.masks[f.id] for f in lattice.maximal_proper_flats() if f.dim == n - 1
+            )
+            assert _hyperplane_components(lattice) == hyperplanes
+            if not hyperplanes:
+                continue
+            mu = _moebius(lattice)
+            poset = lattice.poset
+            for flat in lattice.proper_flats():
+                if lattice.masks[flat.id] & ~hyperplanes:
+                    continue
+                above = [g for g in range(top) if (flat.id, g) in poset.less]
+                union = 0
+                for g in above:
+                    union |= lattice.masks[g]
+                bits = lambda m: [j for j in range(m.bit_length()) if m >> j & 1]
+                crosscut = SimplicialComplex(bits(union), [bits(lattice.masks[g]) for g in above])
+                chains = order_complex(poset, flat.id, top)
+                codim = n - flat.dim
+                expected = BettiVector([0] * (codim - 1) + [abs(mu[flat.id])])
+                assert reduced_betti(crosscut) == expected
+                assert qmatrix_betti(chains) == expected
+                checked += 1
+        assert checked >= 500
+
+    def test_table_matches_homology_path(self):
+        for comps in self.corpus():
+            lattice = quiet_lattice(comps)
+            assert [list(r) for r in cdr_table(lattice).entries] == homology_path_table(lattice)
 
 
 class TestComplementBetti:

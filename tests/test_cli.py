@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +273,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# `arrangement lattice` in both formats, recorded from the pair-list builder
+# with its Fraction rref sort: boolean n=4, braid n=4, three planes of C^3
+# through a line plus a transversal one, and two affine arrangements of
+# mixed dimension whose flats have rational rrefs
+GOLDEN_LATTICE = json.loads(
+    (Path(__file__).parent / "golden" / "arrangement_lattice.json").read_text()
+)
+
+
+class TestLatticeGolden:
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_LATTICE))
+    def test_output(self, tmp_path, capsys, name, fmt):
+        case = GOLDEN_LATTICE[name]
+        path = write(tmp_path, f"{name}.json", case["input"])
+        code, out, err = run(capsys, "arrangement", "lattice", "--input", path, "--format", fmt)
+        assert (code, out, err) == (0, case[fmt], "")
 
 
 class TestArrangementCommands:

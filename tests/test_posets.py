@@ -129,6 +129,41 @@ class TestPosetValidation:
                     FinitePoset(elements, pairs + [(b, a)])
 
 
+class TestFromUpSets:
+    def up_sets(self, poset):
+        index = {x: i for i, x in enumerate(poset.elements)}
+        up = [0] * len(index)
+        for a, b in poset.less:
+            up[index[a]] |= 1 << index[b]
+        return up
+
+    def test_matches_the_closure(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            rank = {x: rng.random() for x in "abcdefghi"[:n]}
+            elements = sorted(rank, key=lambda _: rng.random())
+            pairs = [(a, b) for a in elements for b in elements
+                     if rank[a] < rank[b] and rng.random() < 0.3]
+            poset = FinitePoset(elements, pairs)
+            rebuilt = FinitePoset.from_up_sets(elements, self.up_sets(poset))
+            assert rebuilt.elements == poset.elements
+            assert rebuilt.less == poset.less
+
+    def test_rejects_open_or_malformed_up_sets(self):
+        elements = ["a", "b", "c"]
+        for up in (
+            [0b010, 0b100, 0],  # a < b < c without a < c
+            [0b001, 0, 0],  # a < a
+            [0b110, 0b100],  # one up-set short
+            [0b1000, 0, 0],  # a bit past the last element
+            [-1, 0, 0],
+        ):
+            with pytest.raises(InputError):
+                FinitePoset.from_up_sets(elements, up)
+        with pytest.raises(InputError):
+            FinitePoset.from_up_sets(["a", "a"], [0, 0])
+
+
 class TestReducedBetti:
     def test_empty_complex(self):
         assert reduced_betti(SimplicialComplex.empty())[-1] == 1

@@ -29,6 +29,7 @@ from invar.tables import (
     _antidiagonal_sums,
     _cdr_witness,
     _Counter,
+    _FlowGraph,
     _lambda_completions,
     _lambda_witness,
     _search_limit,
@@ -627,6 +628,46 @@ class TestDeduceAgainstEnumeration:
         result = deduce_lambda(table, bound)
         assert result.contradiction
         assert result.nodes == 1
+
+
+class TestFlowGraphHold:
+    """The rule for a cell the deduction fixes during its search: a search
+    may pass through it exactly when its flow is positive.
+
+    The graph is the lambda graph of a dimension-4 table whose nonzero cells
+    are (0,2), (2,3) and (3,4): the hub feeds the even cell (0,2), whose
+    arrows lead to the odd cells (2,3) and (3,4), which drain to the hub.
+    One unit runs hub -> (0,2) -> (2,3) -> hub.  With (0,2) fixed at 1,
+    lowering (2,3) to 0 has to reroute that unit to (3,4) through (0,2).
+    """
+
+    def fixed_graph(self):
+        graph = _FlowGraph()
+        fixed = graph.add("hub", (0, 2), 2)
+        lowered = graph.add((2, 3), "hub", 2)
+        graph.add((3, 4), "hub", 2)
+        first = graph.add((0, 2), (2, 3), 9)
+        second = graph.add((0, 2), (3, 4), 9)
+        for e in (fixed, first, lowered):
+            graph.cap[e] -= 1
+            graph.cap[e ^ 1] += 1
+        for e in (fixed, lowered):  # both cells' hub edges are blocked
+            graph.cap[e] = graph.cap[e ^ 1] = 0
+        return graph, first, second
+
+    def test_positive_fixed_cell_stays_open(self):
+        graph, first, second = self.fixed_graph()
+        graph.hold(graph.ids[0, 2], 1)
+        assert graph.live[graph.ids[0, 2]]
+        assert graph.push(graph.ids[2, 3], graph.ids["hub"], 1) == 1
+        assert (graph.cap[first ^ 1], graph.cap[second ^ 1]) == (0, 1)
+
+    def test_cell_fixed_at_zero_is_closed(self):
+        graph, first, second = self.fixed_graph()
+        graph.hold(graph.ids[0, 2], 0)
+        assert not graph.live[graph.ids[0, 2]]
+        assert graph.push(graph.ids[2, 3], graph.ids["hub"], 1) == 0
+        assert (graph.cap[first ^ 1], graph.cap[second ^ 1]) == (1, 0)
 
 
 class TestCdrFlowAgainstSearch:
