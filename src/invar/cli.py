@@ -6,8 +6,12 @@ its node limit (INVAR_SEARCH_LIMIT; message on stderr).  Output is either an
 aligned text table (zeros printed as a middle dot) or a single JSON document;
 for tables the JSON keys are always kind, dim, entries, notes in that order.
 
-One table, _GROUPS, names each group's help, handler and commands.  A call
-builds parsers only for the top level, the named group and its named command.
+One table, _GROUPS, names each group's help, handler and commands.  A
+well-formed argv, `group command --flag value ... [--flag=value] [--strict]`,
+is read straight from that table and builds no parser.  Any other argv, and
+every request for help, goes to argparse, which builds parsers only for the
+top level, the named group and its named command, and alone writes help,
+usage and error text.
 """
 
 from __future__ import annotations
@@ -227,6 +231,60 @@ _GROUPS = {
 }
 
 
+# the add_argument keywords _read_canonical reads; any other sends the argv to argparse
+_READ_KEYWORDS = frozenset({"type", "choices", "required", "default", "action", "help"})
+
+
+def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's Namespace for `group command --flag value ... [--flag=value] [--strict]`.
+
+    Names, type, choices, required, default and store_true come from _GROUPS.
+    Anything else gives None: an unknown or abbreviated option, -h, --, a
+    stray word, a separate value starting with "-", a missing required
+    option, a bad int or choice, --strict=..., or an add_argument keyword not
+    in _READ_KEYWORDS.  main then parses with argparse, so help, usage and
+    error text have one source.
+    """
+    if len(argv) < 2 or argv[0] not in _GROUPS or argv[1] not in _GROUPS[argv[0]][2]:
+        return None
+    arguments = dict(_GROUPS[argv[0]][2][argv[1]])
+    if any(options.keys() - _READ_KEYWORDS or options.get("action", "store_true") != "store_true"
+           for options in arguments.values()):
+        return None
+    given = {}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        options = arguments.get(flag)
+        if options is None:
+            return None
+        if "action" in options:
+            if equals:
+                return None
+            given[flag] = True
+            continue
+        if not equals:
+            value = next(tokens, None)
+            # argparse may read "-2" as a value or "-h" as help: let it decide
+            if value is None or value.startswith("-"):
+                return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[flag] = value
+    values = {"group": argv[0], "command": argv[1]}
+    for flag, options in arguments.items():
+        if flag not in given and options.get("required"):
+            return None
+        default = options.get("default", False if "action" in options else None)
+        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
+    return argparse.Namespace(**values)
+
+
 def _chosen_only(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
     """The parser_class of every add_subparsers: a parser for the chosen name only."""
     return argparse.ArgumentParser(**kwargs) if chosen else None
@@ -235,9 +293,10 @@ def _chosen_only(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
 def _build_parser(group: str | None, command: str | None) -> argparse.ArgumentParser:
     """The top level, and below it parsers only for `group` and its `command`.
 
-    Every name still goes through add_parser, so usage lines, choice lists,
-    help listings and "invalid choice" errors are unchanged.  argparse reads
-    a subparser only under a valid name it parsed, and main passes those here.
+    main builds it only for an argv that _read_canonical declines.  Every
+    name still goes through add_parser, so usage lines, choice lists, help
+    listings and "invalid choice" errors are unchanged.  argparse reads a
+    subparser only under a valid name it parsed, and main passes those here.
     """
     parser = argparse.ArgumentParser(
         prog="invar",
@@ -258,10 +317,12 @@ def _build_parser(group: str | None, command: str | None) -> argparse.ArgumentPa
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes the first two arguments not starting with "-" as the
-    # group and its command whenever they exist, so no other parser is reached
-    names = [arg for arg in argv if not arg.startswith("-")] + [None, None]
-    args = _build_parser(*names[:2]).parse_args(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        # argparse takes the first two arguments not starting with "-" as the
+        # group and its command whenever they exist, so no other parser is reached
+        names = [arg for arg in argv if not arg.startswith("-")] + [None, None]
+        args = _build_parser(*names[:2]).parse_args(argv)
     handler = _GROUPS[args.group][1]
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -672,13 +672,17 @@ class TestParser:
         assert capsys.readouterr() == (HELP[("table",)], "")
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["table", "check", "--input", "in.json"], 3),
-        (["arrangement", "cdr", "--input", "in.json"], 3),
-        (["fan", "picard", "--input", "in.json"], 3),
+        (["table", "check", "--input", "in.json"], 0),
+        (["arrangement", "cdr", "--input", "in.json", "--format", "json"], 0),
+        (["fan", "picard", "--input", "in.json", "--strict"], 0),
+        (["tables", "small", "--dim", "2", "--a", "3"], 0),
+        (["table", "check", "--inp", "in.json"], 3),
+        (["table", "deduce", "--input", "in.json", "--bound", "-2"], 3),
         (["table", "-h"], 2),
         (["-x", "table", "-h"], 2),
         (["-h"], 1),
-    ], ids=["table-check", "arrangement-cdr", "fan-picard", "table-help",
+    ], ids=["table-check", "arrangement-cdr", "fan-picard", "tables-small",
+            "abbreviated-option", "negative-value", "table-help",
             "unknown-option-table-help", "help"])
     def test_builds_only_the_named_group(self, argv, parsers, monkeypatch, capsys):
         calls = []
@@ -693,7 +697,8 @@ class TestParser:
             main(argv)
         except SystemExit:
             pass
-        # the top level, then the named group, then its named command
+        # none for a canonical argv; otherwise the top level, then the named
+        # group, then its named command
         assert len(calls) == parsers
 
     def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
@@ -823,6 +828,53 @@ class TestAgainstReferenceParser:
             kinds[expected[0] if expected[0][0] == "exit" else "parsed"] += 1
         # parses, help texts and usage errors all occur often
         assert min(kinds.values()) >= 100 and len(kinds) == 3, kinds
+
+    def test_reader_takes_every_valid_argv(self):
+        # as the benchmark calls main: an absolute path, a bound, json last
+        path = str(Path(__file__).resolve().parent / "in.json")
+        benchmark = ("table", "deduce", "--input", path, "--bound", "8", "--format", "json")
+        for argv in [*valid_argvs(), benchmark]:
+            assert cli._read_canonical(list(argv)) == reference_parse(list(argv)), argv
+
+    def test_reader_agrees_on_random_argvs(self):
+        accepted = 0
+        for argv in random_argvs(2000, seed=1010):
+            args = cli._read_canonical(list(argv))
+            if args is not None:
+                accepted += 1
+                assert outcome(reference_parse, argv) == (("parsed", vars(args)), "", ""), argv
+        # a reader that declined everything would pass every other parity test
+        assert accepted >= 100, accepted
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "check", "--inp", "in.json"),
+        ("table", "deduce", "--input", "in.json", "--bound", "-2"),
+        ("table", "check", "--input"),
+        ("table", "check", "--input", "in.json", "--strict=1"),
+        ("table", "check", "--input", "in.json", "--format", "xml"),
+        ("table", "deduce", "--input", "in.json", "--bound", "x"),
+        ("table", "check", "--", "--input", "in.json"),
+        ("table", "check", "--input", "in.json", "-h"),
+        ("table", "check", "--input", "in.json", "stray"),
+        ("table", "check", "--format", "json"),
+        ("tables", "small", "--a", "3"),
+    ], ids=["abbreviated", "negative-value", "no-value", "strict-value", "bad-choice",
+            "bad-int", "double-dash", "help", "stray-word", "no-input", "no-dim"])
+    def test_reader_declines(self, argv):
+        assert cli._read_canonical(list(argv)) is None
+        assert outcome(parse_by_main, argv) == outcome(reference_parse, argv)
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (("table", "check", "--input", "in.json", "--format=json"), "format", "json"),
+        (("table", "deduce", "--input", "in.json", "--bound=-2"), "bound", -2),
+        (("table", "check", "--input="), "input", ""),
+        (("table", "check", "--input", "in.json", "--format", "json", "--format", "pretty"),
+         "format", "pretty"),
+    ], ids=["format-equals", "negative-bound-equals", "empty-input", "last-format-wins"])
+    def test_reader_accepts(self, argv, dest, value):
+        args = cli._read_canonical(list(argv))
+        assert args == reference_parse(list(argv))
+        assert getattr(args, dest) == value
 
 
 class TestJsonRoundTrip:
