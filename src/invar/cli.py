@@ -9,9 +9,8 @@ for tables the JSON keys are always kind, dim, entries, notes in that order.
 One table, _GROUPS, names each group's help, handler and commands.  A
 well-formed argv, `group command --flag value ... [--flag=value] [--strict]`,
 is read straight from that table and builds no parser.  Any other argv, and
-every request for help, goes to argparse, which builds parsers only for the
-top level, the named group and its named command, and alone writes help,
-usage and error text.
+every request for help, goes to the full argparse tree of that table, which
+alone writes help, usage and error text.
 """
 
 from __future__ import annotations
@@ -231,26 +230,19 @@ _GROUPS = {
 }
 
 
-# the add_argument keywords _read_canonical reads; any other sends the argv to argparse
-_READ_KEYWORDS = frozenset({"type", "choices", "required", "default", "action", "help"})
-
-
 def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
     """argparse's Namespace for `group command --flag value ... [--flag=value] [--strict]`.
 
-    Names, type, choices, required, default and store_true come from _GROUPS.
+    Names, type, choices, required, default and store_true come from _GROUPS,
+    whose options use no other add_argument keyword (a test pins this).
     Anything else gives None: an unknown or abbreviated option, -h, --, a
     stray word, a separate value starting with "-", a missing required
-    option, a bad int or choice, --strict=..., or an add_argument keyword not
-    in _READ_KEYWORDS.  main then parses with argparse, so help, usage and
-    error text have one source.
+    option, a bad int or choice, or --strict=....  main then parses with
+    argparse, so help, usage and error text have one source.
     """
     if len(argv) < 2 or argv[0] not in _GROUPS or argv[1] not in _GROUPS[argv[0]][2]:
         return None
     arguments = dict(_GROUPS[argv[0]][2][argv[1]])
-    if any(options.keys() - _READ_KEYWORDS or options.get("action", "store_true") != "store_true"
-           for options in arguments.values()):
-        return None
     given = {}
     tokens = iter(argv[2:])
     for token in tokens:
@@ -285,32 +277,22 @@ def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
-def _chosen_only(chosen: bool, **kwargs) -> argparse.ArgumentParser | None:
-    """The parser_class of every add_subparsers: a parser for the chosen name only."""
-    return argparse.ArgumentParser(**kwargs) if chosen else None
+def _build_parser() -> argparse.ArgumentParser:
+    """The full argparse tree of _GROUPS.
 
-
-def _build_parser(group: str | None, command: str | None) -> argparse.ArgumentParser:
-    """The top level, and below it parsers only for `group` and its `command`.
-
-    main builds it only for an argv that _read_canonical declines.  Every
-    name still goes through add_parser, so usage lines, choice lists, help
-    listings and "invalid choice" errors are unchanged.  argparse reads a
-    subparser only under a valid name it parsed, and main passes those here.
+    main builds it only for an argv that _read_canonical declines, so it is
+    the one source of help, usage and error text.
     """
     parser = argparse.ArgumentParser(
         prog="invar",
         description="Invariant tables of subspace arrangements and toric 3-folds",
     )
-    sub = parser.add_subparsers(dest="group", required=True, parser_class=_chosen_only)
+    sub = parser.add_subparsers(dest="group", required=True)
     for name, (help_text, _, commands) in _GROUPS.items():
-        group_parser = sub.add_parser(name, help=help_text, chosen=name == group)
-        if group_parser is None:
-            continue
-        csub = group_parser.add_subparsers(dest="command", required=True, parser_class=_chosen_only)
+        csub = sub.add_parser(name, help=help_text).add_subparsers(dest="command", required=True)
         for choice, arguments in commands.items():
-            command_parser = csub.add_parser(choice, chosen=choice == command)
-            for flag, options in arguments if choice == command else ():
+            command_parser = csub.add_parser(choice)
+            for flag, options in arguments:
                 command_parser.add_argument(flag, **options)
     return parser
 
@@ -319,10 +301,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_canonical(argv)
     if args is None:
-        # argparse takes the first two arguments not starting with "-" as the
-        # group and its command whenever they exist, so no other parser is reached
-        names = [arg for arg in argv if not arg.startswith("-")] + [None, None]
-        args = _build_parser(*names[:2]).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     handler = _GROUPS[args.group][1]
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .qlinalg import _content_free, _echelon_int, _nullspace_int
+from .qlinalg import _content_free, _echelon_int, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
 IVec = tuple[int, int, int]
@@ -60,18 +60,18 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     """Exact feasibility of a system of inequalities coeffs . x >= const.
 
     Returns a rational witness point, or None when the system is infeasible.
-    Variables are eliminated one at a time (smallest positive*negative count
-    first), on each inequality scaled once to a tuple of coprime integers
-    (coeffs..., const); only the witness is in Fractions.  Desk-scale only.
+    Coefficients and constants are ints or whatever parse_rational reads, so
+    floats and bools raise InputError.  Variables are eliminated one at a
+    time (smallest positive*negative count first), on each inequality scaled
+    once to a tuple of coprime integers (coeffs..., const); only the witness
+    is in Fractions.  Desk-scale only.
     """
     system = []
     for coeffs, const in inequalities:
-        row = [Fraction(c) for c in coeffs]
-        if len(row) != nvars:
+        row = [x if type(x) is int else parse_rational(x) for x in (*coeffs, const)]
+        if len(row) != nvars + 1:
             raise InputError("inequality arity does not match the variable count")
-        row.append(Fraction(const))
-        m = lcm(*(x.denominator for x in row))
-        system.append(_content_free([x.numerator * (m // x.denominator) for x in row]))
+        system.append(_content_free(_scaled_to_int(row)))
     system = list(dict.fromkeys(system))
     remaining = list(range(nvars))
     stages = []

@@ -4,11 +4,13 @@ at the boundary.
 All elimination runs on Python ints and is fraction-free (cross-multiplied
 rows, with a gcd content reduction against entry growth): `_echelon_int`
 gives an echelon form, `_reduced_int` its primitive reduced form and
-`_nullspace_int` primitive nullspace vectors.  The arrangement, fan and
-table layers call these directly.  `fractions.Fraction` appears only at the
-boundary: rational literals, and the `QMatrix` wrappers, which scale their
-rows to integers once and read the rational rref off the reduced rows.
-Nothing ever rounds.  Matrices are dense; desk-scale sizes only.
+`_nullspace_int` primitive nullspace vectors, all on dense rows.
+`_extend_sparse_echelon` is the same elimination one sparse row at a time;
+it holds the deduction engine's basis of completion differences.  The
+arrangement, fan and table layers call these directly.  `fractions.Fraction`
+appears only at the boundary: rational literals, and the `QMatrix` wrappers,
+which scale their rows to integers once and read the rational rref off the
+reduced rows.  Nothing ever rounds.  Desk-scale sizes only.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational literal: {value!r}") from exc
     raise InputError(f"not a rational literal: {value!r} (floats are not accepted)")
+
+
+def _scaled_to_int(row: Sequence[int | Fraction]) -> list[int]:
+    """A row of ints and Fractions times the lcm of its denominators."""
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row]
 
 
 def format_rational(x: Fraction):
@@ -103,11 +111,7 @@ class QMatrix:
 
     def scale_rows_to_int(self) -> list[list[int]]:
         """Clear denominators row by row (rank-preserving)."""
-        out = []
-        for row in self.entries:
-            m = lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (m // x.denominator) for x in row])
-        return out
+        return [_scaled_to_int(row) for row in self.entries]
 
     def rank(self) -> int:
         return len(_echelon_int(self.scale_rows_to_int(), self.ncols))

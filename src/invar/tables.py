@@ -658,10 +658,7 @@ _VALUE_CAP = 200000
 
 
 def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
-    """Yield (since, values) for every convergent completion, in lexicographic order.
-
-    values are the unknowns' values; since is the first index at which they
-    differ from the previous completion's (0 for the first).
+    """Yield the unknowns' values of every convergent completion, in lexicographic order.
 
     entries hold the known values, with None at the unknowns, and already
     pass validate_lambda; every unknown ranges over 0..bound, and (d,d) over
@@ -715,7 +712,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             return  # a contradiction
         cap[e], cap[e ^ 1] = u - x, x - floor
     if not unknowns:
-        yield 0, ()
+        yield ()
         return
 
     # an O(1) prefilter: any convergent completion has alternating sum 1, so
@@ -736,7 +733,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
     edges = [edge[c] for c in unknowns[:n]]
     nodes = [graph.ids[c] for c in unknowns[:n]]
     values, top, partial = [0] * n, [0] * n, [0] * (n + 1)
-    i = since = 0
+    i = 0
     while True:
         while i < n:  # descend, fixing each unknown at its least feasible value
             e, rest = edges[i], need - partial[i]
@@ -754,7 +751,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             partial[i + 1] = partial[i] + signs[i] * x
             tick()
             i += 1
-        yield since, tuple(values) + ((need - partial[n]) * signs[n],)
+        yield tuple(values) + ((need - partial[n]) * signs[n],)
         while True:  # the next value of the deepest unknown that has one
             i -= 1
             if i < 0:
@@ -765,7 +762,6 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
                 graph.hold(nodes[i], x + 1)
                 partial[i + 1] += signs[i]
                 tick()
-                since = i
                 i += 1
                 break
             cap[e], cap[e ^ 1] = bound - x, x
@@ -780,7 +776,10 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     the (0,d)/(1,d) corner for d >= 2); the remaining unknowns range over
     0..bound.  Reports cells that take the same value in every feasible
     completion (structurally zeroed cells included) and a basis of integer
-    linear relations satisfied by all of them.
+    linear relations satisfied by all of them.  Both come from one sparse
+    echelon basis of the differences (completion - first): an unknown is
+    forced when no basis row touches it, and the relations are the integer
+    nullspace of the rows.
     """
     if table.kind != KIND_LYUBEZNIK:
         raise InputError("deduce_lambda expects a lyubeznik table")
@@ -798,50 +797,42 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     counter.tick()  # the root
 
     first: tuple[int, ...] | None = None
-    delta: dict[int, int] = {}  # the current completion less first, sparse
-    diffs: list[list[int]] = []  # completions less first that raised the rank
-    echelon: dict = {}
-    varying: set[int] = set()  # indices of unknowns that differ from first somewhere
+    echelon: dict = {}  # a sparse echelon basis of the completions less first
     completions: list[tuple[int, ...]] = []
     cap = min(_COMPLETION_CAP, _VALUE_CAP // max(len(unknowns), 1))
     count = 0
     # if the known entries alone violate the structure, no completion exists
     if not validate_lambda(base):
-        for since, vec in _lambda_completions(base.entries, unknowns, b, counter.tick):
+        for vec in _lambda_completions(base.entries, unknowns, b, counter.tick):
             count += 1
             if first is None:
                 first = vec
             else:
-                for i in range(since, len(vec)):
-                    if vec[i] != first[i]:
-                        delta[i] = vec[i] - first[i]
-                        varying.add(i)
-                    else:
-                        delta.pop(i, None)
-                if _extend_sparse_echelon(echelon, dict(delta)):
-                    diffs.append([v - f for v, f in zip(vec, first)])
+                _extend_sparse_echelon(
+                    echelon, {i: v - f for i, (v, f) in enumerate(zip(vec, first)) if v != f})
             if count <= cap:
                 completions.append(vec)
 
+    # an unknown varies iff some difference, so some basis row, is nonzero there
+    diffs = list(echelon.values())
+    varying = set().union(*diffs)
     forced: dict[Cell, int] = {}
     identities: list[LinearRelation] = []
     if count > 0:
         forced = dict(sorted({**structural, **{
             cell: v for i, (cell, v) in enumerate(zip(unknowns, first)) if i not in varying
         }}.items()))
-    if count > 0 and diffs:
-        cols = sorted(varying)
-        dmat = [[row[i] for i in cols] for row in diffs]
-        for ints in _nullspace_int(dmat, len(cols)):
-            lead = next(i for i, x in enumerate(ints) if x != 0)
-            if ints[lead] < 0:
-                ints = [-x for x in ints]
-            const = -sum(coeff * first[i] for i, coeff in zip(cols, ints))
-            coeffs = tuple(
-                (unknowns[i], coeff) for i, coeff in zip(cols, ints) if coeff
-            )
-            identities.append(LinearRelation(coeffs, const))
-        identities.sort(key=lambda r: r.coeffs)
+    cols = sorted(varying)
+    for ints in _nullspace_int([[row.get(i, 0) for i in cols] for row in diffs], len(cols)):
+        lead = next(i for i, x in enumerate(ints) if x != 0)
+        if ints[lead] < 0:
+            ints = [-x for x in ints]
+        const = -sum(coeff * first[i] for i, coeff in zip(cols, ints))
+        coeffs = tuple(
+            (unknowns[i], coeff) for i, coeff in zip(cols, ints) if coeff
+        )
+        identities.append(LinearRelation(coeffs, const))
+    identities.sort(key=lambda r: r.coeffs)
 
     return DeductionResult(
         unknown_cells=unknowns,
@@ -854,7 +845,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
         truncated=count > cap,
         nodes=counter.nodes,
         _first=first,
-        _diffs=tuple(tuple(v) for v in diffs),
+        _diffs=tuple(tuple(row.get(i, 0) for i in range(len(unknowns))) for row in diffs),
     )
 
 

@@ -676,11 +676,11 @@ class TestParser:
         (["arrangement", "cdr", "--input", "in.json", "--format", "json"], 0),
         (["fan", "picard", "--input", "in.json", "--strict"], 0),
         (["tables", "small", "--dim", "2", "--a", "3"], 0),
-        (["table", "check", "--inp", "in.json"], 3),
-        (["table", "deduce", "--input", "in.json", "--bound", "-2"], 3),
-        (["table", "-h"], 2),
-        (["-x", "table", "-h"], 2),
-        (["-h"], 1),
+        (["table", "check", "--inp", "in.json"], 17),
+        (["table", "deduce", "--input", "in.json", "--bound", "-2"], 17),
+        (["table", "-h"], 17),
+        (["-x", "table", "-h"], 17),
+        (["-h"], 17),
     ], ids=["table-check", "arrangement-cdr", "fan-picard", "tables-small",
             "abbreviated-option", "negative-value", "table-help",
             "unknown-option-table-help", "help"])
@@ -697,9 +697,19 @@ class TestParser:
             main(argv)
         except SystemExit:
             pass
-        # none for a canonical argv; otherwise the top level, then the named
-        # group, then its named command
+        # none for a canonical argv; otherwise the full tree: the top level,
+        # 4 groups and 12 commands
         assert len(calls) == parsers
+
+    def test_options_use_only_what_the_reader_reads(self):
+        # _read_canonical reads these keywords alone; it would misread any other
+        readable = {"type", "choices", "required", "default", "action", "help"}
+        for group, (_, _, commands) in cli._GROUPS.items():
+            for command, arguments in commands.items():
+                for flag, options in arguments:
+                    where = (group, command, flag)
+                    assert options.keys() <= readable, where
+                    assert options.get("action", "store_true") == "store_true", where
 
     def test_console_script_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["invar", "tables", "small", "--dim", "2", "--a", "3"])

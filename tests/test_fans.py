@@ -102,6 +102,13 @@ class TestFourierMotzkin:
         assert fm_feasible(system, 2) == [Fraction(2, 3), Fraction(11, 30)]
         assert fm_feasible(system + [((Fraction(3, 7), 0), 1)], 2) is None
 
+    @pytest.mark.parametrize("system", [
+        [((0.5,), 1)], [((1,), 0.5)], [((True,), 1)], [((1,), False)],
+    ], ids=["float-coefficient", "float-constant", "bool-coefficient", "bool-constant"])
+    def test_floats_and_bools_rejected(self, system):
+        with pytest.raises(InputError, match="not a rational literal"):
+            fm_feasible(system, 1)
+
 
 class TestValidation:
     def test_p3_valid_complete(self):

@@ -1,6 +1,7 @@
 """Table validators, the Euler constraint, and the convergence/deduction engine."""
 
 import random
+from collections import Counter
 from itertools import islice, product
 
 import pytest
@@ -450,6 +451,29 @@ ENGINE_DEDUCTIONS = (
 )
 
 
+def random_relations(rng, result):
+    """Integer relations on the unknowns: two random ones, most exact on the
+    first completion, and a random integer combination of the identities."""
+    first = result.completions[0] if result.completions else (0,) * len(result.unknown_cells)
+    for _ in range(2):
+        coeffs = {cell: rng.randint(-2, 2) for cell in result.unknown_cells}
+        const = -sum(a * v for a, v in zip(coeffs.values(), first))
+        yield coeffs, const + rng.choice((0, 0, 1))
+    coeffs, const = Counter(), 0
+    for rel in result.identities:
+        k = rng.randint(-2, 2)
+        for cell, a in rel.coeffs:
+            coeffs[cell] += k * a
+        const += k * rel.const
+    yield dict(coeffs), const
+
+
+def holds_on_completions(result, coeffs, const):
+    index = {cell: i for i, cell in enumerate(result.unknown_cells)}
+    return all(sum(a * vec[index[cell]] for cell, a in coeffs.items()) + const == 0
+               for vec in result.completions)
+
+
 def assert_same_deduction(result, expected):
     """Every field of two DeductionResults but nodes, and the notes."""
     for name in ("unknown_cells", "bound", "contradiction", "feasible_count", "forced",
@@ -599,6 +623,7 @@ class TestDeduceAgainstEnumeration:
     def test_random_partial_tables(self):
         rng = random.Random(9090)
         outcomes = {"contradiction": 0, "one": 0, "several": 0}
+        implied = Counter()
         for i in range(600):
             rows = replayed_lambda(rng, rng.randint(1, 4))
             if i % 2:
@@ -607,6 +632,11 @@ class TestDeduceAgainstEnumeration:
             bound = rng.randint(0, 4)
             result = deduce_lambda(table, bound)
             assert_same_deduction(result, reference_deduce(table, bound))
+            if not result.truncated:
+                for coeffs, const in random_relations(rng, result):
+                    holds = holds_on_completions(result, coeffs, const)
+                    assert result.implies(coeffs, const) == holds, (coeffs, const)
+                    implied[holds, result.feasible_count > 1] += 1
             # one node per feasible value of each free unknown under a
             # feasible prefix, and the root
             k = len(result.unknown_cells)
@@ -617,6 +647,8 @@ class TestDeduceAgainstEnumeration:
             else:
                 outcomes["one" if result.feasible_count == 1 else "several"] += 1
         assert min(outcomes.values()) > 100, outcomes
+        # implied and refuted relations, on one completion and on several
+        assert len(implied) == 4 and min(implied.values()) > 100, implied
 
     @pytest.mark.parametrize("table, bound", ENGINE_DEDUCTIONS)
     def test_engine_shapes(self, table, bound):
