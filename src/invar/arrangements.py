@@ -25,9 +25,9 @@ The Cech-de Rham table is the reduced homology of each open interval
 [F, ambient] is a geometric lattice and, by Folkman's theorem, that homology
 is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
 the up-sets.  Every other interval is read off its order complex or its
-crosscut complex, whichever has fewer faces, with ranks by exact integer
-elimination.  The module also gives the reduced Betti numbers of the
-complement, a Moebius-function cross-check for central hyperplane
+crosscut complex, whichever has fewer faces, ranked as sparse boundary
+columns with clearing.  The module also gives the reduced Betti numbers of
+the complement, a Moebius-function cross-check for central hyperplane
 arrangements, and the closed-form Lyubeznik tables in dimension <= 2.
 """
 

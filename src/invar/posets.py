@@ -2,11 +2,11 @@
 
 Homology is reduced throughout: the augmented chain complex always carries a
 rank-one degree -(1) term, so the empty complex has b_{-1} = 1 and a point is
-acyclic.  Betti numbers are computed from the ranks of the integer boundary
-matrices, found by exact division-free integer elimination; the rank over Q
-of an integer matrix is its rank over Z.  Any complex can be passed in: the
-arrangement code hands over an order complex or a crosscut complex, whichever
-is smaller.
+acyclic.  Betti numbers come from the ranks of the boundary maps: each
+simplex's boundary is a sparse integer column added to the exact echelon
+basis of `qlinalg._extend_sparse_echelon`, degree by degree from the top down
+with clearing.  Any complex can be passed in: the arrangement code hands over
+an order complex or a crosscut complex, whichever is smaller.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InputError
-from .qlinalg import QMatrix, _echelon_int
+from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
 class FinitePoset:
@@ -163,19 +163,12 @@ class SimplicialComplex:
 
     def k_simplices(self, k: int) -> list[tuple]:
         """The k-simplices as vertex tuples in vertex order, lexicographically."""
-        pos = self._pos
-        found = [
-            tuple(sorted(s, key=pos.__getitem__)) for s in self.simplices if len(s) == k + 1
-        ]
-        return sorted(found, key=lambda s: tuple(pos[v] for v in s))
+        found = [sorted(map(self._pos.__getitem__, s)) for s in self.simplices if len(s) == k + 1]
+        return [tuple(self.vertices[i] for i in s) for s in sorted(found)]
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating simplex count over the augmented complex (degree -1 included)."""
-        total = -1  # rank-one augmentation term in degree -1
-        for s in self.simplices:
-            if s:
-                total += (-1) ** (len(s) - 1)
-        return total
+        return sum((-1) ** (len(s) - 1) for s in self.simplices if s) - 1
 
 
 class BettiVector:
@@ -248,23 +241,16 @@ def cone(k: SimplicialComplex, apex) -> SimplicialComplex:
     """Cone over a complex: a new apex joined to every simplex."""
     if apex in k.vertices:
         raise InputError("apex must be a fresh vertex")
-    simplices = [tuple(s) for s in k.simplices]
-    coned = simplices + [tuple(s) + (apex,) for s in simplices]
-    if not simplices:
-        coned = [(apex,)]
+    # the downward closure brings back every simplex of k
+    coned = [tuple(s) + (apex,) for s in k.simplices] or [(apex,)]
     return SimplicialComplex(k.vertices + (apex,), coned)
 
 
-def _boundary_rows(top: list[tuple], low: list[tuple]) -> list[list[int]]:
-    """Integer boundary matrix from `top` simplices (columns) to their faces
-    in `low` (rows); every simplex is a vertex tuple in vertex order."""
-    low_index = {s: i for i, s in enumerate(low)}
-    rows = [[0] * len(top) for _ in low]
-    for j, simplex in enumerate(top):
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            rows[low_index[face]][j] += -1 if i & 1 else 1
-    return rows
+def _boundary_column(simplex: tuple, low_index: dict) -> dict[int, int]:
+    """The boundary of a simplex as a sparse column {face index: +-1}: the
+    face without the i-th vertex, looked up in low_index, has sign (-1)^i."""
+    faces = (simplex[:i] + simplex[i + 1:] for i in range(len(simplex)))
+    return {low_index[face]: -1 if i & 1 else 1 for i, face in enumerate(faces)}
 
 
 def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
@@ -278,31 +264,39 @@ def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
     top = k.k_simplices(degree)
     if degree == 0:
         return QMatrix([[1] * len(top)], ncols=len(top))
-    return QMatrix(_boundary_rows(top, k.k_simplices(degree - 1)), ncols=len(top))
+    low_index = {s: i for i, s in enumerate(k.k_simplices(degree - 1))}
+    columns = [_boundary_column(s, low_index) for s in top]
+    return QMatrix([[c.get(i, 0) for c in columns] for i in low_index.values()], ncols=len(top))
 
 
 def reduced_betti(k: SimplicialComplex) -> BettiVector:
-    """Reduced rational Betti numbers from boundary-matrix ranks."""
+    """Reduced rational Betti numbers from boundary-map ranks.
+
+    Sparse boundary columns go into one echelon basis per degree, from the
+    top down, with clearing (C. Chen and M. Kerber, "Persistent homology
+    computation with a twist", 2011): the basis rows of the boundary into
+    degree k are cycles in echelon form, so the column of a k-simplex at one
+    of their pivots lies in the span of the others, and is skipped.
+    """
     d = k.dim()
     if d < 0:
         return BettiVector([1])  # no vertices: only H~_{-1} survives
-    # simplices as tuples of vertex positions, in lexicographic order as in
-    # boundary_matrix: that order keeps the fill-in of the elimination low
+    # simplices as position tuples by size, size 0 the empty simplex; the
+    # lexicographic order of boundary_matrix keeps the fill-in low
     pos = k._pos
-    by_degree: list[list[tuple]] = [[] for _ in range(d + 1)]
+    by_size: list[list[tuple]] = [[] for _ in range(d + 2)]
     for s in k.simplices:
-        if s:
-            by_degree[len(s) - 1].append(tuple(sorted(pos[v] for v in s)))
-    for simplices in by_degree:
+        by_size[len(s)].append(tuple(sorted(map(pos.__getitem__, s))))
+    for simplices in by_size:
         simplices.sort()
-    counts = {-1: 1}
-    # degree 0 is the augmentation, of rank one as there is a vertex
-    ranks = {-1: 0, 0: 1, d + 1: 0}
-    for deg, top in enumerate(by_degree):
-        counts[deg] = len(top)
-        if deg:
-            ranks[deg] = len(_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
-    betti = []
-    for deg in range(-1, d + 1):
-        betti.append(counts[deg] - ranks[deg] - ranks[deg + 1])
-    return BettiVector(betti)
+    # ranks[i]: rank of the boundary of the i-vertex simplices; 1 for vertices
+    ranks = [0, 1] + [0] * (d + 1)
+    basis: dict[int, dict[int, int]] = {}
+    for size in range(d + 1, 1, -1):
+        cleared, basis = basis, {}
+        low_index = {s: i for i, s in enumerate(by_size[size - 1])}
+        for j, simplex in enumerate(by_size[size]):
+            if j not in cleared:
+                _extend_sparse_echelon(basis, _boundary_column(simplex, low_index))
+        ranks[size] = len(basis)
+    return BettiVector(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(d + 2))

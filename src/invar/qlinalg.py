@@ -5,16 +5,18 @@ All elimination runs on Python ints and is fraction-free (cross-multiplied
 rows, with a gcd content reduction against entry growth): `_echelon_int`
 gives an echelon form, `_reduced_int` its primitive reduced form and
 `_nullspace_int` primitive nullspace vectors, all on dense rows.
-`_extend_sparse_echelon` is the same elimination one sparse row at a time;
-it holds the deduction engine's basis of completion differences.  The
-arrangement, fan and table layers call these directly.  `fractions.Fraction`
-appears only at the boundary: rational literals, and the `QMatrix` wrappers,
-which scale their rows to integers once and read the rational rref off the
-reduced rows.  Nothing ever rounds.  Desk-scale sizes only.
+`_extend_sparse_echelon` is the same elimination one sparse row at a time:
+it ranks the boundary maps of simplicial complexes and holds the deduction
+engine's basis of completion differences.  The other layers call these
+directly.  `fractions.Fraction` appears only at the boundary: rational
+literals, and the `QMatrix` wrappers, which scale their rows to integers once
+and read the rational rref off the reduced rows.  Nothing ever rounds.
+Desk-scale sizes only.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -24,6 +26,9 @@ from .errors import InputError
 # Entries larger than this trigger a gcd content reduction during integer
 # elimination; keeps bit growth polynomial without dividing every step.
 _REDUCE_THRESHOLD = 1 << 128
+# A rational literal: no decimal point, exponent or underscore, all of which
+# Fraction reads ("1e10000000" would expand to a 33-million-bit integer).
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
@@ -38,6 +43,8 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        if _RATIONAL.fullmatch(value.strip()) is None:
+            raise InputError(f"not a rational literal: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -167,8 +174,7 @@ def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 
     Returns the nonzero rows, leading entries in strictly increasing columns;
     their number is the rank.  Rows with a zero leading entry are left
-    untouched, which keeps the elimination cheap on sparse incidence-style
-    matrices.  Pivot rows with a unit entry are preferred so that
+    untouched.  Pivot rows with a unit entry are preferred so that
     cross-multiplication does not grow entries; a gcd content reduction
     bounds growth in the remaining cases.  The input rows are not modified.
     """

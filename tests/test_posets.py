@@ -6,15 +6,21 @@ from itertools import combinations
 import pytest
 
 from invar import (
+    AffineSubspace,
     BettiVector,
     FinitePoset,
     InputError,
+    QMatrix,
     SimplicialComplex,
     boundary_matrix,
+    build_lattice,
     cone,
     order_complex,
     reduced_betti,
 )
+from invar.arrangements import _interval_complexes
+from invar.qlinalg import _echelon_int
+from test_arrangements import pencil_arrangement
 
 
 def boolean_coordinate_poset(n):
@@ -49,6 +55,45 @@ def random_complex(rng: random.Random) -> SimplicialComplex:
         if nverts:
             faces.append(rng.sample(verts, size))
     return SimplicialComplex(verts, faces)
+
+
+def _boundary_rows(top, low):
+    """Dense integer boundary matrix from `top` simplices (columns) to their
+    faces in `low` (rows); every simplex is a vertex tuple in vertex order."""
+    low_index = {s: i for i, s in enumerate(low)}
+    rows = [[0] * len(top) for _ in low]
+    for j, simplex in enumerate(top):
+        for i in range(len(simplex)):
+            rows[low_index[simplex[:i] + simplex[i + 1:]]][j] += -1 if i & 1 else 1
+    return rows
+
+
+def reference_reduced_betti(k):
+    """Reference oracle: every boundary matrix built dense and ranked whole by
+    `_echelon_int`, with no clearing (the path the sparse ranking replaced)."""
+    d = k.dim()
+    if d < 0:
+        return BettiVector([1])
+    by_degree = [k.k_simplices(deg) for deg in range(d + 1)]
+    ranks = {-1: 0, 0: 1, d + 1: 0}  # degree 0 is the augmentation
+    for deg in range(1, d + 1):
+        top = by_degree[deg]
+        ranks[deg] = len(_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
+    counts = [1] + [len(simplices) for simplices in by_degree]
+    return BettiVector(counts[deg + 1] - ranks[deg] - ranks[deg + 1] for deg in range(-1, d + 1))
+
+
+def k_equal_arrangement(n, k):
+    """The subspaces x_{i1} = ... = x_{ik} of C^n; none is a hyperplane for k >= 3."""
+    comps = []
+    for subset in combinations(range(n), k):
+        rows = []
+        for j in subset[1:]:
+            row = [0] * (n + 1)
+            row[subset[0]], row[j] = 1, -1
+            rows.append(row)
+        comps.append(AffineSubspace.from_rows(n, rows))
+    return comps
 
 
 class TestOrderComplex:
@@ -234,6 +279,37 @@ class TestReducedBetti:
                     for i in range(low.nrows)
                 ]
                 assert all(all(x == 0 for x in row) for row in prod_rows)
+
+
+class TestAgainstDenseReference:
+    """Sparse boundary ranks with clearing against dense whole-matrix ranks."""
+
+    def test_random_complexes(self, rng):
+        for _ in range(600):
+            k = random_complex(rng)
+            assert reduced_betti(k) == reference_reduced_betti(k)
+            for deg in range(1, k.dim() + 1):
+                top, low = k.k_simplices(deg), k.k_simplices(deg - 1)
+                assert boundary_matrix(k, deg) == QMatrix(_boundary_rows(top, low), ncols=len(top))
+
+    def test_every_interval_of_k_equal_6_3(self):
+        lattice = build_lattice(k_equal_arrangement(6, 3))
+        assert len(lattice.flats) == 53
+        for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
+            assert reduced_betti(complex_) == reference_reduced_betti(complex_)
+            ordered = order_complex(lattice.poset, flat.id, lattice.top_id)
+            assert reduced_betti(ordered) == reference_reduced_betti(ordered)
+
+    def test_every_interval_of_the_pencil(self):
+        # the bottom point of the k = 5 pencil takes the order complex, the
+        # other flats their crosscut complexes
+        lattice = build_lattice(pencil_arrangement(5))
+        pairs = list(_interval_complexes(lattice, lattice.proper_flats()))
+        point, at_point = pairs[0]
+        assert point.dim == 0
+        assert at_point == order_complex(lattice.poset, point.id, lattice.top_id)
+        for _, complex_ in pairs:
+            assert reduced_betti(complex_) == reference_reduced_betti(complex_)
 
 
 class TestHomologyInvariants:
