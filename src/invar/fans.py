@@ -68,7 +68,7 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     """
     system = []
     for coeffs, const in inequalities:
-        row = [x if type(x) is int else parse_rational(x) for x in (*coeffs, const)]
+        row = [parse_rational(x) for x in (*coeffs, const)]
         if len(row) != nvars + 1:
             raise InputError("inequality arity does not match the variable count")
         system.append(_content_free(_scaled_to_int(row)))

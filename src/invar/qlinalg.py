@@ -2,16 +2,17 @@
 at the boundary.
 
 All elimination runs on Python ints and is fraction-free (cross-multiplied
-rows, with a gcd content reduction against entry growth): `_echelon_int`
-gives an echelon form, `_reduced_int` its primitive reduced form and
-`_nullspace_int` primitive nullspace vectors, all on dense rows.
-`_extend_sparse_echelon` is the same elimination one sparse row at a time:
-it ranks the boundary maps of simplicial complexes and holds the deduction
-engine's basis of completion differences.  The other layers call these
-directly.  `fractions.Fraction` appears only at the boundary: rational
-literals, and the `QMatrix` wrappers, which scale their rows to integers once
-and read the rational rref off the reduced rows.  Nothing ever rounds.
-Desk-scale sizes only.
+rows, with a gcd content reduction against entry growth).  There is one
+forward-elimination loop, `_extend_sparse_echelon`, which adds one sparse
+row at a time to an echelon basis: it ranks the boundary maps of simplicial
+complexes and holds the deduction engine's basis of completion differences.
+`_echelon_int` runs it over dense rows and returns the basis dense;
+`_reduced_int` back-substitutes that to the unique primitive reduced form,
+and `_nullspace_int` reads primitive nullspace vectors off it.  The other
+layers call these directly.  `fractions.Fraction` appears only at the
+boundary: rational string literals, and the `QMatrix` wrappers, which scale
+their rows to integers once and read the rational rref off the reduced rows.
+Integer input stays `int`.  Nothing ever rounds.  Desk-scale sizes only.
 """
 
 from __future__ import annotations
@@ -31,16 +32,16 @@ _REDUCE_THRESHOLD = 1 << 128
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(value) -> Fraction:
-    """Turn an int or a "p/q" / "p" string into an exact Fraction.
+def parse_rational(value) -> int | Fraction:
+    """Read an exact rational: an int is returned as it is, a Fraction too,
+    and a "p/q" or "p" string becomes a Fraction.
 
-    Floats are rejected: they have already lost exactness upstream.
+    Bools and floats are rejected: floats have already lost exactness
+    upstream.
     """
     if isinstance(value, bool):
         raise InputError(f"not a rational literal: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value.strip()) is None:
@@ -170,55 +171,35 @@ def _content_reduced(row: list[int]) -> list[int]:
 
 
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Row echelon form of an integer matrix by exact division-free elimination.
+    """Row echelon form of an integer matrix: the basis `_extend_sparse_echelon`
+    builds from the rows in order, as dense rows sorted by pivot column.
 
-    Returns the nonzero rows, leading entries in strictly increasing columns;
-    their number is the rank.  Rows with a zero leading entry are left
-    untouched.  Pivot rows with a unit entry are preferred so that
-    cross-multiplication does not grow entries; a gcd content reduction
-    bounds growth in the remaining cases.  The input rows are not modified.
+    Leading entries lie in strictly increasing columns; the number of rows is
+    the rank.  The input rows are not modified.
     """
-    work = [r for r in rows if any(r)]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            v = work[i][c]
-            if v == 1 or v == -1:
-                piv = i
-                break
-            if v != 0 and piv is None:
-                piv = i
-        if piv is None or work[piv][c] == 0:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        pv = prow[c]
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            lead = row[c]
-            if lead == 0:
-                continue
-            if pv == 1:
-                work[i] = [a - lead * b for a, b in zip(row, prow)]
-            elif pv == -1:
-                work[i] = [a + lead * b for a, b in zip(row, prow)]
-            else:
-                work[i] = _content_reduced([a * pv - lead * b for a, b in zip(row, prow)])
-        r += 1
-        if r == len(work):
-            break
-    # every row below the last pivot has been eliminated to zero
-    return work[:r]
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _extend_sparse_echelon(basis, {j: x for j, x in enumerate(row) if x})
+    out = []
+    for c in sorted(basis):
+        dense = [0] * ncols
+        for j, x in basis[c].items():
+            dense[j] = x
+        out.append(dense)
+    return out
 
 
 def _extend_sparse_echelon(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
     """Add vec to a sparse echelon basis unless it lies in the basis's span.
 
     Rows and vec map columns to nonzero ints; basis maps each row's smallest
-    column, its pivot, to the row.  This is the elimination of
-    `_echelon_int` one row at a time, at a cost proportional to the nonzero
-    entries instead of the columns.  Returns whether vec was added.
+    column, its pivot, to the row.  Each step cancels vec's smallest column c
+    against the row at c, in place: with a = row[c], b = vec[c] and g their
+    gcd, vec becomes (a/g) vec - (b/g) row.  Its content is divided out only
+    when the step scaled vec and an entry passed _REDUCE_THRESHOLD, which
+    keeps bit growth polynomial.  The cost is proportional to the nonzero
+    entries, not the columns.  Returns whether vec was added.  vec is used
+    up: it becomes the new basis row, or is left partly reduced.
     """
     while vec:
         c = min(vec)
@@ -227,13 +208,19 @@ def _extend_sparse_echelon(basis: dict[int, dict[int, int]], vec: dict[int, int]
             basis[c] = vec
             return True
         a, b = row[c], vec[c]
-        out = {k: a * v for k, v in vec.items()}
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g  # a > 0
+        if a > 1:
+            for k in vec:
+                vec[k] *= a
         for k, v in row.items():
-            out[k] = out.get(k, 0) - b * v
-        vec = {k: v for k, v in out.items() if v}
-        if vec:
-            g = gcd(*vec.values())
-            vec = {k: v // g for k, v in vec.items()}
+            x = vec.get(k, 0) - b * v
+            if x:
+                vec[k] = x
+            else:
+                del vec[k]
+        if a > 1 and vec and max(map(abs, vec.values())) > _REDUCE_THRESHOLD:
+            vec = dict(zip(vec, _content_free(vec.values())))
     return False
 
 

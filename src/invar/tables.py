@@ -280,25 +280,26 @@ class _FlowGraph:
 
     Edges are numbered in pairs: edge e runs from node head[e ^ 1] to node
     head[e] with residual capacity cap[e], so the flow on an edge added with
-    capacity c is cap[e ^ 1].  Nodes are numbered in order of first use, and
-    a path never passes through a node whose live flag is off.
+    capacity c is cap[e ^ 1].  Nodes are numbered in order of first use.
+    A path may pass through any node.  In the deduction's graph, flow
+    conservation already closes a cell whose edge to the hub is blocked at
+    zero flow: its other edges carry no flow either, so no residual edge
+    enters it if it is even or leaves it if it is odd.
     """
 
-    __slots__ = ("ids", "head", "cap", "adj", "live")
+    __slots__ = ("ids", "head", "cap", "adj")
 
     def __init__(self):
         self.ids: dict = {}
         self.head: list[int] = []
         self.cap: list[int] = []
         self.adj: list[list[int]] = []
-        self.live: list[bool] = []
 
     def node(self, name) -> int:
         i = self.ids.get(name)
         if i is None:
             i = self.ids[name] = len(self.adj)
             self.adj.append([])
-            self.live.append(True)
         return i
 
     def add(self, u, v, c: int) -> int:
@@ -317,14 +318,14 @@ class _FlowGraph:
         flip 0 searches forward from start; flip 1 searches backward, over
         reversed residual edges, so the path then runs from goal to start.
         """
-        head, cap, live = self.head, self.cap, self.live
+        head, cap = self.head, self.cap
         via = {start: -1}
         queue = [start]
         for u in queue:
             for e in self.adj[u]:
                 if cap[e ^ flip] > 0:
                     v = head[e]
-                    if v not in via and (live[v] or v == goal):
+                    if v not in via:
                         via[v] = e ^ flip
                         if v == goal:
                             path = []
@@ -335,13 +336,6 @@ class _FlowGraph:
                             return path
                         queue.append(v)
         return None
-
-    def hold(self, node: int, flow: int):
-        """Mark a node whose edges to the hub are blocked with `flow` units
-        on them.  At flow 0 nothing can pass through it, so no search enters
-        it; with positive flow a path may still reroute that flow between
-        its other edges, so it stays open."""
-        self.live[node] = flow > 0
 
     def push(self, src: int, dst: int, want: int | None = None, backward: bool = False) -> int:
         """Augment from src to dst, up to want units (None: a maximum flow).
@@ -665,8 +659,8 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
     1..bound.  The search walks the free unknowns (all but the last) in
     order, keeping one flow of the graph of the module docstring that is
     feasible for the current node; tick is called once per node below the
-    root.  A search never enters a cell fixed at 0, since no flow can pass
-    through it.
+    root.  No augmenting path passes through a cell fixed at 0, since no
+    flow can (see _FlowGraph).
     """
     d = len(entries) - 1
     upper = [[bound if v is None else v for v in row] for row in entries]
@@ -689,7 +683,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
     for _, src, tgt in _arrows(upper, KIND_LYUBEZNIK):
         even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
         graph.add(even, odd, total)
-    head, cap, live = graph.head, graph.cap, graph.live
+    head, cap = graph.head, graph.cap
 
     def shift(e: int, delta: int) -> int:
         """Move the flow on edge e, blocked by the caller, by up to delta units.
@@ -731,7 +725,6 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
 
     n = m - 1  # the last unknown follows from the alternating sum
     edges = [edge[c] for c in unknowns[:n]]
-    nodes = [graph.ids[c] for c in unknowns[:n]]
     values, top, partial = [0] * n, [0] * n, [0] * (n + 1)
     i = 0
     while True:
@@ -747,7 +740,6 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             if x > lo:
                 x -= shift(e, lo - x)
             values[i], top[i] = x, min(hi, bound)
-            graph.hold(nodes[i], x)
             partial[i + 1] = partial[i] + signs[i] * x
             tick()
             i += 1
@@ -759,13 +751,11 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             e, x = edges[i], values[i]
             if x < top[i] and shift(e, 1):
                 values[i] = x + 1
-                graph.hold(nodes[i], x + 1)
                 partial[i + 1] += signs[i]
                 tick()
                 i += 1
                 break
             cap[e], cap[e ^ 1] = bound - x, x
-            live[nodes[i]] = True
 
 
 def deduce_lambda(table: InvariantTable, bound: int | None = None, *,

@@ -33,9 +33,8 @@ from invar.arrangements import (
     _moebius,
     _sorted_by_rref,
 )
-from invar.qlinalg import _echelon_int
 from conftest import coordinate_hyperplane, random_hyperplane, random_subspace
-from test_qlinalg import reference_rref
+from test_qlinalg import reference_echelon_int, reference_rref
 
 
 def coordinate_line(n, axis):
@@ -104,7 +103,7 @@ def reference_build_lattice(components):
     unique = list(dict.fromkeys(components))
 
     def inside(a, b):
-        return len(_echelon_int(a.rows + b.rows, n + 1)) == len(a.rows)
+        return len(reference_echelon_int(a.rows + b.rows, n + 1)) == len(a.rows)
 
     comps = [c for c in unique if not any(c != o and inside(c, o) for o in unique)]
     masks = {}

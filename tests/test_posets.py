@@ -19,7 +19,7 @@ from invar import (
     reduced_betti,
 )
 from invar.arrangements import _interval_complexes
-from invar.qlinalg import _echelon_int
+from test_qlinalg import reference_echelon_int
 from test_arrangements import pencil_arrangement
 
 
@@ -70,7 +70,8 @@ def _boundary_rows(top, low):
 
 def reference_reduced_betti(k):
     """Reference oracle: every boundary matrix built dense and ranked whole by
-    `_echelon_int`, with no clearing (the path the sparse ranking replaced)."""
+    `reference_echelon_int`, with no clearing (the path the sparse ranking
+    replaced)."""
     d = k.dim()
     if d < 0:
         return BettiVector([1])
@@ -78,7 +79,7 @@ def reference_reduced_betti(k):
     ranks = {-1: 0, 0: 1, d + 1: 0}  # degree 0 is the augmentation
     for deg in range(1, d + 1):
         top = by_degree[deg]
-        ranks[deg] = len(_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
+        ranks[deg] = len(reference_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
     counts = [1] + [len(simplices) for simplices in by_degree]
     return BettiVector(counts[deg + 1] - ranks[deg] - ranks[deg + 1] for deg in range(-1, d + 1))
 

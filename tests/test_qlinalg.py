@@ -50,6 +50,39 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
+def reference_echelon_int(rows, ncols):
+    """Reference oracle: dense fraction-free forward elimination (the loop
+    `_echelon_int` ran before it read the sparse kernel's basis).  Prefers
+    unit pivots and divides a row by its content once an entry passes the
+    threshold.  Returns the nonzero echelon rows; their number is the rank."""
+    work = [list(r) for r in rows if any(r)]
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            v = work[i][c]
+            if v == 1 or v == -1:
+                piv = i
+                break
+            if v != 0 and piv is None:
+                piv = i
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        pv = prow[c]
+        for i in range(r + 1, len(work)):
+            lead = work[i][c]
+            if lead:
+                row = [a * pv - lead * b for a, b in zip(work[i], prow)]
+                if pv not in (1, -1) and max(map(abs, row)) > qlinalg._REDUCE_THRESHOLD:
+                    g = gcd(*row)
+                    row = [x // g for x in row]
+                work[i] = row
+        r += 1
+    return work[:r]
+
+
 def differential_matrices(seed, count):
     """Seeded matrices for the kernel-against-reference comparison: integer
     and rational entries, zero and duplicate rows, wide and tall shapes, and
@@ -208,18 +241,22 @@ class TestAgainstReferenceRref:
     def test_content_reduction_is_exercised(self, monkeypatch):
         calls = []
 
-        def counting_gcd(*args):
-            calls.append(len(args))
-            return gcd(*args)
+        def counting_content_free(row):
+            calls.append(row)
+            return content_free(row)
 
-        # in `_echelon_int` gcd is called only by the content reduction
-        monkeypatch.setattr(qlinalg, "gcd", counting_gcd)
+        # in `_echelon_int`, `_content_free` is called only by the sparse
+        # kernel's past-threshold content reduction
+        content_free = qlinalg._content_free
+        monkeypatch.setattr(qlinalg, "_content_free", counting_content_free)
         reduced = 0
         for rows, ncols in self.CASES:
             before = len(calls)
-            _echelon_int(QMatrix(rows, ncols=ncols).scale_rows_to_int(), ncols)
+            ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
+            assert len(_echelon_int(ints, ncols)) == len(reference_echelon_int(ints, ncols))
             reduced += len(calls) > before
         assert reduced >= 30
+        assert all(max(map(abs, row)) > qlinalg._REDUCE_THRESHOLD for row in calls)
 
     def test_rref_rank_nullspace_match(self):
         for rows, ncols in self.CASES:
@@ -261,10 +298,11 @@ class TestAgainstReferenceRref:
             ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
             basis = {}
             for i, row in enumerate(ints):
-                grows = len(_echelon_int(ints[: i + 1], ncols)) > len(_echelon_int(ints[:i], ncols))
+                grows = (len(reference_echelon_int(ints[: i + 1], ncols))
+                         > len(reference_echelon_int(ints[:i], ncols)))
                 vec = {j: x for j, x in enumerate(row) if x}
                 assert qlinalg._extend_sparse_echelon(basis, vec) == grows
-            assert len(basis) == len(_echelon_int(ints, ncols))
+            assert len(basis) == len(reference_echelon_int(ints, ncols))
             # echelon form: each row is keyed by its smallest column
             assert all(min(row) == c and all(row.values()) for c, row in basis.items())
 
@@ -277,7 +315,7 @@ class TestAgainstReferenceRref:
 
 class TestRationalLiterals:
     def test_parse(self):
-        assert parse_rational(5) == 5
+        assert type(parse_rational(5)) is int and parse_rational(5) == 5
         assert parse_rational("3/4") == Fraction(3, 4)
         assert parse_rational("-2") == -2
 

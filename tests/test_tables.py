@@ -20,7 +20,7 @@ from invar import (
     euler_sum,
     validate_lambda,
 )
-from invar.qlinalg import _echelon_int, _nullspace_int
+from invar.qlinalg import _nullspace_int
 from invar.tables import (
     _COMPLETION_CAP,
     DEFAULT_BOUND,
@@ -35,6 +35,7 @@ from invar.tables import (
     _lambda_witness,
     _search_limit,
 )
+from test_qlinalg import reference_echelon_int
 
 N = None
 
@@ -189,7 +190,7 @@ def reference_deduce(table, bound=None, *, search_limit=None):
                     varying.add(cell)
                     constant.pop(cell, None)
             diff = [a - b_ for a, b_ in zip(vec, first)]
-            if len(_echelon_int(diffs + [diff], len(diff))) > len(diffs):
+            if len(reference_echelon_int(diffs + [diff], len(diff))) > len(diffs):
                 diffs.append(diff)
         if len(completions) < _COMPLETION_CAP:
             completions.append(vec)
@@ -663,43 +664,48 @@ class TestDeduceAgainstEnumeration:
 
 
 class TestFlowGraphHold:
-    """The rule for a cell the deduction fixes during its search: a search
-    may pass through it exactly when its flow is positive.
+    """How the deduction's searches treat a cell it holds fixed, its edge to
+    the hub blocked: flow conservation alone decides whether a path may pass
+    through it.
 
     The graph is the lambda graph of a dimension-4 table whose nonzero cells
     are (0,2), (2,3) and (3,4): the hub feeds the even cell (0,2), whose
     arrows lead to the odd cells (2,3) and (3,4), which drain to the hub.
-    One unit runs hub -> (0,2) -> (2,3) -> hub.  With (0,2) fixed at 1,
-    lowering (2,3) to 0 has to reroute that unit to (3,4) through (0,2).
+    `flow` units run hub -> (0,2) -> (2,3) -> hub, and the hub edges of
+    (0,2) and (2,3) are blocked.
     """
 
-    def fixed_graph(self):
+    def fixed_graph(self, flow):
         graph = _FlowGraph()
         fixed = graph.add("hub", (0, 2), 2)
         lowered = graph.add((2, 3), "hub", 2)
-        graph.add((3, 4), "hub", 2)
+        raised = graph.add((3, 4), "hub", 2)
         first = graph.add((0, 2), (2, 3), 9)
         second = graph.add((0, 2), (3, 4), 9)
         for e in (fixed, first, lowered):
-            graph.cap[e] -= 1
-            graph.cap[e ^ 1] += 1
-        for e in (fixed, lowered):  # both cells' hub edges are blocked
+            graph.cap[e] -= flow
+            graph.cap[e ^ 1] += flow
+        for e in (fixed, lowered):
             graph.cap[e] = graph.cap[e ^ 1] = 0
-        return graph, first, second
+        return graph, first, second, raised
 
     def test_positive_fixed_cell_stays_open(self):
-        graph, first, second = self.fixed_graph()
-        graph.hold(graph.ids[0, 2], 1)
-        assert graph.live[graph.ids[0, 2]]
+        # with (0,2) fixed at 1, lowering (2,3) to 0 has to reroute the unit
+        # to (3,4) through (0,2)
+        graph, first, second, _ = self.fixed_graph(1)
         assert graph.push(graph.ids[2, 3], graph.ids["hub"], 1) == 1
         assert (graph.cap[first ^ 1], graph.cap[second ^ 1]) == (0, 1)
 
     def test_cell_fixed_at_zero_is_closed(self):
-        graph, first, second = self.fixed_graph()
-        graph.hold(graph.ids[0, 2], 0)
-        assert not graph.live[graph.ids[0, 2]]
-        assert graph.push(graph.ids[2, 3], graph.ids["hub"], 1) == 0
-        assert (graph.cap[first ^ 1], graph.cap[second ^ 1]) == (1, 0)
+        # with (0,2) fixed at 0, raising (3,4) needs a unit through (0,2);
+        # the backward search, which the deduction runs from (3,4), reaches
+        # (0,2) over its arrow and finds no residual edge into it
+        graph, first, second, raised = self.fixed_graph(0)
+        graph.cap[raised] = 0
+        hub, cell = graph.ids["hub"], graph.ids[3, 4]
+        assert graph.push(hub, cell, 1, backward=True) == 0
+        assert graph.push(hub, cell, 1) == 0
+        assert (graph.cap[first ^ 1], graph.cap[second ^ 1]) == (0, 0)
 
 
 class TestCdrFlowAgainstSearch:
