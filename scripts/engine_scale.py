@@ -4,12 +4,15 @@
 
 Runs `deduce_lambda` on the dim-3 shape (unknowns (0,2), (1,2), (2,3),
 (3,3)) at bounds 5, 10, 20 and on the dim-4 shape (eight unknowns,
-(1,3) = (2,4) = 0) at bounds 3 to 8.  For each case it prints the wall time,
-the search nodes and the reported identities, and checks the feasible
-completion count and the identities of acceptance criterion 6:
-(2,3) = (0,2) and (3,3) = (1,2) + 1 in dim 3, (0,4) = (2,5) and
-(1,4) = (3,5) - (0,3) in dim 4.  The counts at bounds 7 and 8 come from one
-run of the former enumeration, `reference_deduce` in tests/test_tables.py.
+(1,3) = (2,4) = 0) at bounds 3 to 8 and 12.  For each case it prints the
+wall time, the search nodes and the reported identities, and checks the
+search nodes, the feasible completion count and the identities of
+acceptance criterion 6: (2,3) = (0,2) and (3,3) = (1,2) + 1 in dim 3,
+(0,4) = (2,5) and (1,4) = (3,5) - (0,3) in dim 4.  The counts at bounds 7
+and 8 come from one run of the former enumeration, `reference_deduce` in
+tests/test_tables.py; the count at bound 12 and every node count were
+recorded from the flow search, which enters one node per feasible value of
+each unknown but the last under a feasible prefix, and the root.
 The dim-4 shape with (1,1) = (2,2) = 1 known must be a contradiction, decided
 at the root: one node.
 
@@ -53,10 +56,14 @@ IDENTITIES = {
 }
 DIM4_CONTRA = [list(row) for row in DIM4]
 DIM4_CONTRA[1][1] = DIM4_CONTRA[2][2] = 1
+# (name, shape, bound, feasible completions, search nodes)
 CASES = [
-    ("dim3", DIM3, 5, 30), ("dim3", DIM3, 10, 110), ("dim3", DIM3, 20, 420),
-    ("dim4", DIM4, 3, 160), ("dim4", DIM4, 4, 375), ("dim4", DIM4, 5, 756),
-    ("dim4", DIM4, 6, 1372), ("dim4", DIM4, 7, 2304), ("dim4", DIM4, 8, 3645),
+    ("dim3", DIM3, 5, 30, 67), ("dim3", DIM3, 10, 110, 232),
+    ("dim3", DIM3, 20, 420, 862),
+    ("dim4", DIM4, 3, 160, 725), ("dim4", DIM4, 4, 375, 1656),
+    ("dim4", DIM4, 5, 756, 3283), ("dim4", DIM4, 6, 1372, 5888),
+    ("dim4", DIM4, 7, 2304, 9801), ("dim4", DIM4, 8, 3645, 15400),
+    ("dim4", DIM4, 12, 15379, 63896),
 ]
 CONTRA_BOUND = 6
 # (d, seed, largest entry, shifted antidiagonal k or None, feasible)
@@ -93,15 +100,15 @@ def cdr_case(d: int, seed: int, top: int, shift: int | None):
 
 def main() -> int:
     ok = True
-    for name, rows, bound, want in CASES:
+    for name, rows, bound, want, nodes in CASES:
         start = perf_counter()
         result = deduce_lambda(InvariantTable("lyubeznik", rows), bound)
         elapsed = perf_counter() - start
-        right = result.feasible_count == want and all(
+        right = result.feasible_count == want and result.nodes == nodes and all(
             result.implies(coeffs, const) for coeffs, const in IDENTITIES[name])
         ok &= right
         identities = "; ".join(r.render() for r in result.identities)
-        print(f"{name} B={bound}: {elapsed:.2f} s, {result.nodes} nodes, "
+        print(f"{name} B={bound}: {elapsed:.2f} s, {result.nodes} nodes (expected {nodes}), "
               f"{result.feasible_count} feasible (expected {want}), "
               f"identities [{identities}] {'ok' if right else 'WRONG'}")
     start = perf_counter()

@@ -40,7 +40,7 @@ from .posets import (
     order_complex,
     reduced_betti,
 )
-from .qlinalg import QMatrix, format_rational, nullspace_dim, parse_rational, rank, rref
+from .qlinalg import QMatrix, format_rational, parse_rational
 from .tables import (
     KIND_CDR,
     KIND_LYUBEZNIK,

@@ -146,21 +146,6 @@ class QMatrix:
         return basis
 
 
-def rank(m: QMatrix) -> int:
-    """Dimension of the row space."""
-    return m.rank()
-
-
-def rref(m: QMatrix) -> QMatrix:
-    """The unique reduced row echelon form."""
-    return m.rref()
-
-
-def nullspace_dim(m: QMatrix) -> int:
-    """cols - rank."""
-    return m.nullspace_dim()
-
-
 def _content_reduced(row: list[int]) -> list[int]:
     """Divide a row by the gcd of its entries once they outgrow the threshold."""
     if max(map(abs, row)) > _REDUCE_THRESHOLD:

@@ -16,20 +16,20 @@ _cdr_witness).  Ranks only subtract, so a cell's remainder always covers its
 later ranks and any flow is realizable page by page.
 
 Deduction finds the completions with unknown entries up to a bound B on the
-same graph, with source and sink merged so that flows are circulations:
-each cell's edge (source to an even cell, odd cell to sink) carries the
-cell's value, bounded by [v, v] for a
-known cell and [0, B] for an unknown one ([1, B] at (d,d)), and the diagonal
-sends exactly one unit to the sink.  By Hoffman's circulation theorem and the
-integrality theorem, the convergent completions are exactly the integer
-circulations, read off the cell edges.  These form an integral polytope, so
-under any bounds the feasible values of one cell form an interval of
-integers.  The search fixes the unknowns in order.  At each node it moves the
-next cell's flow down as far as cycles through its edge allow, then up one
-unit at a time until no cycle is left.  So every node it enters is feasible,
-every leaf is a completion, and one flow at the root decides a
-contradiction.  The environment variable INVAR_SEARCH_LIMIT (default 10**7)
-caps its nodes.
+same graph, with source and sink merged so that flows are circulations: each
+cell's edge (source to an even cell, odd cell to sink) carries the cell's
+value, bounded by [v, v] for a known cell and [0, B] for an unknown one
+([1, B] at (d,d)), and the diagonal sends exactly one unit to the sink.  By
+Hoffman's circulation theorem and the integrality theorem, the convergent
+completions are exactly the integer circulations, read off the cell edges.
+These form an integral polytope, so under any bounds the feasible values of
+one cell form an interval of integers.  The search fixes all unknowns but
+the last in order.  At each node it moves the next cell's flow down as far
+as cycles through its edge allow, then up one unit at a time to the bound or
+until no cycle is left; conservation at the hub leaves the last unknown the
+flow on its edge.  So every node it enters is feasible, every leaf is a
+completion, and one flow at the root decides a contradiction.  The
+environment variable INVAR_SEARCH_LIMIT (default 10**7) caps its nodes.
 """
 
 from __future__ import annotations
@@ -598,8 +598,8 @@ class DeductionResult:
     """Summary of an exhaustive bounded completion search.
 
     nodes counts the search-tree nodes entered, the root included: below it,
-    one per feasible value of each unknown but the last (which the
-    alternating sum fixes) under each feasible prefix.  So a contradiction
+    one per feasible value of each unknown but the last (which the flow on
+    its edge fixes) under each feasible prefix.  So a contradiction
     takes one node, and nodes <= 1 + (unknowns - 1) * feasible_count.
     """
 
@@ -658,9 +658,9 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
     pass validate_lambda; every unknown ranges over 0..bound, and (d,d) over
     1..bound.  The search walks the free unknowns (all but the last) in
     order, keeping one flow of the graph of the module docstring that is
-    feasible for the current node; tick is called once per node below the
-    root.  No augmenting path passes through a cell fixed at 0, since no
-    flow can (see _FlowGraph).
+    feasible for the current node, and reads the last unknown off that
+    flow; tick is called once per node below the root.  No augmenting path
+    passes through a cell fixed at 0, since no flow can (see _FlowGraph).
     """
     d = len(entries) - 1
     upper = [[bound if v is None else v for v in row] for row in entries]
@@ -709,49 +709,29 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
         yield ()
         return
 
-    # an O(1) prefilter: any convergent completion has alternating sum 1, so
-    # the unknowns' signed sum is need, and low[i]..high[i] bounds the signed
-    # sum of unknowns i and after
-    m = len(unknowns)
-    signs = [1 - 2 * ((p + q) % 2) for p, q in unknowns]
-    need = 1 - _alternating_sum(entries)
-    low, high = [0] * (m + 1), [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        floor = 1 if unknowns[j] == (d, d) else 0
-        if signs[j] > 0:
-            low[j], high[j] = low[j + 1] + floor, high[j + 1] + bound
-        else:
-            low[j], high[j] = low[j + 1] - bound, high[j + 1] - floor
-
-    n = m - 1  # the last unknown follows from the alternating sum
-    edges = [edge[c] for c in unknowns[:n]]
-    values, top, partial = [0] * n, [0] * n, [0] * (n + 1)
-    i = 0
+    # conservation at the hub fixes the last unknown once the others are
+    # held, so its edge stays open: its value is the flow on it, plus the
+    # floor that the root applied if it is (d,d)
+    *edges, last = [edge[c] for c in unknowns]
+    lift = 1 if unknowns[-1] == (d, d) else 0
+    n = len(edges)
+    values, i = [0] * n, 0
     while True:
         while i < n:  # descend, fixing each unknown at its least feasible value
-            e, rest = edges[i], need - partial[i]
-            if signs[i] > 0:
-                lo, hi = rest - high[i + 1], rest - low[i + 1]
-            else:
-                lo, hi = low[i + 1] - rest, high[i + 1] - rest
+            e = edges[i]
             x = cap[e ^ 1]
             cap[e] = cap[e ^ 1] = 0
-            lo = max(lo, 0)
-            if x > lo:
-                x -= shift(e, lo - x)
-            values[i], top[i] = x, min(hi, bound)
-            partial[i + 1] = partial[i] + signs[i] * x
+            values[i] = x - shift(e, -x)
             tick()
             i += 1
-        yield tuple(values) + ((need - partial[n]) * signs[n],)
+        yield tuple(values) + (cap[last ^ 1] + lift,)
         while True:  # the next value of the deepest unknown that has one
             i -= 1
             if i < 0:
                 return
             e, x = edges[i], values[i]
-            if x < top[i] and shift(e, 1):
+            if x < bound and shift(e, 1):
                 values[i] = x + 1
-                partial[i + 1] += signs[i]
                 tick()
                 i += 1
                 break

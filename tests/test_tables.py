@@ -662,6 +662,15 @@ class TestDeduceAgainstEnumeration:
         assert result.contradiction
         assert result.nodes == 1
 
+    @pytest.mark.parametrize("table, bound, nodes, count", [
+        (dim3_shape(), 20, 862, 420), (dim4_shape(), 5, 3283, 756),
+    ])
+    def test_search_tree_pinned(self, table, bound, nodes, count):
+        # the search enters exactly the feasible prefixes, so a search that
+        # enters one node more or less changes these recorded counts
+        result = deduce_lambda(table, bound)
+        assert (result.nodes, result.feasible_count) == (nodes, count)
+
 
 class TestFlowGraphHold:
     """How the deduction's searches treat a cell it holds fixed, its edge to
