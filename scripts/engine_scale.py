@@ -1,4 +1,4 @@
-"""Time the spectral engine: deductions on the criterion-6 shapes and CdR checks.
+"""Time the spectral engine: deductions on the criterion-6 shapes, λ and CdR checks.
 
     PYTHONPATH=src python3 scripts/engine_scale.py
 
@@ -16,6 +16,16 @@ each unknown but the last under a feasible prefix, and the root.
 The dim-4 shape with (1,1) = (2,2) = 1 known must be a contradiction, decided
 at the root: one node.
 
+Then runs `check_convergence_lambda` on seeded complete Lyubeznik tables of
+dimension 5, 6 and 7, built backwards from one diagonal unit: page by page,
+from the last down to 2, every differential between cells on or above the
+diagonal adds a random rank up to a given top to its source and its target.
+Each of them converges, and its witness must replay through
+`SpectralState.apply_page` to a limit page holding one diagonal 1 and
+nothing else.  A perturbed case adds 1 to (0,0) and to the odd cell (0,d)
+(d odd) or (1,d) (d even), which no differential touches; the alternating
+sum stays 1, but that unit can never leave, so the check must fail.
+
 Then runs `check_cdr` on seeded CdR tables of dimension 5, 6 and 7 with
 entries up to 9 (or less) on and above the diagonal, in ambient dimension
 d + 1.  The Betti numbers are the antidiagonal sums left by random ranks
@@ -31,7 +41,15 @@ import random
 import sys
 from time import perf_counter
 
-from invar import InvariantTable, SpectralState, check_cdr, deduce_lambda
+from invar import (
+    InputError,
+    InvariantTable,
+    SpectralState,
+    check_cdr,
+    check_convergence_lambda,
+    deduce_lambda,
+    differential_target,
+)
 
 N = None
 
@@ -66,6 +84,11 @@ CASES = [
     ("dim4", DIM4, 12, 15379, 63896),
 ]
 CONTRA_BOUND = 6
+# (d, seed, largest rank, perturbed)
+LAMBDA_CASES = [
+    (5, 1, 3, False), (5, 2, 6, False), (6, 1, 3, False), (6, 2, 5, False),
+    (7, 1, 2, False), (7, 2, 4, False), (7, 3, 3, True),
+]
 # (d, seed, largest entry, shifted antidiagonal k or None, feasible)
 CDR_CASES = [
     (5, 1, 9, None, True), (5, 1, 9, 9, False), (5, 3, 9, 3, False),
@@ -73,6 +96,38 @@ CDR_CASES = [
     (7, 1, 9, None, True), (7, 2, 9, None, True), (7, 2, 3, 7, False),
     (7, 3, 4, 7, False),
 ]
+
+
+def lambda_case(d: int, seed: int, top: int, perturbed: bool) -> InvariantTable:
+    rng = random.Random(seed)
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    s = rng.randint(0, d)
+    rows[s][s] = 1
+    for page in range(d, 1, -1):
+        for p in range(d + 1):
+            for q in range(p + 1, d + 1):  # the target stays on or above the diagonal
+                tp, tq = differential_target("lyubeznik", page, (p, q))
+                if tp <= d and tq <= d:
+                    rank = rng.randint(0, top)
+                    rows[p][q] += rank
+                    rows[tp][tq] += rank
+    if perturbed:
+        rows[0][0] += 1
+        rows[0 if d % 2 else 1][d] += 1
+    return InvariantTable("lyubeznik", rows)
+
+
+def replays_to_unit(table: InvariantTable, witness) -> bool:
+    """Whether the witness ranks, page by page, leave one diagonal 1 and nothing else."""
+    state = SpectralState.start(table)
+    try:
+        while state.page <= table.d:
+            state = state.apply_page({src: rank for page, src, _, rank in witness
+                                      if page == state.page})
+    except InputError:
+        return False
+    cells = [(p, q, v) for p, row in enumerate(state.entries) for q, v in enumerate(row) if v]
+    return len(cells) == 1 and cells[0][0] == cells[0][1] and cells[0][2] == 1
 
 
 def cdr_case(d: int, seed: int, top: int, shift: int | None):
@@ -119,6 +174,16 @@ def main() -> int:
     print(f"dim4 contradiction B={CONTRA_BOUND}: {elapsed * 1000:.2f} ms, {result.nodes} nodes, "
           f"contradiction {result.contradiction} (expected True after 1 node) "
           f"{'ok' if right else 'WRONG'}")
+    for d, seed, top, perturbed in LAMBDA_CASES:
+        table = lambda_case(d, seed, top, perturbed)
+        start = perf_counter()
+        feasible, witness = check_convergence_lambda(table)
+        elapsed = perf_counter() - start
+        right = feasible != perturbed and (not feasible or replays_to_unit(table, witness))
+        ok &= right
+        print(f"lambda d={d} seed={seed} top={top} perturbed={perturbed}: "
+              f"{elapsed * 1000:.2f} ms, largest entry {max(map(max, table.entries))}, "
+              f"feasible {feasible} (expected {not perturbed}) {'ok' if right else 'WRONG'}")
     for d, seed, top, shift, want in CDR_CASES:
         table, betti, n = cdr_case(d, seed, top, shift)
         start = perf_counter()

@@ -42,7 +42,13 @@ from typing import Iterable, Sequence
 from .errors import InputError, InputWarning
 from .posets import FinitePoset, SimplicialComplex, order_complex, reduced_betti
 from .qlinalg import QMatrix, _content_free, _echelon_int, _reduced_int
-from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable, canonical_small_tables
+from .tables import (
+    KIND_CDR,
+    KIND_LYUBEZNIK,
+    InvariantTable,
+    _antidiagonal_sums,
+    canonical_small_tables,
+)
 
 
 def _canonical_rows(ambient_dim: int, rows) -> tuple[tuple[int, ...], ...] | None:
@@ -493,12 +499,7 @@ def complement_betti(table: InvariantTable, n: int) -> list[int]:
         raise InputError(
             f"ambient dimension {n} is too small for a table of dimension {table.d}"
         )
-    betti = [0] * (2 * n)
-    for p, q in table.cells():
-        v = table.entry(p, q)
-        if v:
-            betti[2 * n - p - q - 1] += v
-    return betti
+    return _antidiagonal_sums(table.entries, n)
 
 
 def moebius_betti_oracle(lattice: IntersectionLattice) -> list[int]:

@@ -10,26 +10,26 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
   and the limit page is compared against reduced Betti numbers of the
   complement along the anti-diagonals 2n - p - q - 1 = k.
 
-Every differential flips the parity of p+q, so both convergence checks are
-one bipartite max-flow from even to odd cells (see _lambda_witness and
-_cdr_witness).  Ranks only subtract, so a cell's remainder always covers its
-later ranks and any flow is realizable page by page.
+Every differential flips the parity of p+q, so each convergence check is
+one circulation with lower bounds on a bipartite graph (see _lambda_witness
+and _cdr_witness).  Ranks only subtract, so a cell's remainder always covers
+its later ranks and any flow is realizable page by page.
 
 Deduction finds the completions with unknown entries up to a bound B on the
-same graph, with source and sink merged so that flows are circulations: each
-cell's edge (source to an even cell, odd cell to sink) carries the cell's
-value, bounded by [v, v] for a known cell and [0, B] for an unknown one
-([1, B] at (d,d)), and the diagonal sends exactly one unit to the sink.  By
-Hoffman's circulation theorem and the integrality theorem, the convergent
-completions are exactly the integer circulations, read off the cell edges.
-These form an integral polytope, so under any bounds the feasible values of
-one cell form an interval of integers.  The search fixes all unknowns but
-the last in order.  At each node it moves the next cell's flow down as far
-as cycles through its edge allow, then up one unit at a time to the bound or
-until no cycle is left; conservation at the hub leaves the last unknown the
-flow on its edge.  So every node it enters is feasible, every leaf is a
-completion, and one flow at the root decides a contradiction.  The
-environment variable INVAR_SEARCH_LIMIT (default 10**7) caps its nodes.
+lambda graph: each cell's edge (hub to an even cell, odd cell to hub)
+carries the cell's value, bounded by [v, v] for a known cell and [0, B] for
+an unknown one ([1, B] at (d,d)), and the diagonal sends exactly one unit to
+the hub.  By Hoffman's circulation theorem and the integrality theorem, the
+convergent completions are exactly the integer circulations, read off the
+cell edges.  These form an integral polytope, so under any bounds the
+feasible values of one cell form an interval of integers.  The search fixes
+all unknowns but the last in order.  At each node it moves the next cell's
+flow down as far as cycles through its edge allow, then up one unit at a
+time to the bound or until no cycle is left; conservation at the hub leaves
+the last unknown the flow on its edge.  So every node it enters is feasible,
+every leaf is a completion, and one flow at the root decides a
+contradiction.  The environment variable INVAR_SEARCH_LIMIT (default 10**7)
+caps its nodes.
 """
 
 from __future__ import annotations
@@ -337,21 +337,19 @@ class _FlowGraph:
                         queue.append(v)
         return None
 
-    def push(self, src: int, dst: int, want: int | None = None, backward: bool = False) -> int:
-        """Augment from src to dst, up to want units (None: a maximum flow).
+    def push(self, src: int, dst: int, want: int, backward: bool = False) -> int:
+        """Augment from src to dst, up to want units.
 
         backward runs each search from dst, which is cheaper when dst has
         the smaller neighbourhood.  Returns the units pushed.
         """
         cap = self.cap
         pushed = 0
-        while want is None or pushed < want:
+        while pushed < want:
             path = self._path(dst, src, 1) if backward else self._path(src, dst, 0)
             if path is None:
                 break
-            step = min(cap[e] for e in path)
-            if want is not None:
-                step = min(step, want - pushed)
+            step = min(want - pushed, *(cap[e] for e in path))
             for e in path:
                 cap[e] -= step
                 cap[e ^ 1] += step
@@ -359,51 +357,89 @@ class _FlowGraph:
         return pushed
 
 
-def _flow_witness(entries, kind: str, edges: list, total: int) -> tuple | None:
-    """Arrow ranks, by page, of a flow of value total from "s" to "t", or None.
+def _shift(graph: _FlowGraph, hub: int, e: int, delta: int) -> int:
+    """Move the flow on edge e, blocked by the caller, by up to delta units.
 
-    edges holds the graph around the cells; each arrow joins its even p+q
-    end to its odd end with capacity total, and its rank is its flow.
+    Each unit goes round a cycle through e; the search starts at e's end
+    away from the hub.  Returns the units moved.
     """
-    graph = _FlowGraph()
-    for u, v, c in edges:
-        graph.add(u, v, c)
+    a, b = graph.head[e ^ 1], graph.head[e]
+    if delta > 0:
+        return graph.push(b, a, delta, b == hub)
+    return graph.push(a, b, -delta, a == hub)
+
+
+def _raise_floors(graph: _FlowGraph, hub: int, floors) -> bool:
+    """Raise the flow on each (edge, floor) of floors to its floor, in turn.
+
+    Each edge then keeps only its room above the floor, so its flow reads
+    cap[e ^ 1] + floor.  False when a floor cannot be met: no circulation can.
+    """
+    cap = graph.cap
+    for e, floor in floors:
+        x, u = cap[e ^ 1], cap[e] + cap[e ^ 1]
+        cap[e] = cap[e ^ 1] = 0
+        if x < floor <= u:
+            x += _shift(graph, hub, e, floor - x)
+        if x < floor:
+            return False
+        cap[e], cap[e ^ 1] = u - x, x - floor
+    return True
+
+
+def _add_arrows(graph: _FlowGraph, entries, kind: str, total: int) -> list:
+    """Add each differential as an edge from its even end; (page, source, target, edge) each."""
     arrows = []
     for r, src, tgt in _arrows(entries, kind):
         even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
-        arrows.append((r, src, tgt, graph.add(even, odd, total) ^ 1))
-    if graph.push(graph.ids["s"], graph.ids["t"]) != total:
+        arrows.append((r, src, tgt, graph.add(even, odd, total)))
+    return arrows
+
+
+def _witness(graph: _FlowGraph, floors, arrows) -> tuple | None:
+    """The arrows' (page, source, target, rank > 0) in a circulation meeting floors, or None."""
+    if not _raise_floors(graph, graph.node("hub"), floors):
         return None
     cap = graph.cap
-    return tuple(sorted((r, src, tgt, cap[back]) for r, src, tgt, back in arrows if cap[back]))
+    return tuple(sorted((r, src, tgt, cap[e ^ 1]) for r, src, tgt, e in arrows if cap[e ^ 1]))
+
+
+def _lambda_graph(entries, upper):
+    """The lambda graph of the module docstring, with zero flow.
+
+    entries hold the known values (None at the unknowns), upper every cell's
+    bound.  Returns (graph, edge, floors, arrows): edge maps a cell to its
+    hub edge, floors is for _raise_floors and arrows as from _add_arrows.
+    """
+    d = len(entries) - 1
+    total = sum(map(sum, upper))  # no cell or arrow carries more
+    graph = _FlowGraph()
+    edge = {}
+    for p, row in enumerate(upper):
+        for q, u in enumerate(row):
+            if u or entries[p][q] is None:
+                ends = ("hub", (p, q)) if (p + q) % 2 == 0 else ((p, q), "hub")
+                edge[p, q] = graph.add(*ends, u)
+    for p in range(d + 1):
+        if upper[p][p]:
+            graph.add((p, p), "diag", total)
+    floors = [(graph.add("diag", "hub", 1), 1)]  # the surviving unit first
+    floors += [(edge[p, q], v) for p, row in enumerate(entries) for q, v in enumerate(row) if v]
+    if entries[d][d] is None:
+        floors.append((edge[d, d], 1))
+    return graph, edge, floors, _add_arrows(graph, upper, KIND_LYUBEZNIK, total)
 
 
 def _lambda_witness(entries) -> tuple | None:
     """Differential ranks that leave one diagonal 1 on the limit page, or None.
 
     Rank choices are nonnegative arrow weights summing at each cell to its
-    entry, less one surviving diagonal unit: source -> even cell (its entry)
-    -> arrow (unbounded) -> odd cell -> sink (its entry), and every diagonal
-    cell -> one capacity-1 edge to the sink.
+    entry, less one surviving diagonal unit: the circulations of _lambda_graph.
     """
-    edges = []
-    even_total = odd_total = 0
-    for p, row in enumerate(entries):
-        for q, v in enumerate(row):
-            if not v:
-                continue
-            if (p + q) % 2:
-                odd_total += v
-                edges.append(((p, q), "t", v))
-                continue
-            even_total += v
-            edges.append(("s", (p, q), v))
-            if p == q:
-                edges.append(((p, q), "diag", v))
-    if even_total != odd_total + 1:
-        return None  # the alternating sum is conserved and must end at 1
-    edges.append(("diag", "t", 1))
-    return _flow_witness(entries, KIND_LYUBEZNIK, edges, even_total)
+    if _alternating_sum(entries) != 1:
+        return None  # conserved, it must end at 1: most tables fail here, flow-free
+    graph, _, floors, arrows = _lambda_graph(entries, entries)
+    return _witness(graph, floors, arrows)
 
 
 def check_convergence_lambda(table: InvariantTable):
@@ -447,21 +483,23 @@ def _cdr_witness(entries, target: list[int], n: int) -> tuple | None:
 
     The ranks must take D_k = sum_k - target_k off antidiagonal k (see
     check_cdr), so every D_k >= 0 and the odd and even k demand the same.
-    Graph: source -> odd k (D_k) -> cell (its entry) -> arrow (unbounded)
-    -> cell (its entry) -> even k (D_k) -> sink; feasible when the flow
-    saturates the source.
+    Circulation: hub -> odd k [D_k, D_k] -> cell (at most its entry) ->
+    arrow -> cell (at most its entry) -> even k [D_k, D_k] -> hub.
     """
     demand = [s - t for s, t in zip(_antidiagonal_sums(entries, n), target)]
-    odd_total = sum(demand[1::2])
-    if min(demand) < 0 or odd_total != sum(demand[0::2]):
+    total = sum(demand[1::2])
+    if min(demand) < 0 or total != sum(demand[0::2]):
         return None
-    edges = [("s", k, demand[k]) if k % 2 else (k, "t", demand[k]) for k in range(2 * n)]
+    graph = _FlowGraph()
+    floors = [(graph.add(*(("hub", k) if k % 2 else (k, "hub")), dk), dk)
+              for k, dk in enumerate(demand)]
     for p, row in enumerate(entries):
         for q, v in enumerate(row):
             if v:
                 k = 2 * n - p - q - 1
-                edges.append((k, (p, q), v) if k % 2 else ((p, q), k, v))
-    return _flow_witness(entries, KIND_CDR, edges, odd_total)
+                graph.add(*((k, (p, q)) if k % 2 else ((p, q), k)), v)
+    arrows = _add_arrows(graph, entries, KIND_CDR, total)
+    return _witness(graph, floors[1::2] + floors[0::2], arrows)  # odd k first; even k follow
 
 
 def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
@@ -472,9 +510,9 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     Every differential (p,q) -> (p-r, q+r-1) joins antidiagonal
     k = 2n-p-q-1 to k+1, so the ranks must remove exactly sum_k - betti_k
     from each antidiagonal k.  The k's alternate in parity, which makes this
-    a bipartite transportation problem decided by one max-flow.  With
-    require_degenerate (honored for tables of dimension <= 3), only the
-    all-ranks-zero assignment is accepted.
+    a bipartite transportation problem, decided by one circulation with
+    lower bounds (see _cdr_witness).  With require_degenerate (honored for
+    tables of dimension <= 3), only the all-ranks-zero assignment is accepted.
     """
     if table.kind != KIND_CDR:
         raise InputError("check_cdr expects a cdr table")
@@ -657,63 +695,25 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
     entries hold the known values, with None at the unknowns, and already
     pass validate_lambda; every unknown ranges over 0..bound, and (d,d) over
     1..bound.  The search walks the free unknowns (all but the last) in
-    order, keeping one flow of the graph of the module docstring that is
-    feasible for the current node, and reads the last unknown off that
-    flow; tick is called once per node below the root.  No augmenting path
-    passes through a cell fixed at 0, since no flow can (see _FlowGraph).
+    order, keeping one circulation of _lambda_graph that is feasible for
+    the current node, and reads the last unknown off it; tick is called once
+    per node below the root.  No augmenting path passes through a cell fixed
+    at 0, since no flow can (see _FlowGraph).
     """
-    d = len(entries) - 1
     upper = [[bound if v is None else v for v in row] for row in entries]
-    total = sum(map(sum, upper))  # no cell or arrow carries more
-    graph = _FlowGraph()
-    hub = graph.node("hub")
-    edge = {}
-    for p, row in enumerate(upper):
-        for q, u in enumerate(row):
-            if u or entries[p][q] is None:
-                ends = ("hub", (p, q)) if (p + q) % 2 == 0 else ((p, q), "hub")
-                edge[p, q] = graph.add(*ends, u)
-    for p in range(d + 1):
-        if upper[p][p]:
-            graph.add((p, p), "diag", total)
-    floors = [(edge[p, q], v) for p, row in enumerate(entries) for q, v in enumerate(row) if v]
-    if entries[d][d] is None:
-        floors.append((edge[d, d], 1))
-    floors.append((graph.add("diag", "hub", 1), 1))
-    for _, src, tgt in _arrows(upper, KIND_LYUBEZNIK):
-        even, odd = (src, tgt) if (src[0] + src[1]) % 2 == 0 else (tgt, src)
-        graph.add(even, odd, total)
-    head, cap = graph.head, graph.cap
-
-    def shift(e: int, delta: int) -> int:
-        """Move the flow on edge e, blocked by the caller, by up to delta units.
-
-        Each unit goes round a cycle through e; the search starts at e's
-        cell end, away from the hub.  Returns the units moved.
-        """
-        a, b = head[e ^ 1], head[e]
-        if delta > 0:
-            return graph.push(b, a, delta, b == hub)
-        return graph.push(a, b, -delta, a == hub)
-
-    # the root: raise every lower bound in turn, each by one maximum flow
-    for e, floor in floors:
-        x, u = cap[e ^ 1], cap[e] + cap[e ^ 1]
-        cap[e] = cap[e ^ 1] = 0
-        if x < floor <= u:
-            x += shift(e, floor - x)
-        if x < floor:
-            return  # a contradiction
-        cap[e], cap[e ^ 1] = u - x, x - floor
+    graph, edge, floors, _ = _lambda_graph(entries, upper)
+    cap, hub = graph.cap, graph.node("hub")
+    if not _raise_floors(graph, hub, floors):  # the root: one circulation with lower bounds
+        return  # a contradiction
     if not unknowns:
         yield ()
         return
 
     # conservation at the hub fixes the last unknown once the others are
     # held, so its edge stays open: its value is the flow on it, plus the
-    # floor that the root applied if it is (d,d)
+    # floor that the root applied to it
     *edges, last = [edge[c] for c in unknowns]
-    lift = 1 if unknowns[-1] == (d, d) else 0
+    lift = dict(floors).get(last, 0)
     n = len(edges)
     values, i = [0] * n, 0
     while True:
@@ -721,7 +721,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             e = edges[i]
             x = cap[e ^ 1]
             cap[e] = cap[e ^ 1] = 0
-            values[i] = x - shift(e, -x)
+            values[i] = x - _shift(graph, hub, e, -x)
             tick()
             i += 1
         yield tuple(values) + (cap[last ^ 1] + lift,)
@@ -730,7 +730,7 @@ def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
             if i < 0:
                 return
             e, x = edges[i], values[i]
-            if x < bound and shift(e, 1):
+            if x < bound and _shift(graph, hub, e, 1):
                 values[i] = x + 1
                 tick()
                 i += 1

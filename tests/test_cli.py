@@ -592,7 +592,7 @@ class TestTableCommands:
         assert err == f"error: INVAR_SEARCH_LIMIT must be a positive integer, got '{limit}'\n"
 
     def test_check_cdr_ignores_search_limit(self, tmp_path, capsys, monkeypatch):
-        # the abutment is one max-flow, so no node limit applies to it
+        # the abutment is one circulation with lower bounds, so no node limit applies
         monkeypatch.setenv("INVAR_SEARCH_LIMIT", "1")
         doc = {"kind": "cdr", "dim": 3, "ambient_dim": 4, "betti": [0] * 8,
                "entries": [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]}

@@ -32,7 +32,7 @@ from invar.tables import (
     _Counter,
     _FlowGraph,
     _lambda_completions,
-    _lambda_witness,
+    _raise_floors,
     _search_limit,
 )
 from test_qlinalg import reference_echelon_int
@@ -43,9 +43,10 @@ N = None
 def reference_convergence(entries):
     """The former depth-first search over differential ranks, page by page.
 
-    Kept as an oracle for the max-flow in check_convergence_lambda: it tries
-    every rank of every page-r differential, largest first, and prunes a
-    branch when an off-diagonal cell can no longer be lowered or the
+    Kept as an oracle for the circulation with lower bounds that decides
+    check_convergence_lambda, and for the leaves of reference_deduce: it
+    tries every rank of every page-r differential, largest first, and prunes
+    a branch when an off-diagonal cell can no longer be lowered or the
     diagonal is empty.  Returns a witness tuple or None.
     """
     d = len(entries) - 1
@@ -105,10 +106,11 @@ def reference_convergence(entries):
 def reference_cdr(entries, target, n):
     """The former CdR check: an alternating-sum test, then a depth-first search.
 
-    Kept as an oracle for the max-flow in check_cdr: it tries every rank of
-    every page-r differential (p,q) -> (p-r, q+r-1), largest first, and drops
-    a page whose antidiagonal sums fell below the target.  target has length
-    2n.  Returns whether some choice of ranks ends on the target sums.
+    Kept as an oracle for the circulation with lower bounds in check_cdr: it
+    tries every rank of every page-r differential (p,q) -> (p-r, q+r-1),
+    largest first, and drops a page whose antidiagonal sums fell below the
+    target.  target has length 2n.  Returns whether some choice of ranks
+    ends on the target sums.
     """
     d = len(entries) - 1
     if sum((-1) ** k * v for k, v in enumerate(target)) != -sum(
@@ -150,12 +152,13 @@ def reference_cdr(entries, target, n):
 
 
 def reference_deduce(table, bound=None, *, search_limit=None):
-    """The former deduce_lambda: every value vector up to the bound, then a flow.
+    """The former deduce_lambda: every value vector up to the bound, then a search.
 
     Kept as an oracle for the pruned search.  It walks all (bound+1)^k
     vectors of the k free unknowns (all but the last, which the alternating
     sum determines) in lexicographic order, one tick per node, and checks
-    each leaf with _lambda_witness.  Returns a DeductionResult whose nodes is
+    each leaf with reference_convergence, which shares no code with the
+    circulation.  Returns a DeductionResult whose nodes is
     the sum of (bound+1)^i for i < k+1.
     """
     b = DEFAULT_BOUND if bound is None else bound
@@ -202,7 +205,7 @@ def reference_deduce(table, bound=None, *, search_limit=None):
     def try_completion(values):
         for (p, q), v in zip(unknowns, values):
             grid[p][q] = v
-        if grid[d][d] > 0 and _lambda_witness(grid) is not None:
+        if grid[d][d] > 0 and reference_convergence(grid) is not None:
             record(values)
 
     if base_diags:
@@ -670,6 +673,31 @@ class TestDeduceAgainstEnumeration:
         # enters one node more or less changes these recorded counts
         result = deduce_lambda(table, bound)
         assert (result.nodes, result.feasible_count) == (nodes, count)
+
+
+class TestRaiseFloors:
+    """_raise_floors meets each lower bound in turn by cycles through its edge.
+
+    The graph is hub -> a (capacity 3, floor 2) -> b (capacity `middle`)
+    -> hub (capacity 3, floor 1).
+    """
+
+    def graph(self, middle):
+        graph = _FlowGraph()
+        floors = [(graph.add("hub", "a", 3), 2), (graph.add("b", "hub", 3), 1)]
+        graph.add("a", "b", middle)
+        return graph, floors
+
+    def test_floors_met(self):
+        graph, floors = self.graph(2)
+        assert _raise_floors(graph, graph.node("hub"), floors)
+        # each edge keeps only its room above its floor
+        assert [graph.cap[e ^ 1] + floor for e, floor in floors] == [2, 2]
+        assert [graph.cap[e] for e, _ in floors] == [1, 1]
+
+    def test_unmet_floor(self):
+        graph, floors = self.graph(1)
+        assert not _raise_floors(graph, graph.node("hub"), floors)
 
 
 class TestFlowGraphHold:
