@@ -2,19 +2,19 @@
 
 A fan is a list of primitive integer rays plus maximal cones given as ray
 index sets.  Every check is local to a ray, a cone or a wall, and validation
-is integer-only.  It checks the rays, then each cone (3-dimensional, strongly
-convex, extremal generators, facets found by sign tests on pairs of
-generators), then each wall: a facet must lie in exactly two cones, on
-opposite sides of its plane.  The cones then cover the sphere of directions
-with a constant degree, so they meet in common faces and fill space exactly
-when one direction off every facet plane lies in exactly one cone.
+is integer-only.  It checks the rays, then each cone by sign tests on pairs
+of generators (3-dimensional, strongly convex, extremal generators, facets),
+then each wall: a facet must lie in exactly two cones, on opposite sides of
+its plane.  The cones then cover the sphere of directions with a constant
+degree, so they meet in common faces and fill space exactly when one
+direction off every facet plane lies in exactly one cone.
 
 A support function is fixed by its values on the rays, one unknown per ray,
 subject to one integer Cramer equation per ray of a cone beyond its first
 three; the Picard rank is the nullspace dimension minus 3.  Projectivity
 asks for a strictly convex support function, one inequality per wall,
-decided by exact Fourier-Motzkin elimination.  Fractions appear only in
-the witness points of `fm_feasible`.
+decided by exact Fourier-Motzkin elimination over the integers.  Fractions
+appear only in the witness list that `fm_feasible` returns.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .qlinalg import _content_free, _echelon_int, _nullspace_int, _scaled_to_int, parse_rational
+from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
 IVec = tuple[int, int, int]
@@ -61,10 +62,14 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 
     Returns a rational witness point, or None when the system is infeasible.
     Coefficients and constants are ints or whatever parse_rational reads, so
-    floats and bools raise InputError.  Variables are eliminated one at a
-    time (smallest positive*negative count first), on each inequality scaled
-    once to a tuple of coprime integers (coeffs..., const); only the witness
-    is in Fractions.  Desk-scale only.
+    floats and bools raise InputError.  Each inequality is scaled once to a
+    tuple of coprime integers (coeffs..., const).  Variables are eliminated
+    one at a time, first the one whose elimination adds the fewest rows
+    (least pos*neg - pos - neg).  The witness is then back-substituted, last
+    eliminated variable first, as one integer vector over one common
+    denominator: each variable takes its largest lower bound, its smallest
+    upper bound, their midpoint when it has both, or 0 when it has neither.
+    Only the returned list is in Fractions.  Desk-scale only.
     """
     system = []
     for coeffs, const in inequalities:
@@ -98,28 +103,35 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
         remaining.remove(j)
     if any(r[-1] > 0 for r in system):
         return None
-    witness = [Fraction(0)] * nvars
+    # back-substitute x = num / den, each bound a pair (p, q) meaning p / q
+    # with q > 0, compared by cross-multiplying; num[j] is 0 until x_j is set
+    num, den = [0] * nvars, 1
     for j, stage_system in reversed(stages):
         lo = hi = None
         for r in stage_system:
             cj = r[j]
-            if cj == 0:
-                continue
-            rest = sum(r[k] * witness[k] for k in range(nvars) if k != j)
-            bound = Fraction(r[-1] - rest) / cj
             if cj > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            witness[j] = Fraction(0)
-        elif lo is None:
-            witness[j] = hi
+                p, q = r[-1] * den - sum(map(mul, r, num)), cj * den
+                if lo is None or p * lo[1] > lo[0] * q:
+                    lo = (p, q)
+            elif cj < 0:
+                p, q = sum(map(mul, r, num)) - r[-1] * den, -cj * den
+                if hi is None or p * hi[1] < hi[0] * q:
+                    hi = (p, q)
+        if lo is None:
+            p, q = hi or (0, 1)
         elif hi is None:
-            witness[j] = lo
+            p, q = lo
         else:
-            witness[j] = (lo + hi) / 2
-    return witness
+            p, q = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        scale = q // gcd(den, q)
+        if scale != 1:
+            num = [x * scale for x in num]
+            den *= scale
+        num[j] = p * (den // q)
+    return [Fraction(x, den) for x in num]
 
 
 # ---------------------------------------------------------------------------
@@ -188,23 +200,32 @@ def _cone_facets(fan: Fan3, cone_index: int):
     """Facets of one maximal cone by integer sign tests on pairs of generators.
 
     Returns (facet_ray_pairs, inward_normals, violations), in sorted ray-pair
-    order.  The plane through two independent generators supports the cone,
-    and so holds a facet, exactly when no two generators lie strictly on
-    opposite sides of it.  The sum w of these inward normals is positive on
-    every nonzero point of a strongly convex cone, whose facet normals span
-    space, and vanishes on some generator of a cone containing a line.  A
-    generator of a strongly convex cone is extremal exactly when it lies on
-    two different facet planes; once all are, each facet holds one pair.
+    order.  The cone is 3-dimensional exactly when the cross product of some
+    pair of generators is nonzero on some generator.  The plane through two
+    independent generators supports the cone, and so holds a facet, exactly
+    when no two generators lie strictly on opposite sides of it.  The sum w
+    of these inward normals is positive on every nonzero point of a strongly
+    convex cone, whose facet normals span space, and vanishes on some
+    generator of a cone containing a line.  A generator of a strongly convex
+    cone is extremal exactly when it lies on two different facet planes;
+    once all are, each facet holds one pair.
     """
     cone = fan.max_cones[cone_index]
     gens = [fan.rays[i] for i in cone]
     facets: dict[tuple[int, int], IVec] = {}
+    solid = False
     for a, b in combinations(range(len(gens)), 2):
         n = _cross(gens[a], gens[b])
         sides = [_dot(n, g) for g in gens]
-        if n == (0, 0, 0) or min(sides) < 0 < max(sides):
+        low, high = min(sides), max(sides)
+        if low == high:  # both 0: the generators are coplanar, or n is 0
             continue
-        facets[cone[a], cone[b]] = primitive(n if min(sides) == 0 else tuple(-x for x in n))
+        solid = True
+        if low < 0 < high:
+            continue
+        facets[cone[a], cone[b]] = primitive(n if low == 0 else tuple(-x for x in n))
+    if not solid:
+        return None, None, [f"maximal cone {cone_index} is not 3-dimensional"]
     w = tuple(sum(n[t] for n in facets.values()) for t in range(3))
     if any(_dot(w, g) <= 0 for g in gens):
         return None, None, [f"maximal cone {cone_index} contains a line"]
@@ -254,10 +275,7 @@ def _analyze(fan: Fan3) -> FanReport:
 
     incidence: dict[tuple[int, int], list[tuple[int, IVec]]] = {}
     facet_normals = []
-    for k, cone in enumerate(fan.max_cones):
-        if len(_echelon_int([rays[i] for i in cone], 3)) != 3:
-            violations.append(f"maximal cone {k} is not 3-dimensional")
-            continue
+    for k in range(len(fan.max_cones)):
         pairs, normals, errs = _cone_facets(fan, k)
         if errs:
             violations.extend(errs)
@@ -361,18 +379,19 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     each row may be divided by its content and asked to be >= 1; rows of
     parallel walls then coincide.  Fourier-Motzkin decides the system.
     """
+    values = list(zip(*basis))  # values[i]: every basis vector's value on ray i
     inequalities = []
     for wall in report.walls:
         near, far = (fan.max_cones[k] for k in wall.cones)
         w = next(i for i in near if i not in wall.rays)
         v = next(i for i in far if i not in wall.rays)
         cols = (*wall.rays, w)
-        det, coeffs = _cramer([fan.rays[i] for i in cols], fan.rays[v])
-        sign = 1 if det > 0 else -1
-        # sign * (det * l_near(v) - det * value(v))
+        det, (ca, cb, cc) = _cramer([fan.rays[i] for i in cols], fan.rays[v])
+        if det < 0:  # sign(det) * (det * l_near(v) - det * value(v))
+            det, ca, cb, cc = -det, -ca, -cb, -cc
         inequalities.append((_content_free([
-            sign * (sum(c * vec[i] for c, i in zip(coeffs, cols)) - det * vec[v])
-            for vec in basis
+            ca * x + cb * y + cc * z - det * t
+            for x, y, z, t in zip(*(values[i] for i in cols), values[v])
         ]), 1))
     return fm_feasible(inequalities, len(basis)) is not None
 

@@ -4,7 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from invar import (
 from invar import fans
 from invar.cli import main
 from invar.fans import Wall, _cone_facets, _cross, _dot, fm_feasible, primitive
-from invar.qlinalg import _nullspace_int
+from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
     cube_fan,
     double_cover_fan,
@@ -110,6 +110,121 @@ class TestFourierMotzkin:
             fm_feasible(system, 1)
 
 
+def reference_fm_feasible(inequalities, nvars):
+    """Fourier-Motzkin with the witness back-substituted in Fractions: the
+    elimination of `fm_feasible`, then each variable set, last eliminated
+    first, to the largest lower bound, the smallest upper bound, their
+    midpoint, or 0."""
+    system = []
+    for coeffs, const in inequalities:
+        row = [parse_rational(x) for x in (*coeffs, const)]
+        if len(row) != nvars + 1:
+            raise InputError("inequality arity does not match the variable count")
+        system.append(_content_free(_scaled_to_int(row)))
+    system = list(dict.fromkeys(system))
+    remaining = list(range(nvars))
+    stages = []
+    while remaining:
+        if any(r[-1] > 0 for r in system if not any(r[j] for j in remaining)):
+            return None
+        system = [r for r in system if any(r[j] for j in remaining)]
+        best, best_cost = None, None
+        for j in remaining:
+            pos = sum(1 for r in system if r[j] > 0)
+            neg = sum(1 for r in system if r[j] < 0)
+            cost = pos * neg - pos - neg
+            if best_cost is None or cost < best_cost:
+                best, best_cost = j, cost
+        j = best
+        stages.append((j, system))
+        pos = [r for r in system if r[j] > 0]
+        neg = [r for r in system if r[j] < 0]
+        new = [r for r in system if r[j] == 0]
+        for rp, rn in product(pos, neg):
+            s, t = rp[j], -rn[j]
+            new.append(_content_free([t * a + s * b for a, b in zip(rp, rn)]))
+        system = list(dict.fromkeys(new))
+        remaining.remove(j)
+    if any(r[-1] > 0 for r in system):
+        return None
+    witness = [Fraction(0)] * nvars
+    for j, stage_system in reversed(stages):
+        lo = hi = None
+        for r in stage_system:
+            cj = r[j]
+            if cj == 0:
+                continue
+            rest = sum(r[k] * witness[k] for k in range(nvars) if k != j)
+            bound = Fraction(r[-1] - rest) / cj
+            if cj > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            witness[j] = Fraction(0)
+        elif lo is None:
+            witness[j] = hi
+        elif hi is None:
+            witness[j] = lo
+        else:
+            witness[j] = (lo + hi) / 2
+    return witness
+
+
+def random_system(rng, rational):
+    """1-4 variables, 1-6 inequalities with small int or Fraction entries.
+    Fourier-Motzkin can square the row count with each variable it
+    eliminates, so the draws stay small."""
+    nvars = rng.randint(1, 4)
+
+    def entry(bound):
+        x = rng.randint(-bound, bound)
+        return Fraction(x, rng.randint(1, 4)) if rational else x
+
+    rows = [(tuple(entry(3) for _ in range(nvars)), entry(4)) for _ in range(rng.randint(1, 6))]
+    return rows, nvars
+
+
+def _assert_witness_matches_reference(system, nvars):
+    witness = fm_feasible(system, nvars)
+    assert witness == reference_fm_feasible(system, nvars), system
+    if witness is not None:
+        assert all(type(x) is Fraction for x in witness)
+        for coeffs, const in system:
+            assert sum(c * x for c, x in zip(coeffs, witness)) >= const, (system, witness)
+    return witness is not None
+
+
+class TestWitnessAgainstReference:
+    def test_random_systems(self, rng):
+        verdicts = Counter()
+        for trial in range(1200):
+            system, nvars = random_system(rng, rational=trial % 2 == 1)
+            verdicts[_assert_witness_matches_reference(system, nvars), trial % 2] += 1
+        # feasible and infeasible, with int and with Fraction entries
+        assert verdicts[True, 0] + verdicts[True, 1] >= 300
+        assert verdicts[False, 0] + verdicts[False, 1] >= 100
+        assert min(verdicts.values()) >= 50 and len(verdicts) == 4
+
+    def test_projectivity_systems(self, rng, monkeypatch):
+        feasible = fans.fm_feasible
+        systems = []
+
+        def capturing(inequalities, nvars):
+            systems.append((list(inequalities), nvars))
+            return feasible(*systems[-1])
+
+        monkeypatch.setattr(fans, "fm_feasible", capturing)
+        for build in DIFFERENTIAL_BASES.values():
+            fan = build(rng)
+            picard_data(fan)
+            picard_data(transform_fan(fan, unimodular_matrix(rng)))
+        monkeypatch.undo()
+        assert len(systems) == 2 * len(DIFFERENTIAL_BASES)
+        verdicts = Counter(_assert_witness_matches_reference(*call) for call in systems)
+        assert verdicts == {True: 2 * len(DIFFERENTIAL_BASES) - 4, False: 4}
+
+
 class TestValidation:
     def test_p3_valid_complete(self):
         report = validate_fan(p3_fan())
@@ -160,7 +275,7 @@ class TestValidation:
         fan = Fan3([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(0, 1, 2)])
         report = validate_fan(fan)
         assert not report.valid
-        assert any("not 3-dimensional" in v for v in report.violations)
+        assert report.violations == ("maximal cone 0 is not 3-dimensional",)
 
     def test_non_extremal_generator(self):
         # (1,0,0) is interior to the cone over the square of (1,+-1,+-1)
@@ -523,13 +638,27 @@ def _box_ray(rng, half_space=None):
 
 
 def random_cone(rng, kind):
-    """Distinct primitive generators, coordinates up to 5, of a 3-dimensional
-    cone: "box" anywhere, "pointed" in an open half-space, "non-extremal" a
-    pointed cone plus positive sums of two or three of its generators (on a
-    facet or inside), "opposite" with a pair of opposite generators."""
+    """3 to 8 distinct primitive generators of a cone, 3-dimensional unless
+    the kind is "flat".  Coordinates are up to 5 except for "flat": "box"
+    anywhere, "pointed" in an open half-space, "non-extremal" a pointed cone
+    plus positive sums of two or three of its generators (on a facet or
+    inside), "opposite" with a pair of opposite generators, "flat" in the
+    plane spanned by two box rays, with an opposite (collinear) pair forced
+    in about half the draws."""
     while True:
         m = rng.randint(3, 8)
-        if kind == "box":
+        if kind == "flat":
+            u, v = _box_ray(rng), _box_ray(rng)
+            if _cross(u, v) == (0, 0, 0):
+                continue
+            gens = []
+            while len(gens) < m:
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                if a or b:
+                    gens.append(primitive(tuple(a * x + b * y for x, y in zip(u, v))))
+            if rng.random() < 0.5:
+                gens[-1] = tuple(-x for x in gens[0])
+        elif kind == "box":
             gens = [_box_ray(rng) for _ in range(m)]
         elif kind == "opposite":
             g = _box_ray(rng)
@@ -542,7 +671,7 @@ def random_cone(rng, kind):
                     extra = primitive(tuple(map(sum, zip(*rng.sample(gens, rng.randint(2, 3))))))
                     if max(map(abs, extra)) <= 5:
                         gens.insert(rng.randint(0, len(gens)), extra)
-        if len(set(gens)) == len(gens) and QMatrix(gens).rank() == 3:
+        if len(set(gens)) == len(gens) and (QMatrix(gens).rank() == 3) != (kind == "flat"):
             return gens
 
 
@@ -574,6 +703,18 @@ class TestConeFacetsAgainstHull:
                 assert dict(zip(pairs, normals)) == dict(zip(ref_pairs, ref_normals)), gens
             verdicts[_verdict(fan, errs)] += 1
         assert min(verdicts.values()) >= 100 and len(verdicts) == 4
+
+    def test_flat_cones(self, rng):
+        expected = ("maximal cone 0 is not 3-dimensional",)
+        opposite = 0
+        for _ in range(300):
+            gens = random_cone(rng, "flat")
+            fan = Fan3(gens, [range(len(gens))])
+            assert validate_fan(fan).violations == expected, gens
+            assert _cone_facets(fan, 0) == (None, None, list(expected)), gens
+            assert reference_validation(fan)[0] is False
+            opposite += any(tuple(-x for x in g) in gens for g in gens)
+        assert opposite >= 100 and 300 - opposite >= 50
 
 
 OVERLAP_VIOLATIONS = (
