@@ -36,7 +36,6 @@ from .posets import (
     FinitePoset,
     SimplicialComplex,
     boundary_matrix,
-    cone,
     order_complex,
     reduced_betti,
 )

@@ -18,17 +18,20 @@ by one common multiple of all pivots.
 F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
 flat's up-set, the flats strictly above it, is a bitset over flat ids: the
 AND, over the components not in F's mask, of the flats lacking that
-component.  `IntersectionLattice.poset` is built from the up-sets on demand.
+component.  `IntersectionLattice.poset` builds the order as a `FinitePoset`
+from the up-sets on demand; it is kept for callers and tests, and no code
+in the package reads it.
 
 The Cech-de Rham table is the reduced homology of each open interval
 (F, ambient).  When every component containing F is a hyperplane,
 [F, ambient] is a geometric lattice and, by Folkman's theorem, that homology
 is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
 the up-sets.  Every other interval is read off its order complex or its
-crosscut complex, whichever has fewer faces, ranked as sparse boundary
-columns with clearing.  The module also gives the reduced Betti numbers of
-the complement, a Moebius-function cross-check for central hyperplane
-arrangements, and the closed-form Lyubeznik tables in dimension <= 2.
+crosscut complex, whichever has fewer faces, both built from the up-sets
+and ranked as sparse boundary columns with clearing.  The module also gives
+the reduced Betti numbers of the complement, a Moebius-function cross-check
+for central hyperplane arrangements, and the closed-form Lyubeznik tables in
+dimension <= 2.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InputWarning
-from .posets import FinitePoset, SimplicialComplex, order_complex, reduced_betti
-from .qlinalg import QMatrix, _content_free, _echelon_int, _reduced_int
+from .posets import FinitePoset, SimplicialComplex, reduced_betti
+from .qlinalg import (
+    QMatrix, _content_free, _echelon_int, _reduced_int, _scaled_to_int, parse_rational,
+)
 from .tables import (
     KIND_CDR,
     KIND_LYUBEZNIK,
@@ -112,23 +117,29 @@ def _meet(rows, leads, remainders, ncols: int) -> tuple[tuple[int, ...], ...] | 
 class AffineSubspace:
     """A nonempty affine subspace of C^n in canonical form.
 
-    Each equation row has n coefficient entries followed by a constant term;
-    a point x lies on the subspace when coeffs . x + const = 0 for every row.
-    `rows` is the system's primitive integer reduced echelon form, so two
-    values are equal exactly when their rows coincide; `equations` is its rref.
+    Each equation row has n coefficient entries followed by a constant term,
+    each an int, a Fraction or a "p/q" string; a point x lies on the subspace
+    when coeffs . x + const = 0 for every row.  Each row is scaled to integers
+    once.  `rows` is the system's primitive integer reduced echelon form, so
+    two values are equal exactly when their rows coincide; `rref_rows()` is
+    its rational rref, and `equations` the same as a `QMatrix`.
     """
 
     __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim: int, equations: QMatrix):
+    def __init__(self, ambient_dim: int, equations: Iterable[Sequence]):
         if ambient_dim < 1:
             raise InputError("ambient dimension must be positive")
-        if equations.ncols != ambient_dim + 1:
-            raise InputError(
-                f"equation rows must have {ambient_dim + 1} entries "
-                f"(coefficients then constant), got {equations.ncols}"
-            )
-        rows = _canonical_rows(ambient_dim, equations.scale_rows_to_int())
+        scaled = []
+        for row in equations:
+            row = [parse_rational(x) for x in row]
+            if len(row) != ambient_dim + 1:
+                raise InputError(
+                    f"equation rows must have {ambient_dim + 1} entries "
+                    f"(coefficients then constant), got {len(row)}"
+                )
+            scaled.append(_scaled_to_int(row))
+        rows = _canonical_rows(ambient_dim, scaled)
         if rows is None:
             raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -139,11 +150,11 @@ class AffineSubspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "AffineSubspace":
-        return cls(ambient_dim, QMatrix(rows, ncols=ambient_dim + 1))
+        return cls(ambient_dim, rows)
 
     @classmethod
     def ambient(cls, ambient_dim: int) -> "AffineSubspace":
-        return cls(ambient_dim, QMatrix([], ncols=ambient_dim + 1))
+        return cls._canonical(ambient_dim, ())
 
     @classmethod
     def _canonical(cls, ambient_dim: int, rows) -> "AffineSubspace":
@@ -153,13 +164,17 @@ class AffineSubspace:
         object.__setattr__(sub, "rows", rows)
         return sub
 
-    @property
-    def equations(self) -> QMatrix:
+    def rref_rows(self) -> list[list[Fraction]]:
+        """The rational rref: each primitive row divided by its pivot."""
         rref = []
         for row in self.rows:
             pivot = next(x for x in row if x)
             rref.append([Fraction(x, pivot) for x in row])
-        return QMatrix(rref, ncols=self.ambient_dim + 1)
+        return rref
+
+    @property
+    def equations(self) -> QMatrix:
+        return QMatrix(self.rref_rows(), ncols=self.ambient_dim + 1)
 
     @property
     def dim(self) -> int:
@@ -392,6 +407,16 @@ def _moebius(lattice: IntersectionLattice) -> list[int]:
     return mu
 
 
+def _chains_above(above: Sequence[Sequence[int]], lower: int) -> SimplicialComplex:
+    """The order complex of the open interval (lower, ambient); above[i] lists
+    the proper flats strictly above flat i.  Each chain is grown upward from
+    its minimum in above[lower], as the chains are counted, so once only."""
+    chains = [(g,) for g in above[lower]]
+    for chain in chains:  # the loop reaches the chains it appends
+        chains.extend(chain + (g,) for g in above[chain[-1]])
+    return SimplicialComplex(above[lower], chains)
+
+
 def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
     """Yield (flat, complex) for each of the given proper flats F, where the
     complex is homotopy equivalent to the order complex of the open interval
@@ -420,7 +445,6 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
     for i in range(lattice.top_id - 1, -1, -1):
         chains[i] = 1 + sum(chains[g] for g in above[i])
         cross[i] = (1 << masks[i].bit_count()) - 1 - sum(cross[g] for g in above[i])
-    poset = None
     for f in flats:
         up = above[f.id]
         if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
@@ -429,9 +453,7 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
                 union |= masks[g]
             yield f, SimplicialComplex(_bits(union), [_bits(masks[g]) for g in up])
         else:
-            if poset is None:
-                poset = lattice.poset
-            yield f, order_complex(poset, f.id, lattice.top_id)
+            yield f, _chains_above(above, f.id)
 
 
 def _hyperplane_components(lattice: IntersectionLattice) -> int:

@@ -64,12 +64,12 @@ def _cmd_arrangement(args) -> tuple[int, str]:
                 "id": f.id,
                 "dim": f.dim,
                 "equations": [
-                    [format_rational(x) for x in row] for row in f.subspace.equations.entries
+                    [format_rational(x) for x in row] for row in f.subspace.rref_rows()
                 ],
             }
             for f in lattice.flats
         ]
-        order = sorted([a, b] for a, b in lattice.poset.less)
+        order = [[i, j] for i, up in enumerate(lattice.up) for j in arrangements._bits(up)]
         doc = {
             "ambient_dim": n,
             "top": lattice.top_id,

@@ -239,7 +239,8 @@ def _cone_facets(fan: Fan3, cone_index: int):
     return list(facets), tuple(facets.values()), []
 
 
-def _analyze(fan: Fan3) -> FanReport:
+def validate_fan(fan: Fan3) -> FanReport:
+    """Run all structural checks and report violations."""
     violations: list[str] = []
     rays = fan.rays
     for i, r in enumerate(rays):
@@ -325,13 +326,8 @@ def _analyze(fan: Fan3) -> FanReport:
     return FanReport(True, True, (), tuple(walls), facet_normals)
 
 
-def validate_fan(fan: Fan3) -> FanReport:
-    """Run all structural checks and report violations."""
-    return _analyze(fan)
-
-
 def _require_valid(fan: Fan3) -> FanReport:
-    report = _analyze(fan)
+    report = validate_fan(fan)
     if not report.valid:
         raise InputError("invalid fan: " + report.violations[0])
     return report
@@ -377,7 +373,8 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     normal, so one ray suffices: the far cone's first off-wall ray v must lie
     strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
     each row may be divided by its content and asked to be >= 1; rows of
-    parallel walls then coincide.  Fourier-Motzkin decides the system.
+    parallel walls then coincide, and only the first of each is kept.
+    Fourier-Motzkin decides the system.
     """
     values = list(zip(*basis))  # values[i]: every basis vector's value on ray i
     inequalities = []
@@ -393,7 +390,7 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
             ca * x + cb * y + cc * z - det * t
             for x, y, z, t in zip(*(values[i] for i in cols), values[v])
         ]), 1))
-    return fm_feasible(inequalities, len(basis)) is not None
+    return fm_feasible(list(dict.fromkeys(inequalities)), len(basis)) is not None
 
 
 def support_function_space_dim(fan: Fan3) -> int:

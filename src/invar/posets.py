@@ -237,15 +237,6 @@ def order_complex(poset: FinitePoset, lower, upper) -> SimplicialComplex:
     return SimplicialComplex(interval, chains)
 
 
-def cone(k: SimplicialComplex, apex) -> SimplicialComplex:
-    """Cone over a complex: a new apex joined to every simplex."""
-    if apex in k.vertices:
-        raise InputError("apex must be a fresh vertex")
-    # the downward closure brings back every simplex of k
-    coned = [tuple(s) + (apex,) for s in k.simplices] or [(apex,)]
-    return SimplicialComplex(k.vertices + (apex,), coned)
-
-
 def _boundary_column(simplex: tuple, low_index: dict) -> dict[int, int]:
     """The boundary of a simplex as a sparse column {face index: +-1}: the
     face without the i-th vertex, looked up in low_index, has sign (-1)^i."""

@@ -90,10 +90,6 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
@@ -111,21 +107,12 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
     def scale_rows_to_int(self) -> list[list[int]]:
         """Clear denominators row by row (rank-preserving)."""
         return [_scaled_to_int(row) for row in self.entries]
 
     def rank(self) -> int:
         return len(_echelon_int(self.scale_rows_to_int(), self.ncols))
-
-    def nullspace_dim(self) -> int:
-        return self.ncols - self.rank()
 
     def rref(self) -> "QMatrix":
         """The unique reduced row echelon form; zero rows stay, at the bottom."""

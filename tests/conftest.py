@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from invar import AffineSubspace, Fan3
+from invar import AffineSubspace, Fan3, InputError, SimplicialComplex
 from invar.fans import primitive
 
 
@@ -78,6 +78,15 @@ def double_cover_fan() -> Fan3:
     equator = [(1, 0, 0), (1, 3, 0), (-4, 3, 0), (-4, -3, 0), (1, -3, 0)]
     cones = [(i, (i + 2) % 5, pole) for i in range(5) for pole in (5, 6)]
     return Fan3(equator + [(0, 0, 1), (0, 0, -1)], cones)
+
+
+def cone(k: SimplicialComplex, apex) -> SimplicialComplex:
+    """Cone over a complex: a new apex joined to every simplex."""
+    if apex in k.vertices:
+        raise InputError("apex must be a fresh vertex")
+    # the downward closure brings back every simplex of k
+    coned = [tuple(s) + (apex,) for s in k.simplices] or [(apex,)]
+    return SimplicialComplex(k.vertices + (apex,), coned)
 
 
 def coordinate_hyperplane(n: int, axis: int) -> AffineSubspace:

@@ -22,7 +22,6 @@ from invar import (
     check_cdr,
     check_convergence_lambda,
     complement_betti,
-    cone,
     deduce_lambda,
     euler_sum,
     lyubeznik_dim2,
@@ -33,6 +32,7 @@ from invar import (
     validate_lambda,
 )
 from conftest import (
+    cone,
     coordinate_hyperplane,
     cube_fan,
     octant_fan,
@@ -40,6 +40,7 @@ from conftest import (
     random_hyperplane,
     random_subspace,
 )
+from test_qlinalg import transposed
 
 
 def report(num, name, ok):
@@ -356,7 +357,7 @@ def test_criterion_8_numerical_core():
         m = QMatrix(rows)
         once = m.rref()
         ok &= once.rref() == once
-        ok &= m.rank() == m.transpose().rank()
+        ok &= m.rank() == transposed(m).rank()
         for p in primes:
             ok &= gf_rank(rows, p) == m.rank()
         if not ok:

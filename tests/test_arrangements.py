@@ -3,6 +3,7 @@
 import random
 import warnings
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,7 +28,9 @@ from invar import (
 )
 from invar import arrangements
 from invar.arrangements import (
+    _bits,
     _canonical_rows,
+    _chains_above,
     _hyperplane_components,
     _interval_complexes,
     _moebius,
@@ -58,6 +61,19 @@ def pencil_arrangement(k):
     """k planes of C^3 through the z-axis, plus the transversal plane z = 0."""
     comps = [AffineSubspace.from_rows(3, [[1, i, 0, 0]]) for i in range(k)]
     return comps + [AffineSubspace.from_rows(3, [[0, 0, 1, 0]])]
+
+
+def k_equal_arrangement(n, k):
+    """The subspaces x_{i1} = ... = x_{ik} of C^n; none is a hyperplane for k >= 3."""
+    comps = []
+    for subset in combinations(range(n), k):
+        rows = []
+        for j in subset[1:]:
+            row = [0] * (n + 1)
+            row[subset[0]], row[j] = 1, -1
+            rows.append(row)
+        comps.append(AffineSubspace.from_rows(n, rows))
+    return comps
 
 
 def random_mixed_components(rng, count):
@@ -234,6 +250,55 @@ def random_presentation_pairs(seed, count):
             continue
         out.append((n, rows_a, rows_b))
     return out
+
+
+def qmatrix_canonical(n, rows):
+    """Canonical rows by way of the QMatrix parse, the former constructor path."""
+    return _canonical_rows(n, QMatrix(rows, ncols=n + 1).scale_rows_to_int())
+
+
+class TestFromRows:
+    """Rows parsed entry by entry against the QMatrix path they replace."""
+
+    def test_int_fraction_string_and_mixed_rows(self):
+        rng = random.Random(99)
+        for n, rows, _ in random_presentation_pairs(77, 100):
+            ints = [[x * 12 for x in row] for row in rows]  # every denominator divides 12
+            assert all(Fraction(x).denominator == 1 for row in ints for x in row)
+            ints = [[int(x) for x in row] for row in ints]
+            assert qmatrix_canonical(n, ints) == qmatrix_canonical(n, rows)
+            for spelled in (
+                ints,
+                [[Fraction(x) for x in row] for row in rows],
+                [[str(Fraction(x)) for x in row] for row in rows],
+                [[rng.choice((x, Fraction(x), str(Fraction(x)))) for x in row] for row in rows],
+            ):
+                assert AffineSubspace.from_rows(n, spelled).rows == qmatrix_canonical(n, spelled)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0.5, 0]],
+        [[1, True, 0]],
+        [[1, "1.5", 0]],
+        [[1, "x", 0]],
+        [[1, "1/0", 0]],
+        [[1, 0]],
+        [[1, 0, 0, 0]],
+        [[1, 0, 0], [1, 0]],
+        [[1, 0, 0], [1, 0, 1]],
+    ], ids=["float", "bool", "decimal", "word", "zero-denominator", "short", "long",
+            "ragged", "inconsistent"])
+    def test_rejects(self, rows):
+        with pytest.raises(InputError):
+            AffineSubspace.from_rows(2, rows)
+
+    def test_width_message(self):
+        with pytest.raises(InputError, match=r"must have 3 entries .*, got 2"):
+            AffineSubspace.from_rows(2, [[1, 0, 0], [1, 0]])
+
+    def test_ambient(self):
+        top = AffineSubspace.ambient(3)
+        assert top.rows == () and top.dim == 3
+        assert top == AffineSubspace.from_rows(3, [])
 
 
 class TestAffineSubspaceAgainstReference:
@@ -446,6 +511,17 @@ class TestAgainstReferencePaths:
             for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
                 reference = order_complex(lattice.poset, flat.id, lattice.top_id)
                 assert reduced_betti(complex_) == qmatrix_betti(reference)
+
+    def test_chains_match_order_complex(self, rng):
+        # every proper flat, whichever complex _interval_complexes picks for it
+        lattices = self.corpus(rng) + [build_lattice(k_equal_arrangement(6, 3))]
+        lattices += [build_lattice(pencil_arrangement(k)) for k in (2, 5, 20)]
+        for lattice in lattices:
+            top = lattice.top_id
+            above = [_bits(up & ((1 << top) - 1)) for up in lattice.up[:top]]
+            poset = lattice.poset
+            for flat in lattice.proper_flats():
+                assert _chains_above(above, flat.id) == order_complex(poset, flat.id, top)
 
     def test_both_complexes_are_used(self):
         # faces at the bottom point, the empty face included.  Boolean n=4:

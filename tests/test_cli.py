@@ -16,6 +16,7 @@ from invar.cli import main
 from invar.fileio import dumps_table, parse_table
 from invar.tables import InvariantTable
 from conftest import double_cover_fan, prism_fan
+from test_arrangements import quiet_lattice, random_mixed_components
 
 
 BOOLEAN3 = {
@@ -292,6 +293,21 @@ class TestLatticeGolden:
         path = write(tmp_path, f"{name}.json", case["input"])
         code, out, err = run(capsys, "arrangement", "lattice", "--input", path, "--format", fmt)
         assert (code, out, err) == (0, case[fmt], "")
+
+
+class TestLatticeOrder:
+    def test_order_is_the_sorted_poset(self, tmp_path, capsys):
+        # the order written from the up-sets against the poset's pair set
+        rng = random.Random(31)
+        for i, comps in enumerate(random_mixed_components(rng, 60)):
+            n = comps[0].ambient_dim
+            doc = {"ambient_dim": n, "subspaces": [
+                {"equations": [list(row) for row in c.rows]} for c in comps]}
+            path = write(tmp_path, f"mixed{i}.json", doc)
+            code, out, _ = run(capsys, "arrangement", "lattice", "--input", path, "--format", "json")
+            assert code == 0
+            expected = sorted(quiet_lattice(comps).poset.less)
+            assert [tuple(pair) for pair in json.loads(out)["order"]] == expected
 
 
 class TestArrangementCommands:

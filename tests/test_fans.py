@@ -777,13 +777,13 @@ class TestOneValidationPerCall:
         fan = octant_fan()
         path = _fan_file(tmp_path, fan)
         calls = []
-        analyze = fans._analyze
+        validate = fans.validate_fan
 
         def counting(f):
             calls.append(f)
-            return analyze(f)
+            return validate(f)
 
-        monkeypatch.setattr(fans, "_analyze", counting)
+        monkeypatch.setattr(fans, "validate_fan", counting)
         call(fan, path)
         assert capsys.readouterr().err == ""
         assert calls == [fan]

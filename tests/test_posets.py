@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from invar import (
-    AffineSubspace,
     BettiVector,
     FinitePoset,
     InputError,
@@ -14,13 +13,13 @@ from invar import (
     SimplicialComplex,
     boundary_matrix,
     build_lattice,
-    cone,
     order_complex,
     reduced_betti,
 )
 from invar.arrangements import _interval_complexes
 from test_qlinalg import reference_echelon_int
-from test_arrangements import pencil_arrangement
+from test_arrangements import k_equal_arrangement, pencil_arrangement
+from conftest import cone
 
 
 def boolean_coordinate_poset(n):
@@ -82,19 +81,6 @@ def reference_reduced_betti(k):
         ranks[deg] = len(reference_echelon_int(_boundary_rows(top, by_degree[deg - 1]), len(top)))
     counts = [1] + [len(simplices) for simplices in by_degree]
     return BettiVector(counts[deg + 1] - ranks[deg] - ranks[deg + 1] for deg in range(-1, d + 1))
-
-
-def k_equal_arrangement(n, k):
-    """The subspaces x_{i1} = ... = x_{ik} of C^n; none is a hyperplane for k >= 3."""
-    comps = []
-    for subset in combinations(range(n), k):
-        rows = []
-        for j in subset[1:]:
-            row = [0] * (n + 1)
-            row[subset[0]], row[j] = 1, -1
-            rows.append(row)
-        comps.append(AffineSubspace.from_rows(n, rows))
-    return comps
 
 
 class TestOrderComplex:
