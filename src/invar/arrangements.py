@@ -114,6 +114,7 @@ def _meet(rows, leads, remainders, ncols: int) -> tuple[tuple[int, ...], ...] | 
     return tuple(row for _, row in merged)
 
 
+@dataclass(frozen=True, slots=True)
 class AffineSubspace:
     """A nonempty affine subspace of C^n in canonical form.
 
@@ -125,7 +126,8 @@ class AffineSubspace:
     its rational rref, and `equations` the same as a `QMatrix`.
     """
 
-    __slots__ = ("ambient_dim", "rows")
+    ambient_dim: int
+    rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient_dim: int, equations: Iterable[Sequence]):
         if ambient_dim < 1:
@@ -144,9 +146,6 @@ class AffineSubspace:
             raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineSubspace is immutable")
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "AffineSubspace":
@@ -203,16 +202,6 @@ class AffineSubspace:
         self._check_same_ambient(other)
         return not _remainders(self.rows, _leads(self.rows), other.rows)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineSubspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
-
     def __repr__(self):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
 
@@ -256,6 +245,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class IntersectionLattice:
     """All nonempty intersections of the components, ordered by inclusion.
 
@@ -266,24 +256,11 @@ class IntersectionLattice:
     `up[i]` is the bitset, over flat ids, of the flats strictly above it.
     """
 
-    __slots__ = ("ambient_dim", "flats", "top_id", "masks", "up")
-
-    def __init__(
-        self,
-        ambient_dim: int,
-        flats: Sequence[Flat],
-        top_id: int,
-        masks: Sequence[int],
-        up: Sequence[int],
-    ):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "flats", tuple(flats))
-        object.__setattr__(self, "top_id", top_id)
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "up", tuple(up))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntersectionLattice is immutable")
+    ambient_dim: int
+    flats: tuple[Flat, ...]
+    top_id: int
+    masks: tuple[int, ...]
+    up: tuple[int, ...]
 
     @property
     def poset(self) -> FinitePoset:
@@ -389,7 +366,7 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
         for j in _bits(all_components & ~mask):
             above &= lacking[j]
         up.append(above ^ (1 << i))
-    return IntersectionLattice(n, flats, top.id, flat_masks, up)
+    return IntersectionLattice(n, tuple(flats), top.id, tuple(flat_masks), tuple(up))
 
 
 def _moebius(lattice: IntersectionLattice) -> list[int]:

@@ -138,10 +138,12 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 # Fans
 
 
+@dataclass(frozen=True, slots=True)
 class Fan3:
     """A fan in Z^3: primitive rays plus maximal cones as ray index tuples."""
 
-    __slots__ = ("rays", "max_cones")
+    rays: tuple[IVec, ...]
+    max_cones: tuple[tuple[int, ...], ...]
 
     def __init__(self, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]):
         ray_tuple = tuple(tuple(r) for r in rays)
@@ -154,19 +156,6 @@ class Fan3:
                 raise InputError(f"maximal cones must list integer ray indices, got {c!r}")
         object.__setattr__(self, "rays", ray_tuple)
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cone_tuple))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan3 is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Fan3)
-            and self.rays == other.rays
-            and self.max_cones == other.max_cones
-        )
-
-    def __hash__(self):
-        return hash((self.rays, self.max_cones))
 
     def __repr__(self):
         return f"Fan3({len(self.rays)} rays, {len(self.max_cones)} maximal cones)"

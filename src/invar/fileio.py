@@ -14,7 +14,6 @@ from typing import Sequence
 from .arrangements import AffineSubspace
 from .errors import InputError, InputWarning
 from .fans import Fan3, primitive
-from .qlinalg import parse_rational
 from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable
 
 
@@ -61,16 +60,14 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
         rows = entry["equations"]
         if not isinstance(rows, list) or not rows:
             raise InputError(f"{name}: equations must be a nonempty list of rows")
-        parsed = []
         for row in rows:
             if not isinstance(row, list) or len(row) != n + 1:
                 raise InputError(
                     f"{name}: every equation row needs exactly {n + 1} entries "
                     "(coefficients then constant)"
                 )
-            parsed.append([parse_rational(x) for x in row])
         try:
-            components.append(AffineSubspace.from_rows(n, parsed))
+            components.append(AffineSubspace.from_rows(n, rows))
         except InputError as exc:
             raise InputError(f"{name}: {exc}") from exc
         names.append(name)

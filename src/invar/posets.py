@@ -11,17 +11,20 @@ an order complex or a crosscut complex, whichever is smaller.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InputError
 from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FinitePoset:
     """A finite strict partial order, closed transitively at construction
     or given by closed up-sets (`from_up_sets`); `less` holds its pairs."""
 
-    __slots__ = ("elements", "less")
+    elements: tuple
+    less: frozenset
 
     def __init__(self, elements: Iterable[Hashable], less_than: Iterable[tuple]):
         elems = tuple(elements)
@@ -71,9 +74,6 @@ class FinitePoset:
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "less", frozenset(pairs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitePoset is immutable")
-
     def less_than(self, a, b) -> bool:
         return (a, b) in self.less
 
@@ -99,6 +99,7 @@ def _vertex_key(v):
     return (type(v).__name__, repr(v))
 
 
+@dataclass(frozen=True, slots=True)
 class SimplicialComplex:
     """Abstract simplicial complex: vertex tuple plus a downward-closed family.
 
@@ -107,7 +108,9 @@ class SimplicialComplex:
     is deterministic.
     """
 
-    __slots__ = ("vertices", "simplices", "_pos")
+    vertices: tuple
+    simplices: frozenset
+    _pos: dict = field(compare=False, repr=False)
 
     def __init__(self, vertices: Iterable[Hashable], simplices: Iterable[Iterable[Hashable]]):
         verts = tuple(sorted(set(vertices), key=_vertex_key))
@@ -135,22 +138,9 @@ class SimplicialComplex:
         object.__setattr__(self, "simplices", frozenset(closed))
         object.__setattr__(self, "_pos", {v: i for i, v in enumerate(verts)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplicialComplex is immutable")
-
     @classmethod
     def empty(cls) -> "SimplicialComplex":
         return cls((), ())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertices == other.vertices
-            and self.simplices == other.simplices
-        )
-
-    def __hash__(self):
-        return hash((self.vertices, self.simplices))
 
     def is_empty(self) -> bool:
         return not self.simplices
@@ -171,10 +161,11 @@ class SimplicialComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices if s) - 1
 
 
+@dataclass(frozen=True, slots=True)
 class BettiVector:
     """Reduced Betti numbers indexed from degree -1, trailing zeros trimmed."""
 
-    __slots__ = ("values",)
+    values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
         vals = list(values)
@@ -186,22 +177,11 @@ class BettiVector:
             raise InputError("Betti numbers must be nonnegative")
         object.__setattr__(self, "values", tuple(vals))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiVector is immutable")
-
     def __getitem__(self, degree: int) -> int:
         i = degree + 1
         if i < 0 or i >= len(self.values):
             return 0
         return self.values[i]
-
-    def __eq__(self, other):
-        if isinstance(other, BettiVector):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.values)
 
     def __repr__(self):
         pairs = ", ".join(f"b{k - 1}={v}" for k, v in enumerate(self.values) if v)

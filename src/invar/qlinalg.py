@@ -18,6 +18,7 @@ Integer input stays `int`.  Nothing ever rounds.  Desk-scale sizes only.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -66,10 +67,13 @@ def format_rational(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
+@dataclass(frozen=True, slots=True)
 class QMatrix:
     """Immutable dense matrix over the rationals."""
 
-    __slots__ = ("entries", "nrows", "ncols")
+    entries: tuple[tuple[int | Fraction, ...], ...]
+    nrows: int
+    ncols: int
 
     def __init__(self, entries: Iterable[Sequence], ncols: int | None = None):
         rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
@@ -86,19 +90,6 @@ class QMatrix:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ncols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)

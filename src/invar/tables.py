@@ -68,10 +68,12 @@ def _search_limit(explicit: int | None) -> int:
     return limit
 
 
+@dataclass(frozen=True, slots=True)
 class InvariantTable:
     """Upper-triangular table of nonnegative integers with optional unknowns."""
 
-    __slots__ = ("kind", "entries")
+    kind: str
+    entries: tuple[tuple[int | None, ...], ...]
 
     def __init__(self, kind: str, entries: Iterable[Sequence]):
         if kind not in _KINDS:
@@ -88,9 +90,6 @@ class InvariantTable:
                     raise InputError(f"table entries must be nonnegative integers or None, got {v!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantTable is immutable")
 
     @classmethod
     def zeros(cls, kind: str, d: int) -> "InvariantTable":
@@ -122,16 +121,6 @@ class InvariantTable:
                 raise InputError(f"cell {(p, q)} outside table of dimension {self.d}")
             rows[p][q] = v
         return InvariantTable(self.kind, rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvariantTable)
-            and self.kind == other.kind
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.entries))
 
     def __repr__(self):
         return f"InvariantTable(kind={self.kind!r}, d={self.d})"
@@ -414,17 +403,19 @@ def _lambda_graph(entries, upper):
     d = len(entries) - 1
     total = sum(map(sum, upper))  # no cell or arrow carries more
     graph = _FlowGraph()
-    edge = {}
+    edge, known = {}, []
     for p, row in enumerate(upper):
         for q, u in enumerate(row):
-            if u or entries[p][q] is None:
+            v = entries[p][q]
+            if u or v is None:
                 ends = ("hub", (p, q)) if (p + q) % 2 == 0 else ((p, q), "hub")
                 edge[p, q] = graph.add(*ends, u)
+                if v:
+                    known.append((edge[p, q], v))
     for p in range(d + 1):
         if upper[p][p]:
             graph.add((p, p), "diag", total)
-    floors = [(graph.add("diag", "hub", 1), 1)]  # the surviving unit first
-    floors += [(edge[p, q], v) for p, row in enumerate(entries) for q, v in enumerate(row) if v]
+    floors = [(graph.add("diag", "hub", 1), 1)] + known  # the surviving unit first
     if entries[d][d] is None:
         floors.append((edge[d, d], 1))
     return graph, edge, floors, _add_arrows(graph, upper, KIND_LYUBEZNIK, total)
@@ -528,10 +519,14 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     return _cdr_witness(table.entries, target, n) is not None
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SpectralState:
     """One page of a spectral table together with the rank choices taken so far."""
 
-    __slots__ = ("kind", "page", "entries", "history")
+    kind: str
+    page: int
+    entries: tuple[tuple[int, ...], ...]
+    history: tuple[tuple[int, Cell, Cell, int], ...]
 
     def __init__(self, kind: str, page: int, entries, history=()):
         if kind not in _KINDS:
@@ -542,9 +537,6 @@ class SpectralState:
         object.__setattr__(self, "page", page)
         object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
         object.__setattr__(self, "history", tuple(history))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralState is immutable")
 
     @classmethod
     def start(cls, table: InvariantTable) -> "SpectralState":

@@ -400,6 +400,13 @@ class TestArrangementCommands:
         assert code == 2
         assert "floating point" in err
 
+    def test_bad_literal_names_its_subspace(self, tmp_path, capsys):
+        doc = {"ambient_dim": 2, "subspaces": [{"name": "L", "equations": [[1, "x", 0]]}]}
+        path = write(tmp_path, "bad.json", doc)
+        assert run(capsys, "arrangement", "cdr", "--input", path) == (
+            2, "", "error: L: not a rational literal: 'x'\n"
+        )
+
     def test_strict_turns_pruning_into_error(self, tmp_path, capsys):
         doc = {
             "ambient_dim": 3,
