@@ -97,9 +97,10 @@ def _meet(rows, leads, remainders, ncols: int) -> tuple[tuple[int, ...], ...] | 
     old pivot columns, so the old rows need back-substitution at the new
     pivot columns only, and the union is the unique primitive reduced form.
     """
-    new = _reduced_int(_echelon_int(remainders, ncols))
-    if not any(new[-1][:-1]):  # a pivot in the constant column
+    echelon = _echelon_int(remainders, ncols)
+    if not any(echelon[-1][:-1]):  # a pivot in the constant column
         return None
+    new = _reduced_int(echelon)
     new_leads = _leads(new)
     merged = list(zip(new_leads, new))
     for lead, row in zip(leads, rows):

@@ -192,9 +192,8 @@ def _cmd_table(args) -> tuple[int, str]:
         notes.append("abutment: infeasible against the given Betti numbers")
         return EXIT_INFEASIBLE, _emit_table(table, notes, args.format)
     notes.append("abutment: feasible")
-    if table.d <= 3:
-        degenerate = tables.check_cdr(table, betti, ambient, require_degenerate=True)
-        notes.append(f"degenerate solution matches: {'yes' if degenerate else 'no'}")
+    degenerate = tables.check_cdr(table, betti, ambient, require_degenerate=True)
+    notes.append(f"degenerate solution matches: {'yes' if degenerate else 'no'}")
     return EXIT_OK, _emit_table(table, notes, args.format)
 
 

@@ -2,12 +2,16 @@
 
 All rational data travels as integers or "p/q" strings; floating point
 literals, NaN and Infinity included, are rejected outright so nothing in the
-pipeline ever rounds.
+pipeline ever rounds.  A file is UTF-8 text without a byte order mark; CRLF
+and CR line endings read as LF.  An integer literal longer than
+`sys.get_int_max_str_digits()` digits, as a number or in a "p/q" string,
+is an InputError that names the limit.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from typing import Sequence
 
@@ -23,16 +27,34 @@ def _reject_float(text: str):
     )
 
 
+# json.load builds a fresh decoder whenever it gets a parse_* argument
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
 def load_json(path: str) -> dict:
+    """The top-level JSON object of a file.  Documents and error texts are
+    those of json.load on the file opened in text mode."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # text mode's universal newlines; keeps error positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        if text.startswith("\ufeff"):  # json.loads checks this, JSONDecoder does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except InputError:  # a float literal, from _reject_float
+        raise
+    except ValueError as exc:  # the only other ValueError: int() past the digit limit
+        raise InputError(
+            f"{path} has an integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     except RecursionError as exc:
         raise InputError(f"{path} nests arrays or objects too deeply") from exc
     if not isinstance(doc, dict):

@@ -18,6 +18,7 @@ Integer input stays `int`.  Nothing ever rounds.  Desk-scale sizes only.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -49,8 +50,12 @@ def parse_rational(value) -> int | Fraction:
             raise InputError(f"not a rational literal: {value!r}")
         try:
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise InputError(f"not a rational literal: {value!r}") from exc
+        except ValueError as exc:  # the digits matched, so int() hit its limit
+            raise InputError(
+                f"rational literal has an integer longer than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     raise InputError(f"not a rational literal: {value!r} (floats are not accepted)")
 
 

@@ -502,8 +502,8 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     k = 2n-p-q-1 to k+1, so the ranks must remove exactly sum_k - betti_k
     from each antidiagonal k.  The k's alternate in parity, which makes this
     a bipartite transportation problem, decided by one circulation with
-    lower bounds (see _cdr_witness).  With require_degenerate (honored for
-    tables of dimension <= 3), only the all-ranks-zero assignment is accepted.
+    lower bounds (see _cdr_witness).  With require_degenerate, only the
+    all-ranks-zero assignment is accepted: the sums must equal the target.
     """
     if table.kind != KIND_CDR:
         raise InputError("check_cdr expects a cdr table")
@@ -514,7 +514,7 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
             f"ambient dimension {n} is too small for a table of dimension {table.d}"
         )
     target = _normalize_betti(betti, n)
-    if require_degenerate and table.d <= 3:
+    if require_degenerate:
         return _antidiagonal_sums(table.entries, n) == target
     return _cdr_witness(table.entries, target, n) is not None
 

@@ -548,6 +548,20 @@ class TestTableCommands:
         notes = json.loads(out)["notes"]
         assert any("degenerate solution matches: yes" in n for n in notes)
 
+    @pytest.mark.parametrize("betti, degenerate", [([0, 0, 0, 1, 1], "yes"), ([0], "no")])
+    def test_check_cdr_degenerate_note_at_dim_4(self, betti, degenerate, tmp_path, capsys):
+        # (3,3) -> (1,4) is a page-2 differential, so both Betti vectors are
+        # feasible; the degenerate test compares antidiagonal sums at any dimension
+        entries = [[0] * 5 for _ in range(5)]
+        entries[1][4] = entries[3][3] = 1
+        doc = {"kind": "cdr", "dim": 4, "ambient_dim": 5, "entries": entries, "betti": betti}
+        code, out, _ = run(capsys, "table", "check", "--input", write(tmp_path, "t.json", doc),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["notes"] == [
+            "abutment: feasible", f"degenerate solution matches: {degenerate}"
+        ]
+
     def test_check_cdr_missing_betti(self, tmp_path, capsys):
         doc = {"kind": "cdr", "dim": 2, "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
         path = write(tmp_path, "t.json", doc)
@@ -655,7 +669,8 @@ class TestMalformedInput:
         (VALID + b'"unused": NaN}', "floating point literal 'NaN' is not allowed"),
         (VALID + b'"unused": Infinity}', "floating point literal 'Infinity' is not allowed"),
         (VALID + b'"unused": -Infinity}', "floating point literal '-Infinity' is not allowed"),
-    ], ids=["not-utf8", "deep-nesting", "nan", "infinity", "minus-infinity"])
+        (VALID + b'"unused": ' + b"7" * 5000 + b"}", "has an integer literal longer than 4300 digits"),
+    ], ids=["not-utf8", "deep-nesting", "nan", "infinity", "minus-infinity", "long-integer"])
     def test_exit_2_with_error_line(self, content, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
@@ -663,6 +678,13 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_long_rational_string_names_the_limit(self, tmp_path, capsys):
+        doc = {"ambient_dim": 1, "subspaces": [{"name": "L", "equations": [[1, "1/" + "7" * 5000]]}]}
+        path = write(tmp_path, "bad.json", doc)
+        assert run(capsys, "arrangement", "cdr", "--input", path) == (
+            2, "", "error: L: rational literal has an integer longer than 4300 digits\n"
+        )
 
 
 class TestParser:
