@@ -7,7 +7,11 @@ For each case (boolean n = 6, 7, braid n = 6, 7, 8, k-equal (n, k) =
 (7, 3), (8, 4) and the pencil of k = 40 planes, plain and lifted), builds
 the intersection lattice and the Cech-de Rham table, checks the table or the
 complement against an independent formula, and prints the wall time of both
-steps.
+steps.  It also counts the meets `build_lattice` makes, the calls of
+`arrangements._meet`, by wrapping that function, and checks them against
+the exact counts recorded here: one meet per distinct cut of a popped flat.
+A change in the count is a change in the lattice builder's work, even when
+the lattice stays right.
 
 Boolean and braid are hyperplane arrangements, so every cell comes from a
 Moebius number and the time is the lattice's: braid n = 8 has 4,140 flats.
@@ -34,7 +38,7 @@ same, but every interval is now ranked through a complex, and the origin's
 is its order complex of 5k + 3 faces, where the crosscut complex would have
 2^k + k + 1.
 
-Exits 1 if a table is wrong.
+Exits 1 if a table or a meet count is wrong.
 """
 
 from __future__ import annotations
@@ -43,7 +47,15 @@ import sys
 from itertools import combinations
 from time import perf_counter
 
-from invar import AffineSubspace, build_lattice, cdr_table, complement_betti
+from invar import AffineSubspace, arrangements, build_lattice, cdr_table, complement_betti
+
+# meets made by build_lattice, recorded from the grouped-cut builder
+MEETS = {
+    "boolean n=6": 57, "boolean n=7": 120,
+    "braid n=6": 666, "braid n=7": 3836, "braid n=8": 22982,
+    "k-equal (7,3)": 917, "k-equal (8,4)": 1314,
+    "pencil k=40": 119, "pencil k=40 lifted": 119,
+}
 
 
 def hyperplane(n: int, coeffs: dict[int, int]) -> AffineSubspace:
@@ -114,22 +126,39 @@ def euler_check(lattice, table):
     return euler == expected and betti[0] == 0, f"reduced Euler characteristic {expected}"
 
 
+def count_meets() -> list[int]:
+    """Wrap arrangements._meet so that each call adds 1 to the returned list."""
+    meets = [0]
+    meet = arrangements._meet
+
+    def counted(*args):
+        meets[0] += 1
+        return meet(*args)
+
+    arrangements._meet = counted
+    return meets
+
+
 def main() -> int:
     ok = True
+    meets = count_meets()
     cases = [(f"boolean n={n}", boolean(n), poincare_check([1] * n)) for n in (6, 7)]
     cases += [(f"braid n={n}", braid(n), poincare_check(list(range(1, n)))) for n in (6, 7, 8)]
     cases += [(f"k-equal ({n},{k})", k_equal(n, k), euler_check) for n, k in ((7, 3), (8, 4))]
     cases += [(f"pencil k=40{' lifted' if lifted else ''}", pencil(40, lifted), pencil_check(40))
               for lifted in (False, True)]
     for name, comps, check in cases:
+        meets[0] = 0
         start = perf_counter()
         lattice = build_lattice(comps)
         built = perf_counter()
         table = cdr_table(lattice)
         done = perf_counter()
         right, claim = check(lattice, table)
-        ok &= right
-        print(f"{name}: {len(lattice.flats)} flats, build_lattice {built - start:.2f} s, "
+        counted = meets[0] == MEETS[name]
+        ok &= right and counted
+        print(f"{name}: {len(lattice.flats)} flats, {meets[0]} meets (expected {MEETS[name]}) "
+              f"{'ok' if counted else 'WRONG'}, build_lattice {built - start:.2f} s, "
               f"cdr_table {done - built:.2f} s, total {done - start:.2f} s, "
               f"{claim} {'ok' if right else 'WRONG'}")
     return 0 if ok else 1

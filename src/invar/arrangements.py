@@ -8,12 +8,18 @@ with the ambient space as unique top element.
 Flats are found by meeting each flat with each component.  A component
 contains a flat when each of its rows reduces to zero against the flat's
 rows; it then goes into the flat's component bitmask, and nothing is
-eliminated.  A flat is the meet of the components in its mask, so a meet
-whose generating set (the mask plus one component) has been met before is
-skipped; any other meet eliminates only the nonzero remainders and
-back-substitutes their pivots into the flat's rows.  Flats are listed by
-dimension, then by rational rref, compared exactly as integer rows scaled
-by one common multiple of all pivots.
+eliminated.  Otherwise the meet is fixed by the cut, the reduced rows of
+the nonzero remainders: components with the same cut give the same meet,
+which is made once by back-substituting the cut's pivots into the flat's
+rows.  A flat is the meet of the components in its mask, so a component
+whose generating set (the mask plus that component) has been met before is
+skipped.  A meet lies in the flat's components and in the group's, so that
+union is a lower bound on its mask, and those components are not reduced
+against it again.  The components' remainders against each other are
+reduced once, when contained components are pruned, and serve as the
+lattice's first level.  Flats are listed by dimension, then by rational
+rref, compared exactly as integer rows scaled by one common multiple of all
+pivots.
 
 F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
 flat's up-set, the flats strictly above it, is a bitset over flat ids: the
@@ -56,14 +62,6 @@ from .tables import (
 )
 
 
-def _canonical_rows(ambient_dim: int, rows) -> tuple[tuple[int, ...], ...] | None:
-    """Primitive integer reduced rows of an integer system; None if unsolvable."""
-    reduced = _reduced_int(_echelon_int(rows, ambient_dim + 1))
-    if reduced and not any(reduced[-1][:-1]):  # a pivot in the constant column
-        return None
-    return tuple(reduced)
-
-
 def _leads(rows) -> tuple[int, ...]:
     """The pivot column of each row of an echelon form."""
     return tuple(next(j for j, x in enumerate(row) if x) for row in rows)
@@ -89,23 +87,39 @@ def _remainders(rows, leads, others) -> list[list[int]]:
     return out
 
 
-def _meet(rows, leads, remainders, ncols: int) -> tuple[tuple[int, ...], ...] | None:
-    """Canonical rows of a subspace (reduced `rows`, pivot columns `leads`)
-    cut by equations with the given nonzero remainders; None when empty.
+def _cut(rows, ncols: int) -> tuple[tuple[int, ...], ...] | None:
+    """The primitive reduced rows of an integer system, or None when they
+    have a pivot in the constant column: no point satisfies them all.
 
-    Only the remainders are eliminated.  Their reduced rows are zero at the
-    old pivot columns, so the old rows need back-substitution at the new
-    pivot columns only, and the union is the unique primitive reduced form.
+    One row needs only its content divided out and its pivot made positive.
+    The cut of a component's nonzero remainders against a flat fixes their
+    meet, so components with the same cut meet the flat in one subspace.
     """
-    echelon = _echelon_int(remainders, ncols)
-    if not any(echelon[-1][:-1]):  # a pivot in the constant column
+    if len(rows) == 1:
+        row = rows[0]
+        if not any(row[:-1]):  # 0 = c: the ambient space when c is 0, else empty
+            return None if row[-1] else ()
+        row = _content_free(row)
+        return (row if next(x for x in row if x) > 0 else tuple(-x for x in row),)
+    echelon = _echelon_int(rows, ncols)
+    if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
         return None
-    new = _reduced_int(echelon)
-    new_leads = _leads(new)
-    merged = list(zip(new_leads, new))
+    return tuple(_reduced_int(echelon))
+
+
+def _meet(rows, leads, cut) -> tuple[tuple[int, ...], ...]:
+    """Canonical rows of a subspace (reduced `rows`, pivot columns `leads`)
+    cut by the rows `cut` of `_cut`.
+
+    The remainders are zero at the old pivot columns, and so is their cut,
+    so the old rows need back-substitution at the new pivot columns only,
+    and the union is the unique primitive reduced form.
+    """
+    new_leads = _leads(cut)
+    merged = list(zip(new_leads, cut))
     for lead, row in zip(leads, rows):
         substituted = row
-        for c, new_row in zip(new_leads, new):
+        for c, new_row in zip(new_leads, cut):
             v = substituted[c]
             if v:
                 # new_row[c] > 0 keeps this row's pivot positive
@@ -142,7 +156,7 @@ class AffineSubspace:
                     f"(coefficients then constant), got {len(row)}"
                 )
             scaled.append(_scaled_to_int(row))
-        rows = _canonical_rows(ambient_dim, scaled)
+        rows = _cut(scaled, ambient_dim + 1)
         if rows is None:
             raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -195,8 +209,10 @@ class AffineSubspace:
         remainders = _remainders(self.rows, leads, other.rows)
         if not remainders:
             return self
-        rows = _meet(self.rows, leads, remainders, self.ambient_dim + 1)
-        return None if rows is None else AffineSubspace._canonical(self.ambient_dim, rows)
+        cut = _cut(remainders, self.ambient_dim + 1)
+        if cut is None:
+            return None
+        return AffineSubspace._canonical(self.ambient_dim, _meet(self.rows, leads, cut))
 
     def contained_in(self, other: "AffineSubspace") -> bool:
         """Whether every equation of `other` reduces to zero against ours."""
@@ -286,8 +302,17 @@ class IntersectionLattice:
         return tuple(f for f in self.flats if not above_some >> f.id & 1)
 
 
-def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSubspace]:
-    """Deduplicate and drop components contained in others, with a warning."""
+def _normalize_components(
+    components: Sequence[AffineSubspace],
+) -> tuple[list[AffineSubspace], list[list[tuple[int, list[list[int]]]]]]:
+    """Deduplicate and drop components contained in others, with a warning.
+
+    Returns the kept components and, for each, the pairs (j, remainders)
+    over every other kept component j: the nonzero remainders of j's rows
+    against its rows.  A component lies in another exactly when all of
+    those remainders vanish, so they are reduced once, here, and the
+    lattice's first level reads them.
+    """
     if not components:
         raise InputError("an arrangement needs at least one component")
     n = components[0].ambient_dim
@@ -297,58 +322,88 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
         if c.dim == n:
             raise InputError("a component equal to the ambient space is not allowed")
     unique: list[AffineSubspace] = []
+    seen: set[AffineSubspace] = set()
     for i, c in enumerate(components):
-        if c in unique:
+        if c in seen:
             warnings.warn(f"duplicate component at position {i} ignored", InputWarning)
         else:
+            seen.add(c)
             unique.append(c)
-    keep: list[AffineSubspace] = []
+    kept = []  # (index in unique, [remainders of each unique component])
     for i, c in enumerate(unique):
-        redundant = any(c != o and c.contained_in(o) for o in unique)
-        if redundant:
-            warnings.warn(
-                f"component of dimension {c.dim} is contained in another component; pruned",
-                InputWarning,
-            )
+        leads = _leads(c.rows)
+        remainders = []
+        for k, other in enumerate(unique):
+            rem = _remainders(c.rows, leads, other.rows) if k != i else None
+            if rem == []:  # c lies in other
+                warnings.warn(
+                    f"component of dimension {c.dim} is contained in another component; pruned",
+                    InputWarning,
+                )
+                break
+            remainders.append(rem)
         else:
-            keep.append(c)
-    return keep
+            kept.append((i, remainders))
+    comps = [unique[i] for i, _ in kept]
+    pairs = [
+        [(j, remainders[k]) for j, (k, _) in enumerate(kept) if k != i]
+        for i, remainders in kept
+    ]
+    return comps, pairs
 
 
 def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     """All nonempty intersections of the components, ordered by inclusion.
 
-    Every flat is met with every component only.  The remainders of a
+    Each flat is met with the components only.  The remainders of a
     component's rows against the flat's rows decide containment (all zero:
-    the component goes into the flat's mask) and otherwise give the meet.
-    A flat is the intersection of the components in its mask, so the meet
-    with component j is determined by the set mask | 1 << j, and each such
-    set is met once.
+    the component goes into the flat's mask); otherwise their cut fixes the
+    meet, so the components with one cut are met once, as a group.  A flat
+    is the intersection of the components in its mask, so a component j
+    whose set mask | 1 << j has been met before is skipped.  A meet lies in
+    the flat's components and in the group's: that union bounds its mask
+    from below, and only the components outside it are reduced when the
+    meet is visited.  The components themselves are visited with the
+    remainders against each other that the pruning reduced.
     """
-    comps = _normalize_components(components)
+    comps, pairs = _normalize_components(components)
     n = comps[0].ambient_dim
     comp_rows = [c.rows for c in comps]
+    all_components = (1 << len(comps)) - 1
+    first = dict(zip(comp_rows, pairs))
+    lower = {rows: 1 << j for j, rows in enumerate(comp_rows)}  # flat -> mask bound
     masks: dict[tuple, int] = {}
-    seen = set(comp_rows)
     met: set[int] = set()
     worklist = list(comp_rows)
     while worklist:
         rows = worklist.pop()
         leads = _leads(rows)
-        remainders = [_remainders(rows, leads, other) for other in comp_rows]
-        mask = 0
-        for j, rem in enumerate(remainders):
+        mask = lower[rows]
+        remainders = first.pop(rows, None)
+        if remainders is None:
+            remainders = [
+                (j, _remainders(rows, leads, comp_rows[j])) for j in _bits(all_components & ~mask)
+            ]
+        for j, rem in remainders:
             if not rem:
                 mask |= 1 << j
         masks[rows] = mask
-        for j, rem in enumerate(remainders):
-            generators = mask | 1 << j
-            if not rem or generators in met:
+        groups: dict[tuple | None, list[int]] = {}
+        for j, rem in remainders:
+            if rem and (mask | 1 << j) not in met:
+                groups.setdefault(_cut(rem, n + 1), []).append(j)
+        for cut, group in groups.items():
+            generators = mask
+            for j in group:
+                met.add(mask | 1 << j)
+                generators |= 1 << j
+            if cut is None:
                 continue
-            met.add(generators)
-            meet = _meet(rows, leads, rem, n + 1)
-            if meet is not None and meet not in seen:
-                seen.add(meet)
+            meet = _meet(rows, leads, cut)
+            if meet in lower:
+                lower[meet] |= generators
+            else:
+                lower[meet] = generators
                 worklist.append(meet)
     ordered = _sorted_by_rref(AffineSubspace._canonical(n, rows) for rows in masks)
     flats = [Flat(i, s) for i, s in enumerate(ordered)]
@@ -360,7 +415,6 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     for i, mask in enumerate(flat_masks):
         for j in _bits(mask):
             lacking[j] ^= 1 << i
-    all_components = (1 << len(comps)) - 1
     up = []
     for i, mask in enumerate(flat_masks):
         above = everything
@@ -531,7 +585,7 @@ def lyubeznik_dim2(components: Sequence[AffineSubspace]) -> InvariantTable:
     components do not enter the count: the table is read off the purely
     2-dimensional part.  No formula is emitted in dimension 3 or more.
     """
-    comps = _normalize_components(components)
+    comps, _ = _normalize_components(components)
     for c in comps:
         if not c.is_linear():
             raise InputError("Lyubeznik tables here require a central arrangement")

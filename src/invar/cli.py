@@ -52,6 +52,25 @@ def _emit_doc(doc: dict, fmt: str, pretty_lines: list[str]) -> str:
     return "\n".join(pretty_lines)
 
 
+def _emit_lattice(n: int, lattice: arrangements.IntersectionLattice, fmt: str) -> str:
+    flats = [
+        {
+            "id": f.id,
+            "dim": f.dim,
+            "equations": [[format_rational(x) for x in row] for row in f.subspace.rref_rows()],
+        }
+        for f in lattice.flats
+    ]
+    order = [[i, j] for i, up in enumerate(lattice.up) for j in arrangements._bits(up)]
+    doc = {"ambient_dim": n, "top": lattice.top_id, "flats": flats, "order": order, "notes": []}
+    lines = [f"ambient dimension {n}, {len(flats)} flats, top id {lattice.top_id}"]
+    for f in flats:
+        eqs = "; ".join(" ".join(map(str, row)) for row in f["equations"])
+        lines.append(f"flat {f['id']}: dim {f['dim']}" + (f"  [{eqs}]" if eqs else "  [ambient]"))
+    lines.append("order: " + ", ".join(f"{a}<{b}" for a, b in order))
+    return _emit_doc(doc, fmt, lines)
+
+
 def _cmd_arrangement(args) -> tuple[int, str]:
     n, components, names = parse_arrangement(load_json(args.input))
     if args.command == "lyubeznik":
@@ -59,30 +78,13 @@ def _cmd_arrangement(args) -> tuple[int, str]:
         return EXIT_OK, _emit_table(table, [f"components: {len(components)}"], args.format)
     lattice = arrangements.build_lattice(components)
     if args.command == "lattice":
-        flats = [
-            {
-                "id": f.id,
-                "dim": f.dim,
-                "equations": [
-                    [format_rational(x) for x in row] for row in f.subspace.rref_rows()
-                ],
-            }
-            for f in lattice.flats
-        ]
-        order = [[i, j] for i, up in enumerate(lattice.up) for j in arrangements._bits(up)]
-        doc = {
-            "ambient_dim": n,
-            "top": lattice.top_id,
-            "flats": flats,
-            "order": order,
-            "notes": [],
-        }
-        lines = [f"ambient dimension {n}, {len(flats)} flats, top id {lattice.top_id}"]
-        for f in flats:
-            eqs = "; ".join(" ".join(map(str, row)) for row in f["equations"])
-            lines.append(f"flat {f['id']}: dim {f['dim']}" + (f"  [{eqs}]" if eqs else "  [ambient]"))
-        lines.append("order: " + ", ".join(f"{a}<{b}" for a, b in order))
-        return EXIT_OK, _emit_doc(doc, args.format, lines)
+        try:
+            return EXIT_OK, _emit_lattice(n, lattice, args.format)
+        except ValueError as exc:  # str() of an int past the digit limit
+            raise InputError(
+                f"a flat's equations have an integer longer than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from exc
     table = arrangements.cdr_table(lattice)
     if args.command == "cdr":
         notes = [f"ambient dimension: {n}", f"components: {len(names)}"]

@@ -29,6 +29,14 @@ def _reject_float(text: str):
 
 # json.load builds a fresh decoder whenever it gets a parse_* argument
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+# an ill-typed value is echoed in its error message up to this many characters
+_ECHO_CHARS = 60
+
+
+def _echo(value) -> str:
+    """repr(value), cut to _ECHO_CHARS characters and "…" when longer."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 def load_json(path: str) -> dict:
@@ -141,7 +149,7 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
     except KeyError as exc:
         raise InputError(f"table file is missing key {exc}") from exc
     if kind not in (KIND_LYUBEZNIK, KIND_CDR):
-        raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {kind!r}")
+        raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError("dim must be a nonnegative integer")
     if (
@@ -156,7 +164,7 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
                 continue
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise InputError(
-                    f"table entries must be nonnegative integers or null, got {v!r}"
+                    f"table entries must be nonnegative integers or null, got {_echo(v)}"
                 )
     table = InvariantTable(kind, entries)
     ambient = doc.get("ambient_dim")

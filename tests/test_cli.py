@@ -687,6 +687,46 @@ class TestMalformedInput:
         )
 
 
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    def test_lattice_with_long_rref_names_the_limit(self, fmt, tmp_path, capsys):
+        # two lines of C^2 whose coefficients have 4,000 digits meet in a point
+        # whose rref needs about 8,000, although every literal is under the limit
+        doc = {"ambient_dim": 2, "subspaces": [
+            {"equations": [[int("7" * 4000), 1, 1]]},
+            {"equations": [[1, int("3" * 3999 + "4"), 1]]},
+        ]}
+        path = write(tmp_path, "long.json", doc)
+        assert run(capsys, "arrangement", "lattice", "--input", path, "--format", fmt) == (
+            2, "", "error: a flat's equations have an integer longer than 4300 digits\n"
+        )
+        assert run(capsys, "arrangement", "cdr", "--input", path, "--format", fmt)[0] == 0
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("entry", "x", "'x'"),
+        ("entry", -1, "-1"),
+        ("entry", [1, 2], "[1, 2]"),
+        ("entry", "7" * 58, "'" + "7" * 58 + "'"),
+        ("entry", "7" * 59, "'" + "7" * 59 + "…"),
+        ("entry", "7" * 5000, "'" + "7" * 59 + "…"),
+        ("entry", list(range(1000)), repr(list(range(1000)))[:60] + "…"),
+        ("kind", "rho", "'rho'"),
+        ("kind", "k" * 5000, "'" + "k" * 59 + "…"),
+    ], ids=["word", "negative", "list", "60-chars", "61-chars", "5000-chars", "long-list",
+            "kind", "long-kind"])
+    def test_ill_typed_table_value_is_echoed_up_to_60_characters(
+        self, key, value, shown, tmp_path, capsys
+    ):
+        doc = {"kind": "lyubeznik", "dim": 1, "entries": [[0, 0], [0, 1]]}
+        if key == "kind":
+            doc["kind"] = value
+            message = f"kind must be 'lyubeznik' or 'cdr', got {shown}"
+        else:
+            doc["entries"][0][1] = value
+            message = f"table entries must be nonnegative integers or null, got {shown}"
+        path = write(tmp_path, "t.json", doc)
+        assert run(capsys, "table", "check", "--input", path) == (2, "", f"error: {message}\n")
+
+
 class TestParser:
     """Help texts, usage errors and parser construction, pinned byte for byte."""
 
