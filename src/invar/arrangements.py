@@ -15,10 +15,8 @@ rows.  A flat is the meet of the components in its mask, so a component
 whose generating set (the mask plus that component) has been met before is
 skipped.  A meet lies in the flat's components and in the group's, so that
 union is a lower bound on its mask, and those components are not reduced
-against it again.  The components' remainders against each other are
-reduced once, when contained components are pruned, and serve as the
-lattice's first level.  Flats are listed by dimension, then by rational
-rref, compared exactly as integer rows scaled by one common multiple of all
+against it again.  Flats are listed by dimension, then by rational rref,
+compared exactly as integer rows scaled by one common multiple of all
 pivots.
 
 F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
@@ -302,17 +300,8 @@ class IntersectionLattice:
         return tuple(f for f in self.flats if not above_some >> f.id & 1)
 
 
-def _normalize_components(
-    components: Sequence[AffineSubspace],
-) -> tuple[list[AffineSubspace], list[list[tuple[int, list[list[int]]]]]]:
-    """Deduplicate and drop components contained in others, with a warning.
-
-    Returns the kept components and, for each, the pairs (j, remainders)
-    over every other kept component j: the nonzero remainders of j's rows
-    against its rows.  A component lies in another exactly when all of
-    those remainders vanish, so they are reduced once, here, and the
-    lattice's first level reads them.
-    """
+def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSubspace]:
+    """Deduplicate and drop components contained in others, with a warning."""
     if not components:
         raise InputError("an arrangement needs at least one component")
     n = components[0].ambient_dim
@@ -329,27 +318,17 @@ def _normalize_components(
         else:
             seen.add(c)
             unique.append(c)
-    kept = []  # (index in unique, [remainders of each unique component])
-    for i, c in enumerate(unique):
+    kept = []
+    for c in unique:
         leads = _leads(c.rows)
-        remainders = []
-        for k, other in enumerate(unique):
-            rem = _remainders(c.rows, leads, other.rows) if k != i else None
-            if rem == []:  # c lies in other
-                warnings.warn(
-                    f"component of dimension {c.dim} is contained in another component; pruned",
-                    InputWarning,
-                )
-                break
-            remainders.append(rem)
+        if any(o is not c and not _remainders(c.rows, leads, o.rows) for o in unique):
+            warnings.warn(
+                f"component of dimension {c.dim} is contained in another component; pruned",
+                InputWarning,
+            )
         else:
-            kept.append((i, remainders))
-    comps = [unique[i] for i, _ in kept]
-    pairs = [
-        [(j, remainders[k]) for j, (k, _) in enumerate(kept) if k != i]
-        for i, remainders in kept
-    ]
-    return comps, pairs
+            kept.append(c)
+    return kept
 
 
 def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
@@ -363,14 +342,12 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     whose set mask | 1 << j has been met before is skipped.  A meet lies in
     the flat's components and in the group's: that union bounds its mask
     from below, and only the components outside it are reduced when the
-    meet is visited.  The components themselves are visited with the
-    remainders against each other that the pruning reduced.
+    meet is visited.
     """
-    comps, pairs = _normalize_components(components)
+    comps = _normalize_components(components)
     n = comps[0].ambient_dim
     comp_rows = [c.rows for c in comps]
     all_components = (1 << len(comps)) - 1
-    first = dict(zip(comp_rows, pairs))
     lower = {rows: 1 << j for j, rows in enumerate(comp_rows)}  # flat -> mask bound
     masks: dict[tuple, int] = {}
     met: set[int] = set()
@@ -379,11 +356,9 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
         rows = worklist.pop()
         leads = _leads(rows)
         mask = lower[rows]
-        remainders = first.pop(rows, None)
-        if remainders is None:
-            remainders = [
-                (j, _remainders(rows, leads, comp_rows[j])) for j in _bits(all_components & ~mask)
-            ]
+        remainders = [
+            (j, _remainders(rows, leads, comp_rows[j])) for j in _bits(all_components & ~mask)
+        ]
         for j, rem in remainders:
             if not rem:
                 mask |= 1 << j
@@ -585,7 +560,7 @@ def lyubeznik_dim2(components: Sequence[AffineSubspace]) -> InvariantTable:
     components do not enter the count: the table is read off the purely
     2-dimensional part.  No formula is emitted in dimension 3 or more.
     """
-    comps, _ = _normalize_components(components)
+    comps = _normalize_components(components)
     for c in comps:
         if not c.is_linear():
             raise InputError("Lyubeznik tables here require a central arrangement")
