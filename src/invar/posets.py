@@ -2,16 +2,17 @@
 
 Homology is reduced throughout: the augmented chain complex always carries a
 rank-one degree -(1) term, so the empty complex has b_{-1} = 1 and a point is
-acyclic.  Betti numbers come from the ranks of the boundary maps: each
-simplex's boundary is a sparse integer column added to the exact echelon
-basis of `qlinalg._extend_sparse_echelon`, degree by degree from the top down
-with clearing.  Any complex can be passed in: the arrangement code hands over
-an order complex or a crosscut complex, whichever is smaller.
+acyclic.  A complex keeps its faces as sorted vertex-position tuples grouped
+by size, closed downward once; Betti numbers come from the ranks of the
+boundary maps read off them: each simplex's boundary is a sparse integer
+column added to the exact echelon basis of `qlinalg._extend_sparse_echelon`,
+degree by degree from the top down with clearing.  Any complex can be passed
+in: the arrangement code hands over an order complex or a crosscut complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .errors import InputError
@@ -101,64 +102,63 @@ def _vertex_key(v):
 
 @dataclass(frozen=True, slots=True)
 class SimplicialComplex:
-    """Abstract simplicial complex: vertex tuple plus a downward-closed family.
-
-    The empty simplex is stored whenever any simplex is present.  Vertices are
-    kept in a fixed order so simplex enumeration (and hence boundary matrices)
-    is deterministic.
-    """
+    """Abstract simplicial complex: vertices in a fixed order, and faces[s],
+    the simplices with s vertices as sorted tuples of vertex positions in
+    lexicographic order.  faces[0] == ((),) whenever any simplex is present;
+    a void complex has no faces.  `simplices` is a derived frozenset view."""
 
     vertices: tuple
-    simplices: frozenset
-    _pos: dict = field(compare=False, repr=False)
+    faces: tuple
 
     def __init__(self, vertices: Iterable[Hashable], simplices: Iterable[Iterable[Hashable]]):
         verts = tuple(sorted(set(vertices), key=_vertex_key))
-        vset = set(verts)
-        closed: set[frozenset] = set()
+        pos = {v: i for i, v in enumerate(verts)}
+        # by_size[s]: the simplices with s vertices; every vertex is one
+        by_size = [{()} if verts else set(), {(i,) for i in range(len(verts))}]
         for s in simplices:
             fs = frozenset(s)
-            if not fs <= vset:
-                raise InputError(f"simplex {sorted(fs)!r} uses unknown vertices")
-            closed.add(fs)
-        # close downward; every vertex is a simplex
-        for v in verts:
-            closed.add(frozenset([v]))
-        stack = list(closed)
-        while stack:
-            s = stack.pop()
-            for v in s:
-                face = s - {v}
-                if face not in closed:
-                    closed.add(face)
-                    stack.append(face)
-        if closed:
-            closed.add(frozenset())
+            try:
+                face = tuple(sorted(map(pos.__getitem__, fs)))
+            except KeyError:
+                raise InputError(f"simplex {sorted(fs)!r} uses unknown vertices") from None
+            while len(by_size) <= len(face):
+                by_size.append(set())
+            by_size[len(face)].add(face)
+        # close downward, one size at a time: dropping one entry of a sorted
+        # tuple leaves it sorted
+        for size in range(len(by_size) - 1, 1, -1):
+            lower = by_size[size - 1]
+            for face in by_size[size]:
+                lower.update(face[:i] + face[i + 1:] for i in range(size))
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "simplices", frozenset(closed))
-        object.__setattr__(self, "_pos", {v: i for i, v in enumerate(verts)})
+        object.__setattr__(self, "faces", tuple(tuple(sorted(level)) for level in by_size if level))
 
     @classmethod
     def empty(cls) -> "SimplicialComplex":
         return cls((), ())
 
+    @property
+    def simplices(self) -> frozenset:
+        """Every simplex as a frozenset of vertices, the empty one included."""
+        return frozenset(
+            frozenset(map(self.vertices.__getitem__, s)) for level in self.faces for s in level
+        )
+
     def is_empty(self) -> bool:
-        return not self.simplices
+        return not self.faces
 
     def dim(self) -> int:
         """Largest simplex dimension; -1 for {empty simplex}, -2 if void."""
-        if not self.simplices:
-            return -2
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.faces) - 2
 
     def k_simplices(self, k: int) -> list[tuple]:
         """The k-simplices as vertex tuples in vertex order, lexicographically."""
-        found = [sorted(map(self._pos.__getitem__, s)) for s in self.simplices if len(s) == k + 1]
-        return [tuple(self.vertices[i] for i in s) for s in sorted(found)]
+        level = self.faces[k + 1] if 0 <= k + 1 < len(self.faces) else ()
+        return [tuple(map(self.vertices.__getitem__, s)) for s in level]
 
     def euler_characteristic_reduced(self) -> int:
         """Alternating simplex count over the augmented complex (degree -1 included)."""
-        return sum((-1) ** (len(s) - 1) for s in self.simplices if s) - 1
+        return sum((-1) ** k * len(level) for k, level in enumerate(self.faces[1:])) - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,10 +232,11 @@ def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
     """
     if degree < 0:
         raise InputError("boundary degree must be >= 0")
-    top = k.k_simplices(degree)
+    # the faces with degree and degree + 1 vertices; none past the dimension
+    low, top = (k.faces[degree:degree + 2] + ((), ()))[:2]
     if degree == 0:
         return QMatrix([[1] * len(top)], ncols=len(top))
-    low_index = {s: i for i, s in enumerate(k.k_simplices(degree - 1))}
+    low_index = {s: i for i, s in enumerate(low)}
     columns = [_boundary_column(s, low_index) for s in top]
     return QMatrix([[c.get(i, 0) for c in columns] for i in low_index.values()], ncols=len(top))
 
@@ -252,22 +253,16 @@ def reduced_betti(k: SimplicialComplex) -> BettiVector:
     d = k.dim()
     if d < 0:
         return BettiVector([1])  # no vertices: only H~_{-1} survives
-    # simplices as position tuples by size, size 0 the empty simplex; the
-    # lexicographic order of boundary_matrix keeps the fill-in low
-    pos = k._pos
-    by_size: list[list[tuple]] = [[] for _ in range(d + 2)]
-    for s in k.simplices:
-        by_size[len(s)].append(tuple(sorted(map(pos.__getitem__, s))))
-    for simplices in by_size:
-        simplices.sort()
+    # the lexicographic order of the faces keeps the fill-in low
+    faces = k.faces
     # ranks[i]: rank of the boundary of the i-vertex simplices; 1 for vertices
     ranks = [0, 1] + [0] * (d + 1)
     basis: dict[int, dict[int, int]] = {}
     for size in range(d + 1, 1, -1):
         cleared, basis = basis, {}
-        low_index = {s: i for i, s in enumerate(by_size[size - 1])}
-        for j, simplex in enumerate(by_size[size]):
+        low_index = {s: i for i, s in enumerate(faces[size - 1])}
+        for j, simplex in enumerate(faces[size]):
             if j not in cleared:
                 _extend_sparse_echelon(basis, _boundary_column(simplex, low_index))
         ranks[size] = len(basis)
-    return BettiVector(len(by_size[i]) - ranks[i] - ranks[i + 1] for i in range(d + 2))
+    return BettiVector(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(d + 2))

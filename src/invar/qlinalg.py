@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _echo
 
 # Entries larger than this trigger a gcd content reduction during integer
 # elimination; keeps bit growth polynomial without dividing every step.
@@ -42,21 +42,21 @@ def parse_rational(value) -> int | Fraction:
     upstream.
     """
     if isinstance(value, bool):
-        raise InputError(f"not a rational literal: {value!r}")
+        raise InputError(f"not a rational literal: {_echo(value)}")
     if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, str):
         if _RATIONAL.fullmatch(value.strip()) is None:
-            raise InputError(f"not a rational literal: {value!r}")
+            raise InputError(f"not a rational literal: {_echo(value)}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError as exc:
-            raise InputError(f"not a rational literal: {value!r}") from exc
+            raise InputError(f"not a rational literal: {_echo(value)}") from exc
         except ValueError as exc:  # the digits matched, so int() hit its limit
             raise InputError(
                 f"rational literal has an integer longer than {sys.get_int_max_str_digits()} digits"
             ) from exc
-    raise InputError(f"not a rational literal: {value!r} (floats are not accepted)")
+    raise InputError(f"not a rational literal: {_echo(value)} (floats are not accepted)")
 
 
 def _scaled_to_int(row: Sequence[int | Fraction]) -> list[int]:

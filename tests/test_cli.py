@@ -726,6 +726,54 @@ class TestMalformedInput:
         path = write(tmp_path, "t.json", doc)
         assert run(capsys, "table", "check", "--input", path) == (2, "", f"error: {message}\n")
 
+    @staticmethod
+    def arrangement(entry, name=None):
+        if name is None:
+            return {"ambient_dim": 1, "subspaces": [{"equations": [[1, entry]]}]}
+        return {"ambient_dim": 1, "subspaces": [{"name": name, "equations": [[1]]}]}
+
+    @staticmethod
+    def fan(index):
+        return {"rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "max_cones": [[0, 1, index]]}
+
+    SHORT_ROW = ": every equation row needs exactly 2 entries (coefficients then constant)"
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("arrangement", arrangement("x"), "subspace 0: not a rational literal: 'x'"),
+        ("arrangement", arrangement("x" * 5000),
+         "subspace 0: not a rational literal: '" + "x" * 59 + "…"),
+        ("arrangement", arrangement(list(range(2000))),
+         "subspace 0: not a rational literal: " + repr(list(range(2000)))[:60]
+         + "… (floats are not accepted)"),
+        ("arrangement", arrangement(True), "subspace 0: not a rational literal: True"),
+        ("fan", fan("7"), "maximal cone 0 has a ray index out of range: '7'"),
+        ("fan", fan(3), "maximal cone 0 has a ray index out of range: 3"),
+        ("fan", fan("7" * 5000),
+         "maximal cone 0 has a ray index out of range: '" + "7" * 59 + "…"),
+        ("arrangement", arrangement(None, "n" * 60), "n" * 60 + SHORT_ROW),
+        ("arrangement", arrangement(None, "n" * 61), "'" + "n" * 59 + "…" + SHORT_ROW),
+        ("arrangement", arrangement(None, "n" * 5000), "'" + "n" * 59 + "…" + SHORT_ROW),
+        ("arrangement", arrangement(None, list(range(30))),
+         repr(list(range(30)))[:60] + "…" + SHORT_ROW),
+    ], ids=["short-literal", "long-literal", "long-list-literal", "bool-literal",
+            "short-cone-index", "cone-index", "long-cone-index",
+            "60-char-name", "61-char-name", "long-name", "long-list-name"])
+    def test_long_value_is_echoed_up_to_60_characters(
+        self, command, doc, message, tmp_path, capsys
+    ):
+        path = write(tmp_path, "in.json", doc)
+        argv = ["arrangement", "cdr"] if command == "arrangement" else ["fan", "validate"]
+        assert run(capsys, *argv, "--input", path) == (2, "", f"error: {message}\n")
+        assert len(f"error: {message}\n".encode()) < 200
+
+    def test_long_float_literal_is_echoed_up_to_60_characters(self, tmp_path, capsys):
+        path = tmp_path / "float.json"
+        path.write_bytes(self.VALID + b'"unused": 1.' + b"0" * 5000 + b"}")
+        assert run(capsys, "arrangement", "cdr", "--input", str(path)) == (
+            2, "", "error: floating point literal '1." + "0" * 57 + "… is not allowed; "
+            "use integers or 'p/q' strings\n"
+        )
+
 
 class TestParser:
     """Help texts, usage errors and parser construction, pinned byte for byte."""

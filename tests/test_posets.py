@@ -1,6 +1,7 @@
 """Order complexes and reduced rational homology."""
 
 import random
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,9 @@ from invar import (
     order_complex,
     reduced_betti,
 )
-from invar.arrangements import _interval_complexes
+from invar import arrangements, posets
+from invar.arrangements import AffineSubspace, _interval_complexes
+from invar.posets import _vertex_key
 from test_qlinalg import reference_echelon_int
 from test_arrangements import k_equal_arrangement, pencil_arrangement
 from conftest import cone
@@ -45,7 +48,8 @@ def boolean_coordinate_poset(n):
     return FinitePoset(list(ids.values()), pairs), bottom, top
 
 
-def random_complex(rng: random.Random) -> SimplicialComplex:
+def random_input(rng: random.Random) -> tuple[list, list]:
+    """Vertices and unclosed simplices of a random complex."""
     nverts = rng.randint(0, 7)
     verts = list(range(nverts))
     faces = []
@@ -53,7 +57,59 @@ def random_complex(rng: random.Random) -> SimplicialComplex:
         size = rng.randint(1, min(4, max(1, nverts)))
         if nverts:
             faces.append(rng.sample(verts, size))
-    return SimplicialComplex(verts, faces)
+    return verts, faces
+
+
+def random_complex(rng: random.Random) -> SimplicialComplex:
+    return SimplicialComplex(*random_input(rng))
+
+
+class ReferenceComplex:
+    """Reference oracle: the representation the faces-by-size tuples
+    replaced.  The simplices are a frozenset of vertex frozensets, closed
+    downward by a stack, and every reader converts them to sorted vertex
+    positions on each call."""
+
+    def __init__(self, vertices, simplices):
+        verts = tuple(sorted(set(vertices), key=_vertex_key))
+        vset = set(verts)
+        closed = set()
+        for s in simplices:
+            fs = frozenset(s)
+            if not fs <= vset:
+                raise InputError(f"simplex {sorted(fs)!r} uses unknown vertices")
+            closed.add(fs)
+        # close downward; every vertex is a simplex
+        for v in verts:
+            closed.add(frozenset([v]))
+        stack = list(closed)
+        while stack:
+            s = stack.pop()
+            for v in s:
+                face = s - {v}
+                if face not in closed:
+                    closed.add(face)
+                    stack.append(face)
+        if closed:
+            closed.add(frozenset())
+        self.vertices = verts
+        self.simplices = frozenset(closed)
+        self.pos = {v: i for i, v in enumerate(verts)}
+
+    def is_empty(self):
+        return not self.simplices
+
+    def dim(self):
+        if not self.simplices:
+            return -2
+        return max(len(s) for s in self.simplices) - 1
+
+    def k_simplices(self, k):
+        found = [sorted(map(self.pos.__getitem__, s)) for s in self.simplices if len(s) == k + 1]
+        return [tuple(self.vertices[i] for i in s) for s in sorted(found)]
+
+    def euler_characteristic_reduced(self):
+        return sum((-1) ** (len(s) - 1) for s in self.simplices if s) - 1
 
 
 def _boundary_rows(top, low):
@@ -336,3 +392,110 @@ class TestSimplicialComplex:
         b = BettiVector([0, 1, 0, 0])
         assert b.values == (0, 1)
         assert b[5] == 0
+
+
+def assert_matches_reference(vertices, simplices):
+    """Build one complex both ways and compare every reader; returns both."""
+    simplices = [list(s) for s in simplices]
+    k, ref = SimplicialComplex(vertices, simplices), ReferenceComplex(vertices, simplices)
+    assert [f.name for f in fields(k)] == ["vertices", "faces"]
+    assert k.vertices == ref.vertices
+    assert k.simplices == ref.simplices
+    # faces[s]: the s-vertex simplices as sorted position tuples, in order
+    sizes = {len(s) for s in ref.simplices}
+    assert len(k.faces) == (max(sizes) + 1 if sizes else 0)
+    for size, level in enumerate(k.faces):
+        found = [tuple(sorted(map(ref.pos.__getitem__, s)))
+                 for s in ref.simplices if len(s) == size]
+        assert level == tuple(sorted(found))
+    assert k.dim() == ref.dim()
+    assert k.is_empty() == ref.is_empty()
+    assert k.euler_characteristic_reduced() == ref.euler_characteristic_reduced()
+    for deg in range(-3, k.dim() + 3):
+        assert k.k_simplices(deg) == ref.k_simplices(deg)
+    top = ref.k_simplices(0)
+    assert boundary_matrix(k, 0) == QMatrix([[1] * len(top)], ncols=len(top))
+    for deg in range(1, k.dim() + 3):
+        top, low = ref.k_simplices(deg), ref.k_simplices(deg - 1)
+        assert boundary_matrix(k, deg) == QMatrix(_boundary_rows(top, low), ncols=len(top))
+    # the same complex from another listing of the same input
+    again = SimplicialComplex(vertices[::-1], [s[::-1] for s in simplices[::-1]])
+    assert again == k and hash(again) == hash(k)
+    return k, ref
+
+
+class TestFacesAgainstFrozensetReference:
+    """The faces-by-size tuples against the frozenset closure they replaced."""
+
+    def test_random_complexes(self, rng):
+        built = []
+        for _ in range(600):
+            verts, faces = random_input(rng)
+            built.append(assert_matches_reference(verts, faces))
+        # equal exactly when the reference families are equal
+        for (a, ref_a), (b, ref_b) in zip(built, built[1:] + built[:1]):
+            same = (ref_a.vertices, ref_a.simplices) == (ref_b.vertices, ref_b.simplices)
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+        assert any(a == b for (a, _), (b, _) in zip(built, built[1:]))
+
+    @pytest.mark.parametrize("vertices, simplices, faces", [
+        ([], [], ()),
+        ([], [[]], (((),),)),
+        ([0, 1], [[]], (((),), ((0,), (1,)))),
+        ([0, 1, 2], [[2, 0], [1, 1, 0], [0]], (((),), ((0,), (1,), (2,)), ((0, 1), (0, 2)))),
+        ([5, 3, 4], [(5, 4, 3, 4)], (((),), ((0,), (1,), (2,)),
+                                     ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))),
+        ("dcba", ["ab", "cb", "d"], (((),), ((0,), (1,), (2,), (3,)), ((0, 1), (1, 2)))),
+        ([0, "a", (1, 2), None], [[None, "a"], ["a", 0, (1, 2)]],
+         # vertex order by type name: None, 0, "a", (1, 2)
+         (((),), ((0,), (1,), (2,), (3,)), ((0, 2), (1, 2), (1, 3), (2, 3)), ((1, 2, 3),))),
+    ], ids=["void", "empty-simplex", "points-and-bare-empty", "unsorted-and-repeated",
+            "repeated-vertex", "strings", "mixed-types"])
+    def test_small_inputs(self, vertices, simplices, faces):
+        k, _ = assert_matches_reference(vertices, simplices)
+        assert k.faces == faces
+
+    @pytest.mark.parametrize("vertices, simplices", [
+        ([0], [[0, 1]]),
+        ([0, 1], [[0], [2, 1, 0]]),
+        ("ab", ["abc"]),
+        ([], [[7]]),
+    ])
+    def test_unknown_vertex_keeps_the_message(self, vertices, simplices):
+        with pytest.raises(InputError) as ours:
+            SimplicialComplex(vertices, simplices)
+        with pytest.raises(InputError) as theirs:
+            ReferenceComplex(vertices, simplices)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_a_generator_of_simplices_is_read_once(self):
+        k = SimplicialComplex(range(3), (iter(s) for s in [(0, 1), (2,)]))
+        assert k.faces == (((),), ((0,), (1,), (2,)), ((0, 1),))
+
+    @pytest.mark.parametrize("comps", [
+        k_equal_arrangement(6, 3),
+        pencil_arrangement(5),
+        [AffineSubspace.from_rows(4, [row, [0, 0, 0, 1, 0]])
+         for row in [[1, i, 0, 0, 0] for i in range(5)] + [[0, 0, 1, 0, 0]]],
+    ], ids=["k-equal-6-3", "pencil-5", "pencil-5-lifted"])
+    def test_every_interval_complex(self, comps, monkeypatch):
+        # record what the arrangement code hands the constructor: crosscut
+        # and order complexes of every interval, and order_complex's inputs
+        inputs = []
+
+        def recorded(vertices, simplices):
+            vertices, simplices = list(vertices), [list(s) for s in simplices]
+            inputs.append((vertices, simplices))
+            return SimplicialComplex(vertices, simplices)
+
+        lattice = build_lattice(comps)
+        monkeypatch.setattr(arrangements, "SimplicialComplex", recorded)
+        monkeypatch.setattr(posets, "SimplicialComplex", recorded)
+        pairs = list(_interval_complexes(lattice, lattice.proper_flats()))
+        for flat, _ in pairs:
+            order_complex(lattice.poset, flat.id, lattice.top_id)
+        assert len(inputs) == 2 * len(pairs) == 2 * len(lattice.proper_flats())
+        for vertices, simplices in inputs:
+            assert_matches_reference(vertices, simplices)
