@@ -1,4 +1,5 @@
-"""Time the fan code on subdivided cubes, triangular prisms and a double cover.
+"""Time the fan code on subdivided cubes, star subdivisions, triangular
+prisms, a fan of Picard rank 0 and a double cover.
 
     PYTHONPATH=src python3 scripts/fan_scale.py
 
@@ -8,11 +9,16 @@ projectivity) and of `picard_data` after a signed permutation of the
 coordinates followed by a shear, and checks, before and after that move:
 
 * the Picard rank: 6k - 2 for the face fan over the unit squares of the
-  boundary of [-k, k]^3 (k = 1, 2, 3, 4), 3 for both prisms;
-* projectivity: every subdivided cube is projective; the prism whose side
-  quadrilaterals are split cyclically (A1B2, A2B3, A3B1) is not, the one
-  split along A1B2, A2B3, A1B3 is.  The sheared k = 3 and k = 4 cubes give
-  the largest Fourier-Motzkin systems of the repository;
+  boundary of [-k, k]^3 (k = 1, 2, 3, 4), #rays - 3 for the octant fan
+  after 50 and 100 seeded stellar subdivisions (complete and simplicial),
+  3 for both prisms, 0 for Fulton's fan;
+* projectivity: every subdivided cube and every star subdivision is
+  projective; the prism whose side quadrilaterals are split cyclically
+  (A1B2, A2B3, A3B1) is not, the one split along A1B2, A2B3, A1B3 is, and
+  Fulton's fan (the cube's face fan with the ray (1, 1, 1) moved to
+  (1, 2, 3)) is not, since all its support functions are linear.  The
+  sheared k = 3 and k = 4 cubes and the star subdivisions give the largest
+  Fourier-Motzkin systems of the repository;
 * that the double cover (five equator rays visited twice around, coned to
   both poles) is invalid: each of its walls passes, only the covering degree
   rejects it.
@@ -22,12 +28,14 @@ Exits 1 on a mismatch.
 
 from __future__ import annotations
 
+import random
 import sys
 from itertools import product
 from math import gcd
 from time import perf_counter
 
 from invar import Fan3, picard_data, validate_fan
+from invar.fans import primitive
 
 # (x, y, z) -> (z, -x, y), then the shear x += z: determinant -1
 MOVE = ((0, 1, 1), (-1, 0, 0), (0, 1, 0))
@@ -52,6 +60,31 @@ def subdivided_cube(k: int) -> Fan3:
     for p in points:
         g = gcd(*p)
         rays.append(tuple(x // g for x in p))
+    return Fan3(rays, cones)
+
+
+def stars(steps: int) -> Fan3:
+    """The octant fan after `steps` stellar subdivisions, seeded by `steps`:
+    each splits a random cone at the primitive ray of a combination of its
+    rays with weights 1 or 2, which lies inside the cone, so no ray repeats
+    and the fan stays complete, simplicial and projective."""
+    rng = random.Random(steps)
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    cones = [(x, y, z) for x in (0, 1) for y in (2, 3) for z in (4, 5)]
+    for new in range(6, 6 + steps):
+        cone = cones.pop(rng.randrange(len(cones)))
+        weights = [rng.randint(1, 2) for _ in cone]
+        rays.append(primitive([sum(w * rays[i][t] for w, i in zip(weights, cone))
+                               for t in range(3)]))
+        cones += [cone[:drop] + (new,) + cone[drop + 1:] for drop in range(3)]
+    return Fan3(rays, cones)
+
+
+def fulton() -> Fan3:
+    """The cube's face fan with the ray (1, 1, 1) replaced by (1, 2, 3)."""
+    rays = [(1, 2, 3) if r == (1, 1, 1) else r for r in product((-1, 1), repeat=3)]
+    cones = [[i for i, r in enumerate(product((-1, 1), repeat=3)) if r[axis] == side]
+             for axis in range(3) for side in (-1, 1)]
     return Fan3(rays, cones)
 
 
@@ -85,8 +118,12 @@ def main() -> int:
     ok = True
     cases = [(f"subdivided cube k={k}", subdivided_cube(k), 6 * k - 2, True)
              for k in (1, 2, 3, 4)]
+    for steps in (50, 100):
+        fan = stars(steps)
+        cases.append((f"{steps} stars on octants", fan, len(fan.rays) - 3, True))
     cases += [("prism A1B2 A2B3 A3B1", prism(True), 3, False),
-              ("prism A1B2 A2B3 A1B3", prism(False), 3, True)]
+              ("prism A1B2 A2B3 A1B3", prism(False), 3, True),
+              ("Fulton's fan", fulton(), 0, False)]
     for name, fan, rank, projective in cases:
         start = perf_counter()
         valid = validate_fan(fan).valid

@@ -3,30 +3,34 @@
 A fan is a list of primitive integer rays plus maximal cones given as ray
 index sets.  Every check is local to a ray, a cone or a wall, and validation
 is integer-only.  It checks the rays, then each cone by sign tests on pairs
-of generators (3-dimensional, strongly convex, extremal generators, facets),
-then each wall: a facet must lie in exactly two cones, on opposite sides of
-its plane.  The cones then cover the sphere of directions with a constant
-degree, so they meet in common faces and fill space exactly when one
-direction off every facet plane lies in exactly one cone.
+of generators (3-dimensional, strongly convex, facets), counting to see that
+every generator is extremal: a strongly convex cone has as many facets as
+extremal rays.  Then it checks each wall: a facet must lie in exactly two
+cones, on opposite sides of its plane.  The cones then cover the sphere of
+directions with a constant degree, so they meet in common faces and fill
+space exactly when one direction off every facet plane lies in exactly one
+cone.
 
 A support function is fixed by its values on the rays, one unknown per ray,
 subject to one integer Cramer equation per ray of a cone beyond its first
 three; the Picard rank is the nullspace dimension minus 3.  Projectivity
 asks for a strictly convex support function, one inequality per wall,
-decided by exact Fourier-Motzkin elimination over the integers.  Fractions
-appear only in the witness list that `fm_feasible` returns.
+decided by exact Fourier-Motzkin elimination over the integers; rows of
+ints go in as they are.  The global linear functions stay among the
+unknowns, which keeps the elimination small.  Fractions appear only in the
+witness list that `fm_feasible` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _echo
 from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
@@ -63,9 +67,13 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     Returns a rational witness point, or None when the system is infeasible.
     Coefficients and constants are ints or whatever parse_rational reads, so
     floats and bools raise InputError.  Each inequality is scaled once to a
-    tuple of coprime integers (coeffs..., const).  Variables are eliminated
-    one at a time, first the one whose elimination adds the fewest rows
-    (least pos*neg - pos - neg).  The witness is then back-substituted, last
+    tuple of coprime integers (coeffs..., const); a row of ints (`type(x) is
+    int`, so no bool) is already integer and skips the parsing and scaling.
+    Variables are eliminated one at a time, first the one whose elimination
+    adds the fewest rows (least pos*neg - pos - neg), with each stage's
+    positive and negative entries counted in one pass over its rows.  An
+    eliminated variable is 0 in every later row, so a row is constant when
+    all its coefficients are.  The witness is then back-substituted, last
     eliminated variable first, as one integer vector over one common
     denominator: each variable takes its largest lower bound, its smallest
     upper bound, their midpoint when it has both, or 0 when it has neither.
@@ -73,22 +81,34 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     """
     system = []
     for coeffs, const in inequalities:
-        row = [parse_rational(x) for x in (*coeffs, const)]
+        row = (*coeffs, const)
+        if not all(type(x) is int for x in row):
+            row = _scaled_to_int([parse_rational(x) for x in row])
         if len(row) != nvars + 1:
             raise InputError("inequality arity does not match the variable count")
-        system.append(_content_free(_scaled_to_int(row)))
+        system.append(_content_free(row))
     system = list(dict.fromkeys(system))
     remaining = list(range(nvars))
     stages = []
     while remaining:
-        if any(r[-1] > 0 for r in system if not any(r[j] for j in remaining)):
-            return None
-        system = [r for r in system if any(r[j] for j in remaining)]
+        live = []
+        for r in system:
+            if any(r[:-1]):
+                live.append(r)
+            elif r[-1] > 0:
+                return None
+        system = live
+        npos, nneg = [0] * nvars, [0] * nvars
+        for r in system:
+            for j in remaining:
+                c = r[j]
+                if c > 0:
+                    npos[j] += 1
+                elif c < 0:
+                    nneg[j] += 1
         best, best_cost = None, None
         for j in remaining:
-            pos = sum(1 for r in system if r[j] > 0)
-            neg = sum(1 for r in system if r[j] < 0)
-            cost = pos * neg - pos - neg
+            cost = npos[j] * nneg[j] - npos[j] - nneg[j]
             if best_cost is None or cost < best_cost:
                 best, best_cost = j, cost
         j = best
@@ -149,11 +169,11 @@ class Fan3:
         ray_tuple = tuple(tuple(r) for r in rays)
         for r in ray_tuple:
             if len(r) != 3 or any(not isinstance(x, int) or isinstance(x, bool) for x in r):
-                raise InputError(f"rays must be integer 3-vectors, got {r!r}")
+                raise InputError(f"rays must be integer 3-vectors, got {_echo(r)}")
         cone_tuple = tuple(tuple(c) for c in max_cones)
         for c in cone_tuple:
             if any(not isinstance(i, int) or isinstance(i, bool) for i in c):
-                raise InputError(f"maximal cones must list integer ray indices, got {c!r}")
+                raise InputError(f"maximal cones must list integer ray indices, got {_echo(c)}")
         object.__setattr__(self, "rays", ray_tuple)
         object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cone_tuple))
 
@@ -195,37 +215,51 @@ def _cone_facets(fan: Fan3, cone_index: int):
     when no two generators lie strictly on opposite sides of it.  The sum w
     of these inward normals is positive on every nonzero point of a strongly
     convex cone, whose facet normals span space, and vanishes on some
-    generator of a cone containing a line.  A generator of a strongly convex
-    cone is extremal exactly when it lies on two different facet planes;
-    once all are, each facet holds one pair.
+    generator of a cone containing a line.  A strongly convex cone has as
+    many facets as extremal rays, so its generators are all extremal exactly
+    when the facet pairs, their distinct normals and the generators are
+    equally many: each facet plane then holds one pair.  Only otherwise are
+    the non-extremal generators named, as those not on two different facet
+    planes.
     """
     cone = fan.max_cones[cone_index]
     gens = [fan.rays[i] for i in cone]
     facets: dict[tuple[int, int], IVec] = {}
     solid = False
-    for a, b in combinations(range(len(gens)), 2):
-        n = _cross(gens[a], gens[b])
-        sides = [_dot(n, g) for g in gens]
-        low, high = min(sides), max(sides)
-        if low == high:  # both 0: the generators are coplanar, or n is 0
-            continue
-        solid = True
-        if low < 0 < high:
-            continue
-        facets[cone[a], cone[b]] = primitive(n if low == 0 else tuple(-x for x in n))
+    for a, (ax, ay, az) in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            bx, by, bz = gens[b]
+            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            low = high = 0  # the sides of generators a and b
+            for x, y, z in gens:
+                side = nx * x + ny * y + nz * z
+                if side < low:
+                    low = side
+                elif side > high:
+                    high = side
+            if low == high:  # both 0: the generators are coplanar, or n is 0
+                continue
+            solid = True
+            if low < 0 < high:
+                continue
+            g = gcd(nx, ny, nz) if low == 0 else -gcd(nx, ny, nz)  # inward, primitive
+            facets[cone[a], cone[b]] = (nx // g, ny // g, nz // g)
     if not solid:
         return None, None, [f"maximal cone {cone_index} is not 3-dimensional"]
-    w = tuple(sum(n[t] for n in facets.values()) for t in range(3))
-    if any(_dot(w, g) <= 0 for g in gens):
+    normals = tuple(facets.values())
+    wx = wy = wz = 0
+    for x, y, z in normals:
+        wx, wy, wz = wx + x, wy + y, wz + z
+    if any(wx * x + wy * y + wz * z <= 0 for x, y, z in gens):
         return None, None, [f"maximal cone {cone_index} contains a line"]
+    if len(facets) == len(gens) == len(set(normals)):
+        return list(facets), normals, []
     extra = [i for i, g in zip(cone, gens)
-             if len({n for n in facets.values() if _dot(n, g) == 0}) < 2]
-    if extra:
-        names = ", ".join(map(str, extra))
-        return None, None, [
-            f"maximal cone {cone_index} lists non-extremal generators (rays {names})"
-        ]
-    return list(facets), tuple(facets.values()), []
+             if len({n for n in normals if _dot(n, g) == 0}) < 2]
+    names = ", ".join(map(str, extra))
+    return None, None, [
+        f"maximal cone {cone_index} lists non-extremal generators (rays {names})"
+    ]
 
 
 def validate_fan(fan: Fan3) -> FanReport:
@@ -233,9 +267,10 @@ def validate_fan(fan: Fan3) -> FanReport:
     violations: list[str] = []
     rays = fan.rays
     for i, r in enumerate(rays):
-        if r == (0, 0, 0):
+        g = gcd(*r)
+        if g == 0:
             violations.append(f"ray {i} is the zero vector")
-        elif gcd(gcd(abs(r[0]), abs(r[1])), abs(r[2])) != 1:
+        elif g != 1:
             violations.append(f"ray {i} = {r} is not primitive")
     seen: dict[IVec, int] = {}
     for i, r in enumerate(rays):
@@ -249,7 +284,7 @@ def validate_fan(fan: Fan3) -> FanReport:
     for k, cone in enumerate(fan.max_cones):
         if len(set(cone)) != len(cone):
             violations.append(f"maximal cone {k} repeats a ray index")
-        if any(i < 0 or i >= len(rays) for i in cone):
+        if cone and (cone[0] < 0 or cone[-1] >= len(rays)):  # cones are sorted
             violations.append(f"maximal cone {k} references a ray index out of range")
         used.update(cone)
     first: dict[tuple[int, ...], int] = {}
@@ -300,16 +335,17 @@ def validate_fan(fan: Fan3) -> FanReport:
     # from the rays, so every direction off the facet planes lies in the
     # same number (at least one) of cones; the cones meet in common faces
     # exactly when that number is one.
+    # n . (1, t, t^2) is read as a + t (b + t c)
+    flat = [n for normals in facet_normals for n in normals]
     t = 0
-    while any(_dot(n, (1, t, t * t)) == 0 for normals in facet_normals for n in normals):
+    while any(a + t * (b + t * c) == 0 for a, b, c in flat):
         t += 1
-    direction = (1, t, t * t)
     inside = [k for k, normals in enumerate(facet_normals)
-              if all(_dot(n, direction) > 0 for n in normals)]
+              if all(a + t * (b + t * c) > 0 for a, b, c in normals)]
     if len(inside) != 1:
         violations.append(
             f"maximal cones {', '.join(map(str, inside))} do not intersect in common "
-            f"faces: each contains the direction {direction}"
+            f"faces: each contains the direction {(1, t, t * t)}"
         )
         return FanReport(False, False, tuple(violations), (), facet_normals)
     return FanReport(True, True, (), tuple(walls), facet_normals)
@@ -363,21 +399,34 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
     each row may be divided by its content and asked to be >= 1; rows of
     parallel walls then coincide, and only the first of each is kept.
-    Fourier-Motzkin decides the system.
+    Fourier-Motzkin decides the system.  The global linear functions stay in
+    `basis`: they add 0 to every row, so the feasible set is a cylinder along
+    them, and its projections stay small.  Pinning three ray values to 0
+    instead drops three variables but cuts the cylinder to a slice; on the
+    star subdivisions of the octant fan in `scripts/fan_scale.py`, that made
+    the elimination thousands of times slower.
     """
+    rays = fan.rays
     values = list(zip(*basis))  # values[i]: every basis vector's value on ray i
     inequalities = []
     for wall in report.walls:
         near, far = (fan.max_cones[k] for k in wall.cones)
-        w = next(i for i in near if i not in wall.rays)
-        v = next(i for i in far if i not in wall.rays)
-        cols = (*wall.rays, w)
-        det, (ca, cb, cc) = _cramer([fan.rays[i] for i in cols], fan.rays[v])
+        i, j = wall.rays
+        w = next(r for r in near if r != i and r != j)
+        v = next(r for r in far if r != i and r != j)
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz), (vx, vy, vz) = rays[i], rays[j], rays[w], rays[v]
+        # Cramer: det * v = ca * a + cb * b + cc * c, with det = a . (b x c)
+        # and each coefficient v dotted with the cross product of the other two
+        bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+        det = ax * bcx + ay * bcy + az * bcz
+        ca = vx * bcx + vy * bcy + vz * bcz
+        cb = vx * (cy * az - cz * ay) + vy * (cz * ax - cx * az) + vz * (cx * ay - cy * ax)
+        cc = vx * (ay * bz - az * by) + vy * (az * bx - ax * bz) + vz * (ax * by - ay * bx)
         if det < 0:  # sign(det) * (det * l_near(v) - det * value(v))
             det, ca, cb, cc = -det, -ca, -cb, -cc
         inequalities.append((_content_free([
             ca * x + cb * y + cc * z - det * t
-            for x, y, z, t in zip(*(values[i] for i in cols), values[v])
+            for x, y, z, t in zip(values[i], values[j], values[w], values[v])
         ]), 1))
     return fm_feasible(list(dict.fromkeys(inequalities)), len(basis)) is not None
 

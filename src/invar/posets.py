@@ -120,7 +120,11 @@ class SimplicialComplex:
             try:
                 face = tuple(sorted(map(pos.__getitem__, fs)))
             except KeyError:
-                raise InputError(f"simplex {sorted(fs)!r} uses unknown vertices") from None
+                try:
+                    listed = sorted(fs)
+                except TypeError:  # vertices of types that do not compare
+                    listed = sorted(fs, key=_vertex_key)
+                raise InputError(f"simplex {listed!r} uses unknown vertices") from None
             while len(by_size) <= len(face):
                 by_size.append(set())
             by_size[len(face)].add(face)

@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, SearchLimitError
+from .errors import InputError, SearchLimitError, _echo
 from .qlinalg import _extend_sparse_echelon, _nullspace_int
 
 KIND_LYUBEZNIK = "lyubeznik"
@@ -87,7 +87,9 @@ class InvariantTable:
                 if v is None:
                     continue
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise InputError(f"table entries must be nonnegative integers or None, got {v!r}")
+                    raise InputError(
+                        f"table entries must be nonnegative integers or None, got {_echo(v)}"
+                    )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", rows)
 

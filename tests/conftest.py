@@ -26,6 +26,15 @@ def cube_fan() -> Fan3:
     return Fan3(rays, cones)
 
 
+def nonprojective_fan() -> Fan3:
+    """Fulton's complete fan that is not projective (W. Fulton, Introduction
+    to Toric Varieties): the cube's face fan with the ray (1, 1, 1) replaced
+    by (1, 2, 3).  Its only support functions are the linear ones, so its
+    Picard rank is 0."""
+    fan = cube_fan()
+    return Fan3([(1, 2, 3) if r == (1, 1, 1) else r for r in fan.rays], fan.max_cones)
+
+
 def octant_fan() -> Fan3:
     rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     cones = [

@@ -24,11 +24,12 @@ from invar import (
 )
 from invar import fans
 from invar.cli import main
-from invar.fans import Wall, _cone_facets, _cross, _dot, fm_feasible, primitive
+from invar.fans import PicardData, Wall, _cone_facets, _cross, _dot, fm_feasible, primitive
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
     cube_fan,
     double_cover_fan,
+    nonprojective_fan,
     octant_fan,
     p3_fan,
     prism_fan,
@@ -222,7 +223,8 @@ class TestWitnessAgainstReference:
         monkeypatch.undo()
         assert len(systems) == 2 * len(DIFFERENTIAL_BASES)
         verdicts = Counter(_assert_witness_matches_reference(*call) for call in systems)
-        assert verdicts == {True: 2 * len(DIFFERENTIAL_BASES) - 4, False: 4}
+        # the twisted prism, its stars and the Picard-rank-0 fan, each twice
+        assert verdicts == {True: 2 * len(DIFFERENTIAL_BASES) - 6, False: 6}
 
 
 class TestValidation:
@@ -314,6 +316,19 @@ class TestValidation:
         fan = p3_fan()
         with pytest.raises(InputError, match="integer"):
             Fan3(rays or fan.rays, cones or fan.max_cones)
+
+    @pytest.mark.parametrize("rays, cones, echo", [
+        ([(1.5, 0, 0)], [[0]], "rays must be integer 3-vectors, got (1.5, 0, 0)"),
+        ([("x" * 5000, 0, 0)], [[0]],
+         "rays must be integer 3-vectors, got ('" + "x" * 58 + "…"),
+        ([(1, 0, 0)], [[0.5]], "maximal cones must list integer ray indices, got (0.5,)"),
+        ([(1, 0, 0)], [["x" * 5000]],
+         "maximal cones must list integer ray indices, got ('" + "x" * 58 + "…"),
+    ], ids=["short ray", "5000-char ray", "short cone", "5000-char cone"])
+    def test_ill_typed_value_is_echoed_up_to_60_characters(self, rays, cones, echo):
+        with pytest.raises(InputError) as err:
+            Fan3(rays, cones)
+        assert str(err.value) == echo
 
     def test_unused_ray(self):
         fan = p3_fan()
@@ -589,6 +604,7 @@ DIFFERENTIAL_BASES = {
     "subdivided cube k=2": lambda rng: subdivided_cube(2),
     "stars on octants": lambda rng: _stars(octant_fan(), rng, 4),
     "stars on twisted prism": lambda rng: _stars(prism_fan(True), rng, 3),
+    "picard rank 0": lambda rng: nonprojective_fan(),
 }
 
 
@@ -805,3 +821,27 @@ class TestFourierMotzkinCalls:
             monkeypatch.setattr(fans, "fm_feasible", counting)
             call(fan)
             assert len(calls) == expected
+
+
+class TestPicardRankZero:
+    """Fulton's fan: complete, yet every support function is linear."""
+
+    def test_valid_with_twelve_walls(self):
+        report = validate_fan(nonprojective_fan())
+        assert report.valid and report.complete
+        assert len(report.walls) == 12
+
+    def test_picard_data(self):
+        fan = nonprojective_fan()
+        assert picard_data(fan) == PicardData(picard_rank=0, class_rank=5, projective=False)
+        assert support_function_space_dim(fan) == 3
+        assert picard_rank(fan) == 0
+        assert not is_projective(fan)
+
+    def test_cli_lyubeznik_exits_2(self, tmp_path, capsys):
+        path = _fan_file(tmp_path, nonprojective_fan())
+        assert main(["fan", "lyubeznik", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: fan is not projective: no strictly convex support function "
+                       "exists, so no Lyubeznik table is emitted\n")

@@ -470,6 +470,16 @@ class TestFacesAgainstFrozensetReference:
             ReferenceComplex(vertices, simplices)
         assert str(ours.value) == str(theirs.value)
 
+    @pytest.mark.parametrize("vertices, simplices, listed", [
+        ([0], [[0, "a"]], "[0, 'a']"),
+        ([0, "a"], [["a", None, (1, 2)]], "[None, 'a', (1, 2)]"),
+    ], ids=["int-and-str", "none-str-tuple"])
+    def test_unknown_vertex_of_mixed_types(self, vertices, simplices, listed):
+        # vertices that do not compare are listed in vertex order, by type name
+        with pytest.raises(InputError) as err:
+            SimplicialComplex(vertices, simplices)
+        assert str(err.value) == f"simplex {listed} uses unknown vertices"
+
     def test_a_generator_of_simplices_is_read_once(self):
         k = SimplicialComplex(range(3), (iter(s) for s in [(0, 1), (2,)]))
         assert k.faces == (((),), ((0,), (1,), (2,)), ((0, 1),))

@@ -1041,6 +1041,16 @@ class TestInvariantTable:
         with pytest.raises(InputError):
             lam([[0, 1], [0]])
 
+    @pytest.mark.parametrize("value, echo", [
+        ("x", "'x'"),
+        (-1, "-1"),
+        ("x" * 5000, "'" + "x" * 59 + "…"),
+    ], ids=["short", "negative", "5000-chars"])
+    def test_ill_typed_entry_is_echoed_up_to_60_characters(self, value, echo):
+        with pytest.raises(InputError) as err:
+            InvariantTable("lyubeznik", [[value]])
+        assert str(err.value) == f"table entries must be nonnegative integers or None, got {echo}"
+
     def test_pretty_marks(self):
         table = lam([[0, N], [0, 2]])
         text = table.pretty()
