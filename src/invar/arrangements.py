@@ -41,12 +41,11 @@ dimension <= 2.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
 
-from .errors import InputError, InputWarning
+from .errors import InputError, InputWarning, _Frozen
 from .posets import FinitePoset, SimplicialComplex, reduced_betti
 from .qlinalg import (
     QMatrix, _content_free, _echelon_int, _reduced_int, _scaled_to_int, parse_rational,
@@ -127,8 +126,7 @@ def _meet(rows, leads, cut) -> tuple[tuple[int, ...], ...]:
     return tuple(row for _, row in merged)
 
 
-@dataclass(frozen=True, slots=True)
-class AffineSubspace:
+class AffineSubspace(_Frozen):
     """A nonempty affine subspace of C^n in canonical form.
 
     Each equation row has n coefficient entries followed by a constant term,
@@ -139,6 +137,7 @@ class AffineSubspace:
     its rational rref, and `equations` the same as a `QMatrix`.
     """
 
+    __slots__ = ("ambient_dim", "rows")
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -217,6 +216,17 @@ class AffineSubspace:
         self._check_same_ambient(other)
         return not _remainders(self.rows, _leads(self.rows), other.rows)
 
+    # the same as _Frozen's, spelled out: components are hashed and compared
+    # for deduplication on every arrangement read, and reading the fields
+    # directly is faster than through _values
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ambient_dim, self.rows) == (other.ambient_dim, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.rows))
+
     def __repr__(self):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
 
@@ -238,12 +248,16 @@ def _sorted_by_rref(subspaces: Iterable[AffineSubspace]) -> list[AffineSubspace]
     return sorted(subspaces, key=lambda s: (s.dim, tuple(scaled[row] for row in s.rows)))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(_Frozen):
     """An element of the intersection lattice."""
 
+    __slots__ = ("id", "subspace")
     id: int
     subspace: AffineSubspace
+
+    def __init__(self, id: int, subspace: AffineSubspace):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "subspace", subspace)
 
     @property
     def dim(self) -> int:
@@ -260,8 +274,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class IntersectionLattice:
+class IntersectionLattice(_Frozen):
     """All nonempty intersections of the components, ordered by inclusion.
 
     Flats are listed by dimension, so a flat's id is smaller than the ids of
@@ -269,13 +282,25 @@ class IntersectionLattice:
     component bitmask of the flat with id i: bit j is set when the j-th
     (normalized) component contains the flat; the ambient space has mask 0.
     `up[i]` is the bitset, over flat ids, of the flats strictly above it.
+    Two lattices compare by identity.
     """
 
+    __slots__ = ("ambient_dim", "flats", "top_id", "masks", "up")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     ambient_dim: int
     flats: tuple[Flat, ...]
     top_id: int
     masks: tuple[int, ...]
     up: tuple[int, ...]
+
+    def __init__(self, ambient_dim: int, flats: tuple[Flat, ...], top_id: int,
+                 masks: tuple[int, ...], up: tuple[int, ...]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "top_id", top_id)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "up", up)
 
     @property
     def poset(self) -> FinitePoset:

@@ -23,14 +23,13 @@ witness list that `fm_feasible` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
 
-from .errors import InputError, _echo
+from .errors import InputError, _Frozen, _echo
 from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
@@ -158,10 +157,10 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 # Fans
 
 
-@dataclass(frozen=True, slots=True)
-class Fan3:
+class Fan3(_Frozen):
     """A fan in Z^3: primitive rays plus maximal cones as ray index tuples."""
 
+    __slots__ = ("rays", "max_cones")
     rays: tuple[IVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
 
@@ -181,28 +180,45 @@ class Fan3:
         return f"Fan3({len(self.rays)} rays, {len(self.max_cones)} maximal cones)"
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(_Frozen):
     """A 2-dimensional face shared by two maximal cones."""
 
+    __slots__ = ("cones", "rays")
     cones: tuple[int, int]  # indices into fan.max_cones
     rays: tuple[int, int]  # indices of the two spanning rays
 
+    def __init__(self, cones: tuple[int, int], rays: tuple[int, int]):
+        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "rays", rays)
 
-@dataclass(frozen=True)
-class FanReport:
+
+class FanReport(_Frozen):
+    __slots__ = ("valid", "complete", "violations", "walls", "facet_normals")
     valid: bool
     complete: bool
     violations: tuple[str, ...]
     walls: tuple[Wall, ...]
     facet_normals: tuple[tuple[IVec, ...], ...]  # inward, per cone, by sorted ray pair
 
+    def __init__(self, valid: bool, complete: bool, violations: tuple[str, ...],
+                 walls: tuple[Wall, ...], facet_normals: tuple[tuple[IVec, ...], ...]):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "facet_normals", facet_normals)
 
-@dataclass(frozen=True)
-class PicardData:
+
+class PicardData(_Frozen):
+    __slots__ = ("picard_rank", "class_rank", "projective")
     picard_rank: int
     class_rank: int
     projective: bool
+
+    def __init__(self, picard_rank: int, class_rank: int, projective: bool):
+        object.__setattr__(self, "picard_rank", picard_rank)
+        object.__setattr__(self, "class_rank", class_rank)
+        object.__setattr__(self, "projective", projective)
 
 
 def _cone_facets(fan: Fan3, cone_index: int):

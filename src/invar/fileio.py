@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 from .arrangements import AffineSubspace
 from .errors import InputError, InputWarning, _ECHO_CHARS, _echo

@@ -12,18 +12,20 @@ in: the arrangement code hands over an order complex or a crosscut complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _Frozen
 from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class FinitePoset:
+class FinitePoset(_Frozen):
     """A finite strict partial order, closed transitively at construction
-    or given by closed up-sets (`from_up_sets`); `less` holds its pairs."""
+    or given by closed up-sets (`from_up_sets`); `less` holds its pairs.
+    Two posets compare by identity."""
 
+    __slots__ = ("elements", "less")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     elements: tuple
     less: frozenset
 
@@ -100,13 +102,13 @@ def _vertex_key(v):
     return (type(v).__name__, repr(v))
 
 
-@dataclass(frozen=True, slots=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """Abstract simplicial complex: vertices in a fixed order, and faces[s],
     the simplices with s vertices as sorted tuples of vertex positions in
     lexicographic order.  faces[0] == ((),) whenever any simplex is present;
     a void complex has no faces.  `simplices` is a derived frozenset view."""
 
+    __slots__ = ("vertices", "faces")
     vertices: tuple
     faces: tuple
 
@@ -165,10 +167,10 @@ class SimplicialComplex:
         return sum((-1) ** k * len(level) for k, level in enumerate(self.faces[1:])) - 1
 
 
-@dataclass(frozen=True, slots=True)
-class BettiVector:
+class BettiVector(_Frozen):
     """Reduced Betti numbers indexed from degree -1, trailing zeros trimmed."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .errors import InputError, _echo
+from .errors import InputError, _Frozen, _echo
 
 # Entries larger than this trigger a gcd content reduction during integer
 # elimination; keeps bit growth polynomial without dividing every step.
@@ -72,10 +71,10 @@ def format_rational(x: Fraction):
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
-class QMatrix:
+class QMatrix(_Frozen):
     """Immutable dense matrix over the rationals."""
 
+    __slots__ = ("entries", "nrows", "ncols")
     entries: tuple[tuple[int | Fraction, ...], ...]
     nrows: int
     ncols: int

@@ -35,10 +35,9 @@ caps its nodes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import InputError, SearchLimitError, _echo
+from .errors import InputError, SearchLimitError, _Frozen, _echo
 from .qlinalg import _extend_sparse_echelon, _nullspace_int
 
 KIND_LYUBEZNIK = "lyubeznik"
@@ -68,16 +67,16 @@ def _search_limit(explicit: int | None) -> int:
     return limit
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantTable:
+class InvariantTable(_Frozen):
     """Upper-triangular table of nonnegative integers with optional unknowns."""
 
+    __slots__ = ("kind", "entries")
     kind: str
     entries: tuple[tuple[int | None, ...], ...]
 
     def __init__(self, kind: str, entries: Iterable[Sequence]):
         if kind not in _KINDS:
-            raise InputError(f"unknown table kind: {kind!r}")
+            raise InputError(f"unknown table kind: {_echo(kind)}")
         rows = tuple(tuple(row) for row in entries)
         size = len(rows)
         if size == 0 or any(len(r) != size for r in rows):
@@ -145,8 +144,7 @@ class InvariantTable:
         }
 
 
-@dataclass(frozen=True)
-class OgusBounds:
+class OgusBounds(_Frozen):
     """Thresholds above which local cohomology is Artinian (f_y) or zero (v_y).
 
     ambient_dim is the dimension n of the surrounding affine space; it is
@@ -154,13 +152,17 @@ class OgusBounds:
     and q < n - f_y of a Lyubeznik table.
     """
 
+    __slots__ = ("f_y", "v_y", "ambient_dim")
     f_y: int
     v_y: int
     ambient_dim: int
 
-    def __post_init__(self):
-        if self.f_y > self.v_y:
+    def __init__(self, f_y: int, v_y: int, ambient_dim: int):
+        if f_y > v_y:
             raise InputError("f_y must not exceed v_y")
+        object.__setattr__(self, "f_y", f_y)
+        object.__setattr__(self, "v_y", v_y)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
 
 
 def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> list[str]:
@@ -226,7 +228,7 @@ def differential_target(kind: str, page: int, cell: Cell) -> Cell:
         return (p + page, q + page - 1)
     if kind == KIND_CDR:
         return (p - page, q + page - 1)
-    raise InputError(f"unknown table kind: {kind!r}")
+    raise InputError(f"unknown table kind: {_echo(kind)}")
 
 
 def _in_table(cell: Cell, d: int) -> bool:
@@ -521,10 +523,13 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     return _cdr_witness(table.entries, target, n) is not None
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SpectralState:
-    """One page of a spectral table together with the rank choices taken so far."""
+class SpectralState(_Frozen):
+    """One page of a spectral table together with the rank choices taken so
+    far.  Two states compare by identity."""
 
+    __slots__ = ("kind", "page", "entries", "history")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     kind: str
     page: int
     entries: tuple[tuple[int, ...], ...]
@@ -532,7 +537,7 @@ class SpectralState:
 
     def __init__(self, kind: str, page: int, entries, history=()):
         if kind not in _KINDS:
-            raise InputError(f"unknown table kind: {kind!r}")
+            raise InputError(f"unknown table kind: {_echo(kind)}")
         if page < 2:
             raise InputError("pages start at 2")
         object.__setattr__(self, "kind", kind)
@@ -588,12 +593,16 @@ class SpectralState:
         return SpectralState(self.kind, self.page + 1, rows, history)
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(_Frozen):
     """An integer relation sum(coeff * entry(cell)) + const = 0."""
 
+    __slots__ = ("coeffs", "const")
     coeffs: tuple[tuple[Cell, int], ...]
     const: int
+
+    def __init__(self, coeffs: tuple[tuple[Cell, int], ...], const: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "const", const)
 
     def render(self) -> str:
         terms = list(self.coeffs)
@@ -625,16 +634,19 @@ class LinearRelation:
         return f"{lhs} = {rhs}"
 
 
-@dataclass(frozen=True)
-class DeductionResult:
+class DeductionResult(_Frozen):
     """Summary of an exhaustive bounded completion search.
 
     nodes counts the search-tree nodes entered, the root included: below it,
     one per feasible value of each unknown but the last (which the flow on
     its edge fixes) under each feasible prefix.  So a contradiction
     takes one node, and nodes <= 1 + (unknowns - 1) * feasible_count.
+    `_first` (the first completion) and `_diffs` (an echelon basis of the
+    differences from it) answer `implies`; the repr leaves them out.
     """
 
+    __slots__ = ("unknown_cells", "bound", "contradiction", "feasible_count", "forced",
+                 "identities", "completions", "truncated", "nodes", "_first", "_diffs")
     unknown_cells: tuple[Cell, ...]
     bound: int
     contradiction: bool
@@ -644,8 +656,24 @@ class DeductionResult:
     completions: tuple[tuple[int, ...], ...]
     truncated: bool
     nodes: int
-    _first: tuple[int, ...] | None = field(default=None, repr=False)
-    _diffs: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    _first: tuple[int, ...] | None
+    _diffs: tuple[tuple[int, ...], ...]
+
+    def __init__(self, unknown_cells: tuple[Cell, ...], bound: int, contradiction: bool,
+                 feasible_count: int, forced: dict, identities: tuple[LinearRelation, ...],
+                 completions: tuple[tuple[int, ...], ...], truncated: bool, nodes: int,
+                 _first: tuple[int, ...] | None = None, _diffs: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "unknown_cells", unknown_cells)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "contradiction", contradiction)
+        object.__setattr__(self, "feasible_count", feasible_count)
+        object.__setattr__(self, "forced", forced)
+        object.__setattr__(self, "identities", identities)
+        object.__setattr__(self, "completions", completions)
+        object.__setattr__(self, "truncated", truncated)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_first", _first)
+        object.__setattr__(self, "_diffs", _diffs)
 
     def implies(self, coeffs: Mapping[Cell, int], const: int = 0) -> bool:
         """Whether the relation holds on every feasible completion."""

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import random
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -1037,3 +1038,14 @@ class TestJsonRoundTrip:
         reparsed, _, _, _ = parse_table(json.loads(text))
         assert reparsed == table
         assert dumps_table(reparsed, ["a note"]) == text
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Every command runs in a fresh process, which would pay for these
+    three modules at start-up; under `-S` no `site` preloads any of them."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import invar.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

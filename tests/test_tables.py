@@ -1051,6 +1051,20 @@ class TestInvariantTable:
             InvariantTable("lyubeznik", [[value]])
         assert str(err.value) == f"table entries must be nonnegative integers or None, got {echo}"
 
+    @pytest.mark.parametrize("kind, echo", [
+        ("ogus", "'ogus'"),
+        ("k" * 5000, "'" + "k" * 59 + "…"),
+    ], ids=["short", "5000-chars"])
+    @pytest.mark.parametrize("site", [
+        lambda kind: InvariantTable(kind, [[0]]),
+        lambda kind: differential_target(kind, 2, (0, 0)),
+        lambda kind: SpectralState(kind, 2, [[0]]),
+    ], ids=["InvariantTable", "differential_target", "SpectralState"])
+    def test_unknown_kind_is_echoed_up_to_60_characters(self, site, kind, echo):
+        with pytest.raises(InputError) as err:
+            site(kind)
+        assert str(err.value) == f"unknown table kind: {echo}"
+
     def test_pretty_marks(self):
         table = lam([[0, N], [0, 2]])
         text = table.pretty()
