@@ -142,18 +142,18 @@ class AffineSubspace(_Frozen):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient_dim: int, equations: Iterable[Sequence]):
-        if ambient_dim < 1:
-            raise InputError("ambient dimension must be positive")
+        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
+            raise InputError("ambient_dim must be a positive integer")
+        width = ambient_dim + 1
         scaled = []
         for row in equations:
             row = [parse_rational(x) for x in row]
-            if len(row) != ambient_dim + 1:
+            if len(row) != width:
                 raise InputError(
-                    f"equation rows must have {ambient_dim + 1} entries "
-                    f"(coefficients then constant), got {len(row)}"
+                    f"every equation row needs exactly {width} entries (coefficients then constant)"
                 )
             scaled.append(_scaled_to_int(row))
-        rows = _cut(scaled, ambient_dim + 1)
+        rows = _cut(scaled, width)
         if rows is None:
             raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -165,7 +165,7 @@ class AffineSubspace(_Frozen):
 
     @classmethod
     def ambient(cls, ambient_dim: int) -> "AffineSubspace":
-        return cls._canonical(ambient_dim, ())
+        return cls(ambient_dim, ())
 
     @classmethod
     def _canonical(cls, ambient_dim: int, rows) -> "AffineSubspace":

@@ -147,8 +147,6 @@ def _cmd_fan(args) -> tuple[int, str]:
 def _cmd_table(args) -> tuple[int, str]:
     table, ambient, betti, file_bound = parse_table(load_json(args.input))
     if args.command == "deduce":
-        if table.kind != tables.KIND_LYUBEZNIK:
-            raise InputError("table deduce only applies to lyubeznik tables")
         bound = args.bound if args.bound is not None else file_bound
         result = tables.deduce_lambda(table, bound)
         if result.contradiction:

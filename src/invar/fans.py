@@ -158,23 +158,40 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 
 
 class Fan3(_Frozen):
-    """A fan in Z^3: primitive rays plus maximal cones as ray index tuples."""
+    """A fan in Z^3: primitive rays plus maximal cones as ray index tuples.
+
+    The constructor refuses a ray that is not three integers (bools
+    excluded) or is zero, and a cone index that is not an integer in
+    range(len(rays)); `validate_fan` checks everything else.
+    """
 
     __slots__ = ("rays", "max_cones")
     rays: tuple[IVec, ...]
     max_cones: tuple[tuple[int, ...], ...]
 
     def __init__(self, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]):
-        ray_tuple = tuple(tuple(r) for r in rays)
-        for r in ray_tuple:
-            if len(r) != 3 or any(not isinstance(x, int) or isinstance(x, bool) for x in r):
-                raise InputError(f"rays must be integer 3-vectors, got {_echo(r)}")
-        cone_tuple = tuple(tuple(c) for c in max_cones)
-        for c in cone_tuple:
-            if any(not isinstance(i, int) or isinstance(i, bool) for i in c):
-                raise InputError(f"maximal cones must list integer ray indices, got {_echo(c)}")
-        object.__setattr__(self, "rays", ray_tuple)
-        object.__setattr__(self, "max_cones", tuple(tuple(sorted(c)) for c in cone_tuple))
+        ray_list = []
+        for i, r in enumerate(rays):
+            try:
+                x, y, z = r
+            except (TypeError, ValueError):
+                x = None  # fails the first test below
+            if (not isinstance(x, int) or not isinstance(y, int) or not isinstance(z, int)
+                    or isinstance(x, bool) or isinstance(y, bool) or isinstance(z, bool)):
+                raise InputError(f"ray {i} must be a list of three integers")
+            if not (x or y or z):
+                raise InputError(f"ray {i} is the zero vector")
+            ray_list.append((x, y, z))
+        n = len(ray_list)
+        cone_list = []
+        for k, c in enumerate(max_cones):
+            c = tuple(c)
+            for i in c:
+                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+                    raise InputError(f"maximal cone {k} has a ray index out of range: {_echo(i)}")
+            cone_list.append(tuple(sorted(c)))
+        object.__setattr__(self, "rays", tuple(ray_list))
+        object.__setattr__(self, "max_cones", tuple(cone_list))
 
     def __repr__(self):
         return f"Fan3({len(self.rays)} rays, {len(self.max_cones)} maximal cones)"
@@ -283,10 +300,7 @@ def validate_fan(fan: Fan3) -> FanReport:
     violations: list[str] = []
     rays = fan.rays
     for i, r in enumerate(rays):
-        g = gcd(*r)
-        if g == 0:
-            violations.append(f"ray {i} is the zero vector")
-        elif g != 1:
+        if gcd(*r) != 1:
             violations.append(f"ray {i} = {r} is not primitive")
     seen: dict[IVec, int] = {}
     for i, r in enumerate(rays):
@@ -300,8 +314,6 @@ def validate_fan(fan: Fan3) -> FanReport:
     for k, cone in enumerate(fan.max_cones):
         if len(set(cone)) != len(cone):
             violations.append(f"maximal cone {k} repeats a ray index")
-        if cone and (cone[0] < 0 or cone[-1] >= len(rays)):  # cones are sorted
-            violations.append(f"maximal cone {k} references a ray index out of range")
         used.update(cone)
     first: dict[tuple[int, ...], int] = {}
     for k, cone in enumerate(fan.max_cones):

@@ -6,6 +6,13 @@ pipeline ever rounds.  A file is UTF-8 text without a byte order mark; CRLF
 and CR line endings read as LF.  An integer literal longer than
 `sys.get_int_max_str_digits()` digits, as a number or in a "p/q" string,
 is an InputError that names the limit.
+
+The readers check a document's shape only: keys are present, values that
+must be lists are lists, a table's entries are (dim+1)x(dim+1), and a
+table's optional ambient_dim, betti and bound are well typed.  Every other
+value goes once to the constructor that owns its check (`AffineSubspace`,
+`Fan3`, `InvariantTable`); the readers add the subspace's label to its
+messages and rescale non-primitive rays with an InputWarning.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from collections.abc import Sequence
 from .arrangements import AffineSubspace
 from .errors import InputError, InputWarning, _ECHO_CHARS, _echo
 from .fans import Fan3, primitive
-from .tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable
+from .tables import InvariantTable
 
 
 def _reject_float(text: str):
@@ -69,8 +76,7 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
         subspaces = doc["subspaces"]
     except KeyError as exc:
         raise InputError(f"arrangement file is missing key {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError("ambient_dim must be a positive integer")
+    AffineSubspace.ambient(n)  # checks ambient_dim before the subspaces, unlabelled
     if not isinstance(subspaces, list) or not subspaces:
         raise InputError("subspaces must be a nonempty list")
     components = []
@@ -82,14 +88,8 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
         # a name is shown as it is in messages, up to the echo cap
         label = name if len(str(name)) <= _ECHO_CHARS else _echo(name)
         rows = entry["equations"]
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
             raise InputError(f"{label}: equations must be a nonempty list of rows")
-        for row in rows:
-            if not isinstance(row, list) or len(row) != n + 1:
-                raise InputError(
-                    f"{label}: every equation row needs exactly {n + 1} entries "
-                    "(coefficients then constant)"
-                )
         try:
             components.append(AffineSubspace.from_rows(n, rows))
         except InputError as exc:
@@ -99,7 +99,8 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
 
 
 def parse_fan(doc: dict) -> Fan3:
-    """Read a fan file: integer rays plus maximal cones as ray index lists."""
+    """Read a fan file: integer rays plus maximal cones as ray index lists.
+    A non-primitive ray is rescaled, with an InputWarning."""
     try:
         rays = doc["rays"]
         cones = doc["max_cones"]
@@ -109,29 +110,18 @@ def parse_fan(doc: dict) -> Fan3:
         raise InputError("rays must be a nonempty list of integer 3-vectors")
     if not isinstance(cones, list) or not cones:
         raise InputError("max_cones must be a nonempty list of ray index lists")
-    clean_rays = []
-    for i, ray in enumerate(rays):
-        if (
-            not isinstance(ray, list)
-            or len(ray) != 3
-            or any(not isinstance(x, int) or isinstance(x, bool) for x in ray)
-        ):
-            raise InputError(f"ray {i} must be a list of three integers")
-        if ray == [0, 0, 0]:
-            raise InputError(f"ray {i} is the zero vector")
-        prim = primitive(ray)
-        if tuple(ray) != prim:
-            warnings.warn(f"ray {i} = {ray} rescaled to primitive {list(prim)}", InputWarning)
-        clean_rays.append(prim)
-    clean_cones = []
     for k, cone in enumerate(cones):
         if not isinstance(cone, list) or not cone:
             raise InputError(f"maximal cone {k} must be a nonempty list of ray indices")
-        for idx in cone:
-            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < len(rays):
-                raise InputError(f"maximal cone {k} has a ray index out of range: {_echo(idx)}")
-        clean_cones.append(cone)
-    return Fan3(clean_rays, clean_cones)
+    fan = Fan3(rays, cones)
+    prims = [primitive(r) for r in fan.rays]
+    if prims == list(fan.rays):
+        return fan
+    for i, (ray, prim) in enumerate(zip(fan.rays, prims)):
+        if ray != prim:
+            warnings.warn(f"ray {i} = {list(ray)} rescaled to primitive {list(prim)}",
+                          InputWarning)
+    return Fan3(prims, fan.max_cones)
 
 
 def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None, int | None]:
@@ -142,8 +132,6 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
         entries = doc["entries"]
     except KeyError as exc:
         raise InputError(f"table file is missing key {exc}") from exc
-    if kind not in (KIND_LYUBEZNIK, KIND_CDR):
-        raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError("dim must be a nonnegative integer")
     if (
@@ -152,14 +140,6 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
         or any(not isinstance(r, list) or len(r) != dim + 1 for r in entries)
     ):
         raise InputError(f"entries must be a {dim + 1}x{dim + 1} array matching dim")
-    for row in entries:
-        for v in row:
-            if v is None:
-                continue
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise InputError(
-                    f"table entries must be nonnegative integers or null, got {_echo(v)}"
-                )
     table = InvariantTable(kind, entries)
     ambient = doc.get("ambient_dim")
     if ambient is not None and (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
-from .errors import InputError, _Frozen
+from .errors import InputError, _Frozen, _echo
 from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
@@ -36,7 +36,7 @@ class FinitePoset(_Frozen):
         up = [0] * len(elems)
         for a, b in less_than:
             if a not in index or b not in index:
-                raise InputError(f"relation mentions unknown element: ({a!r}, {b!r})")
+                raise InputError(f"relation mentions unknown element: {_echo((a, b))}")
             up[index[a]] |= 1 << index[b]
         # Warshall: after step k, up[i] holds everything reachable from i
         # through intermediates among the first k + 1 elements
@@ -65,13 +65,13 @@ class FinitePoset(_Frozen):
         pairs = []
         for i, up_i in enumerate(up):
             if up_i >> i & 1:
-                raise InputError(f"order relation is not irreflexive at {elems[i]!r}")
+                raise InputError(f"order relation is not irreflexive at {_echo(elems[i])}")
             rest = up_i
             while rest:
                 low = rest & -rest
                 j = low.bit_length() - 1
                 if up[j] & ~up_i:
-                    raise InputError(f"up-sets are not transitively closed at {elems[i]!r}")
+                    raise InputError(f"up-sets are not transitively closed at {_echo(elems[i])}")
                 pairs.append((elems[i], elems[j]))
                 rest ^= low
         object.__setattr__(self, "elements", elems)
@@ -84,7 +84,7 @@ class FinitePoset(_Frozen):
         """Elements strictly between lower and upper, in element order."""
         for x in (lower, upper):
             if x not in set(self.elements):
-                raise InputError(f"unknown poset element: {x!r}")
+                raise InputError(f"unknown poset element: {_echo(x)}")
         return tuple(
             x for x in self.elements if (lower, x) in self.less and (x, upper) in self.less
         )
@@ -126,7 +126,7 @@ class SimplicialComplex(_Frozen):
                     listed = sorted(fs)
                 except TypeError:  # vertices of types that do not compare
                     listed = sorted(fs, key=_vertex_key)
-                raise InputError(f"simplex {listed!r} uses unknown vertices") from None
+                raise InputError(f"simplex {_echo(listed)} uses unknown vertices") from None
             while len(by_size) <= len(face):
                 by_size.append(set())
             by_size[len(face)].add(face)

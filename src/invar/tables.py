@@ -53,7 +53,7 @@ Cell = tuple[int, int]
 def _search_limit(explicit: int | None) -> int:
     if explicit is not None:
         if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 1:
-            raise InputError(f"search_limit must be a positive integer, got {explicit!r}")
+            raise InputError(f"search_limit must be a positive integer, got {_echo(explicit)}")
         return explicit
     env = os.environ.get("INVAR_SEARCH_LIMIT")
     if env is None:
@@ -61,9 +61,9 @@ def _search_limit(explicit: int | None) -> int:
     try:
         limit = int(env)
     except ValueError as exc:
-        raise InputError(f"INVAR_SEARCH_LIMIT must be an integer, got {env!r}") from exc
+        raise InputError(f"INVAR_SEARCH_LIMIT must be an integer, got {_echo(env)}") from exc
     if limit < 1:
-        raise InputError(f"INVAR_SEARCH_LIMIT must be a positive integer, got {env!r}")
+        raise InputError(f"INVAR_SEARCH_LIMIT must be a positive integer, got {_echo(env)}")
     return limit
 
 
@@ -76,7 +76,7 @@ class InvariantTable(_Frozen):
 
     def __init__(self, kind: str, entries: Iterable[Sequence]):
         if kind not in _KINDS:
-            raise InputError(f"unknown table kind: {_echo(kind)}")
+            raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
         rows = tuple(tuple(row) for row in entries)
         size = len(rows)
         if size == 0 or any(len(r) != size for r in rows):
@@ -87,7 +87,7 @@ class InvariantTable(_Frozen):
                     continue
                 if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                     raise InputError(
-                        f"table entries must be nonnegative integers or None, got {_echo(v)}"
+                        f"table entries must be nonnegative integers or null, got {_echo(v)}"
                     )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", rows)
@@ -228,7 +228,7 @@ def differential_target(kind: str, page: int, cell: Cell) -> Cell:
         return (p + page, q + page - 1)
     if kind == KIND_CDR:
         return (p - page, q + page - 1)
-    raise InputError(f"unknown table kind: {_echo(kind)}")
+    raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
 
 
 def _in_table(cell: Cell, d: int) -> bool:
@@ -537,7 +537,7 @@ class SpectralState(_Frozen):
 
     def __init__(self, kind: str, page: int, entries, history=()):
         if kind not in _KINDS:
-            raise InputError(f"unknown table kind: {_echo(kind)}")
+            raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
         if page < 2:
             raise InputError("pages start at 2")
         object.__setattr__(self, "kind", kind)
@@ -774,7 +774,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     nullspace of the rows.
     """
     if table.kind != KIND_LYUBEZNIK:
-        raise InputError("deduce_lambda expects a lyubeznik table")
+        raise InputError("table deduce only applies to lyubeznik tables")
     b = DEFAULT_BOUND if bound is None else bound
     if isinstance(b, bool) or not isinstance(b, int) or b < 0:
         raise InputError("bound must be a nonnegative integer")

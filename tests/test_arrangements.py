@@ -380,9 +380,21 @@ class TestFromRows:
         with pytest.raises(InputError):
             AffineSubspace.from_rows(2, rows)
 
+    @pytest.mark.parametrize("n", [0, -1, "2", True, None, 2.0])
+    def test_ambient_dim_must_be_a_positive_integer(self, n):
+        for make in (lambda: AffineSubspace.from_rows(n, [[1, 0, 0]]),
+                     lambda: AffineSubspace.ambient(n)):
+            with pytest.raises(InputError) as err:
+                make()
+            assert str(err.value) == "ambient_dim must be a positive integer"
+
     def test_width_message(self):
-        with pytest.raises(InputError, match=r"must have 3 entries .*, got 2"):
+        # the text the arrangement file reader shows after the subspace's label
+        with pytest.raises(InputError) as err:
             AffineSubspace.from_rows(2, [[1, 0, 0], [1, 0]])
+        assert str(err.value) == (
+            "every equation row needs exactly 3 entries (coefficients then constant)"
+        )
 
     def test_ambient(self):
         top = AffineSubspace.ambient(3)

@@ -589,6 +589,11 @@ class TestTableCommands:
         assert any("identity: (0,2) = (2,3)" in n for n in notes)
         assert any("feasible completions: 30" in n for n in notes)
 
+    def test_deduce_refuses_a_cdr_table(self, tmp_path, capsys):
+        path = write(tmp_path, "cdr.json", {"kind": "cdr", "dim": 0, "entries": [[1]]})
+        assert run(capsys, "table", "deduce", "--input", path) == (
+            2, "", "error: table deduce only applies to lyubeznik tables\n")
+
     def test_deduce_contradiction_exit_3(self, tmp_path, capsys):
         doc = {
             "kind": "lyubeznik",
@@ -766,6 +771,21 @@ class TestMalformedInput:
         argv = ["arrangement", "cdr"] if command == "arrangement" else ["fan", "validate"]
         assert run(capsys, *argv, "--input", path) == (2, "", f"error: {message}\n")
         assert len(f"error: {message}\n".encode()) < 200
+
+    @pytest.mark.parametrize("limit, message", [
+        ("x" * 3000, "must be an integer, got '" + "x" * 59 + "…"),
+        ("7" * 5000, "must be an integer, got '" + "7" * 59 + "…"),
+        ("-" + "7" * 3000, "must be a positive integer, got '-" + "7" * 58 + "…"),
+    ], ids=["word", "past-digit-limit", "negative"])
+    def test_long_search_limit_is_echoed_up_to_60_characters(
+        self, limit, message, tmp_path, capsys, monkeypatch
+    ):
+        path = write(tmp_path, "t.json", {"kind": "lyubeznik", "dim": 1,
+                                          "entries": [[0, 0], [0, None]]})
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", limit)
+        expected = f"error: INVAR_SEARCH_LIMIT {message}\n"
+        assert run(capsys, "table", "deduce", "--input", path) == (2, "", expected)
+        assert len(expected.encode()) < 200
 
     def test_long_float_literal_is_echoed_up_to_60_characters(self, tmp_path, capsys):
         path = tmp_path / "float.json"
@@ -965,9 +985,20 @@ class TestAgainstReferenceParser:
     def test_corpus(self):
         corpus = [(*argv, "-h") for argv in HELP] + list(USAGE_ERRORS) + list(valid_argvs())
         corpus += random_argvs(2000, seed=1010)
+        # one reference tree per group, built here because the fixture has
+        # stubbed _GROUPS; argparse keeps no state between parses, error
+        # exits included, so reusing a tree gives reference_parse's outcome
+        parsers = {}
+
+        def cached_reference_parse(argv):
+            group = next((arg for arg in argv if not arg.startswith("-")), None)
+            if group not in parsers:
+                parsers[group] = reference_build_parser(group)
+            return parsers[group].parse_args(argv)
+
         kinds = Counter()
         for argv in corpus:
-            expected = outcome(reference_parse, argv)
+            expected = outcome(cached_reference_parse, argv)
             assert outcome(parse_by_main, argv) == expected, argv
             kinds[expected[0] if expected[0][0] == "exit" else "parsed"] += 1
         # parses, help texts and usage errors all occur often

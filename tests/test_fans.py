@@ -258,8 +258,22 @@ class TestValidation:
         assert any("not primitive" in v for v in report.violations)
 
     def test_zero_ray(self):
-        report = validate_fan(Fan3([(0, 0, 0), (1, 0, 0)], [(0, 1)]))
-        assert not report.valid
+        with pytest.raises(InputError) as err:
+            Fan3([(1, 0, 0), (0, 0, 0)], [(0, 1)])
+        assert str(err.value) == "ray 1 is the zero vector"
+
+    @pytest.mark.parametrize("rays, cones, message", [
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 3)],
+         "maximal cone 0 has a ray index out of range: 3"),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2), (-1, 0, 1)],
+         "maximal cone 1 has a ray index out of range: -1"),
+        ([(1, 0, 0), 5], [(0, 1)], "ray 1 must be a list of three integers"),
+        ([(1, 0, 0), (0, 1, 0, 0)], [(0, 1)], "ray 1 must be a list of three integers"),
+    ], ids=["index past the end", "negative index", "int ray", "4-vector"])
+    def test_refused_at_construction(self, rays, cones, message):
+        with pytest.raises(InputError) as err:
+            Fan3(rays, cones)
+        assert str(err.value) == message
 
     def test_cone_with_line(self):
         fan = Fan3([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2, 3)])
@@ -314,16 +328,18 @@ class TestValidation:
             "float index", "bool index"])
     def test_non_integer_input_refused(self, rays, cones):
         fan = p3_fan()
-        with pytest.raises(InputError, match="integer"):
+        message = ("ray 0 must be a list of three integers" if rays
+                   else "maximal cone 0 has a ray index out of range: ")
+        with pytest.raises(InputError) as err:
             Fan3(rays or fan.rays, cones or fan.max_cones)
+        assert str(err.value).startswith(message)
 
     @pytest.mark.parametrize("rays, cones, echo", [
-        ([(1.5, 0, 0)], [[0]], "rays must be integer 3-vectors, got (1.5, 0, 0)"),
-        ([("x" * 5000, 0, 0)], [[0]],
-         "rays must be integer 3-vectors, got ('" + "x" * 58 + "…"),
-        ([(1, 0, 0)], [[0.5]], "maximal cones must list integer ray indices, got (0.5,)"),
+        ([(1.5, 0, 0)], [[0]], "ray 0 must be a list of three integers"),
+        ([("x" * 5000, 0, 0)], [[0]], "ray 0 must be a list of three integers"),
+        ([(1, 0, 0)], [[0.5]], "maximal cone 0 has a ray index out of range: 0.5"),
         ([(1, 0, 0)], [["x" * 5000]],
-         "maximal cones must list integer ray indices, got ('" + "x" * 58 + "…"),
+         "maximal cone 0 has a ray index out of range: '" + "x" * 59 + "…"),
     ], ids=["short ray", "5000-char ray", "short cone", "5000-char cone"])
     def test_ill_typed_value_is_echoed_up_to_60_characters(self, rays, cones, echo):
         with pytest.raises(InputError) as err:

@@ -185,6 +185,27 @@ class TestPosetValidation:
         with pytest.raises(InputError):
             FinitePoset([0], [(0, 5)])
 
+    LONG = "x" * 5000
+
+    @pytest.mark.parametrize("site, value, message", [
+        (lambda v: FinitePoset([0], [(0, v)]), "a",
+         "relation mentions unknown element: (0, 'a')"),
+        (lambda v: FinitePoset([0], [(0, v)]), LONG,
+         "relation mentions unknown element: (0, '" + "x" * 55 + "…"),
+        (lambda v: FinitePoset.from_up_sets([v], [1]), LONG,
+         "order relation is not irreflexive at '" + "x" * 59 + "…"),
+        (lambda v: FinitePoset.from_up_sets([v, 1, 2], [0b10, 0b100, 0]), LONG,
+         "up-sets are not transitively closed at '" + "x" * 59 + "…"),
+        (lambda v: FinitePoset([0, 1], []).open_interval(v, 1), LONG,
+         "unknown poset element: '" + "x" * 59 + "…"),
+        (lambda v: SimplicialComplex([0], [[v]]), LONG,
+         "simplex ['" + "x" * 58 + "… uses unknown vertices"),
+    ], ids=["short-relation", "relation", "irreflexive", "closed", "interval", "simplex"])
+    def test_value_is_echoed_up_to_60_characters(self, site, value, message):
+        with pytest.raises(InputError) as err:
+            site(value)
+        assert str(err.value) == message
+
     def test_transitive_closure(self):
         poset = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
         assert poset.less_than(0, 2)

@@ -929,6 +929,11 @@ class TestDeduce:
         with pytest.raises(InputError, match="search_limit must be a positive integer"):
             deduce_lambda(dim3_shape(), 1, search_limit=limit)
 
+    def test_long_search_limit_is_echoed_up_to_60_characters(self):
+        with pytest.raises(InputError) as err:
+            deduce_lambda(dim3_shape(), 1, search_limit="x" * 5000)
+        assert str(err.value) == "search_limit must be a positive integer, got '" + "x" * 59 + "…"
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_search_limit_below_one_rejected_from_environment(self, limit, monkeypatch):
         monkeypatch.setenv("INVAR_SEARCH_LIMIT", limit)
@@ -972,8 +977,9 @@ class TestDeduce:
         assert result.contradiction
 
     def test_wrong_kind(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as err:
             deduce_lambda(cdr([[1]]))
+        assert str(err.value) == "table deduce only applies to lyubeznik tables"
 
 
 class TestCheckCdr:
@@ -1049,7 +1055,7 @@ class TestInvariantTable:
     def test_ill_typed_entry_is_echoed_up_to_60_characters(self, value, echo):
         with pytest.raises(InputError) as err:
             InvariantTable("lyubeznik", [[value]])
-        assert str(err.value) == f"table entries must be nonnegative integers or None, got {echo}"
+        assert str(err.value) == f"table entries must be nonnegative integers or null, got {echo}"
 
     @pytest.mark.parametrize("kind, echo", [
         ("ogus", "'ogus'"),
@@ -1063,7 +1069,7 @@ class TestInvariantTable:
     def test_unknown_kind_is_echoed_up_to_60_characters(self, site, kind, echo):
         with pytest.raises(InputError) as err:
             site(kind)
-        assert str(err.value) == f"unknown table kind: {echo}"
+        assert str(err.value) == f"kind must be 'lyubeznik' or 'cdr', got {echo}"
 
     def test_pretty_marks(self):
         table = lam([[0, N], [0, 2]])
