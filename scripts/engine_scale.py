@@ -187,7 +187,7 @@ def main() -> int:
     for d, seed, top, shift, want in CDR_CASES:
         table, betti, n = cdr_case(d, seed, top, shift)
         start = perf_counter()
-        feasible = check_cdr(table, betti, n)
+        feasible, _ = check_cdr(table, betti, n)
         elapsed = perf_counter() - start
         ok &= feasible == want
         print(f"cdr d={d} seed={seed} top={top} shift={shift}: {elapsed * 1000:.2f} ms, "

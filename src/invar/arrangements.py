@@ -55,6 +55,7 @@ from .tables import (
     KIND_LYUBEZNIK,
     InvariantTable,
     _antidiagonal_sums,
+    _require,
     canonical_small_tables,
 )
 
@@ -545,14 +546,7 @@ def complement_betti(table: InvariantTable, n: int) -> list[int]:
     Cell (p, q) contributes to degree 2n - p - q - 1; the returned list has
     length 2n (all degrees a complement in C^n can carry).
     """
-    if table.kind != KIND_CDR:
-        raise InputError("complement_betti expects a cdr table")
-    if not table.is_complete():
-        raise InputError("complement_betti requires a fully known table")
-    if n < table.d + 1:
-        raise InputError(
-            f"ambient dimension {n} is too small for a table of dimension {table.d}"
-        )
+    _require(table, KIND_CDR, "complement_betti", n)
     return _antidiagonal_sums(table.entries, n)
 
 

@@ -187,13 +187,12 @@ def _cmd_table(args) -> tuple[int, str]:
     ]
     if bad:
         return EXIT_INFEASIBLE, _emit_table(table, ["invalid: " + b for b in bad], args.format)
-    feasible = tables.check_cdr(table, betti, ambient)
+    feasible, witness = tables.check_cdr(table, betti, ambient)
     if not feasible:
         notes.append("abutment: infeasible against the given Betti numbers")
         return EXIT_INFEASIBLE, _emit_table(table, notes, args.format)
     notes.append("abutment: feasible")
-    degenerate = tables.check_cdr(table, betti, ambient, require_degenerate=True)
-    notes.append(f"degenerate solution matches: {'yes' if degenerate else 'no'}")
+    notes.append(f"degenerate solution matches: {'yes' if witness == () else 'no'}")
     return EXIT_OK, _emit_table(table, notes, args.format)
 
 

@@ -40,14 +40,6 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def primitive(v: Sequence[int]) -> IVec:
     """Divide an integer vector by the gcd of its entries."""
     g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
@@ -386,11 +378,18 @@ def _require_valid(fan: Fan3) -> FanReport:
     return report
 
 
-def _cramer(basis, v) -> tuple[int, IVec]:
-    """(D, c) with D * v = c[0] basis[0] + c[1] basis[1] + c[2] basis[2], D = det."""
-    b0, b1, b2 = basis
-    n12 = _cross(b1, b2)
-    return _dot(b0, n12), (_dot(v, n12), _dot(b0, _cross(v, b2)), _dot(b0, _cross(b1, v)))
+def _cramer(a, b, c, v) -> tuple[int, int, int, int]:
+    """(det, ca, cb, cc) with det * v = ca * a + cb * b + cc * c and det = a . (b x c).
+
+    Each coefficient is v dotted with the cross product of the other two
+    vectors, in cyclic order: ca = v . (b x c), cb = v . (c x a), cc = v . (a x b).
+    """
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (vx, vy, vz) = a, b, c, v
+    bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    return (ax * bcx + ay * bcy + az * bcz,
+            vx * bcx + vy * bcy + vz * bcz,
+            vx * (cy * az - cz * ay) + vy * (cz * ax - cx * az) + vz * (cx * ay - cy * ax),
+            vx * (ay * bz - az * by) + vy * (az * bx - ax * bz) + vz * (ax * by - ay * bx))
 
 
 def _support_functions(fan: Fan3) -> list[tuple[int, ...]]:
@@ -410,7 +409,7 @@ def _support_functions(fan: Fan3) -> list[tuple[int, ...]]:
     for cone in fan.max_cones:
         basis = cone[:3]
         for v in cone[3:]:
-            det, coeffs = _cramer([fan.rays[i] for i in basis], fan.rays[v])
+            det, *coeffs = _cramer(*(fan.rays[i] for i in basis), fan.rays[v])
             row = [0] * n
             row[col[v]] = det
             for i, c in zip(basis, coeffs):
@@ -442,14 +441,7 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
         i, j = wall.rays
         w = next(r for r in near if r != i and r != j)
         v = next(r for r in far if r != i and r != j)
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz), (vx, vy, vz) = rays[i], rays[j], rays[w], rays[v]
-        # Cramer: det * v = ca * a + cb * b + cc * c, with det = a . (b x c)
-        # and each coefficient v dotted with the cross product of the other two
-        bcx, bcy, bcz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
-        det = ax * bcx + ay * bcy + az * bcz
-        ca = vx * bcx + vy * bcy + vz * bcz
-        cb = vx * (cy * az - cz * ay) + vy * (cz * ax - cx * az) + vz * (cx * ay - cy * ax)
-        cc = vx * (ay * bz - az * by) + vy * (az * bx - ax * bz) + vz * (ax * by - ay * bx)
+        det, ca, cb, cc = _cramer(rays[i], rays[j], rays[w], rays[v])
         if det < 0:  # sign(det) * (det * l_near(v) - det * value(v))
             det, ca, cb, cc = -det, -ca, -cb, -cc
         inequalities.append((_content_free([

@@ -13,7 +13,9 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
 Every differential flips the parity of p+q, so each convergence check is
 one circulation with lower bounds on a bipartite graph (see _lambda_witness
 and _cdr_witness).  Ranks only subtract, so a cell's remainder always covers
-its later ranks and any flow is realizable page by page.
+its later ranks and any flow is realizable page by page.  Both checks,
+check_convergence_lambda and check_cdr, return (feasible, witness): the
+witness is the positive ranks as (page, source, target, rank), or None.
 
 Deduction finds the completions with unknown entries up to a bound B on the
 lambda graph: each cell's edge (hub to an even cell, odd cell to hub)
@@ -206,6 +208,25 @@ def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> 
     return diags
 
 
+def _require(table: InvariantTable, kind: str, caller: str, n=None) -> None:
+    """Refuse a table that is not a complete table of this kind.
+
+    A cdr table's antidiagonals k = 2n-p-q-1 depend on the ambient dimension,
+    so for that kind n must also be an int of at least d+1.
+    """
+    if table.kind != kind:
+        raise InputError(f"{caller} expects a {kind} table")
+    if not table.is_complete():
+        raise InputError(f"{caller} requires a table without unknown cells")
+    if kind == KIND_CDR:
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"ambient dimension must be an integer, got {_echo(n)}")
+        if n < table.d + 1:
+            raise InputError(
+                f"ambient dimension {n} is too small for a table of dimension {table.d}"
+            )
+
+
 def _alternating_sum(entries) -> int:
     """Sum of (-1)^(p+q) * entry over the known cells."""
     return sum(-v if (p + q) % 2 else v for p, row in enumerate(entries)
@@ -214,10 +235,7 @@ def _alternating_sum(entries) -> int:
 
 def euler_sum(table: InvariantTable) -> int:
     """Alternating sum of all entries with sign (-1)^(p+q)."""
-    if table.kind != KIND_LYUBEZNIK:
-        raise InputError("euler_sum expects a lyubeznik table")
-    if not table.is_complete():
-        raise InputError("euler_sum requires a table without unknown cells")
+    _require(table, KIND_LYUBEZNIK, "euler_sum")
     return _alternating_sum(table.entries)
 
 
@@ -443,10 +461,7 @@ def check_convergence_lambda(table: InvariantTable):
     Returns (feasible, witness); the witness is a tuple of
     (page, source_cell, target_cell, rank) with positive ranks, or None.
     """
-    if table.kind != KIND_LYUBEZNIK:
-        raise InputError("check_convergence_lambda expects a lyubeznik table")
-    if not table.is_complete():
-        raise InputError("check_convergence_lambda requires a table without unknown cells")
+    _require(table, KIND_LYUBEZNIK, "check_convergence_lambda")
     witness = _lambda_witness(table.entries)
     return witness is not None, witness
 
@@ -497,8 +512,7 @@ def _cdr_witness(entries, target: list[int], n: int) -> tuple | None:
     return _witness(graph, floors[1::2] + floors[0::2], arrows)  # odd k first; even k follow
 
 
-def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
-              require_degenerate: bool = False) -> bool:
+def check_cdr(table: InvariantTable, betti: Sequence[int], n: int):
     """Decide whether the table can converge to the given complement Betti numbers.
 
     betti is the reduced Betti vector of the complement, indexed from degree 0.
@@ -506,21 +520,15 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int, *,
     k = 2n-p-q-1 to k+1, so the ranks must remove exactly sum_k - betti_k
     from each antidiagonal k.  The k's alternate in parity, which makes this
     a bipartite transportation problem, decided by one circulation with
-    lower bounds (see _cdr_witness).  With require_degenerate, only the
-    all-ranks-zero assignment is accepted: the sums must equal the target.
+    lower bounds (see _cdr_witness).
+
+    Returns (feasible, witness) as check_convergence_lambda does.  The
+    witness is () exactly when the antidiagonal sums already equal the
+    target, so the degenerate solution (every rank zero) matches.
     """
-    if table.kind != KIND_CDR:
-        raise InputError("check_cdr expects a cdr table")
-    if not table.is_complete():
-        raise InputError("check_cdr requires a table without unknown cells")
-    if n < table.d + 1:
-        raise InputError(
-            f"ambient dimension {n} is too small for a table of dimension {table.d}"
-        )
-    target = _normalize_betti(betti, n)
-    if require_degenerate:
-        return _antidiagonal_sums(table.entries, n) == target
-    return _cdr_witness(table.entries, target, n) is not None
+    _require(table, KIND_CDR, "check_cdr", n)
+    witness = _cdr_witness(table.entries, _normalize_betti(betti, n), n)
+    return witness is not None, witness
 
 
 class SpectralState(_Frozen):
@@ -575,6 +583,8 @@ class SpectralState(_Frozen):
             tgt = differential_target(self.kind, self.page, src)
             if not _in_table(tgt, d):
                 raise InputError(f"differential from {src} leaves the table on page {self.page}")
+            if isinstance(rank, bool) or not isinstance(rank, int):
+                raise InputError(f"rank at {src} must be an integer, got {_echo(rank)}")
             if rank < 0 or rank > min(self.entries[src[0]][src[1]], self.entries[tgt[0]][tgt[1]]):
                 raise InputError(
                     f"rank {rank} at {src} exceeds min(source, target) on page {self.page}"

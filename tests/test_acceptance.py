@@ -336,7 +336,7 @@ def test_criterion_7_degeneration_check():
             if table.d > 3:
                 continue
             seen += 1
-            ok &= check_cdr(table, complement_betti(table, n), n, require_degenerate=True)
+            ok &= check_cdr(table, complement_betti(table, n), n) == (True, ())
             if not ok:
                 break
     ok &= seen > 0

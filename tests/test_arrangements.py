@@ -789,6 +789,14 @@ class TestComplementBetti:
         with pytest.raises(InputError):
             complement_betti(table, 2)
 
+    @pytest.mark.parametrize("n, echo", [(2.5, "2.5"), ("3", "'3'"), (None, "None"),
+                                         (True, "True")])
+    def test_non_integer_ambient_dim(self, n, echo):
+        table = cdr_table(build_lattice([coordinate_hyperplane(1, 0)]))
+        with pytest.raises(InputError) as err:
+            complement_betti(table, n)
+        assert str(err.value) == f"ambient dimension must be an integer, got {echo}"
+
 
 class TestMoebiusOracle:
     def test_single_hyperplane(self):

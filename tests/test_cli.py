@@ -563,6 +563,12 @@ class TestTableCommands:
             "abutment: feasible", f"degenerate solution matches: {degenerate}"
         ]
 
+    def test_check_cdr_ambient_dim_too_small(self, tmp_path, capsys):
+        doc = {"kind": "cdr", "dim": 2, "ambient_dim": 2, "betti": [0, 1],
+               "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
+        assert run(capsys, "table", "check", "--input", write(tmp_path, "t.json", doc)) == (
+            2, "", "error: ambient dimension 2 is too small for a table of dimension 2\n")
+
     def test_check_cdr_missing_betti(self, tmp_path, capsys):
         doc = {"kind": "cdr", "dim": 2, "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
         path = write(tmp_path, "t.json", doc)

@@ -24,7 +24,7 @@ from invar import (
 )
 from invar import fans
 from invar.cli import main
-from invar.fans import PicardData, Wall, _cone_facets, _cross, _dot, fm_feasible, primitive
+from invar.fans import PicardData, Wall, _cone_facets, _cramer, _dot, fm_feasible, primitive
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
     cube_fan,
@@ -52,6 +52,14 @@ def unimodular_matrix(rng: random.Random):
     return m
 
 
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
 def apply_matrix(m, v):
     return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
 
@@ -74,6 +82,27 @@ def star_subdivide(fan: Fan3, cone_index: int, weights) -> Fan3:
         kept = [cone[t] for t in range(3) if t != drop]
         cones.append(kept + [new_index])
     return Fan3(rays, cones)
+
+
+class TestCramer:
+    def test_identity_on_random_vectors(self, rng):
+        def vec():
+            return tuple(rng.randint(-50, 50) for _ in range(3))
+
+        coplanar = 0
+        for trial in range(2000):
+            a, b, v = vec(), vec(), vec()
+            if trial % 4 == 0:  # c in the plane of a and b
+                x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                c = tuple(x * ai + y * bi for ai, bi in zip(a, b))
+            else:
+                c = vec()
+            det, ca, cb, cc = _cramer(a, b, c, v)
+            assert det == _dot(a, _cross(b, c))
+            assert all(det * vi == ca * ai + cb * bi + cc * ci
+                       for vi, ai, bi, ci in zip(v, a, b, c)), (a, b, c, v)
+            coplanar += det == 0
+        assert coplanar >= 500
 
 
 class TestFourierMotzkin:

@@ -28,7 +28,6 @@ from invar.tables import (
     LinearRelation,
     _alternating_sum,
     _antidiagonal_sums,
-    _cdr_witness,
     _Counter,
     _FlowGraph,
     _lambda_completions,
@@ -775,18 +774,24 @@ class TestCdrFlowAgainstSearch:
 
     def test_feasibility_matches_reference(self):
         verdicts = {0: [0, 0], 1: [0, 0], 2: [0, 0]}
+        degenerate = [0, 0]
         for rows, target, n, kind in self.cases():
-            ok = check_cdr(cdr(rows), target, n)
+            ok, witness = check_cdr(cdr(rows), target, n)
             assert ok == reference_cdr(rows, target, n), (rows, target, n)
-            witness = _cdr_witness(rows, target, n)
             assert ok == (witness is not None)
+            # the oracle for an empty witness is the comparison that check_cdr's
+            # former degenerate mode made: every rank zero matches
+            sums_match = _antidiagonal_sums(rows, n) == target
+            assert (witness == ()) == sums_match, (rows, target, n)
             verdicts[kind][ok] += 1
+            degenerate[sums_match] += 1
             if ok:
                 assert _antidiagonal_sums(replay(rows, witness, "cdr"), n) == target
                 assert [w[0] for w in witness] == sorted(w[0] for w in witness)
         # replayed targets are always feasible; the others give both verdicts
         assert verdicts[0] == [0, 1200]
         assert min(verdicts[1] + verdicts[2]) > 100
+        assert min(degenerate) > 100
 
 
 class TestSpectralState:
@@ -802,6 +807,13 @@ class TestSpectralState:
         state = SpectralState.start(lam([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
         with pytest.raises(InputError):
             state.apply_page({(0, 1): 2})
+
+    @pytest.mark.parametrize("rank, echo", [(0.5, "0.5"), (True, "True"), ("1", "'1'")])
+    def test_non_integer_rank_refused(self, rank, echo):
+        state = SpectralState.start(lam([[0, 1, 0], [0, 0, 0], [0, 0, 2]]))
+        with pytest.raises(InputError) as err:
+            state.apply_page({(0, 1): rank})
+        assert str(err.value) == f"rank at (0, 1) must be an integer, got {echo}"
 
     def test_euler_conserved_random_transitions(self, rng):
         for _ in range(40):
@@ -985,22 +997,18 @@ class TestDeduce:
 class TestCheckCdr:
     def test_boolean_degenerate(self):
         table = cdr([[0, 0, 1], [0, 0, 3], [0, 0, 3]])
-        betti = [0, 3, 3, 1, 0, 0]
-        assert check_cdr(table, betti, 3, require_degenerate=True)
-        assert check_cdr(table, betti, 3)
+        assert check_cdr(table, [0, 3, 3, 1, 0, 0], 3) == (True, ())
 
     def test_forced_cancellation_needs_differential(self):
         table = cdr([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-        zero = [0] * 8
-        assert check_cdr(table, zero, 4)
-        assert not check_cdr(table, zero, 4, require_degenerate=True)
+        assert check_cdr(table, [0] * 8, 4) == (True, ((2, (2, 2), (0, 3), 1),))
 
     def test_empty_table_zero_betti(self):
-        assert check_cdr(cdr([[0]]), [0, 0, 0, 0], 2)
+        assert check_cdr(cdr([[0]]), [0, 0, 0, 0], 2) == (True, ())
 
     def test_wrong_betti_rejected_as_infeasible(self):
         table = cdr([[0, 0, 1], [0, 0, 3], [0, 0, 3]])
-        assert not check_cdr(table, [0, 3, 3, 2, 0, 0], 3)
+        assert check_cdr(table, [0, 3, 3, 2, 0, 0], 3) == (False, None)
 
     def test_betti_length_mismatch(self):
         with pytest.raises(InputError):
@@ -1011,6 +1019,18 @@ class TestCheckCdr:
     def test_unknown_rejected(self):
         with pytest.raises(InputError):
             check_cdr(cdr([[N]]), [0, 0], 1)
+
+    @pytest.mark.parametrize("n, echo", [(2.5, "2.5"), ("3", "'3'"), (None, "None"),
+                                         (True, "True")])
+    def test_non_integer_ambient_dimension(self, n, echo):
+        with pytest.raises(InputError) as err:
+            check_cdr(cdr([[1]]), [0, 1], n)
+        assert str(err.value) == f"ambient dimension must be an integer, got {echo}"
+
+    def test_ambient_dimension_too_small(self):
+        with pytest.raises(InputError) as err:
+            check_cdr(cdr([[0, 0], [0, 1]]), [0, 1], 1)
+        assert str(err.value) == "ambient dimension 1 is too small for a table of dimension 1"
 
 
 class TestSmallTables:
