@@ -11,7 +11,9 @@ rows; it then goes into the flat's component bitmask, and nothing is
 eliminated.  Otherwise the meet is fixed by the cut, the reduced rows of
 the nonzero remainders: components with the same cut give the same meet,
 which is made once by back-substituting the cut's pivots into the flat's
-rows.  A flat is the meet of the components in its mask, so a component
+rows.  Remainders and meets both come from `qlinalg._substitute`, its one
+back-substitution step, so this module keeps no elimination loop of its
+own.  A flat is the meet of the components in its mask, so a component
 whose generating set (the mask plus that component) has been met before is
 skipped.  A meet lies in the flat's components and in the group's, so that
 union is a lower bound on its mask, and those components are not reduced
@@ -48,7 +50,8 @@ from math import lcm
 from .errors import InputError, InputWarning, _Frozen
 from .posets import FinitePoset, SimplicialComplex, reduced_betti
 from .qlinalg import (
-    QMatrix, _content_free, _echelon_int, _reduced_int, _scaled_to_int, parse_rational,
+    QMatrix, _content_free, _echelon_int, _pivots, _primitive, _reduced_int, _scaled_to_int,
+    _substitute, parse_rational,
 )
 from .tables import (
     KIND_CDR,
@@ -60,69 +63,50 @@ from .tables import (
 )
 
 
-def _leads(rows) -> tuple[int, ...]:
-    """The pivot column of each row of an echelon form."""
-    return tuple(next(j for j, x in enumerate(row) if x) for row in rows)
-
-
-def _remainders(rows, leads, others) -> list[list[int]]:
+def _remainders(pivots, others) -> list[Sequence[int]]:
     """The nonzero remainders of the rows `others` reduced against the
-    reduced rows `rows`, whose pivot columns are `leads`.
+    (pivot column, reduced row) pairs `pivots`.
 
-    A remainder is zero at every pivot column: each pivot row is zero at the
-    other pivot columns, so clearing one column leaves the others alone.  It
-    vanishes exactly when its row lies in the span of `rows`.
+    A remainder is zero at every pivot column.  It vanishes exactly when its
+    row lies in the span of the reduced rows.
     """
-    out = []
-    for row in others:
-        for lead, pivot_row in zip(leads, rows):
-            v = row[lead]
-            if v:
-                p = pivot_row[lead]
-                row = [a * p - v * b for a, b in zip(row, pivot_row)]
-        if any(row):
-            out.append(row)
-    return out
+    reduced = (_substitute(row, pivots) for row in others)
+    return [row for row in reduced if any(row)]
 
 
 def _cut(rows, ncols: int) -> tuple[tuple[int, ...], ...] | None:
     """The primitive reduced rows of an integer system, or None when they
     have a pivot in the constant column: no point satisfies them all.
 
-    One row needs only its content divided out and its pivot made positive.
-    The cut of a component's nonzero remainders against a flat fixes their
-    meet, so components with the same cut meet the flat in one subspace.
+    One row needs only to be made primitive.  The cut of a component's
+    nonzero remainders against a flat fixes their meet, so components with
+    the same cut meet the flat in one subspace.
     """
     if len(rows) == 1:
         row = rows[0]
         if not any(row[:-1]):  # 0 = c: the ambient space when c is 0, else empty
             return None if row[-1] else ()
-        row = _content_free(row)
-        return (row if next(x for x in row if x) > 0 else tuple(-x for x in row),)
+        return (_primitive(row),)
     echelon = _echelon_int(rows, ncols)
     if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
         return None
     return tuple(_reduced_int(echelon))
 
 
-def _meet(rows, leads, cut) -> tuple[tuple[int, ...], ...]:
-    """Canonical rows of a subspace (reduced `rows`, pivot columns `leads`)
-    cut by the rows `cut` of `_cut`.
+def _meet(pivots, cut) -> tuple[tuple[int, ...], ...]:
+    """Canonical rows of a subspace, given as the (pivot column, reduced row)
+    pairs `pivots`, cut by the rows `cut` of `_cut`.
 
     The remainders are zero at the old pivot columns, and so is their cut,
-    so the old rows need back-substitution at the new pivot columns only,
-    and the union is the unique primitive reduced form.
+    so the old rows need back-substitution at the new pivot columns only;
+    that keeps their pivots positive, and the union is the unique primitive
+    reduced form.  A row the step leaves alone is already primitive.
     """
-    new_leads = _leads(cut)
-    merged = list(zip(new_leads, cut))
-    for lead, row in zip(leads, rows):
-        substituted = row
-        for c, new_row in zip(new_leads, cut):
-            v = substituted[c]
-            if v:
-                # new_row[c] > 0 keeps this row's pivot positive
-                substituted = [a * new_row[c] - v * b for a, b in zip(substituted, new_row)]
-        merged.append((lead, row if substituted is row else _content_free(substituted)))
+    new = _pivots(cut)
+    merged = list(new)
+    for c, row in pivots:
+        done = _substitute(row, new)
+        merged.append((c, row if done is row else _content_free(done)))
     merged.sort(key=lambda pair: pair[0])
     return tuple(row for _, row in merged)
 
@@ -203,19 +187,19 @@ class AffineSubspace(_Frozen):
     def intersect(self, other: "AffineSubspace") -> "AffineSubspace | None":
         """Intersection as a subspace, or None when empty."""
         self._check_same_ambient(other)
-        leads = _leads(self.rows)
-        remainders = _remainders(self.rows, leads, other.rows)
+        pivots = _pivots(self.rows)
+        remainders = _remainders(pivots, other.rows)
         if not remainders:
             return self
         cut = _cut(remainders, self.ambient_dim + 1)
         if cut is None:
             return None
-        return AffineSubspace._canonical(self.ambient_dim, _meet(self.rows, leads, cut))
+        return AffineSubspace._canonical(self.ambient_dim, _meet(pivots, cut))
 
     def contained_in(self, other: "AffineSubspace") -> bool:
         """Whether every equation of `other` reduces to zero against ours."""
         self._check_same_ambient(other)
-        return not _remainders(self.rows, _leads(self.rows), other.rows)
+        return not _remainders(_pivots(self.rows), other.rows)
 
     # the same as _Frozen's, spelled out: components are hashed and compared
     # for deduplication on every arrangement read, and reading the fields
@@ -346,8 +330,8 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
             unique.append(c)
     kept = []
     for c in unique:
-        leads = _leads(c.rows)
-        if any(o is not c and not _remainders(c.rows, leads, o.rows) for o in unique):
+        pivots = _pivots(c.rows)
+        if any(o is not c and not _remainders(pivots, o.rows) for o in unique):
             warnings.warn(
                 f"component of dimension {c.dim} is contained in another component; pruned",
                 InputWarning,
@@ -380,10 +364,10 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     worklist = list(comp_rows)
     while worklist:
         rows = worklist.pop()
-        leads = _leads(rows)
+        pivots = _pivots(rows)
         mask = lower[rows]
         remainders = [
-            (j, _remainders(rows, leads, comp_rows[j])) for j in _bits(all_components & ~mask)
+            (j, _remainders(pivots, comp_rows[j])) for j in _bits(all_components & ~mask)
         ]
         for j, rem in remainders:
             if not rem:
@@ -400,7 +384,7 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
                 generators |= 1 << j
             if cut is None:
                 continue
-            meet = _meet(rows, leads, cut)
+            meet = _meet(pivots, cut)
             if meet in lower:
                 lower[meet] |= generators
             else:

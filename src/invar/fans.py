@@ -60,10 +60,11 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     floats and bools raise InputError.  Each inequality is scaled once to a
     tuple of coprime integers (coeffs..., const); a row of ints (`type(x) is
     int`, so no bool) is already integer and skips the parsing and scaling.
-    Variables are eliminated one at a time, first the one whose elimination
-    adds the fewest rows (least pos*neg - pos - neg), with each stage's
-    positive and negative entries counted in one pass over its rows.  An
-    eliminated variable is 0 in every later row, so a row is constant when
+    Repeated rows are dropped, the first of each kept in order.  Variables
+    are eliminated one at a time, first the one whose elimination adds the
+    fewest rows (least pos*neg - pos - neg), with each stage's positive and
+    negative entries counted in one pass over its rows.  An eliminated
+    variable is 0 in every later row, so a row is constant when
     all its coefficients are.  The witness is then back-substituted, last
     eliminated variable first, as one integer vector over one common
     denominator: each variable takes its largest lower bound, its smallest
@@ -425,7 +426,7 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     normal, so one ray suffices: the far cone's first off-wall ray v must lie
     strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
     each row may be divided by its content and asked to be >= 1; rows of
-    parallel walls then coincide, and only the first of each is kept.
+    parallel walls then coincide, and `fm_feasible` keeps the first of each.
     Fourier-Motzkin decides the system.  The global linear functions stay in
     `basis`: they add 0 to every row, so the feasible set is a cylinder along
     them, and its projections stay small.  Pinning three ray values to 0
@@ -448,7 +449,7 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
             ca * x + cb * y + cc * z - det * t
             for x, y, z, t in zip(values[i], values[j], values[w], values[v])
         ]), 1))
-    return fm_feasible(list(dict.fromkeys(inequalities)), len(basis)) is not None
+    return fm_feasible(inequalities, len(basis)) is not None
 
 
 def support_function_space_dim(fan: Fan3) -> int:

@@ -1,18 +1,19 @@
 """Exact linear algebra: one integer elimination kernel, rational matrices
 at the boundary.
 
-All elimination runs on Python ints and is fraction-free (cross-multiplied
-rows, with a gcd content reduction against entry growth).  There is one
+All elimination runs on Python ints and is fraction-free.  There is one
 forward-elimination loop, `_extend_sparse_echelon`, which adds one sparse
 row at a time to an echelon basis: it ranks the boundary maps of simplicial
 complexes and holds the deduction engine's basis of completion differences.
-`_echelon_int` runs it over dense rows and returns the basis dense;
-`_reduced_int` back-substitutes that to the unique primitive reduced form,
-and `_nullspace_int` reads primitive nullspace vectors off it.  The other
-layers call these directly.  `fractions.Fraction` appears only at the
-boundary: rational string literals, and the `QMatrix` wrappers, which scale
-their rows to integers once and read the rational rref off the reduced rows.
-Integer input stays `int`.  Nothing ever rounds.  Desk-scale sizes only.
+There is one back-substitution step, `_substitute`, which clears a row at
+the pivot columns of reduced rows.  `_echelon_int` runs the loop over dense
+rows, `_reduced_int` runs the step on that to the unique primitive reduced
+form, and `_nullspace_int` reads primitive nullspace vectors off it; the
+other layers call these, and the arrangement layer the step, directly.
+`fractions.Fraction` appears only at the boundary: rational string literals,
+and the `QMatrix` wrappers, which scale their rows to integers once and read
+the rational rref off the reduced rows.  Integer input stays `int`.  Nothing
+ever rounds.  Desk-scale sizes only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, lcm
 
 from .errors import InputError, _Frozen, _echo
 
-# Entries larger than this trigger a gcd content reduction during integer
+# Entries larger than this trigger a gcd content reduction during forward
 # elimination; keeps bit growth polynomial without dividing every step.
 _REDUCE_THRESHOLD = 1 << 128
 # A rational literal: no decimal point, exponent or underscore, all of which
@@ -128,15 +129,6 @@ class QMatrix(_Frozen):
         return basis
 
 
-def _content_reduced(row: list[int]) -> list[int]:
-    """Divide a row by the gcd of its entries once they outgrow the threshold."""
-    if max(map(abs, row)) > _REDUCE_THRESHOLD:
-        g = gcd(*row)
-        if g > 1:
-            return [x // g for x in row]
-    return row
-
-
 def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """Row echelon form of an integer matrix: the basis `_extend_sparse_echelon`
     builds from the rows in order, as dense rows sorted by pivot column.
@@ -197,6 +189,38 @@ def _content_free(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer row divided by its content, its pivot made positive."""
+    g = gcd(*row) if next(x for x in row if x) > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def _pivot(row: Sequence[int]) -> int:
+    """The column of the first nonzero entry of a nonzero row."""
+    return next(j for j, x in enumerate(row) if x)
+
+
+def _pivots(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
+    """The (pivot column, row) pairs of nonzero rows, as `_substitute` takes them."""
+    return [(_pivot(row), row) for row in rows]
+
+
+def _substitute(row: Sequence[int], pivots) -> Sequence[int]:
+    """`row` with each column c of the (c, reduced row) pairs `pivots`
+    cleared, as reduced[c] * row - row[c] * reduced; `row` itself when no
+    column needs clearing.  Each reduced row is positive at its own column
+    and zero at the others', so no step undoes another, and an entry where
+    all are zero keeps its sign.  Entries grow by one fixed pivot's bits per
+    step, so the caller divides out the content once, at the end.
+    """
+    for c, reduced in pivots:
+        v = row[c]
+        if v:
+            p = reduced[c]
+            row = [a * p - v * b for a, b in zip(row, reduced)]
+    return row
+
+
 def _reduced_int(echelon: list[list[int]]) -> list[tuple[int, ...]]:
     """The reduced form of `_echelon_int` output, by back-substitution.
 
@@ -206,15 +230,8 @@ def _reduced_int(echelon: list[list[int]]) -> list[tuple[int, ...]]:
     """
     done: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row), bottom up
     for row in reversed(echelon):
-        lead = next(j for j, x in enumerate(row) if x)
-        for c, below in done:
-            v = row[c]
-            if v:
-                # below[c] > 0 and below is zero at every other pivot column
-                # of the rows done so far
-                row = _content_reduced([a * below[c] - v * b for a, b in zip(row, below)])
-        row = _content_free(row)
-        done.append((lead, row if row[lead] > 0 else tuple(-x for x in row)))
+        row = _primitive(_substitute(row, done))
+        done.append((_pivot(row), row))
     return [row for _, row in reversed(done)]
 
 
@@ -225,16 +242,16 @@ def _nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     positive at f, zero at the other free columns, so it is a positive
     multiple of the rref-parameterized basis vector of f.
     """
-    reduced = _reduced_int(_echelon_int(rows, ncols))
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    pivots = _pivots(_reduced_int(_echelon_int(rows, ncols)))
     # a common multiple of the pivots clears every denominator of the rref
-    scale = lcm(*(row[c] for c, row in zip(pivots, reduced)))
+    scale = lcm(*(row[c] for c, row in pivots))
+    pivot_cols = {c for c, _ in pivots}
     basis = []
     for f in range(ncols):
-        if f not in pivots:
+        if f not in pivot_cols:
             vec = [0] * ncols
             vec[f] = scale
-            for c, row in zip(pivots, reduced):
+            for c, row in pivots:
                 vec[c] = -row[f] * (scale // row[c])
             basis.append(_content_free(vec))
     return basis

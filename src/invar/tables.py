@@ -94,12 +94,6 @@ class InvariantTable(_Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "entries", rows)
 
-    @classmethod
-    def zeros(cls, kind: str, d: int) -> "InvariantTable":
-        if d < 0:
-            raise InputError("table dimension must be nonnegative")
-        return cls(kind, [[0] * (d + 1) for _ in range(d + 1)])
-
     @property
     def d(self) -> int:
         return len(self.entries) - 1
@@ -546,6 +540,8 @@ class SpectralState(_Frozen):
     def __init__(self, kind: str, page: int, entries, history=()):
         if kind not in _KINDS:
             raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
+        if not isinstance(page, int) or isinstance(page, bool):
+            raise InputError(f"page must be an integer, got {_echo(page)}")
         if page < 2:
             raise InputError("pages start at 2")
         object.__setattr__(self, "kind", kind)

@@ -112,6 +112,20 @@ def differential_matrices(seed, count):
     return out
 
 
+def huge_matrices(seed, count):
+    """Seeded matrices with entries past the content-reduction threshold,
+    each with a repeated row and a zero row."""
+    rng = random.Random(seed)
+    big = qlinalg._REDUCE_THRESHOLD
+    out = []
+    for _ in range(count):
+        ncols = rng.randint(1, 6)
+        entry = lambda: rng.choice((0, 0, 1, -3, big + rng.getrandbits(40), -big))
+        rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+        out.append((rows + [list(rng.choice(rows)), [0] * ncols], ncols))
+    return out
+
+
 def cofactor_det(rows):
     """Independent determinant by recursive cofactor expansion."""
     n = len(rows)
@@ -235,6 +249,7 @@ class TestAgainstReferenceRref:
     Fraction Gauss-Jordan, on 600 seeded matrices."""
 
     CASES = differential_matrices(4711, 600)
+    HUGE = huge_matrices(4712, 60)
 
     def test_content_reduction_is_exercised(self, monkeypatch):
         calls = []
@@ -266,7 +281,9 @@ class TestAgainstReferenceRref:
             assert m.nullspace_basis() == reference_nullspace(rows, ncols)
 
     def test_integer_kernel_shapes(self):
-        for rows, ncols in self.CASES:
+        # the huge matrices back-substitute past the threshold with no
+        # content reduction on the way
+        for rows, ncols in self.CASES + self.HUGE:
             ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
             want = [r for r in reference_rref(rows, ncols) if any(r)]
             echelon = _echelon_int(ints, ncols)
@@ -283,16 +300,7 @@ class TestAgainstReferenceRref:
                 assert free > 0 and [Fraction(x, free) for x in vec] == list(ref)
 
     def test_sparse_echelon_matches_dense_ranks(self):
-        # the same matrices, plus entries past the content-reduction threshold
-        rng = random.Random(4712)
-        big = qlinalg._REDUCE_THRESHOLD
-        huge = []
-        for _ in range(60):
-            ncols = rng.randint(1, 6)
-            entry = lambda: rng.choice((0, 0, 1, -3, big + rng.getrandbits(40), -big))
-            rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
-            huge.append((rows + [list(rng.choice(rows)), [0] * ncols], ncols))
-        for rows, ncols in self.CASES + huge:
+        for rows, ncols in self.CASES + self.HUGE:
             ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
             basis = {}
             for i, row in enumerate(ints):

@@ -815,6 +815,13 @@ class TestSpectralState:
             state.apply_page({(0, 1): rank})
         assert str(err.value) == f"rank at (0, 1) must be an integer, got {echo}"
 
+    @pytest.mark.parametrize("page, echo", [("2", "'2'"), (2.5, "2.5"), (None, "None"),
+                                            (True, "True")])
+    def test_non_integer_page_refused(self, page, echo):
+        with pytest.raises(InputError) as err:
+            SpectralState("lyubeznik", page, [[0]])
+        assert str(err.value) == f"page must be an integer, got {echo}"
+
     def test_euler_conserved_random_transitions(self, rng):
         for _ in range(40):
             d = rng.randint(1, 4)
