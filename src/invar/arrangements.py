@@ -12,14 +12,14 @@ eliminated.  Otherwise the meet is fixed by the cut, the reduced rows of
 the nonzero remainders: components with the same cut give the same meet,
 which is made once by back-substituting the cut's pivots into the flat's
 rows.  Remainders and meets both come from `qlinalg._substitute`, its one
-back-substitution step, so this module keeps no elimination loop of its
-own.  A flat is the meet of the components in its mask, so a component
-whose generating set (the mask plus that component) has been met before is
-skipped.  A meet lies in the flat's components and in the group's, so that
-union is a lower bound on its mask, and those components are not reduced
-against it again.  Flats are listed by dimension, then by rational rref,
-compared exactly as integer rows scaled by one common multiple of all
-pivots.
+back-substitution step, and the rational rref from `qlinalg._rref`, so this
+module keeps no elimination loop and builds no Fraction.  A flat is the
+meet of the components in its mask, so a component whose generating set
+(the mask plus that component) has been met before is skipped.  A meet lies
+in the flat's components and in the group's, so that union is a lower bound
+on its mask, and those components are not reduced against it again.  Flats
+are listed by dimension, then by rational rref, compared exactly as integer
+rows scaled by one common multiple of all pivots.
 
 F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
 flat's up-set, the flats strictly above it, is a bitset over flat ids: the
@@ -34,24 +34,24 @@ The Cech-de Rham table is the reduced homology of each open interval
 is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
 the up-sets.  Every other interval is read off its order complex or its
 crosscut complex, whichever has fewer faces, both built from the up-sets
-and ranked as sparse boundary columns with clearing.  The module also gives
-the reduced Betti numbers of the complement, a Moebius-function cross-check
-for central hyperplane arrangements, and the closed-form Lyubeznik tables in
-dimension <= 2.
+and ranked as sparse boundary columns with clearing; the crosscut's
+vertices are the components containing F, read off F's own mask.  The
+module also gives the reduced Betti numbers of the complement, a
+Moebius-function cross-check for central hyperplane arrangements, and the
+closed-form Lyubeznik tables in dimension <= 2.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, InputWarning, _Frozen
 from .posets import FinitePoset, SimplicialComplex, reduced_betti
 from .qlinalg import (
-    QMatrix, _content_free, _echelon_int, _pivots, _primitive, _reduced_int, _scaled_to_int,
-    _substitute, parse_rational,
+    QMatrix, _content_free, _echelon_int, _pivot, _pivots, _primitive, _reduced_int, _rref,
+    _scaled_to_int, _substitute, parse_rational,
 )
 from .tables import (
     KIND_CDR,
@@ -160,13 +160,9 @@ class AffineSubspace(_Frozen):
         object.__setattr__(sub, "rows", rows)
         return sub
 
-    def rref_rows(self) -> list[list[Fraction]]:
-        """The rational rref: each primitive row divided by its pivot."""
-        rref = []
-        for row in self.rows:
-            pivot = next(x for x in row if x)
-            rref.append([Fraction(x, pivot) for x in row])
-        return rref
+    def rref_rows(self) -> list[list]:
+        """The rational rref: each primitive row divided by its pivot, as Fractions."""
+        return _rref(self.rows)
 
     @property
     def equations(self) -> QMatrix:
@@ -201,17 +197,6 @@ class AffineSubspace(_Frozen):
         self._check_same_ambient(other)
         return not _remainders(_pivots(self.rows), other.rows)
 
-    # the same as _Frozen's, spelled out: components are hashed and compared
-    # for deduplication on every arrangement read, and reading the fields
-    # directly is faster than through _values
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ambient_dim, self.rows) == (other.ambient_dim, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
-
     def __repr__(self):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
 
@@ -224,7 +209,7 @@ def _sorted_by_rref(subspaces: Iterable[AffineSubspace]) -> list[AffineSubspace]
     the order is unchanged, as all scale by the same positive constant.
     """
     subspaces = list(subspaces)
-    pivots = {row: next(x for x in row if x) for s in subspaces for row in s.rows}
+    pivots = {row: row[_pivot(row)] for s in subspaces for row in s.rows}
     scale = lcm(*pivots.values())
     scaled = {
         row: row if p == scale else tuple(x * (scale // p) for x in row)
@@ -311,7 +296,8 @@ class IntersectionLattice(_Frozen):
 
 
 def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSubspace]:
-    """Deduplicate and drop components contained in others, with a warning."""
+    """Deduplicate and drop components contained in others, with a warning.
+    Without duplicates, c can lie in o only when o.dim > c.dim."""
     if not components:
         raise InputError("an arrangement needs at least one component")
     n = components[0].ambient_dim
@@ -331,7 +317,7 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
     kept = []
     for c in unique:
         pivots = _pivots(c.rows)
-        if any(o is not c and not _remainders(pivots, o.rows) for o in unique):
+        if any(o.dim > c.dim and not _remainders(pivots, o.rows) for o in unique):
             warnings.warn(
                 f"component of dimension {c.dim} is contained in another component; pruned",
                 InputWarning,
@@ -450,6 +436,10 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
     flat gets the one with fewer faces, counted exactly before building:
     chains(G), the chains starting at G, and cross(G), the nonempty component
     sets with meet exactly G, both summed over the proper flats G above F.
+    The crosscut's vertices are F's own mask when any proper flat lies above
+    F: F is then not a component, as no component lies in another after
+    pruning, so every component containing F is itself a proper flat above
+    F.  When none lies above F, F is a component and the complex is empty.
     """
     if not flats:
         return
@@ -465,10 +455,8 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
     for f in flats:
         up = above[f.id]
         if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
-            union = 0
-            for g in up:
-                union |= masks[g]
-            yield f, SimplicialComplex(_bits(union), [_bits(masks[g]) for g in up])
+            vertices = _bits(masks[f.id]) if up else []
+            yield f, SimplicialComplex(vertices, [_bits(masks[g]) for g in up])
         else:
             yield f, _chains_above(above, f.id)
 

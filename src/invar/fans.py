@@ -40,12 +40,26 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+def _ray(v, i: int = -1) -> IVec:
+    """v as a tuple of three ints, refusing anything else (bools too) and
+    zero; the message names ray i when i >= 0."""
+    try:
+        x, y, z = v
+    except (TypeError, ValueError):
+        x = None  # fails the first test below
+    if (not isinstance(x, int) or not isinstance(y, int) or not isinstance(z, int)
+            or isinstance(x, bool) or isinstance(y, bool) or isinstance(z, bool)):
+        problem = "must be a list of three integers"
+    elif not (x or y or z):
+        problem = "is the zero vector"
+    else:
+        return x, y, z
+    raise InputError(f"{f'ray {i}' if i >= 0 else 'a ray'} {problem}")
+
+
 def primitive(v: Sequence[int]) -> IVec:
-    """Divide an integer vector by the gcd of its entries."""
-    g = gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    if g == 0:
-        raise InputError("the zero vector is not a ray")
-    return (v[0] // g, v[1] // g, v[2] // g)
+    """A nonzero integer 3-vector divided by the gcd of its entries."""
+    return _content_free(_ray(v))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +177,7 @@ class Fan3(_Frozen):
     max_cones: tuple[tuple[int, ...], ...]
 
     def __init__(self, rays: Iterable[Sequence[int]], max_cones: Iterable[Iterable[int]]):
-        ray_list = []
-        for i, r in enumerate(rays):
-            try:
-                x, y, z = r
-            except (TypeError, ValueError):
-                x = None  # fails the first test below
-            if (not isinstance(x, int) or not isinstance(y, int) or not isinstance(z, int)
-                    or isinstance(x, bool) or isinstance(y, bool) or isinstance(z, bool)):
-                raise InputError(f"ray {i} must be a list of three integers")
-            if not (x or y or z):
-                raise InputError(f"ray {i} is the zero vector")
-            ray_list.append((x, y, z))
+        ray_list = [_ray(r, i) for i, r in enumerate(rays)]
         n = len(ray_list)
         cone_list = []
         for k, c in enumerate(max_cones):

@@ -175,12 +175,13 @@ class BettiVector(_Frozen):
 
     def __init__(self, values: Iterable[int]):
         vals = list(values)
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise InputError(f"Betti numbers must be nonnegative integers, got {_echo(v)}")
         while len(vals) > 1 and vals[-1] == 0:
             vals.pop()
         if not vals:
             vals = [0]
-        if any(v < 0 for v in vals):
-            raise InputError("Betti numbers must be nonnegative")
         object.__setattr__(self, "values", tuple(vals))
 
     def __getitem__(self, degree: int) -> int:

@@ -6,14 +6,15 @@ forward-elimination loop, `_extend_sparse_echelon`, which adds one sparse
 row at a time to an echelon basis: it ranks the boundary maps of simplicial
 complexes and holds the deduction engine's basis of completion differences.
 There is one back-substitution step, `_substitute`, which clears a row at
-the pivot columns of reduced rows.  `_echelon_int` runs the loop over dense
-rows, `_reduced_int` runs the step on that to the unique primitive reduced
-form, and `_nullspace_int` reads primitive nullspace vectors off it; the
-other layers call these, and the arrangement layer the step, directly.
+the pivot columns of reduced rows, one pivot lookup, `_pivot`, and one
+normalization, `_primitive`.  `_echelon_int` runs the loop over dense rows,
+`_reduced_int` runs the step on that to the unique primitive reduced form,
+and `_nullspace_int` reads primitive nullspace vectors off it; the other
+layers call these, and the arrangement layer the step, directly.
 `fractions.Fraction` appears only at the boundary: rational string literals,
-and the `QMatrix` wrappers, which scale their rows to integers once and read
-the rational rref off the reduced rows.  Integer input stays `int`.  Nothing
-ever rounds.  Desk-scale sizes only.
+the `QMatrix` wrappers, and `_rref`, the one rational read-out of reduced
+rows, which `QMatrix.rref` and `AffineSubspace.rref_rows` return.  Integer
+input stays `int`.  Nothing ever rounds.  Desk-scale sizes only.
 """
 
 from __future__ import annotations
@@ -112,10 +113,7 @@ class QMatrix(_Frozen):
 
     def rref(self) -> "QMatrix":
         """The unique reduced row echelon form; zero rows stay, at the bottom."""
-        rows = []
-        for row in _reduced_int(_echelon_int(self.scale_rows_to_int(), self.ncols)):
-            pivot = next(x for x in row if x)
-            rows.append([Fraction(x, pivot) for x in row])
+        rows = _rref(_reduced_int(_echelon_int(self.scale_rows_to_int(), self.ncols)))
         rows += [[0] * self.ncols] * (self.nrows - len(rows))
         return QMatrix(rows, ncols=self.ncols)
 
@@ -185,24 +183,29 @@ def _extend_sparse_echelon(basis: dict[int, dict[int, int]], vec: dict[int, int]
 
 def _content_free(row: Sequence[int]) -> tuple[int, ...]:
     """An integer row divided by the (positive) gcd of its entries."""
-    g = gcd(*row) or 1
-    return tuple(x // g for x in row)
+    g = gcd(*row)
+    return tuple(row) if g <= 1 else tuple([x // g for x in row])
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer row divided by its content, its pivot made positive."""
-    g = gcd(*row) if next(x for x in row if x) > 0 else -gcd(*row)
+    g = gcd(*row) if row[_pivot(row)] > 0 else -gcd(*row)
     return tuple(x // g for x in row)
 
 
 def _pivot(row: Sequence[int]) -> int:
     """The column of the first nonzero entry of a nonzero row."""
-    return next(j for j, x in enumerate(row) if x)
+    return row.index(next(filter(None, row)))
 
 
 def _pivots(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
     """The (pivot column, row) pairs of nonzero rows, as `_substitute` takes them."""
     return [(_pivot(row), row) for row in rows]
+
+
+def _rref(rows: Iterable[Sequence[int]]) -> list[list[Fraction]]:
+    """The rational rref of primitive reduced rows: each divided by its pivot."""
+    return [[Fraction(x, row[c]) for x in row] for c, row in _pivots(rows)]
 
 
 def _substitute(row: Sequence[int], pivots) -> Sequence[int]:

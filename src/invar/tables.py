@@ -40,7 +40,7 @@ import os
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import InputError, SearchLimitError, _Frozen, _echo
-from .qlinalg import _extend_sparse_echelon, _nullspace_int
+from .qlinalg import _extend_sparse_echelon, _nullspace_int, _primitive
 
 KIND_LYUBEZNIK = "lyubeznik"
 KIND_CDR = "cdr"
@@ -113,7 +113,10 @@ class InvariantTable(_Frozen):
 
     def with_entries(self, assignment: Mapping[Cell, int | None]) -> "InvariantTable":
         rows = [list(r) for r in self.entries]
-        for (p, q), v in assignment.items():
+        for cell, v in assignment.items():
+            if not isinstance(cell, tuple) or len(cell) != 2 or not all(type(x) is int for x in cell):
+                raise InputError(f"a cell must be a pair of integers, got {_echo(cell)}")
+            p, q = cell
             if not (0 <= p <= self.d and 0 <= q <= self.d):
                 raise InputError(f"cell {(p, q)} outside table of dimension {self.d}")
             rows[p][q] = v
@@ -154,6 +157,9 @@ class OgusBounds(_Frozen):
     ambient_dim: int
 
     def __init__(self, f_y: int, v_y: int, ambient_dim: int):
+        for name, value in (("f_y", f_y), ("v_y", v_y), ("ambient_dim", ambient_dim)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {_echo(value)}")
         if f_y > v_y:
             raise InputError("f_y must not exceed v_y")
         object.__setattr__(self, "f_y", f_y)
@@ -822,9 +828,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
         }}.items()))
     cols = sorted(varying)
     for ints in _nullspace_int([[row.get(i, 0) for i in cols] for row in diffs], len(cols)):
-        lead = next(i for i, x in enumerate(ints) if x != 0)
-        if ints[lead] < 0:
-            ints = [-x for x in ints]
+        ints = _primitive(ints)
         const = -sum(coeff * first[i] for i, coeff in zip(cols, ints))
         coeffs = tuple(
             (unknowns[i], coeff) for i, coeff in zip(cols, ints) if coeff

@@ -741,6 +741,28 @@ class TestBuildLatticeAgainstReference:
                 checked += 1
         assert checked >= 500
 
+    def test_crosscut_vertices_are_the_flats_own_mask(self):
+        # _interval_complexes takes F's mask as the crosscut's vertex set:
+        # below a proper flat, it is the union of the masks above F, and a
+        # flat with no proper flat above it is a component
+        checked = 0
+        for comps in self.corpus():
+            lattice = quiet_lattice(comps)
+            components = lattice.maximal_proper_flats()
+            for flat in lattice.proper_flats():
+                above = _bits(lattice.up[flat.id] & ~(1 << lattice.top_id))
+                union = 0
+                for g in above:
+                    union |= lattice.masks[g]
+                if above:
+                    assert union == lattice.masks[flat.id]
+                    checked += 1
+                else:
+                    assert flat in components
+                for _, complex_ in _interval_complexes(lattice, [flat]):
+                    assert sorted(complex_.vertices) in (_bits(union), above)
+        assert checked >= 500
+
     def test_table_matches_homology_path(self):
         for comps in self.corpus():
             lattice = quiet_lattice(comps)
@@ -781,6 +803,32 @@ class TestMeetCounts:
                 assert AffineSubspace._canonical(n, _cut([row], n + 1)).equations == QMatrix(
                     expected, ncols=n + 1)
             assert _cut([row], n + 1) == _cut([row, [0] * (n + 1)], n + 1)
+
+
+class TestPruningCalls:
+    """Containment tests the pruning makes, pinned exactly: after
+    deduplication a component can lie only in one of larger dimension, so
+    no other pair is reduced.  The former pruning reduced every ordered
+    pair up to the first containing component: 90 on braid n=5, 14 on the
+    chain arrangement."""
+
+    @pytest.mark.parametrize("build, calls, pruned", [
+        (lambda: braid_arrangement(5), 0, 0),
+        # a plane z = 0 holding the x-axis and the origin, an affine plane
+        # x = 1 holding an affine line, and a duplicate of the x-axis: each
+        # contained component is reduced against the larger ones up to the
+        # first that holds it (x-axis 1, origin 1, affine line 2)
+        (lambda: pruning_and_cut_components()[1], 4, 3),
+    ], ids=["braid-5", "chain"])
+    def test_remainders_calls(self, monkeypatch, build, calls, pruned):
+        made = []
+        remainders = arrangements._remainders
+        monkeypatch.setattr(arrangements, "_remainders",
+                            lambda *args: made.append(args) or remainders(*args))
+        kept, texts = recorded_warnings(arrangements._normalize_components, build())
+        assert len(made) == calls
+        assert sum(text.endswith("pruned") for text in texts) == pruned
+        assert kept == recorded_warnings(reference_normalize_components, build())[0]
 
 
 class TestComplementBetti:

@@ -105,6 +105,32 @@ class TestCramer:
         assert coplanar >= 500
 
 
+class TestPrimitive:
+    @pytest.mark.parametrize("v, expected", [
+        ((2, 4, 6), (1, 2, 3)),
+        ([2, 4, 6], (1, 2, 3)),
+        ((0, -6, 9), (0, -2, 3)),
+        ((-5, 0, 0), (-1, 0, 0)),
+        ((1, 1, 1), (1, 1, 1)),
+    ], ids=["tuple", "list", "negative", "axis", "primitive"])
+    def test_divides_by_the_content(self, v, expected):
+        assert primitive(v) == expected
+
+    @pytest.mark.parametrize("v, message", [
+        ((2, 4, 6, 8), "a ray must be a list of three integers"),
+        ((2, 4), "a ray must be a list of three integers"),
+        ((1.0, 2, 3), "a ray must be a list of three integers"),
+        ((True, 0, 0), "a ray must be a list of three integers"),
+        (("1", 0, 0), "a ray must be a list of three integers"),
+        (5, "a ray must be a list of three integers"),
+        ((0, 0, 0), "a ray is the zero vector"),
+    ], ids=["four entries", "two entries", "float", "bool", "str", "int", "zero"])
+    def test_refuses_anything_but_a_nonzero_integer_3_vector(self, v, message):
+        with pytest.raises(InputError) as err:
+            primitive(v)
+        assert str(err.value) == message
+
+
 class TestFourierMotzkin:
     def test_simple_feasible_witness(self):
         # x >= 1, y >= 1, x + y <= 5  (as -x - y >= -5)

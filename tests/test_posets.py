@@ -413,6 +413,20 @@ class TestSimplicialComplex:
         assert b.values == (0, 1)
         assert b[5] == 0
 
+    @pytest.mark.parametrize("values, echo", [
+        ([1.5, 2], "1.5"),
+        (["a"], "'a'"),
+        ([1, True], "True"),
+        ([1, 0.0], "0.0"),
+        ([1, None], "None"),
+        ([2, -1], "-1"),
+        (["x" * 5000], "'" + "x" * 59 + "…"),
+    ], ids=["float", "str", "bool", "trailing float zero", "None", "negative", "5000-chars"])
+    def test_betti_vector_refuses_entries_that_are_not_nonnegative_integers(self, values, echo):
+        with pytest.raises(InputError) as err:
+            BettiVector(values)
+        assert str(err.value) == f"Betti numbers must be nonnegative integers, got {echo}"
+
 
 def assert_matches_reference(vertices, simplices):
     """Build one complex both ways and compare every reader; returns both."""

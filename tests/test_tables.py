@@ -528,6 +528,20 @@ class TestValidateLambda:
         with pytest.raises(InputError):
             OgusBounds(f_y=3, v_y=1, ambient_dim=4)
 
+    @pytest.mark.parametrize("value, echo", [
+        ("1", "'1'"),
+        (1.5, "1.5"),
+        (True, "True"),
+        (None, "None"),
+        ("9" * 5000, "'" + "9" * 59 + "…"),
+    ], ids=["str", "float", "bool", "None", "5000-chars"])
+    @pytest.mark.parametrize("field", ["f_y", "v_y", "ambient_dim"])
+    def test_non_integer_bound_refused(self, field, value, echo):
+        args = {"f_y": 1, "v_y": 2, "ambient_dim": 3, field: value}
+        with pytest.raises(InputError) as err:
+            OgusBounds(**args)
+        assert str(err.value) == f"{field} must be an integer, got {echo}"
+
     def test_wrong_kind(self):
         with pytest.raises(InputError):
             validate_lambda(cdr([[1]]))
@@ -1097,6 +1111,20 @@ class TestInvariantTable:
         with pytest.raises(InputError) as err:
             site(kind)
         assert str(err.value) == f"kind must be 'lyubeznik' or 'cdr', got {echo}"
+
+    @pytest.mark.parametrize("cell, echo", [
+        (("a", 0), "('a', 0)"),
+        ((0, 1.0), "(0, 1.0)"),
+        ((True, 0), "(True, 0)"),
+        ((0,), "(0,)"),
+        ((0, 1, 1), "(0, 1, 1)"),
+        (1, "1"),
+        ("01", "'01'"),
+    ], ids=["str", "float", "bool", "short", "long", "int", "str-key"])
+    def test_with_entries_refuses_a_cell_that_is_not_a_pair_of_integers(self, cell, echo):
+        with pytest.raises(InputError) as err:
+            lam([[0, N], [0, 2]]).with_entries({cell: 1})
+        assert str(err.value) == f"a cell must be a pair of integers, got {echo}"
 
     def test_pretty_marks(self):
         table = lam([[0, N], [0, 2]])
