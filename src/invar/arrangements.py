@@ -47,8 +47,8 @@ import warnings
 from collections.abc import Iterable, Sequence
 from math import lcm
 
-from .errors import InputError, InputWarning, _Frozen
-from .posets import FinitePoset, SimplicialComplex, reduced_betti
+from .errors import InputError, InputWarning, _Frozen, _int
+from .posets import FinitePoset, SimplicialComplex, _bits, reduced_betti
 from .qlinalg import (
     QMatrix, _content_free, _echelon_int, _pivot, _pivots, _primitive, _reduced_int, _rref,
     _scaled_to_int, _substitute, parse_rational,
@@ -127,9 +127,7 @@ class AffineSubspace(_Frozen):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient_dim: int, equations: Iterable[Sequence]):
-        if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 1:
-            raise InputError("ambient_dim must be a positive integer")
-        width = ambient_dim + 1
+        width = _int(ambient_dim, "ambient_dim", 1) + 1
         scaled = []
         for row in equations:
             row = [parse_rational(x) for x in row]
@@ -232,16 +230,6 @@ class Flat(_Frozen):
     @property
     def dim(self) -> int:
         return self.subspace.dim
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class IntersectionLattice(_Frozen):

@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package, the cap on how
-much of an input value an error message repeats, and `_Frozen`, the base of
-every immutable class in the package."""
+much of an input value an error message repeats, the one test of what an
+integer input is (`_is_int`: an int, not a bool) and the wording of its
+refusal (`_int`), and `_Frozen`, the base of every immutable class."""
 
 from operator import attrgetter
 
@@ -12,6 +13,22 @@ def _echo(value) -> str:
     """repr(value), cut to _ECHO_CHARS characters and "…" when longer."""
     text = repr(value)
     return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "…"
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int and not a bool (other int subclasses pass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value, what: str, least: int | None = None) -> int:
+    """value if it is an int, not a bool, and at least `least`; otherwise an
+    InputError "<what> must be <an integer | a nonnegative integer (least 0) |
+    a positive integer (1) | an integer of at least <least>>, got <echo>"."""
+    if not _is_int(value) or least is not None and value < least:
+        kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise InputError(f"{what} must be {kind}, got {_echo(value)}")
+    return value
 
 
 class _Frozen:

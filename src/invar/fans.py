@@ -29,7 +29,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .errors import InputError, _Frozen, _echo
+from .errors import InputError, _Frozen, _echo, _is_int
 from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
@@ -47,8 +47,7 @@ def _ray(v, i: int = -1) -> IVec:
         x, y, z = v
     except (TypeError, ValueError):
         x = None  # fails the first test below
-    if (not isinstance(x, int) or not isinstance(y, int) or not isinstance(z, int)
-            or isinstance(x, bool) or isinstance(y, bool) or isinstance(z, bool)):
+    if not (_is_int(x) and _is_int(y) and _is_int(z)):
         problem = "must be a list of three integers"
     elif not (x or y or z):
         problem = "is the zero vector"
@@ -183,7 +182,7 @@ class Fan3(_Frozen):
         for k, c in enumerate(max_cones):
             c = tuple(c)
             for i in c:
-                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+                if not _is_int(i) or not 0 <= i < n:
                     raise InputError(f"maximal cone {k} has a ray index out of range: {_echo(i)}")
             cone_list.append(tuple(sorted(c)))
         object.__setattr__(self, "rays", tuple(ray_list))

@@ -8,11 +8,13 @@ and CR line endings read as LF.  An integer literal longer than
 is an InputError that names the limit.
 
 The readers check a document's shape only: keys are present, values that
-must be lists are lists, a table's entries are (dim+1)x(dim+1), and a
-table's optional ambient_dim, betti and bound are well typed.  Every other
-value goes once to the constructor that owns its check (`AffineSubspace`,
-`Fan3`, `InvariantTable`); the readers add the subspace's label to its
-messages and rescale non-primitive rays with an InputWarning.
+must be lists are lists and a table's entries are (dim+1)x(dim+1).  Every
+other value goes once to the constructor that owns its check (`AffineSubspace`,
+`Fan3`, `InvariantTable`).  A table's dim, ambient_dim, betti and bound, which
+no constructor reads here, go through the checks the library makes of them
+(`errors._int`; `posets._betti` once betti is a list).  The readers add the
+subspace's label to its messages and rescale non-primitive rays with an
+InputWarning.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import warnings
 from collections.abc import Sequence
 
 from .arrangements import AffineSubspace
-from .errors import InputError, InputWarning, _ECHO_CHARS, _echo
-from .fans import Fan3, primitive
+from .errors import InputError, InputWarning, _ECHO_CHARS, _echo, _int
+from .fans import Fan3
+from .posets import _betti
+from .qlinalg import _content_free
 from .tables import InvariantTable
 
 
@@ -114,7 +118,7 @@ def parse_fan(doc: dict) -> Fan3:
         if not isinstance(cone, list) or not cone:
             raise InputError(f"maximal cone {k} must be a nonempty list of ray indices")
     fan = Fan3(rays, cones)
-    prims = [primitive(r) for r in fan.rays]
+    prims = [_content_free(r) for r in fan.rays]
     if prims == list(fan.rays):
         return fan
     for i, (ray, prim) in enumerate(zip(fan.rays, prims)):
@@ -132,29 +136,20 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
         entries = doc["entries"]
     except KeyError as exc:
         raise InputError(f"table file is missing key {exc}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-        raise InputError("dim must be a nonnegative integer")
-    if (
-        not isinstance(entries, list)
-        or len(entries) != dim + 1
-        or any(not isinstance(r, list) or len(r) != dim + 1 for r in entries)
-    ):
-        raise InputError(f"entries must be a {dim + 1}x{dim + 1} array matching dim")
+    size = _int(dim, "dim", 0) + 1
+    if not (isinstance(entries, list) and len(entries) == size
+            and all(isinstance(r, list) and len(r) == size for r in entries)):
+        raise InputError(f"entries must be a {size}x{size} array matching dim")
     table = InvariantTable(kind, entries)
-    ambient = doc.get("ambient_dim")
-    if ambient is not None and (
-        not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 1
-    ):
-        raise InputError("ambient_dim must be a positive integer")
-    betti = doc.get("betti")
+    ambient, betti, bound = (doc.get(key) for key in ("ambient_dim", "betti", "bound"))
+    if ambient is not None:
+        _int(ambient, "ambient_dim", 1)
     if betti is not None:
-        if not isinstance(betti, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in betti
-        ):
-            raise InputError("betti must be a list of nonnegative integers")
-    bound = doc.get("bound")
-    if bound is not None and (not isinstance(bound, int) or isinstance(bound, bool) or bound < 0):
-        raise InputError("bound must be a nonnegative integer")
+        if not isinstance(betti, list):
+            raise InputError("betti must be a list")
+        _betti(betti)
+    if bound is not None:
+        _int(bound, "bound", 0)
     return table, ambient, betti, bound
 
 

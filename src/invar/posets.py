@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
-from .errors import InputError, _Frozen, _echo
+from .errors import InputError, _Frozen, _echo, _int, _is_int
 from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
@@ -55,7 +55,7 @@ class FinitePoset(_Frozen):
         elems = tuple(elements)
         _positions(elems)
         up = tuple(up_sets)
-        if len(up) != len(elems) or any(u < 0 or u >> len(elems) for u in up):
+        if len(up) != len(elems) or any(not _is_int(u) or u < 0 or u >> len(elems) for u in up):
             raise InputError("need one up-set per element, over element positions")
         poset = object.__new__(cls)
         poset._store(elems, up)
@@ -66,14 +66,10 @@ class FinitePoset(_Frozen):
         for i, up_i in enumerate(up):
             if up_i >> i & 1:
                 raise InputError(f"order relation is not irreflexive at {_echo(elems[i])}")
-            rest = up_i
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
+            for j in _bits(up_i):
                 if up[j] & ~up_i:
                     raise InputError(f"up-sets are not transitively closed at {_echo(elems[i])}")
                 pairs.append((elems[i], elems[j]))
-                rest ^= low
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "less", frozenset(pairs))
 
@@ -88,6 +84,16 @@ class FinitePoset(_Frozen):
         return tuple(
             x for x in self.elements if (lower, x) in self.less and (x, upper) in self.less
         )
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _positions(elems: tuple) -> dict:
@@ -167,6 +173,20 @@ class SimplicialComplex(_Frozen):
         return sum((-1) ** k * len(level) for k, level in enumerate(self.faces[1:])) - 1
 
 
+def _betti(values) -> list[int]:
+    """values as a list, refusing anything but an iterable of nonnegative ints;
+    the message echoes the first bad entry, or values if it is not iterable."""
+    refusal = "Betti numbers must be nonnegative integers, got "
+    try:
+        vals = list(values)
+    except TypeError:
+        raise InputError(refusal + _echo(values)) from None
+    for v in vals:
+        if not _is_int(v) or v < 0:
+            raise InputError(refusal + _echo(v))
+    return vals
+
+
 class BettiVector(_Frozen):
     """Reduced Betti numbers indexed from degree -1, trailing zeros trimmed."""
 
@@ -174,10 +194,7 @@ class BettiVector(_Frozen):
     values: tuple[int, ...]
 
     def __init__(self, values: Iterable[int]):
-        vals = list(values)
-        for v in vals:
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise InputError(f"Betti numbers must be nonnegative integers, got {_echo(v)}")
+        vals = _betti(values)
         while len(vals) > 1 and vals[-1] == 0:
             vals.pop()
         if not vals:
@@ -237,8 +254,7 @@ def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
     Degree 0 is the augmentation onto the rank-one degree -1 term.
     Simplices are ordered lexicographically; faces carry alternating signs.
     """
-    if degree < 0:
-        raise InputError("boundary degree must be >= 0")
+    _int(degree, "boundary degree", 0)
     # the faces with degree and degree + 1 vertices; none past the dimension
     low, top = (k.faces[degree:degree + 2] + ((), ()))[:2]
     if degree == 0:

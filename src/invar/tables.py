@@ -39,7 +39,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import InputError, SearchLimitError, _Frozen, _echo
+from .errors import InputError, SearchLimitError, _Frozen, _echo, _int, _is_int
+from .posets import _betti
 from .qlinalg import _extend_sparse_echelon, _nullspace_int, _primitive
 
 KIND_LYUBEZNIK = "lyubeznik"
@@ -54,9 +55,7 @@ Cell = tuple[int, int]
 
 def _search_limit(explicit: int | None) -> int:
     if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, int) or explicit < 1:
-            raise InputError(f"search_limit must be a positive integer, got {_echo(explicit)}")
-        return explicit
+        return _int(explicit, "search_limit", 1)
     env = os.environ.get("INVAR_SEARCH_LIMIT")
     if env is None:
         return DEFAULT_SEARCH_LIMIT
@@ -69,6 +68,26 @@ def _search_limit(explicit: int | None) -> int:
     return limit
 
 
+def _kind(kind: str) -> str:
+    if kind not in _KINDS:
+        raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
+    return kind
+
+
+def _entries(entries, unknown: bool) -> tuple[tuple, ...]:
+    """entries as a square tuple of rows of nonnegative ints, refusing
+    anything else; None is an unknown cell, allowed when `unknown` is true."""
+    rows = tuple(tuple(row) for row in entries)
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise InputError("table entries must form a nonempty square array")
+    for row in rows:
+        for v in row:
+            if not (_is_int(v) and v >= 0 or unknown and v is None):
+                raise InputError("table entries must be nonnegative integers"
+                                 f"{' or null' if unknown else ''}, got {_echo(v)}")
+    return rows
+
+
 class InvariantTable(_Frozen):
     """Upper-triangular table of nonnegative integers with optional unknowns."""
 
@@ -77,22 +96,8 @@ class InvariantTable(_Frozen):
     entries: tuple[tuple[int | None, ...], ...]
 
     def __init__(self, kind: str, entries: Iterable[Sequence]):
-        if kind not in _KINDS:
-            raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
-        rows = tuple(tuple(row) for row in entries)
-        size = len(rows)
-        if size == 0 or any(len(r) != size for r in rows):
-            raise InputError("table entries must form a nonempty square array")
-        for row in rows:
-            for v in row:
-                if v is None:
-                    continue
-                if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                    raise InputError(
-                        f"table entries must be nonnegative integers or null, got {_echo(v)}"
-                    )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "kind", _kind(kind))
+        object.__setattr__(self, "entries", _entries(entries, True))
 
     @property
     def d(self) -> int:
@@ -114,11 +119,7 @@ class InvariantTable(_Frozen):
     def with_entries(self, assignment: Mapping[Cell, int | None]) -> "InvariantTable":
         rows = [list(r) for r in self.entries]
         for cell, v in assignment.items():
-            if not isinstance(cell, tuple) or len(cell) != 2 or not all(type(x) is int for x in cell):
-                raise InputError(f"a cell must be a pair of integers, got {_echo(cell)}")
-            p, q = cell
-            if not (0 <= p <= self.d and 0 <= q <= self.d):
-                raise InputError(f"cell {(p, q)} outside table of dimension {self.d}")
+            p, q = _cell(cell, self.d)
             rows[p][q] = v
         return InvariantTable(self.kind, rows)
 
@@ -157,14 +158,11 @@ class OgusBounds(_Frozen):
     ambient_dim: int
 
     def __init__(self, f_y: int, v_y: int, ambient_dim: int):
-        for name, value in (("f_y", f_y), ("v_y", v_y), ("ambient_dim", ambient_dim)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {_echo(value)}")
+        object.__setattr__(self, "f_y", _int(f_y, "f_y"))
+        object.__setattr__(self, "v_y", _int(v_y, "v_y"))
+        object.__setattr__(self, "ambient_dim", _int(ambient_dim, "ambient_dim"))
         if f_y > v_y:
             raise InputError("f_y must not exceed v_y")
-        object.__setattr__(self, "f_y", f_y)
-        object.__setattr__(self, "v_y", v_y)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
 
 
 def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> list[str]:
@@ -218,13 +216,8 @@ def _require(table: InvariantTable, kind: str, caller: str, n=None) -> None:
         raise InputError(f"{caller} expects a {kind} table")
     if not table.is_complete():
         raise InputError(f"{caller} requires a table without unknown cells")
-    if kind == KIND_CDR:
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise InputError(f"ambient dimension must be an integer, got {_echo(n)}")
-        if n < table.d + 1:
-            raise InputError(
-                f"ambient dimension {n} is too small for a table of dimension {table.d}"
-            )
+    if kind == KIND_CDR and _int(n, "ambient_dim", 1) < table.d + 1:
+        raise InputError(f"ambient dimension {n} is too small for a table of dimension {table.d}")
 
 
 def _alternating_sum(entries) -> int:
@@ -241,17 +234,25 @@ def euler_sum(table: InvariantTable) -> int:
 
 def differential_target(kind: str, page: int, cell: Cell) -> Cell:
     """Where the page-r differential sends a table cell."""
+    _int(page, "page", 2)
     p, q = cell
-    if kind == KIND_LYUBEZNIK:
+    if _kind(kind) == KIND_LYUBEZNIK:
         return (p + page, q + page - 1)
-    if kind == KIND_CDR:
-        return (p - page, q + page - 1)
-    raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
+    return (p - page, q + page - 1)
 
 
 def _in_table(cell: Cell, d: int) -> bool:
     p, q = cell
     return 0 <= p <= d and 0 <= q <= d
+
+
+def _cell(cell, d: int) -> Cell:
+    """cell, refusing anything but a pair of ints inside a table of dimension d."""
+    if not isinstance(cell, tuple) or len(cell) != 2 or not all(map(_is_int, cell)):
+        raise InputError(f"a cell must be a pair of integers, got {_echo(cell)}")
+    if not _in_table(cell, d):
+        raise InputError(f"cell {cell} outside table of dimension {d}")
+    return cell
 
 
 def _arrows(entries, kind: str) -> list[tuple[int, Cell, Cell]]:
@@ -475,17 +476,13 @@ def _antidiagonal_sums(entries, n: int) -> list[int]:
 
 
 def _normalize_betti(betti: Sequence[int], n: int) -> list[int]:
-    vals = list(betti)
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in vals):
-        raise InputError("Betti numbers must be nonnegative integers")
-    if len(vals) > 2 * n:
-        if any(vals[2 * n:]):
-            raise InputError(
-                f"Betti vector has nonzero entries beyond degree {2 * n - 1}, "
-                "impossible for the given ambient dimension"
-            )
-        vals = vals[: 2 * n]
-    return vals + [0] * (2 * n - len(vals))
+    vals = _betti(betti)
+    if any(vals[2 * n:]):
+        raise InputError(
+            f"Betti vector has nonzero entries beyond degree {2 * n - 1}, "
+            "impossible for the given ambient dimension"
+        )
+    return (vals + [0] * (2 * n))[: 2 * n]
 
 
 def _cdr_witness(entries, target: list[int], n: int) -> tuple | None:
@@ -544,21 +541,13 @@ class SpectralState(_Frozen):
     history: tuple[tuple[int, Cell, Cell, int], ...]
 
     def __init__(self, kind: str, page: int, entries, history=()):
-        if kind not in _KINDS:
-            raise InputError(f"kind must be '{KIND_LYUBEZNIK}' or '{KIND_CDR}', got {_echo(kind)}")
-        if not isinstance(page, int) or isinstance(page, bool):
-            raise InputError(f"page must be an integer, got {_echo(page)}")
-        if page < 2:
-            raise InputError("pages start at 2")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "page", page)
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in entries))
+        object.__setattr__(self, "kind", _kind(kind))
+        object.__setattr__(self, "page", _int(page, "page", 2))
+        object.__setattr__(self, "entries", _entries(entries, False))
         object.__setattr__(self, "history", tuple(history))
 
     @classmethod
     def start(cls, table: InvariantTable) -> "SpectralState":
-        if not table.is_complete():
-            raise InputError("spectral bookkeeping needs a fully known table")
         return cls(table.kind, 2, table.entries)
 
     @property
@@ -578,14 +567,12 @@ class SpectralState(_Frozen):
         d = self.d
         rows = [list(r) for r in self.entries]
         history = list(self.history)
-        for src in sorted(ranks):
+        for src in sorted(_cell(cell, d) for cell in ranks):
             rank = ranks[src]
-            if not _in_table(src, d):
-                raise InputError(f"cell {src} outside table")
             tgt = differential_target(self.kind, self.page, src)
             if not _in_table(tgt, d):
                 raise InputError(f"differential from {src} leaves the table on page {self.page}")
-            if isinstance(rank, bool) or not isinstance(rank, int):
+            if not _is_int(rank):
                 raise InputError(f"rank at {src} must be an integer, got {_echo(rank)}")
             if rank < 0 or rank > min(self.entries[src[0]][src[1]], self.entries[tgt[0]][tgt[1]]):
                 raise InputError(
@@ -787,9 +774,7 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     """
     if table.kind != KIND_LYUBEZNIK:
         raise InputError("table deduce only applies to lyubeznik tables")
-    b = DEFAULT_BOUND if bound is None else bound
-    if isinstance(b, bool) or not isinstance(b, int) or b < 0:
-        raise InputError("bound must be a nonnegative integer")
+    b = _int(DEFAULT_BOUND if bound is None else bound, "bound", 0)
     d = table.d
     structural = {}
     for p, q in table.unknown_cells():
@@ -857,9 +842,8 @@ def canonical_small_tables(dim_y: int, a: int = 1) -> InvariantTable:
     In dimension 2, a is the number of connected components of the punctured
     spectrum: the table has a-1 in cell (0,1) and a in cell (2,2).
     """
-    if isinstance(a, bool) or not isinstance(a, int) or a < 1:
-        raise InputError("a must be a positive integer")
-    if isinstance(dim_y, bool) or not isinstance(dim_y, int) or not 0 <= dim_y <= 2:
+    _int(a, "a", 1)
+    if not _is_int(dim_y) or not 0 <= dim_y <= 2:
         raise InputError("closed-form tables exist only for dimension 0, 1 or 2")
     if dim_y == 0:
         return InvariantTable(KIND_LYUBEZNIK, [[1]])

@@ -386,7 +386,7 @@ class TestFromRows:
                      lambda: AffineSubspace.ambient(n)):
             with pytest.raises(InputError) as err:
                 make()
-            assert str(err.value) == "ambient_dim must be a positive integer"
+            assert str(err.value) == f"ambient_dim must be a positive integer, got {n!r}"
 
     def test_width_message(self):
         # the text the arrangement file reader shows after the subspace's label
@@ -843,7 +843,7 @@ class TestComplementBetti:
         table = cdr_table(build_lattice([coordinate_hyperplane(1, 0)]))
         with pytest.raises(InputError) as err:
             complement_betti(table, n)
-        assert str(err.value) == f"ambient dimension must be an integer, got {echo}"
+        assert str(err.value) == f"ambient_dim must be a positive integer, got {echo}"
 
 
 class TestMoebiusOracle:

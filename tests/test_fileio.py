@@ -419,7 +419,7 @@ def read_outcome(reader, doc):
 # Deliberate changes, as (reference error, new error) full-text patterns.
 # Every other case must read alike; each pattern must still be needed.
 CHANGED = {
-    (r"kind must be 'lyubeznik' or 'cdr', got .*", r"dim must be a nonnegative integer"):
+    (r"kind must be 'lyubeznik' or 'cdr', got .*", r"dim must be a nonnegative integer, got .*"):
         "InvariantTable checks the kind, after the reader checked dim and entries' shape",
     (r"kind must be 'lyubeznik' or 'cdr', got .*", r"entries must be a \d+x\d+ array matching dim"):
         "the same",
@@ -436,6 +436,17 @@ CHANGED = {
     (r"maximal cone 0 has a ray index out of range: .*",
      r"maximal cone 2 must be a nonempty list of ray indices"):
         "every cone's shape is checked before Fan3 checks any index",
+    (r"ambient_dim must be a positive integer", r"ambient_dim must be a positive integer, got .*"):
+        "errors._int owns the integer check and echoes the value",
+    (r"dim must be a nonnegative integer", r"dim must be a nonnegative integer, got .*"):
+        "the same",
+    (r"bound must be a nonnegative integer", r"bound must be a nonnegative integer, got .*"):
+        "the same",
+    (r"betti must be a list of nonnegative integers", r"betti must be a list"):
+        "the reader keeps only the shape of betti",
+    (r"betti must be a list of nonnegative integers",
+     r"Betti numbers must be nonnegative integers, got .*"):
+        "posets._betti owns the entries' check and echoes the first bad entry",
 }
 
 # parse_fan rescales rays once Fan3 has accepted the fan, so a document with
@@ -480,7 +491,7 @@ def test_document_corpus_reaches_each_reader_outcome():
     assert outcomes["fan: ('rays', 1)=4 6 8"][1] == [
         "ray 1 = [4, 6, 8] rescaled to primitive [2, 3, 4]"]
     expected = {
-        "arrangement: ('ambient_dim',)=true": "ambient_dim must be a positive integer",
+        "arrangement: ('ambient_dim',)=true": "ambient_dim must be a positive integer, got True",
         "arrangement: ('subspaces', 1, 'equations', 1)=long":
             "subspace 1: every equation row needs exactly 3 entries (coefficients then constant)",
         "arrangement: ('subspaces', 0, 'equations')=inconsistent":
@@ -492,7 +503,10 @@ def test_document_corpus_reaches_each_reader_outcome():
         "table: ('kind',)=5000-char str": "kind must be 'lyubeznik' or 'cdr', got '" + "x" * 59 + "…",
         "table: ('entries', 1, 2)=-1": "table entries must be nonnegative integers or null, got -1",
         "table: ('entries',)=2x3": "entries must be a 3x3 array matching dim",
-        "table: ('bound',)=true": "bound must be a nonnegative integer",
+        "table: ('bound',)=true": "bound must be a nonnegative integer, got True",
+        "table: ('dim',)=str": "dim must be a nonnegative integer, got 'x'",
+        "table: ('betti',)=object": "betti must be a list",
+        "table: ('betti', 0)=-1": "Betti numbers must be nonnegative integers, got -1",
     }
     for name, text in expected.items():
         assert outcomes[name] == (("error", text), []), name

@@ -427,6 +427,12 @@ class TestSimplicialComplex:
             BettiVector(values)
         assert str(err.value) == f"Betti numbers must be nonnegative integers, got {echo}"
 
+    @pytest.mark.parametrize("values, echo", [(None, "None"), (3, "3"), (1.5, "1.5")])
+    def test_betti_vector_refuses_a_value_that_is_not_iterable(self, values, echo):
+        with pytest.raises(InputError) as err:
+            BettiVector(values)
+        assert str(err.value) == f"Betti numbers must be nonnegative integers, got {echo}"
+
 
 def assert_matches_reference(vertices, simplices):
     """Build one complex both ways and compare every reader; returns both."""

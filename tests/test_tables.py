@@ -834,7 +834,45 @@ class TestSpectralState:
     def test_non_integer_page_refused(self, page, echo):
         with pytest.raises(InputError) as err:
             SpectralState("lyubeznik", page, [[0]])
-        assert str(err.value) == f"page must be an integer, got {echo}"
+        assert str(err.value) == f"page must be an integer of at least 2, got {echo}"
+
+    @pytest.mark.parametrize("entries, text", [
+        ([[1.5]], "table entries must be nonnegative integers, got 1.5"),
+        ([["a", 1], [0, 1]], "table entries must be nonnegative integers, got 'a'"),
+        ([[1, 1], [0]], "table entries must form a nonempty square array"),
+        ([[-1]], "table entries must be nonnegative integers, got -1"),
+        ([[None]], "table entries must be nonnegative integers, got None"),
+    ], ids=["float", "str", "ragged", "negative", "unknown"])
+    def test_entries_must_be_a_square_of_nonnegative_integers(self, entries, text):
+        with pytest.raises(InputError) as err:
+            SpectralState("lyubeznik", 2, entries)
+        assert str(err.value) == text
+
+    def test_start_refuses_a_table_with_unknown_cells(self):
+        with pytest.raises(InputError) as err:
+            SpectralState.start(lam([[0, N], [0, 1]]))
+        assert str(err.value) == "table entries must be nonnegative integers, got None"
+
+    @pytest.mark.parametrize("ranks, text", [
+        ({("a", 0): 1}, "a cell must be a pair of integers, got ('a', 0)"),
+        ({(0, 1, 2): 0}, "a cell must be a pair of integers, got (0, 1, 2)"),
+        ({5: 0}, "a cell must be a pair of integers, got 5"),
+        ({(0, 1): 1, ("a", 0): 1}, "a cell must be a pair of integers, got ('a', 0)"),
+        ({(True, 0): 0}, "a cell must be a pair of integers, got (True, 0)"),
+        ({(4, 0): 0}, "cell (4, 0) outside table of dimension 3"),
+    ], ids=["str", "triple", "int", "sorted with a good cell", "bool", "outside"])
+    def test_apply_page_refuses_a_bad_cell(self, ranks, text):
+        state = SpectralState("lyubeznik", 2, [[0, 1, 0, 0], [0] * 4, [0, 0, 0, 1], [0] * 4])
+        with pytest.raises(InputError) as err:
+            state.apply_page(ranks)
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("page, echo", [("2", "'2'"), (2.5, "2.5"), (None, "None"),
+                                            (True, "True"), (1, "1")])
+    def test_differential_target_refuses_a_bad_page(self, page, echo):
+        with pytest.raises(InputError) as err:
+            differential_target("cdr", page, (0, 0))
+        assert str(err.value) == f"page must be an integer of at least 2, got {echo}"
 
     def test_euler_conserved_random_transitions(self, rng):
         for _ in range(40):
@@ -954,8 +992,9 @@ class TestDeduce:
 
     @pytest.mark.parametrize("bound", [2.5, 3.0, True, False, "3", -1])
     def test_bound_must_be_a_nonnegative_int(self, bound):
-        with pytest.raises(InputError, match="bound must be a nonnegative integer"):
+        with pytest.raises(InputError) as err:
             deduce_lambda(dim3_shape(), bound)
+        assert str(err.value) == f"bound must be a nonnegative integer, got {bound!r}"
 
     @pytest.mark.parametrize("limit", [0, -1, True, 2.5])
     def test_search_limit_below_one_rejected(self, limit):
@@ -1046,7 +1085,14 @@ class TestCheckCdr:
     def test_non_integer_ambient_dimension(self, n, echo):
         with pytest.raises(InputError) as err:
             check_cdr(cdr([[1]]), [0, 1], n)
-        assert str(err.value) == f"ambient dimension must be an integer, got {echo}"
+        assert str(err.value) == f"ambient_dim must be a positive integer, got {echo}"
+
+    @pytest.mark.parametrize("betti, echo", [(None, "None"), (5, "5"), ([0, True], "True"),
+                                             ([0, 1.0], "1.0"), ("01", "'0'"), ([1, -1], "-1")])
+    def test_betti_must_be_nonnegative_integers(self, betti, echo):
+        with pytest.raises(InputError) as err:
+            check_cdr(cdr([[1]]), betti, 1)
+        assert str(err.value) == f"Betti numbers must be nonnegative integers, got {echo}"
 
     def test_ambient_dimension_too_small(self):
         with pytest.raises(InputError) as err:
@@ -1075,8 +1121,9 @@ class TestSmallTables:
                                                  r"dimension 0, 1 or 2$"):
                 canonical_small_tables(dim_y)
         for a in (0, True, 2.0, "2"):
-            with pytest.raises(InputError, match=r"^a must be a positive integer$"):
+            with pytest.raises(InputError) as err:
                 canonical_small_tables(2, a)
+            assert str(err.value) == f"a must be a positive integer, got {a!r}"
 
 
 class TestInvariantTable:
