@@ -12,7 +12,7 @@ acceptance criterion 6: (2,3) = (0,2) and (3,3) = (1,2) + 1 in dim 3,
 and 8 come from one run of the former enumeration, `reference_deduce` in
 tests/test_tables.py; the count at bound 12 and every node count were
 recorded from the flow search, which enters one node per feasible value of
-each unknown but the last under a feasible prefix, and the root.
+each free unknown under a feasible prefix, and the root.
 The dim-4 shape with (1,1) = (2,2) = 1 known must be a contradiction, decided
 at the root: one node.
 
@@ -76,12 +76,12 @@ DIM4_CONTRA = [list(row) for row in DIM4]
 DIM4_CONTRA[1][1] = DIM4_CONTRA[2][2] = 1
 # (name, shape, bound, feasible completions, search nodes)
 CASES = [
-    ("dim3", DIM3, 5, 30, 67), ("dim3", DIM3, 10, 110, 232),
-    ("dim3", DIM3, 20, 420, 862),
-    ("dim4", DIM4, 3, 160, 725), ("dim4", DIM4, 4, 375, 1656),
-    ("dim4", DIM4, 5, 756, 3283), ("dim4", DIM4, 6, 1372, 5888),
-    ("dim4", DIM4, 7, 2304, 9801), ("dim4", DIM4, 8, 3645, 15400),
-    ("dim4", DIM4, 12, 15379, 63896),
+    ("dim3", DIM3, 5, 30, 37), ("dim3", DIM3, 10, 110, 122),
+    ("dim3", DIM3, 20, 420, 442),
+    ("dim4", DIM4, 3, 160, 245), ("dim4", DIM4, 4, 375, 531),
+    ("dim4", DIM4, 5, 756, 1015), ("dim4", DIM4, 6, 1372, 1772),
+    ("dim4", DIM4, 7, 2304, 2889), ("dim4", DIM4, 8, 3645, 4465),
+    ("dim4", DIM4, 12, 15379, 17759),
 ]
 CONTRA_BOUND = 6
 # (d, seed, largest rank, perturbed)

@@ -181,9 +181,9 @@ def _cmd_table(args) -> tuple[int, str]:
     if ambient is None or betti is None:
         raise InputError("checking a cdr table needs 'ambient_dim' and 'betti' in the file")
     bad = [
-        f"triangularity violated: entry ({p},{q}) = {table.entry(p, q)}"
-        for p, q in table.cells()
-        if p > q and table.entry(p, q)
+        f"triangularity violated: entry ({p},{q}) = {v}"
+        for p, row in enumerate(table.entries) for q, v in enumerate(row)
+        if p > q and v
     ]
     if bad:
         return EXIT_INFEASIBLE, _emit_table(table, ["invalid: " + b for b in bad], args.format)

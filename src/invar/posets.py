@@ -165,7 +165,7 @@ class SimplicialComplex(_Frozen):
 
     def k_simplices(self, k: int) -> list[tuple]:
         """The k-simplices as vertex tuples in vertex order, lexicographically."""
-        level = self.faces[k + 1] if 0 <= k + 1 < len(self.faces) else ()
+        level = self.faces[k + 1] if 0 <= _int(k, "k") + 1 < len(self.faces) else ()
         return [tuple(map(self.vertices.__getitem__, s)) for s in level]
 
     def euler_characteristic_reduced(self) -> int:

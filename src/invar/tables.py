@@ -24,14 +24,20 @@ an unknown one ([1, B] at (d,d)), and the diagonal sends exactly one unit to
 the hub.  By Hoffman's circulation theorem and the integrality theorem, the
 convergent completions are exactly the integer circulations, read off the
 cell edges.  These form an integral polytope, so under any bounds the
-feasible values of one cell form an interval of integers.  The search fixes
-all unknowns but the last in order.  At each node it moves the next cell's
-flow down as far as cycles through its edge allow, then up one unit at a
-time to the bound or until no cycle is left; conservation at the hub leaves
-the last unknown the flow on its edge.  So every node it enters is feasible,
-every leaf is a completion, and one flow at the root decides a
-contradiction.  The environment variable INVAR_SEARCH_LIMIT (default 10**7)
-caps its nodes.
+feasible values of one cell form an interval of integers.  One flow at the
+root decides a contradiction.  Any two circulations differ by a circulation
+on the edges whose flow can still move, and a bridge of those edges carries
+none.  So the root also finds the free unknowns: an unknown is free when
+its edge lies on a cycle of such edges once the earlier unknowns' edges are
+removed, and every other unknown takes the one value the earlier ones leave
+it (_free_unknowns).  The search fixes only the free unknowns, in order.
+At each node it moves the next free cell's flow down as far as cycles
+through its edge allow, then up one unit at a time to the bound or until no
+cycle is left; at each leaf it reads every other unknown off the flow on
+its edge.  So every node it enters is feasible and every leaf is a
+completion.  The environment variable INVAR_SEARCH_LIMIT (default 10**7)
+caps its nodes: the root, and one per feasible value of each free unknown
+under each feasible prefix.
 """
 
 from __future__ import annotations
@@ -104,6 +110,7 @@ class InvariantTable(_Frozen):
         return len(self.entries) - 1
 
     def entry(self, p: int, q: int):
+        _cell((p, q), self.d)
         return self.entries[p][q]
 
     def cells(self) -> list[Cell]:
@@ -174,24 +181,23 @@ def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> 
         raise InputError("validate_lambda expects a lyubeznik table")
     d = table.d
     diags: list[str] = []
-    for p, q in table.cells():
-        v = table.entry(p, q)
-        if v is None:
-            continue
-        if p > q and v != 0:
-            diags.append(f"triangularity violated: entry ({p},{q}) = {v} below the diagonal")
-        if d >= 2 and q == d and p in (0, 1) and v != 0:
-            diags.append(
-                f"entry ({p},{d}) = {v} must vanish: top-column entries (0,d) and (1,d) "
-                "are zero whenever d >= 2"
-            )
-    vdd = table.entry(d, d)
-    if vdd is not None and vdd == 0:
+    for p, row in enumerate(table.entries):
+        for q, v in enumerate(row):
+            if v is None:
+                continue
+            if p > q and v != 0:
+                diags.append(f"triangularity violated: entry ({p},{q}) = {v} below the diagonal")
+            if d >= 2 and q == d and p in (0, 1) and v != 0:
+                diags.append(
+                    f"entry ({p},{d}) = {v} must vanish: top-column entries (0,d) and (1,d) "
+                    "are zero whenever d >= 2"
+                )
+    if table.entries[d][d] == 0:
         diags.append(f"entry ({d},{d}) must be positive")
     if bounds is not None:
         n = bounds.ambient_dim
         for p, q in table.cells():
-            v = table.entry(p, q)
+            v = table.entries[p][q]
             if v is None or v == 0:
                 continue
             if q < n - bounds.v_y:
@@ -235,7 +241,7 @@ def euler_sum(table: InvariantTable) -> int:
 def differential_target(kind: str, page: int, cell: Cell) -> Cell:
     """Where the page-r differential sends a table cell."""
     _int(page, "page", 2)
-    p, q = cell
+    p, q = _pair(cell)
     if _kind(kind) == KIND_LYUBEZNIK:
         return (p + page, q + page - 1)
     return (p - page, q + page - 1)
@@ -246,11 +252,16 @@ def _in_table(cell: Cell, d: int) -> bool:
     return 0 <= p <= d and 0 <= q <= d
 
 
-def _cell(cell, d: int) -> Cell:
-    """cell, refusing anything but a pair of ints inside a table of dimension d."""
+def _pair(cell) -> Cell:
+    """cell, refusing anything but a pair (a tuple) of ints."""
     if not isinstance(cell, tuple) or len(cell) != 2 or not all(map(_is_int, cell)):
         raise InputError(f"a cell must be a pair of integers, got {_echo(cell)}")
-    if not _in_table(cell, d):
+    return cell
+
+
+def _cell(cell, d: int) -> Cell:
+    """cell, refusing anything but a pair of ints inside a table of dimension d."""
+    if not _in_table(_pair(cell), d):
         raise InputError(f"cell {cell} outside table of dimension {d}")
     return cell
 
@@ -637,9 +648,10 @@ class DeductionResult(_Frozen):
     """Summary of an exhaustive bounded completion search.
 
     nodes counts the search-tree nodes entered, the root included: below it,
-    one per feasible value of each unknown but the last (which the flow on
-    its edge fixes) under each feasible prefix.  So a contradiction
-    takes one node, and nodes <= 1 + (unknowns - 1) * feasible_count.
+    one per feasible value of each free unknown (see _free_unknowns) under
+    each feasible prefix; the flow fixes the others.  The last unknown is
+    never free.  So a contradiction takes one node, and
+    nodes <= 1 + free * feasible_count <= 1 + (unknowns - 1) * feasible_count.
     `_first` (the first completion) and `_diffs` (an echelon basis of the
     differences from it) answer `implies`; the repr leaves them out.
     """
@@ -710,51 +722,103 @@ _COMPLETION_CAP = 20000
 _VALUE_CAP = 200000
 
 
-def _lambda_completions(entries, unknowns: tuple[Cell, ...], bound: int, tick):
-    """Yield the unknowns' values of every convergent completion, in lexicographic order.
+def _free_unknowns(graph: _FlowGraph, edges: Sequence[int]) -> tuple[int, ...]:
+    """Indices of the unknowns whose values the earlier ones leave free.
+
+    edges are the unknowns' edges, in order, in a graph whose floors are
+    met, so an edge has room when its flow may still move.  Unknown i is
+    free when its edge lies on an undirected cycle of edges with room once
+    the edges of unknowns 0..i-1 are removed.  Any two circulations differ
+    by a circulation on the edges with room, and a bridge carries none: so
+    an unknown that is not free takes the one value the earlier ones leave
+    it.  The test is structural, so it may call free an unknown that the
+    earlier ones do fix: the search then enters one node for its one value,
+    and loses no completion.  Union-find over the other edges with room,
+    then over the unknowns' edges from the last to the first, decides every
+    unknown in one pass.
+    """
+    head, cap = graph.head, graph.cap
+    parent = list(range(len(graph.adj)))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    unknown = set(edges)
+    for e in range(0, len(head), 2):
+        if cap[e] + cap[e ^ 1] and e not in unknown:
+            parent[root(head[e])] = root(head[e ^ 1])
+    free = []
+    for i in reversed(range(len(edges))):
+        e = edges[i]
+        if cap[e] + cap[e ^ 1]:
+            a, b = root(head[e]), root(head[e ^ 1])
+            if a == b:
+                free.append(i)
+            parent[a] = b
+    return tuple(reversed(free))
+
+
+def _lambda_root(entries, unknowns: tuple[Cell, ...], bound: int):
+    """The root of the completion search, or None when no completion exists.
 
     entries hold the known values, with None at the unknowns, and already
     pass validate_lambda; every unknown ranges over 0..bound, and (d,d) over
-    1..bound.  The search walks the free unknowns (all but the last) in
-    order, keeping one circulation of _lambda_graph that is feasible for
-    the current node, and reads the last unknown off it; tick is called once
-    per node below the root.  No augmenting path passes through a cell fixed
-    at 0, since no flow can (see _FlowGraph).
+    1..bound.  Returns (graph, edges, floors, free): one circulation of
+    _lambda_graph that meets its floors, the unknowns' edges and floors, in
+    order, and the indices of the free unknowns (_free_unknowns).
     """
     upper = [[bound if v is None else v for v in row] for row in entries]
     graph, edge, floors, _ = _lambda_graph(entries, upper)
-    cap, hub = graph.cap, graph.node("hub")
-    if not _raise_floors(graph, hub, floors):  # the root: one circulation with lower bounds
-        return  # a contradiction
-    if not unknowns:
-        yield ()
-        return
+    if not _raise_floors(graph, graph.node("hub"), floors):
+        return None  # a contradiction
+    edges = [edge[c] for c in unknowns]
+    floor = dict(floors)
+    return graph, edges, [floor.get(e, 0) for e in edges], _free_unknowns(graph, edges)
 
-    # conservation at the hub fixes the last unknown once the others are
-    # held, so its edge stays open: its value is the flow on it, plus the
-    # floor that the root applied to it
-    *edges, last = [edge[c] for c in unknowns]
-    lift = dict(floors).get(last, 0)
-    n = len(edges)
-    values, i = [0] * n, 0
+
+def _lambda_completions(graph: _FlowGraph, edges, floors, free, bound: int, tick):
+    """Yield the unknowns' values of every convergent completion, in lexicographic order.
+
+    Takes a root from _lambda_root and the bound.  The search walks only the
+    free unknowns, in order, keeping one circulation that is feasible for
+    the current node, and reads every other unknown off it at each leaf as
+    the flow on its edge plus its floor.  A free unknown's floor is 0: only
+    (d,d) has one, and the last unknown is never free, since the unknowns'
+    edges are the hub's only edges with room.  Two completions that agree
+    up to an unknown that is not free agree there too, so the leaves come
+    in lexicographic order of all the unknowns.  tick is called once per
+    node below the root.  No augmenting path passes through a cell fixed
+    at 0, since no flow can (see _FlowGraph).
+    """
+    cap, hub = graph.cap, graph.node("hub")
+    values = [0] * len(edges)
+    walk = [(i, edges[i]) for i in free]
+    walked = set(free)
+    read = [(i, e ^ 1, f) for i, (e, f) in enumerate(zip(edges, floors)) if i not in walked]
+    n, k = len(walk), 0
     while True:
-        while i < n:  # descend, fixing each unknown at its least feasible value
-            e = edges[i]
+        while k < n:  # descend, fixing each free unknown at its least feasible value
+            i, e = walk[k]
             x = cap[e ^ 1]
             cap[e] = cap[e ^ 1] = 0
             values[i] = x - _shift(graph, hub, e, -x)
             tick()
-            i += 1
-        yield tuple(values) + (cap[last ^ 1] + lift,)
-        while True:  # the next value of the deepest unknown that has one
-            i -= 1
-            if i < 0:
+            k += 1
+        for i, r, f in read:
+            values[i] = cap[r] + f
+        yield tuple(values)
+        while True:  # the next value of the deepest free unknown that has one
+            k -= 1
+            if k < 0:
                 return
-            e, x = edges[i], values[i]
+            i, e = walk[k]
+            x = values[i]
             if x < bound and _shift(graph, hub, e, 1):
                 values[i] = x + 1
                 tick()
-                i += 1
+                k += 1
                 break
             cap[e], cap[e ^ 1] = bound - x, x
 
@@ -791,12 +855,15 @@ def deduce_lambda(table: InvariantTable, bound: int | None = None, *,
     cap = min(_COMPLETION_CAP, _VALUE_CAP // max(len(unknowns), 1))
     count = 0
     # if the known entries alone violate the structure, no completion exists
-    if not validate_lambda(base):
-        for vec in _lambda_completions(base.entries, unknowns, b, counter.tick):
+    root = None if validate_lambda(base) else _lambda_root(base.entries, unknowns, b)
+    if root is not None:
+        # the free unknowns fix the rest: the differences span at most len(free) dimensions
+        rank = len(root[-1])
+        for vec in _lambda_completions(*root, b, counter.tick):
             count += 1
             if first is None:
                 first = vec
-            else:
+            elif len(echelon) < rank:
                 _extend_sparse_echelon(
                     echelon, {i: v - f for i, (v, f) in enumerate(zip(vec, first)) if v != f})
             if count <= cap:

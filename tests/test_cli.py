@@ -625,11 +625,11 @@ class TestTableCommands:
             "bound": 5,
         }
         path = write(tmp_path, "shape.json", doc)
-        monkeypatch.setenv("INVAR_SEARCH_LIMIT", "50")
+        monkeypatch.setenv("INVAR_SEARCH_LIMIT", "30")
         code, out, err = run(capsys, "table", "deduce", "--input", path)
         assert code == 4
         assert out == ""
-        assert "node limit of 50" in err
+        assert "node limit of 30" in err
 
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_deduce_search_limit_below_one_exit_2(self, limit, tmp_path, capsys, monkeypatch):

@@ -95,6 +95,10 @@ INTEGER_ARGUMENTS = {
     "apply_page rank": lambda v: STATE.apply_page({(0, 1): v}),
     "apply_page cell": lambda v: STATE.apply_page({(0, v): 0}),
     "differential_target": lambda v: differential_target("cdr", v, (0, 0)),
+    "differential_target cell": lambda v: differential_target("cdr", 2, (v, 0)),
+    "InvariantTable.entry p": lambda v: LAMBDA.entry(v, 0),
+    "InvariantTable.entry q": lambda v: LAMBDA.entry(0, v),
+    "k_simplices": lambda v: SimplicialComplex("ab", ["ab"]).k_simplices(v),
     "with_entries cell": lambda v: LAMBDA.with_entries({(v, 0): 0}),
     "InvariantTable entry": lambda v: InvariantTable("cdr", [[v]]),
     "AffineSubspace": lambda v: AffineSubspace(v, []),

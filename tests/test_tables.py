@@ -20,7 +20,7 @@ from invar import (
     euler_sum,
     validate_lambda,
 )
-from invar.qlinalg import _nullspace_int
+from invar.qlinalg import _extend_sparse_echelon, _nullspace_int
 from invar.tables import (
     _COMPLETION_CAP,
     DEFAULT_BOUND,
@@ -31,8 +31,11 @@ from invar.tables import (
     _Counter,
     _FlowGraph,
     _lambda_completions,
+    _lambda_graph,
+    _lambda_root,
     _raise_floors,
     _search_limit,
+    _shift,
 )
 from test_qlinalg import reference_echelon_int
 
@@ -261,6 +264,84 @@ def reference_deduce(table, bound=None, *, search_limit=None):
         truncated=truncated, nodes=counter.nodes, _first=first,
         _diffs=tuple(tuple(v) for v in diffs),
     )
+
+
+def reference_lambda_completions(entries, unknowns, bound, tick):
+    """The former completion search, kept as an oracle for the free-unknown walk.
+
+    It walks every unknown but the last in order, each over its feasible
+    interval, and reads the last off the flow on its edge, plus the floor
+    that the root applied to it.  tick is called once per node below the
+    root.
+    """
+    upper = [[bound if v is None else v for v in row] for row in entries]
+    graph, edge, floors, _ = _lambda_graph(entries, upper)
+    cap, hub = graph.cap, graph.node("hub")
+    if not _raise_floors(graph, hub, floors):
+        return
+    if not unknowns:
+        yield ()
+        return
+    *edges, last = [edge[c] for c in unknowns]
+    lift = dict(floors).get(last, 0)
+    n = len(edges)
+    values, i = [0] * n, 0
+    while True:
+        while i < n:
+            e = edges[i]
+            x = cap[e ^ 1]
+            cap[e] = cap[e ^ 1] = 0
+            values[i] = x - _shift(graph, hub, e, -x)
+            tick()
+            i += 1
+        yield tuple(values) + (cap[last ^ 1] + lift,)
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            e, x = edges[i], values[i]
+            if x < bound and _shift(graph, hub, e, 1):
+                values[i] = x + 1
+                tick()
+                i += 1
+                break
+            cap[e], cap[e ^ 1] = bound - x, x
+
+
+def searched(table, result):
+    """The table deduce_lambda searched for `result`: its structural zeros filled in."""
+    return table.with_entries(
+        dict.fromkeys(set(table.unknown_cells()) - set(result.unknown_cells), 0))
+
+
+def free_and_pivots(table, bound, result):
+    """The search against reference_lambda_completions on what deduce_lambda
+    searched for `result`; returns the free unknowns' indices and the pivot
+    columns of `result._diffs`, both sorted.
+
+    Asserts that both searches yield the same completions, that the search
+    enters no more nodes than the reference and as many as `result` counts,
+    and that `result._diffs` is the echelon basis of every completion's
+    difference from the first, as if no rank bound had stopped it.
+    """
+    unknowns, base = result.unknown_cells, searched(table, result)
+    valid = not validate_lambda(base)
+    root = _lambda_root(base.entries, unknowns, bound) if valid else None
+    new, old = _Counter(10**7), _Counter(10**7)
+    got = [] if root is None else list(_lambda_completions(*root, bound, new.tick))
+    want = list(reference_lambda_completions(base.entries, unknowns, bound, old.tick)
+                ) if valid else []
+    assert got == want, table.entries
+    assert new.nodes <= old.nodes
+    assert result.nodes == 1 + new.nodes
+    echelon = {}
+    for vec in got[1:]:
+        _extend_sparse_echelon(echelon, {i: v - f for i, (v, f) in enumerate(zip(vec, got[0]))
+                                         if v != f})
+    assert result._diffs == tuple(tuple(row.get(i, 0) for i in range(len(unknowns)))
+                                  for row in echelon.values())
+    free = () if root is None else root[-1]
+    return free, tuple(sorted(min(row) for row in echelon.values()))
 
 
 def replay(entries, witness, kind="lyubeznik"):
@@ -649,6 +730,8 @@ class TestDeduceAgainstEnumeration:
             bound = rng.randint(0, 4)
             result = deduce_lambda(table, bound)
             assert_same_deduction(result, reference_deduce(table, bound))
+            free, pivots = free_and_pivots(table, bound, result)
+            assert set(pivots) <= set(free)
             if not result.truncated:
                 for coeffs, const in random_relations(rng, result):
                     holds = holds_on_completions(result, coeffs, const)
@@ -671,6 +754,13 @@ class TestDeduceAgainstEnumeration:
     def test_engine_shapes(self, table, bound):
         assert_same_deduction(deduce_lambda(table, bound), reference_deduce(table, bound))
 
+    @pytest.mark.parametrize("table, bound", ENGINE_DEDUCTIONS)
+    def test_engine_shapes_walk_exactly_the_pivot_columns(self, table, bound):
+        # on these shapes every free unknown varies independently of the
+        # earlier ones: the free set is the echelon's pivot columns
+        free, pivots = free_and_pivots(table, bound, deduce_lambda(table, bound))
+        assert free == pivots
+
     @pytest.mark.parametrize("table, bound", [(dim4_contra(), 3), (dim4_contra(), 10)]
                              + [(dim3_contra(a, b), 10) for a, b in DIM3_CONTRA])
     def test_contradiction_decided_at_root(self, table, bound):
@@ -679,7 +769,7 @@ class TestDeduceAgainstEnumeration:
         assert result.nodes == 1
 
     @pytest.mark.parametrize("table, bound, nodes, count", [
-        (dim3_shape(), 20, 862, 420), (dim4_shape(), 5, 3283, 756),
+        (dim3_shape(), 20, 442, 420), (dim4_shape(), 5, 1015, 756),
     ])
     def test_search_tree_pinned(self, table, bound, nodes, count):
         # the search enters exactly the feasible prefixes, so a search that
@@ -874,6 +964,14 @@ class TestSpectralState:
             differential_target("cdr", page, (0, 0))
         assert str(err.value) == f"page must be an integer of at least 2, got {echo}"
 
+    @pytest.mark.parametrize("cell, echo", [(None, "None"), (("a", 0), "('a', 0)"),
+                                            ((0, 1, 2), "(0, 1, 2)"), ([0, 0], "[0, 0]"),
+                                            ((0, True), "(0, True)")])
+    def test_differential_target_refuses_a_bad_cell(self, cell, echo):
+        with pytest.raises(InputError) as err:
+            differential_target("cdr", 2, cell)
+        assert str(err.value) == f"a cell must be a pair of integers, got {echo}"
+
     def test_euler_conserved_random_transitions(self, rng):
         for _ in range(40):
             d = rng.randint(1, 4)
@@ -1033,15 +1131,18 @@ class TestDeduce:
         assert len(result.completions) == 202 and result.truncated
         assert sum(map(len, result.completions)) <= 200000
 
-    def test_deep_search_completes(self):
-        d = 45
-        rows = [[N] * (d + 1) for _ in range(d + 1)]
-        rows[d][d] = 1
-        result = deduce_lambda(lam(rows), 0)
-        assert result.nodes == len(result.unknown_cells) > 1000
+    def test_deep_search_completes(self, monkeypatch):
+        # the first completion of the all-unknown d = 45 table lies more than
+        # 1,000 free unknowns deep, below the recursion limit
+        monkeypatch.setattr("invar.tables._lambda_completions",
+                            lambda *args: islice(_lambda_completions(*args), 1))
+        table = lam([[N] * 46] * 46)
+        result = deduce_lambda(table, 1)
+        k = len(result.unknown_cells)
+        free = _lambda_root(searched(table, result).entries, result.unknown_cells, 1)[-1]
+        assert (k, len(free), result.nodes) == (1079, 1076, 1077)
         assert result.feasible_count == 1
-        assert result.completions == ((0,) * len(result.unknown_cells),)
-        assert set(result.forced.values()) == {0}
+        assert result.completions == ((0,) * (k - 1) + (1,),)
 
     def test_bound_respected(self):
         result = deduce_lambda(dim3_shape(), 0)
@@ -1172,6 +1273,17 @@ class TestInvariantTable:
         with pytest.raises(InputError) as err:
             lam([[0, N], [0, 2]]).with_entries({cell: 1})
         assert str(err.value) == f"a cell must be a pair of integers, got {echo}"
+
+    @pytest.mark.parametrize("p, q, text", [
+        ("a", 0, "a cell must be a pair of integers, got ('a', 0)"),
+        (0, None, "a cell must be a pair of integers, got (0, None)"),
+        (2, 0, "cell (2, 0) outside table of dimension 1"),
+        (-1, 0, "cell (-1, 0) outside table of dimension 1"),
+    ], ids=["str", "none", "outside", "negative"])
+    def test_entry_refuses_a_bad_cell(self, p, q, text):
+        with pytest.raises(InputError) as err:
+            lam([[0, N], [0, 2]]).entry(p, q)
+        assert str(err.value) == text
 
     def test_pretty_marks(self):
         table = lam([[0, N], [0, 2]])
