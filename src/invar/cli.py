@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input or validation error (diagnostics on stderr),
 3 infeasibility reported by table check / table deduce, 4 table deduce over
-its node limit (INVAR_SEARCH_LIMIT; message on stderr).  Output is either an
+its node limit (INVAR_SEARCH_LIMIT) or a fan command's Fourier-Motzkin stage
+over its pair limit (message on stderr).  Output is either an
 aligned text table (zeros printed as a middle dot) or a single JSON document;
 for tables the JSON keys are always kind, dim, entries, notes in that order.
 

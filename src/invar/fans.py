@@ -2,23 +2,28 @@
 
 A fan is a list of primitive integer rays plus maximal cones given as ray
 index sets.  Every check is local to a ray, a cone or a wall, and validation
-is integer-only.  It checks the rays, then each cone by sign tests on pairs
-of generators (3-dimensional, strongly convex, facets), counting to see that
-every generator is extremal: a strongly convex cone has as many facets as
-extremal rays.  Then it checks each wall: a facet must lie in exactly two
-cones, on opposite sides of its plane.  The cones then cover the sphere of
-directions with a constant degree, so they meet in common faces and fill
-space exactly when one direction off every facet plane lies in exactly one
-cone.
+is integer-only.  It checks the rays, then each cone: a cone of three
+generators by one determinant, which is nonzero exactly when they span a
+pointed cone whose three pairs are its facets, and a larger cone by sign
+tests on pairs of generators (3-dimensional, strongly convex, facets),
+counting to see that every generator is extremal: a strongly convex cone
+has as many facets as extremal rays.  Then it checks each wall: a facet
+must lie in exactly two cones, on opposite sides of its plane.  The cones
+then cover the sphere of directions with a constant degree, so they meet in
+common faces and fill space exactly when one direction off every facet
+plane lies in exactly one cone.
 
 A support function is fixed by its values on the rays, one unknown per ray,
 subject to one integer Cramer equation per ray of a cone beyond its first
 three; the Picard rank is the nullspace dimension minus 3.  Projectivity
 asks for a strictly convex support function, one inequality per wall,
-decided by exact Fourier-Motzkin elimination over the integers; rows of
-ints go in as they are.  The global linear functions stay among the
-unknowns, which keeps the elimination small.  Fractions appear only in the
-witness list that `fm_feasible` returns.
+decided by exact Fourier-Motzkin elimination over the integers
+(`_eliminate`), which it asks only for feasibility: no witness is built.
+The global linear functions stay among the unknowns, which keeps the
+elimination small, and a stage over `_FM_PAIR_LIMIT` pairs of rows raises
+SearchLimitError.  `fm_feasible` runs the same elimination on any rational
+system and back-substitutes a witness; Fractions appear only in the list
+it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from itertools import product
 from math import gcd
 from operator import mul
 
-from .errors import InputError, _Frozen, _echo, _is_int
+from .errors import InputError, SearchLimitError, _Frozen, _echo, _is_int
 from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
@@ -64,35 +69,27 @@ def primitive(v: Sequence[int]) -> IVec:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
 
+# A stage of the elimination may combine at most this many (positive,
+# negative) pairs of rows.  The 100-step star subdivision of the octant fan
+# in `scripts/fan_scale.py` needs 9,558 in its largest stage.
+_FM_PAIR_LIMIT = 100_000
 
-def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | None:
-    """Exact feasibility of a system of inequalities coeffs . x >= const.
 
-    Returns a rational witness point, or None when the system is infeasible.
-    Coefficients and constants are ints or whatever parse_rational reads, so
-    floats and bools raise InputError.  Each inequality is scaled once to a
-    tuple of coprime integers (coeffs..., const); a row of ints (`type(x) is
-    int`, so no bool) is already integer and skips the parsing and scaling.
-    Repeated rows are dropped, the first of each kept in order.  Variables
-    are eliminated one at a time, first the one whose elimination adds the
-    fewest rows (least pos*neg - pos - neg), with each stage's positive and
-    negative entries counted in one pass over its rows.  An eliminated
-    variable is 0 in every later row, so a row is constant when
-    all its coefficients are.  The witness is then back-substituted, last
-    eliminated variable first, as one integer vector over one common
-    denominator: each variable takes its largest lower bound, its smallest
-    upper bound, their midpoint when it has both, or 0 when it has neither.
-    Only the returned list is in Fractions.  Desk-scale only.
+def _eliminate(rows: Iterable[tuple[int, ...]], nvars: int) -> list | None:
+    """Fourier-Motzkin elimination on rows (coeffs..., const) meaning
+    coeffs . x >= const, each a tuple of coprime ints.
+
+    Returns the stages, one (variable, rows) pair per eliminated variable,
+    or None when the system is infeasible.  Repeated rows are dropped, the
+    first of each kept in order.  Variables are eliminated one at a time,
+    first the one whose elimination adds the fewest rows (least pos*neg -
+    pos - neg), with each stage's positive and negative entries counted in
+    one pass over its rows.  An eliminated variable is 0 in every later row,
+    so a row is constant when all its coefficients are.  A stage that would
+    combine more than `_FM_PAIR_LIMIT` pairs of rows raises
+    SearchLimitError instead.
     """
-    system = []
-    for coeffs, const in inequalities:
-        row = (*coeffs, const)
-        if not all(type(x) is int for x in row):
-            row = _scaled_to_int([parse_rational(x) for x in row])
-        if len(row) != nvars + 1:
-            raise InputError("inequality arity does not match the variable count")
-        system.append(_content_free(row))
-    system = list(dict.fromkeys(system))
+    system = list(dict.fromkeys(rows))
     remaining = list(range(nvars))
     stages = []
     while remaining:
@@ -117,6 +114,12 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
             if best_cost is None or cost < best_cost:
                 best, best_cost = j, cost
         j = best
+        pairs = npos[j] * nneg[j]
+        if pairs > _FM_PAIR_LIMIT:
+            raise SearchLimitError(
+                f"Fourier-Motzkin elimination would combine {pairs} pairs of rows in one "
+                f"stage, over the limit of {_FM_PAIR_LIMIT}"
+            )
         stages.append((j, system))
         pos = [r for r in system if r[j] > 0]
         neg = [r for r in system if r[j] < 0]
@@ -127,6 +130,35 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
         system = list(dict.fromkeys(new))
         remaining.remove(j)
     if any(r[-1] > 0 for r in system):
+        return None
+    return stages
+
+
+def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | None:
+    """Exact feasibility of a system of inequalities coeffs . x >= const.
+
+    Returns a rational witness point, or None when the system is infeasible.
+    Coefficients and constants are ints or whatever parse_rational reads, so
+    floats and bools raise InputError.  Each inequality is scaled once to a
+    tuple of coprime integers (coeffs..., const); a row of ints (`type(x) is
+    int`, so no bool) is already integer and skips the parsing and scaling.
+    `_eliminate` decides the system, and the witness is then
+    back-substituted from its stages, last eliminated variable first, as one
+    integer vector over one common denominator: each variable takes its
+    largest lower bound, its smallest upper bound, their midpoint when it
+    has both, or 0 when it has neither.  Only the returned list is in
+    Fractions.  A stage over `_FM_PAIR_LIMIT` pairs raises SearchLimitError.
+    """
+    system = []
+    for coeffs, const in inequalities:
+        row = (*coeffs, const)
+        if not all(type(x) is int for x in row):
+            row = _scaled_to_int([parse_rational(x) for x in row])
+        if len(row) != nvars + 1:
+            raise InputError("inequality arity does not match the variable count")
+        system.append(_content_free(row))
+    stages = _eliminate(system, nvars)
+    if stages is None:
         return None
     # back-substitute x = num / den, each bound a pair (p, q) meaning p / q
     # with q > 0, compared by cross-multiplying; num[j] is 0 until x_j is set
@@ -234,23 +266,43 @@ class PicardData(_Frozen):
 
 
 def _cone_facets(fan: Fan3, cone_index: int):
-    """Facets of one maximal cone by integer sign tests on pairs of generators.
+    """Facets of one maximal cone, by one determinant for three generators
+    and by integer sign tests on pairs of generators for more.
 
     Returns (facet_ray_pairs, inward_normals, violations), in sorted ray-pair
-    order.  The cone is 3-dimensional exactly when the cross product of some
-    pair of generators is nonzero on some generator.  The plane through two
-    independent generators supports the cone, and so holds a facet, exactly
-    when no two generators lie strictly on opposite sides of it.  The sum w
-    of these inward normals is positive on every nonzero point of a strongly
-    convex cone, whose facet normals span space, and vanishes on some
-    generator of a cone containing a line.  A strongly convex cone has as
-    many facets as extremal rays, so its generators are all extremal exactly
-    when the facet pairs, their distinct normals and the generators are
-    equally many: each facet plane then holds one pair.  Only otherwise are
-    the non-extremal generators named, as those not on two different facet
-    planes.
+    order.  Three generators a, b, c span a 3-dimensional cone exactly when
+    det = (a x b) . c is nonzero; the cone is then pointed, each generator
+    is extremal, and its facets are its three pairs with the inward normals
+    sign(det) times a x b, c x a and b x c, made primitive.  For more
+    generators, the cone is 3-dimensional exactly when the cross product of
+    some pair of generators is nonzero on some generator.  The plane through
+    two independent generators supports the cone, and so holds a facet,
+    exactly when no two generators lie strictly on opposite sides of it.
+    The sum w of these inward normals is positive on every nonzero point of
+    a strongly convex cone, whose facet normals span space, and vanishes on
+    some generator of a cone containing a line.  A strongly convex cone has
+    as many facets as extremal rays, so its generators are all extremal
+    exactly when the facet pairs, their distinct normals and the generators
+    are equally many: each facet plane then holds one pair.  Only otherwise
+    are the non-extremal generators named, as those not on two different
+    facet planes.
     """
     cone = fan.max_cones[cone_index]
+    if len(cone) == 3:
+        i, j, k = cone
+        rays = fan.rays
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = rays[i], rays[j], rays[k]
+        ab = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        det = ab[0] * cx + ab[1] * cy + ab[2] * cz
+        if det == 0:
+            return None, None, [f"maximal cone {cone_index} is not 3-dimensional"]
+        normals = []
+        for nx, ny, nz in (ab,
+                           (cy * az - cz * ay, cz * ax - cx * az, cx * ay - cy * ax),
+                           (by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx)):
+            g = gcd(nx, ny, nz) if det > 0 else -gcd(nx, ny, nz)
+            normals.append((nx // g, ny // g, nz // g))
+        return [(i, j), (i, k), (j, k)], tuple(normals), []
     gens = [fan.rays[i] for i in cone]
     facets: dict[tuple[int, int], IVec] = {}
     solid = False
@@ -428,8 +480,9 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     normal, so one ray suffices: the far cone's first off-wall ray v must lie
     strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
     each row may be divided by its content and asked to be >= 1; rows of
-    parallel walls then coincide, and `fm_feasible` keeps the first of each.
-    Fourier-Motzkin decides the system.  The global linear functions stay in
+    parallel walls then coincide, and `_eliminate` keeps the first of each.
+    The rows go to `_eliminate` as content-free int tuples, and only its
+    verdict is read: no witness is built.  The global linear functions stay in
     `basis`: they add 0 to every row, so the feasible set is a cylinder along
     them, and its projections stay small.  Pinning three ray values to 0
     instead drops three variables but cuts the cylinder to a slice; on the
@@ -438,7 +491,7 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
     """
     rays = fan.rays
     values = list(zip(*basis))  # values[i]: every basis vector's value on ray i
-    inequalities = []
+    rows = []
     for wall in report.walls:
         near, far = (fan.max_cones[k] for k in wall.cones)
         i, j = wall.rays
@@ -447,11 +500,11 @@ def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
         det, ca, cb, cc = _cramer(rays[i], rays[j], rays[w], rays[v])
         if det < 0:  # sign(det) * (det * l_near(v) - det * value(v))
             det, ca, cb, cc = -det, -ca, -cb, -cc
-        inequalities.append((_content_free([
+        rows.append((*_content_free([
             ca * x + cb * y + cc * z - det * t
             for x, y, z, t in zip(values[i], values[j], values[w], values[v])
         ]), 1))
-    return fm_feasible(inequalities, len(basis)) is not None
+    return _eliminate(rows, len(basis)) is not None
 
 
 def support_function_space_dim(fan: Fan3) -> int:

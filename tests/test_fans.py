@@ -12,6 +12,7 @@ from invar import (
     Fan3,
     InputError,
     QMatrix,
+    SearchLimitError,
     class_rank,
     euler_sum,
     is_projective,
@@ -24,7 +25,9 @@ from invar import (
 )
 from invar import fans
 from invar.cli import main
-from invar.fans import PicardData, Wall, _cone_facets, _cramer, _dot, fm_feasible, primitive
+from invar.fans import (
+    PicardData, Wall, _cone_facets, _cramer, _dot, _eliminate, fm_feasible, primitive,
+)
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
     cube_fan,
@@ -262,15 +265,26 @@ class TestWitnessAgainstReference:
         assert verdicts[False, 0] + verdicts[False, 1] >= 100
         assert min(verdicts.values()) >= 50 and len(verdicts) == 4
 
+    def test_eliminate_decides_as_fm_feasible(self, rng):
+        verdicts = Counter()
+        for trial in range(1200):
+            system, nvars = random_system(rng, rational=trial % 2 == 1)
+            rows = [_content_free(_scaled_to_int([parse_rational(x) for x in (*coeffs, const)]))
+                    for coeffs, const in system]
+            infeasible = _eliminate(rows, nvars) is None
+            assert infeasible == (fm_feasible(system, nvars) is None), system
+            verdicts[infeasible] += 1
+        assert verdicts[False] >= 300 and verdicts[True] >= 100
+
     def test_projectivity_systems(self, rng, monkeypatch):
-        feasible = fans.fm_feasible
+        eliminate = fans._eliminate
         systems = []
 
-        def capturing(inequalities, nvars):
-            systems.append((list(inequalities), nvars))
-            return feasible(*systems[-1])
+        def capturing(rows, nvars):
+            systems.append(([(r[:-1], r[-1]) for r in rows], nvars))
+            return eliminate(rows, nvars)
 
-        monkeypatch.setattr(fans, "fm_feasible", capturing)
+        monkeypatch.setattr(fans, "_eliminate", capturing)
         for build in DIFFERENTIAL_BASES.values():
             fan = build(rng)
             picard_data(fan)
@@ -789,11 +803,14 @@ class TestConeFacetsAgainstHull:
                 assert pairs == sorted(pairs), gens
                 assert dict(zip(pairs, normals)) == dict(zip(ref_pairs, ref_normals)), gens
             verdicts[_verdict(fan, errs)] += 1
+            verdicts["three generators"] += len(gens) == 3
+        # three generators take the determinant path, more the sign tests
+        assert verdicts.pop("three generators") >= 200
         assert min(verdicts.values()) >= 100 and len(verdicts) == 4
 
     def test_flat_cones(self, rng):
         expected = ("maximal cone 0 is not 3-dimensional",)
-        opposite = 0
+        opposite = three = 0
         for _ in range(300):
             gens = random_cone(rng, "flat")
             fan = Fan3(gens, [range(len(gens))])
@@ -801,7 +818,18 @@ class TestConeFacetsAgainstHull:
             assert _cone_facets(fan, 0) == (None, None, list(expected)), gens
             assert reference_validation(fan)[0] is False
             opposite += any(tuple(-x for x in g) in gens for g in gens)
+            three += len(gens) == 3
         assert opposite >= 100 and 300 - opposite >= 50
+        assert three >= 30
+
+    def test_negative_determinant(self):
+        # (a x b) . c = (-2, -2, 8) . (1, 1, -3) = -28: every normal is the
+        # negated cross product, made primitive
+        fan = Fan3([(3, 1, 1), (1, 3, 1), (1, 1, -3)], [(0, 1, 2)])
+        expected = ([(0, 1), (0, 2), (1, 2)], ((1, 1, -4), (-2, 5, 1), (5, -2, 1)), [])
+        assert _cone_facets(fan, 0) == expected
+        ref_pairs, ref_normals, _ = reference_cone_facets(fan, 0)
+        assert dict(zip(ref_pairs, ref_normals)) == dict(zip(*expected[:2]))
 
 
 OVERLAP_VIOLATIONS = (
@@ -881,17 +909,45 @@ class TestFourierMotzkinCalls:
         (validate_fan, 0), (picard_data, 1), (is_projective, 1),
     ], ids=["validate_fan", "picard_data", "is_projective"])
     def test_only_projectivity_eliminates(self, call, expected, monkeypatch):
-        feasible = fans.fm_feasible
+        eliminate = fans._eliminate
         for fan in (p3_fan(), cube_fan(), prism_fan(True), subdivided_cube(2)):
             calls = []
 
-            def counting(inequalities, nvars):
+            def counting(rows, nvars):
                 calls.append(nvars)
-                return feasible(inequalities, nvars)
+                return eliminate(rows, nvars)
 
-            monkeypatch.setattr(fans, "fm_feasible", counting)
+            monkeypatch.setattr(fans, "_eliminate", counting)
             call(fan)
             assert len(calls) == expected
+
+
+class TestEliminationLimit:
+    """The k=2 subdivided cube's largest elimination stage combines 8 pairs
+    of rows."""
+
+    LIMIT_MESSAGE = ("Fourier-Motzkin elimination would combine 8 pairs of rows in one "
+                     "stage, over the limit of 5")
+
+    def test_library_raises_over_the_limit(self, monkeypatch):
+        fan = subdivided_cube(2)
+        monkeypatch.setattr(fans, "_FM_PAIR_LIMIT", 8)
+        assert picard_data(fan).projective
+        monkeypatch.setattr(fans, "_FM_PAIR_LIMIT", 5)
+        for call in (picard_data, is_projective, toric_lyubeznik):
+            with pytest.raises(SearchLimitError) as caught:
+                call(fan)
+            assert str(caught.value) == self.LIMIT_MESSAGE
+        assert validate_fan(fan).valid
+
+    @pytest.mark.parametrize("command", ["picard", "projective", "lyubeznik"])
+    def test_cli_exits_4(self, command, tmp_path, monkeypatch, capsys):
+        path = _fan_file(tmp_path, subdivided_cube(2))
+        monkeypatch.setattr(fans, "_FM_PAIR_LIMIT", 5)
+        assert main(["fan", command, "--input", path]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {self.LIMIT_MESSAGE}\n"
 
 
 class TestPicardRankZero:
