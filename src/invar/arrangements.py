@@ -34,11 +34,13 @@ The Cech-de Rham table is the reduced homology of each open interval
 is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
 the up-sets.  Every other interval is read off its order complex or its
 crosscut complex, whichever has fewer faces, both built from the up-sets
-and ranked as sparse boundary columns with clearing; the crosscut's
+(the chains by `posets._chains_above`, which `order_complex` shares) and
+ranked as sparse boundary columns with clearing; the crosscut's
 vertices are the components containing F, read off F's own mask.  The
 module also gives the reduced Betti numbers of the complement, a
 Moebius-function cross-check for central hyperplane arrangements, and the
-closed-form Lyubeznik tables in dimension <= 2.
+closed-form Lyubeznik tables in dimension <= 2, whose one number, the count
+of connected groups of planes, is read off the same masks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from collections.abc import Iterable, Sequence
 from math import lcm
 
 from .errors import InputError, InputWarning, _Frozen, _int
-from .posets import FinitePoset, SimplicialComplex, _bits, reduced_betti
+from .posets import FinitePoset, SimplicialComplex, _bits, _chains_above, reduced_betti
 from .qlinalg import (
     QMatrix, _content_free, _echelon_int, _pivot, _pivots, _primitive, _reduced_int, _rref,
     _scaled_to_int, _substitute, parse_rational,
@@ -316,7 +318,13 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
 
 
 def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
-    """All nonempty intersections of the components, ordered by inclusion.
+    """All nonempty intersections of the components, ordered by inclusion;
+    duplicates and components contained in others are dropped with a warning."""
+    return _lattice(_normalize_components(components))
+
+
+def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
+    """The intersection lattice of normalized components.
 
     Each flat is met with the components only.  The remainders of a
     component's rows against the flat's rows decide containment (all zero:
@@ -328,7 +336,6 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
     from below, and only the components outside it are reduced when the
     meet is visited.
     """
-    comps = _normalize_components(components)
     n = comps[0].ambient_dim
     comp_rows = [c.rows for c in comps]
     all_components = (1 << len(comps)) - 1
@@ -396,16 +403,6 @@ def _moebius(lattice: IntersectionLattice) -> list[int]:
     for i in range(lattice.top_id - 1, -1, -1):
         mu[i] = -sum(mu[g] for g in _bits(up[i]))
     return mu
-
-
-def _chains_above(above: Sequence[Sequence[int]], lower: int) -> SimplicialComplex:
-    """The order complex of the open interval (lower, ambient); above[i] lists
-    the proper flats strictly above flat i.  Each chain is grown upward from
-    its minimum in above[lower], as the chains are counted, so once only."""
-    chains = [(g,) for g in above[lower]]
-    for chain in chains:  # the loop reaches the chains it appends
-        chains.extend(chain + (g,) for g in above[chain[-1]])
-    return SimplicialComplex(above[lower], chains)
 
 
 def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
@@ -537,7 +534,10 @@ def lyubeznik_dim2(components: Sequence[AffineSubspace]) -> InvariantTable:
     components of the graph whose nodes are the 2-dimensional components and
     whose edges join pairs meeting in dimension >= 1.  Lower-dimensional
     components do not enter the count: the table is read off the purely
-    2-dimensional part.  No formula is emitted in dimension 3 or more.
+    2-dimensional part.  No formula is emitted in dimension 3 or more, and
+    no lattice is built before these checks pass.  Two planes meet in
+    dimension >= 1 exactly when a flat of dimension >= 1 lies in both, so
+    each such flat joins the planes in its mask; every plane is a flat.
     """
     comps = _normalize_components(components)
     for c in comps:
@@ -548,22 +548,17 @@ def lyubeznik_dim2(components: Sequence[AffineSubspace]) -> InvariantTable:
         raise InputError("no closed-form Lyubeznik table for arrangements of dimension > 2")
     if dim_y <= 1:
         return canonical_small_tables(dim_y)
-    planes = [c for c in comps if c.dim == 2]
-    parent = list(range(len(planes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(planes)):
-        for j in range(i + 1, len(planes)):
-            meet = planes[i].intersect(planes[j])
-            if meet is not None and meet.dim >= 1:
-                parent[find(i)] = find(j)
-    a = len({find(i) for i in range(len(planes))})
-    return canonical_small_tables(2, a)
+    lattice = _lattice(comps)
+    planes = sum(1 << j for j, c in enumerate(comps) if c.dim == 2)
+    groups: list[int] = []  # planes joined through flats of dimension >= 1
+    for f in lattice.proper_flats():
+        group = lattice.masks[f.id] & planes
+        if f.dim >= 1 and group:
+            for g in [g for g in groups if g & group]:
+                groups.remove(g)
+                group |= g
+            groups.append(group)
+    return canonical_small_tables(2, len(groups))
 
 
 __all__ = [

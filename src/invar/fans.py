@@ -139,21 +139,18 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 
     Returns a rational witness point, or None when the system is infeasible.
     Coefficients and constants are ints or whatever parse_rational reads, so
-    floats and bools raise InputError.  Each inequality is scaled once to a
-    tuple of coprime integers (coeffs..., const); a row of ints (`type(x) is
-    int`, so no bool) is already integer and skips the parsing and scaling.
-    `_eliminate` decides the system, and the witness is then
-    back-substituted from its stages, last eliminated variable first, as one
-    integer vector over one common denominator: each variable takes its
-    largest lower bound, its smallest upper bound, their midpoint when it
-    has both, or 0 when it has neither.  Only the returned list is in
-    Fractions.  A stage over `_FM_PAIR_LIMIT` pairs raises SearchLimitError.
+    floats and bools raise InputError.  Each inequality is parsed and scaled
+    once to a tuple of coprime integers (coeffs..., const).  `_eliminate`
+    decides the system, and the witness is then back-substituted from its
+    stages, last eliminated variable first, as one integer vector over one
+    common denominator: each variable takes its largest lower bound, its
+    smallest upper bound, their midpoint when it has both, or 0 when it has
+    neither.  Only the returned list is in Fractions.  A stage over
+    `_FM_PAIR_LIMIT` pairs raises SearchLimitError.
     """
     system = []
     for coeffs, const in inequalities:
-        row = (*coeffs, const)
-        if not all(type(x) is int for x in row):
-            row = _scaled_to_int([parse_rational(x) for x in row])
+        row = _scaled_to_int([parse_rational(x) for x in (*coeffs, const)])
         if len(row) != nvars + 1:
             raise InputError("inequality arity does not match the variable count")
         system.append(_content_free(row))

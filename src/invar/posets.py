@@ -8,6 +8,9 @@ boundary maps read off them: each simplex's boundary is a sparse integer
 column added to the exact echelon basis of `qlinalg._extend_sparse_echelon`,
 degree by degree from the top down with clearing.  Any complex can be passed
 in: the arrangement code hands over an order complex or a crosscut complex.
+Chains are enumerated in one place, `_chains_above`, from lists of the
+elements above each element: `order_complex` reads those lists off a
+`FinitePoset`, and the arrangement code off the lattice's up-set bitsets.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class BettiVector(_Frozen):
         object.__setattr__(self, "values", tuple(vals))
 
     def __getitem__(self, degree: int) -> int:
-        i = degree + 1
+        i = _int(degree, "degree") + 1
         if i < 0 or i >= len(self.values):
             return 0
         return self.values[i]
@@ -218,27 +221,24 @@ class BettiVector(_Frozen):
         return sum((-1) ** (k - 1) * v for k, v in enumerate(self.values))
 
 
+def _chains_above(above, lower) -> SimplicialComplex:
+    """The order complex of an open interval (lower, upper): above[lower]
+    lists the interval, and above[x], for x in it, the elements of the
+    interval strictly above x.  Each chain is grown upward from its minimum
+    in above[lower], as the chains are counted, so once only."""
+    chains = [(g,) for g in above[lower]]
+    for chain in chains:  # the loop reaches the chains it appends
+        chains.extend(chain + (g,) for g in above[chain[-1]])
+    return SimplicialComplex(above[lower], chains)
+
+
 def order_complex(poset: FinitePoset, lower, upper) -> SimplicialComplex:
     """Chains of the open interval (lower, upper) as a simplicial complex."""
     interval = poset.open_interval(lower, upper)
     less = poset.less
-    above = {
-        x: [y for y in interval if (x, y) in less]
-        for x in interval
-    }
-    chains: list[tuple] = []
-
-    def extend(chain: tuple, last):
-        chains.append(chain)
-        for y in above[last]:
-            extend(chain + (y,), y)
-
-    for x in interval:
-        # extending upward only, each chain appears exactly once: grown
-        # from its minimum in increasing order
-        extend((x,), x)
-
-    return SimplicialComplex(interval, chains)
+    above = {x: [y for y in interval if (x, y) in less] for x in interval}
+    above[lower] = interval
+    return _chains_above(above, lower)
 
 
 def _boundary_column(simplex: tuple, low_index: dict) -> dict[int, int]:

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError, _Frozen, _echo
+from .errors import InputError, _Frozen, _echo, _int
 
 # Entries larger than this trigger a gcd content reduction during forward
 # elimination; keeps bit growth polynomial without dividing every step.
@@ -82,6 +82,8 @@ class QMatrix(_Frozen):
     ncols: int
 
     def __init__(self, entries: Iterable[Sequence], ncols: int | None = None):
+        if ncols is not None:
+            _int(ncols, "ncols", 0)
         rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
         if rows:
             width = len(rows[0])

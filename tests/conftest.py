@@ -98,6 +98,23 @@ def cone(k: SimplicialComplex, apex) -> SimplicialComplex:
     return SimplicialComplex(k.vertices + (apex,), coned)
 
 
+def reference_order_complex(poset, lower, upper) -> SimplicialComplex:
+    """The former recursive chain walk of `order_complex`, as an oracle: each
+    chain is extended upward from its minimum, one element at a time."""
+    interval = poset.open_interval(lower, upper)
+    above = {x: [y for y in interval if (x, y) in poset.less] for x in interval}
+    chains = []
+
+    def extend(chain, last):
+        chains.append(chain)
+        for y in above[last]:
+            extend(chain + (y,), y)
+
+    for x in interval:
+        extend((x,), x)
+    return SimplicialComplex(interval, chains)
+
+
 def coordinate_hyperplane(n: int, axis: int) -> AffineSubspace:
     row = [1 if j == axis else 0 for j in range(n)] + [0]
     return AffineSubspace.from_rows(n, [row])

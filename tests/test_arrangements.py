@@ -18,6 +18,7 @@ from invar import (
     SimplicialComplex,
     boundary_matrix,
     build_lattice,
+    canonical_small_tables,
     cdr_table,
     complement_betti,
     euler_sum,
@@ -29,14 +30,20 @@ from invar import (
 from invar import arrangements
 from invar.arrangements import (
     _bits,
-    _chains_above,
     _cut,
     _hyperplane_components,
     _interval_complexes,
     _moebius,
+    _normalize_components,
     _sorted_by_rref,
 )
-from conftest import coordinate_hyperplane, random_hyperplane, random_subspace
+from invar.posets import _chains_above
+from conftest import (
+    coordinate_hyperplane,
+    random_hyperplane,
+    random_subspace,
+    reference_order_complex,
+)
 from test_qlinalg import reference_echelon_int, reference_rref
 
 
@@ -178,6 +185,35 @@ def reference_normalize_components(components):
         else:
             keep.append(c)
     return keep
+
+
+def reference_lyubeznik_dim2(components):
+    """The former `lyubeznik_dim2`, as an oracle: a union-find over the
+    planes, joining every pair whose `intersect` has dimension >= 1."""
+    comps = _normalize_components(components)
+    for c in comps:
+        if not c.is_linear():
+            raise InputError("Lyubeznik tables here require a central arrangement")
+    dim_y = max(c.dim for c in comps)
+    if dim_y > 2:
+        raise InputError("no closed-form Lyubeznik table for arrangements of dimension > 2")
+    if dim_y <= 1:
+        return canonical_small_tables(dim_y)
+    planes = [c for c in comps if c.dim == 2]
+    parent = list(range(len(planes)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(planes)):
+        for j in range(i + 1, len(planes)):
+            meet = planes[i].intersect(planes[j])
+            if meet is not None and meet.dim >= 1:
+                parent[find(i)] = find(j)
+    return canonical_small_tables(2, len({find(i) for i in range(len(planes))}))
 
 
 def recorded_warnings(call, *args):
@@ -610,7 +646,7 @@ class TestAgainstReferencePaths:
     def test_interval_betti_matches_order_complex(self, rng):
         for lattice in self.corpus(rng):
             for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
-                reference = order_complex(lattice.poset, flat.id, lattice.top_id)
+                reference = reference_order_complex(lattice.poset, flat.id, lattice.top_id)
                 assert reduced_betti(complex_) == qmatrix_betti(reference)
 
     def test_chains_match_order_complex(self, rng):
@@ -622,7 +658,9 @@ class TestAgainstReferencePaths:
             above = [_bits(up & ((1 << top) - 1)) for up in lattice.up[:top]]
             poset = lattice.poset
             for flat in lattice.proper_flats():
-                assert _chains_above(above, flat.id) == order_complex(poset, flat.id, top)
+                expected = reference_order_complex(poset, flat.id, top)
+                assert _chains_above(above, flat.id) == expected
+                assert order_complex(poset, flat.id, top) == expected
 
     def test_both_complexes_are_used(self):
         # faces at the bottom point, the empty face included.  Boolean n=4:
@@ -956,3 +994,69 @@ class TestLyubeznikDim2:
                 warnings.simplefilter("ignore", InputWarning)
                 table = lyubeznik_dim2(comps)
             assert euler_sum(table) == 1
+
+    def test_against_pairwise_reference(self):
+        # planes and lines through the origin with entries in {-1, 0, 1}, so
+        # that planes often share a line; some components are repeated, and
+        # some lines lie in planes, so both warnings fire
+        rng = random.Random(3434)
+
+        def central(n, dim):
+            while True:
+                rows = [[rng.randint(-1, 1) for _ in range(n)] + [0] for _ in range(n - dim)]
+                if any(any(row) for row in rows):
+                    s = AffineSubspace.from_rows(n, rows)
+                    if s.dim == dim:
+                        return s
+
+        # "joined": a = 1 over at least two planes
+        counts = {"joined": 0, "a >= 2": 0, "warned": 0}
+        for _ in range(300):
+            n = rng.randint(3, 5)
+            comps = []
+            for _ in range(rng.randint(1, 6)):
+                planes = [c for c in comps if c.dim == 2]
+                draw = rng.random()
+                if comps and draw < 0.15:
+                    comps.append(rng.choice(comps))
+                elif planes and draw < 0.3:
+                    plane = rng.choice(planes)
+                    row = [rng.randint(-1, 1) for _ in range(n)] + [0]
+                    line = AffineSubspace.from_rows(n, list(plane.rows) + [row])
+                    comps.append(line if line.dim == 1 else plane)
+                else:
+                    comps.append(central(n, rng.choice((1, 2, 2))))
+            table, texts = recorded_warnings(lyubeznik_dim2, comps)
+            expected, expected_texts = recorded_warnings(reference_lyubeznik_dim2, comps)
+            assert table == expected, comps
+            assert texts == expected_texts
+            counts["warned"] += bool(texts)
+            planes = len({c for c in comps if c.dim == 2})
+            if table.d == 2 and table.entry(2, 2) >= 2:
+                counts["a >= 2"] += 1
+            elif table.d == 2 and planes >= 2:
+                counts["joined"] += 1
+        assert counts["joined"] >= 60 and counts["a >= 2"] >= 75 and counts["warned"] >= 150, counts
+
+    def test_refusals_build_no_lattice(self, monkeypatch):
+        # the boolean arrangement of 16 hyperplanes would need 2^32 bits of
+        # up-sets; it is refused by its dimension before any lattice exists
+        def no_lattice(comps):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(arrangements, "_lattice", no_lattice)
+        with pytest.raises(InputError, match="dimension > 2"):
+            lyubeznik_dim2([coordinate_hyperplane(16, i) for i in range(16)])
+        with pytest.raises(InputError, match="central"):
+            lyubeznik_dim2([AffineSubspace.from_rows(3, [[0, 0, 1, -1]])])
+        assert lyubeznik_dim2([coordinate_line(3, 0), coordinate_line(3, 1)]).d == 1
+
+    def test_a_counts_groups_joined_through_a_line(self):
+        # two planes of C^4 meeting only at the origin are two groups; a
+        # third plane meeting each of them in a line joins all three
+        p1 = sub(4, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])
+        p2 = sub(4, [0, 0, 1, 0, 0], [0, 0, 0, 1, 0])
+        p3 = sub(4, [1, -1, 0, 0, 0], [0, 0, 1, 1, 0])
+        assert lyubeznik_dim2([p1, p2]).entry(2, 2) == 2
+        assert lyubeznik_dim2([p1, p2, p3]).entry(2, 2) == 1
+        assert lyubeznik_dim2([p1, p3, p2]).entry(2, 2) == 1

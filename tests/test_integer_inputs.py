@@ -4,8 +4,7 @@ Every public argument that must be an integer refuses a bool, a float, a
 digit string and None with an InputError, never a TypeError.  Outside
 `errors`, no module of the package spells the test out: only
 `qlinalg.parse_rational` asks `isinstance(..., bool)`, as it refuses a bool
-as a rational, and only `fans.fm_feasible` asks `type(x) is int`, as a fast
-path for rows of plain ints.
+as a rational, and no module asks `type(x) is int`.
 """
 
 import ast
@@ -22,6 +21,7 @@ from invar import (
     InputError,
     InvariantTable,
     OgusBounds,
+    QMatrix,
     SimplicialComplex,
     SpectralState,
     canonical_small_tables,
@@ -82,6 +82,7 @@ INTEGER_ARGUMENTS = {
     "OgusBounds ambient_dim": lambda v: OgusBounds(0, 1, v),
     "BettiVector": BettiVector,
     "BettiVector entry": lambda v: BettiVector([1, v]),
+    "BettiVector degree": lambda v: BettiVector([0, 1])[v],
     "check_cdr betti": lambda v: check_cdr(CDR, v, 1),
     "check_cdr betti entry": lambda v: check_cdr(CDR, [0, v], 1),
     "check_cdr n": lambda v: check_cdr(CDR, [0, 1], v),
@@ -106,11 +107,15 @@ INTEGER_ARGUMENTS = {
     "Fan3 cone index": lambda v: Fan3([[1, 0, 0]], [[v]]),
     "boundary_matrix degree": lambda v: boundary_matrix(SimplicialComplex("ab", ["ab"]), v),
     "FinitePoset.from_up_sets": lambda v: FinitePoset.from_up_sets([0, 1], [v, 0]),
+    "QMatrix ncols": lambda v: QMatrix([], ncols=v),
 }
 
 
-# None is the default bound and search limit, and an unknown table entry
-NONE_ALLOWED = {"deduce_lambda bound", "deduce_lambda search_limit", "InvariantTable entry"}
+# None is the default bound and search limit, an unknown table entry, and
+# a matrix width read off the rows
+NONE_ALLOWED = {
+    "deduce_lambda bound", "deduce_lambda search_limit", "InvariantTable entry", "QMatrix ncols",
+}
 
 
 @pytest.mark.parametrize("name, value", [
@@ -162,6 +167,6 @@ def test_only_errors_and_parse_rational_ask_for_bool():
     assert not any(calls.values()), calls
 
 
-def test_only_fm_feasible_asks_type_is_int():
+def test_no_module_asks_type_is_int():
     found = {path.stem: _type_is_int(ast.parse(path.read_bytes())) for path in SOURCES}
-    assert {stem: names for stem, names in found.items() if names} == {"fans": {"fm_feasible"}}
+    assert not any(found.values()), found

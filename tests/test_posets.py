@@ -21,7 +21,7 @@ from invar.arrangements import AffineSubspace, _interval_complexes
 from invar.posets import _vertex_key
 from test_qlinalg import reference_echelon_int
 from test_arrangements import k_equal_arrangement, pencil_arrangement
-from conftest import cone
+from conftest import cone, reference_order_complex
 
 
 def boolean_coordinate_poset(n):
@@ -170,6 +170,18 @@ class TestOrderComplex:
         poset = FinitePoset([0, 1], [(0, 1)])
         with pytest.raises(InputError):
             order_complex(poset, 0, 99)
+
+    def test_against_recursive_walk(self, rng):
+        # every pair of elements of random posets, comparable or not, and
+        # each element with itself: the open interval is then empty
+        for _ in range(60):
+            size = rng.randint(1, 8)
+            pairs = [(a, b) for a in range(size) for b in range(a + 1, size) if rng.random() < 0.4]
+            poset = FinitePoset(rng.sample(range(size), size), pairs)
+            for lower in range(size):
+                for upper in range(size):
+                    expected = reference_order_complex(poset, lower, upper)
+                    assert order_complex(poset, lower, upper) == expected
 
 
 class TestPosetValidation:
@@ -412,6 +424,12 @@ class TestSimplicialComplex:
         b = BettiVector([0, 1, 0, 0])
         assert b.values == (0, 1)
         assert b[5] == 0
+
+    @pytest.mark.parametrize("degree, echo", [("a", "'a'"), (True, "True"), (0.0, "0.0")])
+    def test_betti_vector_degree_is_checked(self, degree, echo):
+        with pytest.raises(InputError) as err:
+            BettiVector([0, 1])[degree]
+        assert str(err.value) == f"degree must be an integer, got {echo}"
 
     @pytest.mark.parametrize("values, echo", [
         ([1.5, 2], "1.5"),

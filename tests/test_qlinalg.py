@@ -183,6 +183,22 @@ class TestRank:
     def test_empty(self):
         assert QMatrix([], ncols=4).rank() == 0
 
+    @pytest.mark.parametrize("rows, ncols, text", [
+        ([], "3", "ncols must be a nonnegative integer, got '3'"),
+        ([], -1, "ncols must be a nonnegative integer, got -1"),
+        ([], True, "ncols must be a nonnegative integer, got True"),
+        ([[1, 2]], "2", "ncols must be a nonnegative integer, got '2'"),
+        ([[1, 2]], 3, "expected 3 columns, got 2"),
+    ])
+    def test_ncols_is_checked(self, rows, ncols, text):
+        with pytest.raises(InputError) as err:
+            QMatrix(rows, ncols=ncols)
+        assert str(err.value) == text
+
+    def test_ncols_none_reads_the_rows(self):
+        assert QMatrix([], ncols=None).ncols == 0
+        assert QMatrix([[1, 2]], ncols=None).ncols == 2
+
     def test_transpose_invariance_random(self, rng):
         for _ in range(60):
             m = QMatrix(random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
