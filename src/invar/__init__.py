@@ -54,6 +54,7 @@ from .tables import (
     deduce_lambda,
     differential_target,
     euler_sum,
+    validate_cdr,
     validate_lambda,
 )
 

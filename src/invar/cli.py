@@ -30,6 +30,7 @@ from .fileio import (
     parse_fan,
     parse_table,
 )
+from .posets import _bits
 from .qlinalg import format_rational
 
 EXIT_OK = 0
@@ -62,7 +63,7 @@ def _emit_lattice(n: int, lattice: arrangements.IntersectionLattice, fmt: str) -
         }
         for f in lattice.flats
     ]
-    order = [[i, j] for i, up in enumerate(lattice.up) for j in arrangements._bits(up)]
+    order = [[i, j] for i, up in enumerate(lattice.up) for j in _bits(up)]
     doc = {"ambient_dim": n, "top": lattice.top_id, "flats": flats, "order": order, "notes": []}
     lines = [f"ambient dimension {n}, {len(flats)} flats, top id {lattice.top_id}"]
     for f in flats:
@@ -181,11 +182,7 @@ def _cmd_table(args) -> tuple[int, str]:
     # cdr tables need the abutment data
     if ambient is None or betti is None:
         raise InputError("checking a cdr table needs 'ambient_dim' and 'betti' in the file")
-    bad = [
-        f"triangularity violated: entry ({p},{q}) = {v}"
-        for p, row in enumerate(table.entries) for q, v in enumerate(row)
-        if p > q and v
-    ]
+    bad = tables.validate_cdr(table)
     if bad:
         return EXIT_INFEASIBLE, _emit_table(table, ["invalid: " + b for b in bad], args.format)
     feasible, witness = tables.check_cdr(table, betti, ambient)

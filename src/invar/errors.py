@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package, the cap on how
 much of an input value an error message repeats, the one test of what an
 integer input is (`_is_int`: an int, not a bool) and the wording of its
-refusal (`_int`), and `_Frozen`, the base of every immutable class."""
+refusal (`_int`), the one check of a Betti list (`_betti`), and `_Frozen`,
+the base of every immutable class."""
 
 from operator import attrgetter
 
@@ -29,6 +30,20 @@ def _int(value, what: str, least: int | None = None) -> int:
             least, f"an integer of at least {least}")
         raise InputError(f"{what} must be {kind}, got {_echo(value)}")
     return value
+
+
+def _betti(values) -> list[int]:
+    """values as a list, refusing anything but an iterable of nonnegative ints;
+    the message echoes the first bad entry, or values if it is not iterable."""
+    refusal = "Betti numbers must be nonnegative integers, got "
+    try:
+        vals = list(values)
+    except TypeError:
+        raise InputError(refusal + _echo(values)) from None
+    for v in vals:
+        if not _is_int(v) or v < 0:
+            raise InputError(refusal + _echo(v))
+    return vals
 
 
 class _Frozen:

@@ -1,8 +1,9 @@
 """Complete fans in a rank-3 lattice: validation, Picard rank, projectivity.
 
 A fan is a list of primitive integer rays plus maximal cones given as ray
-index sets.  Every check is local to a ray, a cone or a wall, and validation
-is integer-only.  It checks the rays, then each cone: a cone of three
+index sets (`Fan3` divides a ray by its content, with an InputWarning).
+Every check is local to a ray, a cone or a wall, and validation is
+integer-only.  It checks the rays, then each cone: a cone of three
 generators by one determinant, which is nonzero exactly when they span a
 pointed cone whose three pairs are its facets, and a larger cone by sign
 tests on pairs of generators (3-dimensional, strongly convex, facets),
@@ -28,13 +29,14 @@ it returns.
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import mul
 
-from .errors import InputError, SearchLimitError, _Frozen, _echo, _is_int
+from .errors import InputError, InputWarning, SearchLimitError, _Frozen, _echo, _int, _is_int
 from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
@@ -139,15 +141,17 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
 
     Returns a rational witness point, or None when the system is infeasible.
     Coefficients and constants are ints or whatever parse_rational reads, so
-    floats and bools raise InputError.  Each inequality is parsed and scaled
-    once to a tuple of coprime integers (coeffs..., const).  `_eliminate`
-    decides the system, and the witness is then back-substituted from its
-    stages, last eliminated variable first, as one integer vector over one
-    common denominator: each variable takes its largest lower bound, its
-    smallest upper bound, their midpoint when it has both, or 0 when it has
-    neither.  Only the returned list is in Fractions.  A stage over
-    `_FM_PAIR_LIMIT` pairs raises SearchLimitError.
+    floats and bools raise InputError, as does an nvars that is not a
+    nonnegative int.  Each inequality is parsed and scaled once to a tuple
+    of coprime integers (coeffs..., const).  `_eliminate` decides the
+    system, and the witness is then back-substituted from its stages, last
+    eliminated variable first, as one integer vector over one common
+    denominator: each variable takes its largest lower bound, its smallest
+    upper bound, their midpoint when it has both, or 0 when it has neither.
+    Only the returned list is in Fractions.  A stage over `_FM_PAIR_LIMIT`
+    pairs raises SearchLimitError.
     """
+    _int(nvars, "nvars", 0)
     system = []
     for coeffs, const in inequalities:
         row = _scaled_to_int([parse_rational(x) for x in (*coeffs, const)])
@@ -197,7 +201,8 @@ class Fan3(_Frozen):
 
     The constructor refuses a ray that is not three integers (bools
     excluded) or is zero, and a cone index that is not an integer in
-    range(len(rays)); `validate_fan` checks everything else.
+    range(len(rays)); then it divides each ray by its content, with an
+    InputWarning per rescaled ray.  `validate_fan` checks everything else.
     """
 
     __slots__ = ("rays", "max_cones")
@@ -214,6 +219,12 @@ class Fan3(_Frozen):
                 if not _is_int(i) or not 0 <= i < n:
                     raise InputError(f"maximal cone {k} has a ray index out of range: {_echo(i)}")
             cone_list.append(tuple(sorted(c)))
+        for i, ray in enumerate(ray_list):
+            prim = _content_free(ray)
+            if prim != ray:
+                warnings.warn(f"ray {i} = {list(ray)} rescaled to primitive {list(prim)}",
+                              InputWarning)
+                ray_list[i] = prim
         object.__setattr__(self, "rays", tuple(ray_list))
         object.__setattr__(self, "max_cones", tuple(cone_list))
 
@@ -340,12 +351,9 @@ def _cone_facets(fan: Fan3, cone_index: int):
 
 
 def validate_fan(fan: Fan3) -> FanReport:
-    """Run all structural checks and report violations."""
+    """Run every structural check that `Fan3` leaves and report violations."""
     violations: list[str] = []
     rays = fan.rays
-    for i, r in enumerate(rays):
-        if gcd(*r) != 1:
-            violations.append(f"ray {i} = {r} is not primitive")
     seen: dict[IVec, int] = {}
     for i, r in enumerate(rays):
         if r in seen:

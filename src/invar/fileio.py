@@ -10,25 +10,22 @@ is an InputError that names the limit.
 The readers check a document's shape only: keys are present, values that
 must be lists are lists and a table's entries are (dim+1)x(dim+1).  Every
 other value goes once to the constructor that owns its check (`AffineSubspace`,
-`Fan3`, `InvariantTable`).  A table's dim, ambient_dim, betti and bound, which
-no constructor reads here, go through the checks the library makes of them
-(`errors._int`; `posets._betti` once betti is a list).  The readers add the
-subspace's label to its messages and rescale non-primitive rays with an
-InputWarning.
+`Fan3`, `InvariantTable`); `Fan3` also rescales a non-primitive ray, with an
+InputWarning.  A table's dim, ambient_dim, betti and bound, which no
+constructor reads here, go through the checks the library makes of them
+(`errors._int`; `errors._betti` once betti is a list).  The readers add only
+the subspace's label to its messages.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-import warnings
 from collections.abc import Sequence
 
 from .arrangements import AffineSubspace
-from .errors import InputError, InputWarning, _ECHO_CHARS, _echo, _int
+from .errors import InputError, _ECHO_CHARS, _betti, _echo, _int
 from .fans import Fan3
-from .posets import _betti
-from .qlinalg import _content_free
 from .tables import InvariantTable
 
 
@@ -104,7 +101,7 @@ def parse_arrangement(doc: dict) -> tuple[int, list[AffineSubspace], list[str]]:
 
 def parse_fan(doc: dict) -> Fan3:
     """Read a fan file: integer rays plus maximal cones as ray index lists.
-    A non-primitive ray is rescaled, with an InputWarning."""
+    `Fan3` rescales a non-primitive ray, with an InputWarning."""
     try:
         rays = doc["rays"]
         cones = doc["max_cones"]
@@ -117,15 +114,7 @@ def parse_fan(doc: dict) -> Fan3:
     for k, cone in enumerate(cones):
         if not isinstance(cone, list) or not cone:
             raise InputError(f"maximal cone {k} must be a nonempty list of ray indices")
-    fan = Fan3(rays, cones)
-    prims = [_content_free(r) for r in fan.rays]
-    if prims == list(fan.rays):
-        return fan
-    for i, (ray, prim) in enumerate(zip(fan.rays, prims)):
-        if ray != prim:
-            warnings.warn(f"ray {i} = {list(ray)} rescaled to primitive {list(prim)}",
-                          InputWarning)
-    return Fan3(prims, fan.max_cones)
+    return Fan3(rays, cones)
 
 
 def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None, int | None]:

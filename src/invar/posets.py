@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
 
-from .errors import InputError, _Frozen, _echo, _int, _is_int
+from .errors import InputError, _Frozen, _betti, _echo, _int, _is_int
 from .qlinalg import QMatrix, _extend_sparse_echelon
 
 
@@ -174,20 +174,6 @@ class SimplicialComplex(_Frozen):
     def euler_characteristic_reduced(self) -> int:
         """Alternating simplex count over the augmented complex (degree -1 included)."""
         return sum((-1) ** k * len(level) for k, level in enumerate(self.faces[1:])) - 1
-
-
-def _betti(values) -> list[int]:
-    """values as a list, refusing anything but an iterable of nonnegative ints;
-    the message echoes the first bad entry, or values if it is not iterable."""
-    refusal = "Betti numbers must be nonnegative integers, got "
-    try:
-        vals = list(values)
-    except TypeError:
-        raise InputError(refusal + _echo(values)) from None
-    for v in vals:
-        if not _is_int(v) or v < 0:
-            raise InputError(refusal + _echo(v))
-    return vals
 
 
 class BettiVector(_Frozen):

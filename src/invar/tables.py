@@ -5,10 +5,11 @@ cells), row index p downward, column index q rightward.  Two kinds exist:
 
 * ``lyubeznik``: socle-dimension tables; differentials move (p,q) to
   (p+r, q+r-1) on page r and the limit page must vanish off the diagonal
-  with total diagonal mass exactly 1.
+  with total diagonal mass exactly 1 (structural rules: validate_lambda).
 * ``cdr``: Cech-de Rham tables; differentials move (p,q) to (p-r, q+r-1)
   and the limit page is compared against reduced Betti numbers of the
-  complement along the anti-diagonals 2n - p - q - 1 = k.
+  complement along the anti-diagonals 2n - p - q - 1 = k.  A cdr table
+  must be upper-triangular (validate_cdr).
 
 Every differential flips the parity of p+q, so each convergence check is
 one circulation with lower bounds on a bipartite graph (see _lambda_witness
@@ -45,8 +46,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import InputError, SearchLimitError, _Frozen, _echo, _int, _is_int
-from .posets import _betti
+from .errors import InputError, SearchLimitError, _Frozen, _betti, _echo, _int, _is_int
 from .qlinalg import _extend_sparse_echelon, _nullspace_int, _primitive
 
 KIND_LYUBEZNIK = "lyubeznik"
@@ -210,6 +210,15 @@ def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> 
                     "where only row 0 may be nonzero"
                 )
     return diags
+
+
+def validate_cdr(table: InvariantTable) -> list[str]:
+    """Each known nonzero entry below the diagonal of a Cech-de Rham table,
+    which must be upper-triangular; an empty list means valid."""
+    if table.kind != KIND_CDR:
+        raise InputError("validate_cdr expects a cdr table")
+    return [f"triangularity violated: entry ({p},{q}) = {v}"
+            for p, row in enumerate(table.entries) for q, v in enumerate(row[:p]) if v]
 
 
 def _require(table: InvariantTable, kind: str, caller: str, n=None) -> None:
@@ -615,33 +624,24 @@ class LinearRelation(_Frozen):
         object.__setattr__(self, "const", const)
 
     def render(self) -> str:
-        terms = list(self.coeffs)
-        if not terms:
+        """The first term = the others and the constant, negated, as signed `_term`s."""
+        if not self.coeffs:
             return f"{self.const} = 0"
-        (cell, a), rest = terms[0], terms[1:]
-        lhs = f"({cell[0]},{cell[1]})" if a == 1 else f"{a}*({cell[0]},{cell[1]})"
-        parts = []
-        for c, coeff in rest:
-            coeff = -coeff
-            name = f"({c[0]},{c[1]})"
-            if coeff == 1:
-                parts.append(("+", name))
-            elif coeff == -1:
-                parts.append(("-", name))
-            elif coeff > 0:
-                parts.append(("+", f"{coeff}*{name}"))
-            else:
-                parts.append(("-", f"{-coeff}*{name}"))
-        if self.const:
-            k = -self.const
-            parts.append(("+", str(k)) if k > 0 else ("-", str(-k)))
-        if not parts:
-            return f"{lhs} = 0"
-        first_sign, first_term = parts[0]
-        rhs = (f"-{first_term}" if first_sign == "-" else first_term)
-        for sign, term in parts[1:]:
-            rhs += f" {sign} {term}"
-        return f"{lhs} = {rhs}"
+        (first, a), *rest = self.coeffs
+        moved = [(-c, cell) for cell, c in rest] + ([(-self.const, None)] if self.const else [])
+        rhs = ""
+        for c, cell in moved:
+            sign = "+" if c > 0 else "-"
+            rhs += (f" {sign} " if rhs else "-" if sign == "-" else "") + _term(abs(c), cell)
+        return f"{_term(a, first)} = {rhs or 0}"
+
+
+def _term(c: int, cell: Cell | None) -> str:
+    """c times the cell's entry as "c*(p,q)", the 1 left out; c alone for no cell."""
+    if cell is None:
+        return str(c)
+    name = f"({cell[0]},{cell[1]})"
+    return name if c == 1 else f"{c}*{name}"
 
 
 class DeductionResult(_Frozen):
@@ -687,15 +687,16 @@ class DeductionResult(_Frozen):
         object.__setattr__(self, "_diffs", _diffs)
 
     def implies(self, coeffs: Mapping[Cell, int], const: int = 0) -> bool:
-        """Whether the relation holds on every feasible completion."""
-        if self.contradiction:
-            return True
+        """Whether the relation, of int coefficients and const, holds on every completion."""
+        _int(const, "const")
         index = {c: i for i, c in enumerate(self.unknown_cells)}
         vec = [0] * len(self.unknown_cells)
         for cell, coeff in coeffs.items():
             if cell not in index:
                 raise InputError(f"cell {cell} was not unknown in this deduction")
-            vec[index[cell]] = coeff
+            vec[index[cell]] = _int(coeff, f"coefficient of cell {cell}")
+        if self.contradiction:
+            return True
         if sum(a * b for a, b in zip(vec, self._first)) + const != 0:
             return False
         return all(

@@ -569,6 +569,13 @@ class TestTableCommands:
         assert run(capsys, "table", "check", "--input", write(tmp_path, "t.json", doc)) == (
             2, "", "error: ambient dimension 2 is too small for a table of dimension 2\n")
 
+    def test_check_cdr_below_the_diagonal_is_invalid(self, tmp_path, capsys):
+        doc = {"kind": "cdr", "dim": 1, "entries": [[0, 0], [2, 1]], "ambient_dim": 2,
+               "betti": [0, 1]}
+        path = write(tmp_path, "t.json", doc)
+        assert run(capsys, "table", "check", "--input", path) == (
+            3, "·  ·\n2  1\n# invalid: triangularity violated: entry (1,0) = 2\n", "")
+
     def test_check_cdr_missing_betti(self, tmp_path, capsys):
         doc = {"kind": "cdr", "dim": 2, "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
         path = write(tmp_path, "t.json", doc)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +12,7 @@ import pytest
 from invar import (
     Fan3,
     InputError,
+    InputWarning,
     QMatrix,
     SearchLimitError,
     class_rank,
@@ -28,6 +30,7 @@ from invar.cli import main
 from invar.fans import (
     PicardData, Wall, _cone_facets, _cramer, _dot, _eliminate, fm_feasible, primitive,
 )
+from invar.fileio import parse_fan
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
     cube_fan,
@@ -322,9 +325,12 @@ class TestValidation:
     def test_non_primitive_ray(self):
         fan = p3_fan()
         rays = [(2, 0, 0)] + [r for r in fan.rays[1:]]
-        report = validate_fan(Fan3(rays, fan.max_cones))
-        assert not report.valid
-        assert any("not primitive" in v for v in report.violations)
+        with pytest.warns(InputWarning) as caught:
+            scaled = Fan3(rays, fan.max_cones)
+        assert [str(w.message) for w in caught] == [
+            "ray 0 = [2, 0, 0] rescaled to primitive [1, 0, 0]"]
+        assert scaled == fan
+        assert validate_fan(scaled).valid
 
     def test_zero_ray(self):
         with pytest.raises(InputError) as err:
@@ -876,6 +882,63 @@ def _fan_file(tmp_path, fan):
     path.write_text(json.dumps({"rays": [list(r) for r in fan.rays],
                                 "max_cones": [list(c) for c in fan.max_cones]}))
     return str(path)
+
+
+CONFTEST_FANS = {
+    "p3": p3_fan, "cube": cube_fan, "nonprojective": nonprojective_fan, "octants": octant_fan,
+    "prism": lambda: prism_fan(False), "twisted prism": lambda: prism_fan(True),
+    "subdivided cube": lambda: subdivided_cube(1), "double cover": double_cover_fan,
+}
+
+
+def _outcome(call, fan):
+    """call(fan), or the text of the InputError it raises."""
+    try:
+        return call(fan)
+    except InputError as exc:
+        return str(exc)
+
+
+def _warned(make):
+    """make()'s value and the texts of the InputWarnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = make()
+    return value, [str(w.message) for w in caught if w.category is InputWarning]
+
+
+class TestRescaledRays:
+    """`Fan3` makes its rays primitive, so the library and the file reader
+    give one fan, one warning per rescaled ray and one answer."""
+
+    def test_warns_in_ray_order_with_the_vector_before_and_after(self):
+        fan, texts = _warned(lambda: Fan3([(0, 0, 3), (1, 0, 0), (-4, 6, 8)], [(0, 1, 2)]))
+        assert fan.rays == ((0, 0, 1), (1, 0, 0), (-2, 3, 4))
+        assert texts == ["ray 0 = [0, 0, 3] rescaled to primitive [0, 0, 1]",
+                         "ray 2 = [-4, 6, 8] rescaled to primitive [-2, 3, 4]"]
+
+    def test_a_refusal_comes_before_any_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="out of range"):
+                Fan3([(2, 0, 0), (0, 1, 0)], [(0, 2)])
+
+    @pytest.mark.parametrize("name", sorted(CONFTEST_FANS))
+    def test_both_doors_agree_on_scaled_rays(self, name):
+        fan = CONFTEST_FANS[name]()
+        rng = random.Random(name)
+        factors = [rng.randint(1, 4) for _ in fan.rays]
+        if all(f == 1 for f in factors):
+            factors[0] = 2
+        scaled = [[f * x for x in ray] for f, ray in zip(factors, fan.rays)]
+        doc = {"rays": scaled, "max_cones": [list(c) for c in fan.max_cones]}
+        built, warned = _warned(lambda: Fan3(scaled, fan.max_cones))
+        read, read_warned = _warned(lambda: parse_fan(doc))
+        assert built == read == fan
+        assert warned == read_warned
+        assert len(warned) == sum(f > 1 for f in factors)
+        assert validate_fan(built) == validate_fan(fan)
+        assert _outcome(picard_data, built) == _outcome(picard_data, fan)
 
 
 class TestOneValidationPerCall:

@@ -449,8 +449,8 @@ CHANGED = {
         "posets._betti owns the entries' check and echoes the first bad entry",
 }
 
-# parse_fan rescales rays once Fan3 has accepted the fan, so a document with
-# an error no longer warns first.  The command line prints warnings only for
+# Fan3 rescales rays only after all of its refusals, so a document with an
+# error no longer warns first.  The command line prints warnings only for
 # a command that succeeds, so its output is the same.
 WARNINGS_BEFORE_AN_ERROR = "reference warned before its error"
 

@@ -31,6 +31,7 @@ from invar import (
     differential_target,
 )
 from invar.errors import _int, _is_int
+from invar.fans import fm_feasible
 from invar.posets import boundary_matrix
 
 
@@ -74,6 +75,7 @@ class TestOwner:
 LAMBDA = InvariantTable("lyubeznik", [[0, 1, 0], [0, 0, 0], [0, 0, 2]])
 CDR = InvariantTable("cdr", [[1]])
 STATE = SpectralState.start(LAMBDA)
+DEDUCTION = deduce_lambda(InvariantTable("lyubeznik", [[0, None], [0, None]]))
 
 # every public argument that must be an integer, as a function of its value
 INTEGER_ARGUMENTS = {
@@ -108,6 +110,11 @@ INTEGER_ARGUMENTS = {
     "boundary_matrix degree": lambda v: boundary_matrix(SimplicialComplex("ab", ["ab"]), v),
     "FinitePoset.from_up_sets": lambda v: FinitePoset.from_up_sets([0, 1], [v, 0]),
     "QMatrix ncols": lambda v: QMatrix([], ncols=v),
+    "QMatrix.entry i": lambda v: QMatrix([[1, 2]]).entry(v, 0),
+    "QMatrix.entry j": lambda v: QMatrix([[1, 2]]).entry(0, v),
+    "fm_feasible nvars": lambda v: fm_feasible([], v),
+    "DeductionResult.implies coeff": lambda v: DEDUCTION.implies({(0, 1): v}),
+    "DeductionResult.implies const": lambda v: DEDUCTION.implies({}, v),
 }
 
 
@@ -130,6 +137,27 @@ def test_every_integer_argument_refuses_a_non_integer(name, value):
 @pytest.mark.parametrize("name", sorted(NONE_ALLOWED))
 def test_none_is_accepted_where_it_means_a_default_or_an_unknown(name):
     INTEGER_ARGUMENTS[name](None)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: QMatrix([[1, 2]]).entry(-1, 0), "entry (-1,0) outside a 1x2 matrix"),
+    (lambda: QMatrix([[1, 2]]).entry(0, 2), "entry (0,2) outside a 1x2 matrix"),
+    (lambda: fm_feasible([], -1), "nvars must be a nonnegative integer, got -1"),
+    (lambda: DEDUCTION.implies({(0, 1): "a"}),
+     "coefficient of cell (0, 1) must be an integer, got 'a'"),
+    (lambda: DEDUCTION.implies({}, "x"), "const must be an integer, got 'x'"),
+], ids=["negative row", "column past the end", "negative nvars", "str coefficient", "str const"])
+def test_index_and_count_refusals(call, text):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == text
+
+
+def test_integer_arguments_that_pass():
+    assert QMatrix([[1, 2], [3, 4]]).entry(1, 0) == 3
+    assert fm_feasible([((1,), 0)], 1) == [0]
+    assert fm_feasible([], 0) == []
+    assert DEDUCTION.implies({(0, 1): 1}, 0) and not DEDUCTION.implies({(0, 1): 1}, -1)
 
 
 SOURCES = sorted(Path(invar.__file__).parent.glob("*.py"))

@@ -8,16 +8,26 @@ and finite fields", Adv. Math. 122, 1996; A. Bjorner and T. Ekedahl,
 "Subspace arrangements over finite fields", Adv. Math. 129, 1997).  The
 ranks depend on minors of at most n + 1 rows, and with entries in {-1, 0, 1}
 those are at most 4 in absolute value for n = 2 and at most 16 for n = 3
-(the largest determinants of such 3x3 and 4x4 matrices), so p = 5 and
-p = 17 qualify.  The count runs on the input rows by brute force, with no
-call into the package's linear algebra.
+(the largest determinants of such 3x3 and 4x4 matrices), so every prime
+from 5 on qualifies in C^2, and every prime from 17 on in C^3.  The count
+runs on the input rows by brute force, with no call into the package's
+linear algebra.
+
+For a hyperplane arrangement, central or affine, that sum is the
+characteristic polynomial chi(q) at q = p, of degree n, so the counts at
+n + 1 such primes give chi.  By the Orlik-Solomon theorem (P. Orlik and
+H. Terao, "Arrangements of Hyperplanes", 1992) the complement's Betti
+numbers are then b_k = (-1)^k [q^(n-k)] chi(q), which checks the table's
+cells and not only the lattice.
 """
 
 import random
 import warnings
+from fractions import Fraction
 from itertools import product
 
-from invar import AffineSubspace, InputError, InputWarning, build_lattice
+from invar import AffineSubspace, InputError, InputWarning, build_lattice, cdr_table
+from invar import complement_betti
 from invar.arrangements import _moebius
 
 
@@ -87,3 +97,57 @@ def test_boolean_and_braid_closed_forms():
     assert characteristic_value(boolean, 3, 7)[0] == points_outside(boolean, 3, 7) == 6**3
     braid = [[[1, -1, 0, 0]], [[1, 0, -1, 0]], [[0, 1, -1, 0]]]
     assert characteristic_value(braid, 3, 7)[0] == points_outside(braid, 3, 7) == 7 * 6 * 5
+
+
+def random_hyperplanes(rng, n, central):
+    """The one-row systems of 1 to 6 random hyperplanes of C^n, entries in
+    {-1, 0, 1}, through the origin when `central`."""
+    arrangement = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [0] * n
+        while not any(coeffs):
+            coeffs = [rng.randint(-1, 1) for _ in range(n)]
+        arrangement.append([coeffs + [0 if central else rng.randint(-1, 1)]])
+    return arrangement
+
+
+def interpolate(points):
+    """The coefficients, constant first, of the polynomial of degree
+    len(points) - 1 through the (x, y) points (Lagrange)."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [Fraction(1)], Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [a - xj * b for a, b in zip([0] + basis, basis + [0])]
+                scale /= xi - xj
+        coeffs = [c + scale * b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def check_betti(seed, n, primes, cases):
+    """Compare the table's complement Betti numbers with those of the
+    interpolated chi on seeded random hyperplane arrangements, central and
+    affine in turn; returns how many lattices had an affine flat."""
+    rng = random.Random(seed)
+    affine = 0
+    for case in range(cases):
+        arrangement = random_hyperplanes(rng, n, central=case % 2 == 0)
+        chi = interpolate([(p, points_outside(arrangement, n, p)) for p in primes])
+        assert all(c.denominator == 1 for c in chi), (arrangement, chi)
+        expected = [(-1) ** k * int(chi[n - k]) for k in range(n + 1)] + [0] * (n - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InputWarning)
+            lattice = build_lattice([AffineSubspace.from_rows(n, rows) for rows in arrangement])
+        reduced = complement_betti(cdr_table(lattice), n)
+        assert [1 + reduced[0]] + reduced[1:] == expected, arrangement
+        affine += not all(f.subspace.is_linear() for f in lattice.flats)
+    return affine
+
+
+def test_plane_hyperplane_betti_numbers():
+    assert check_betti(2357, 2, (5, 7, 11), 200) >= 50
+
+
+def test_space_hyperplane_betti_numbers():
+    assert check_betti(1719, 3, (17, 19, 23, 29), 3) >= 1

@@ -1,8 +1,10 @@
 """Table validators, the Euler constraint, and the convergence/deduction engine."""
 
+import ast
 import random
 from collections import Counter
 from itertools import islice, product
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,10 @@ from invar import (
     deduce_lambda,
     differential_target,
     euler_sum,
+    validate_cdr,
     validate_lambda,
 )
+from invar import tables
 from invar.qlinalg import _extend_sparse_echelon, _nullspace_int
 from invar.tables import (
     _COMPLETION_CAP,
@@ -535,6 +539,39 @@ ENGINE_DEDUCTIONS = (
 )
 
 
+def reference_render(relation):
+    """The former body of `LinearRelation.render`, kept as an oracle: a
+    four-way branch per term, a separate constant branch and a second pass
+    that joins the signed parts."""
+    terms = list(relation.coeffs)
+    if not terms:
+        return f"{relation.const} = 0"
+    (cell, a), rest = terms[0], terms[1:]
+    lhs = f"({cell[0]},{cell[1]})" if a == 1 else f"{a}*({cell[0]},{cell[1]})"
+    parts = []
+    for c, coeff in rest:
+        coeff = -coeff
+        name = f"({c[0]},{c[1]})"
+        if coeff == 1:
+            parts.append(("+", name))
+        elif coeff == -1:
+            parts.append(("-", name))
+        elif coeff > 0:
+            parts.append(("+", f"{coeff}*{name}"))
+        else:
+            parts.append(("-", f"{-coeff}*{name}"))
+    if relation.const:
+        k = -relation.const
+        parts.append(("+", str(k)) if k > 0 else ("-", str(-k)))
+    if not parts:
+        return f"{lhs} = 0"
+    first_sign, first_term = parts[0]
+    rhs = (f"-{first_term}" if first_sign == "-" else first_term)
+    for sign, term in parts[1:]:
+        rhs += f" {sign} {term}"
+    return f"{lhs} = {rhs}"
+
+
 def random_relations(rng, result):
     """Integer relations on the unknowns: two random ones, most exact on the
     first completion, and a random integer combination of the identities."""
@@ -626,6 +663,60 @@ class TestValidateLambda:
     def test_wrong_kind(self):
         with pytest.raises(InputError):
             validate_lambda(cdr([[1]]))
+
+
+class TestValidateCdr:
+    def test_upper_triangular_is_valid(self):
+        assert validate_cdr(cdr([[0, 0, 1], [0, 0, 3], [0, 0, 3]])) == []
+
+    def test_every_entry_below_the_diagonal_is_named(self):
+        assert validate_cdr(cdr([[0, 0, 0], [2, 1, 0], [0, 5, 1]])) == [
+            "triangularity violated: entry (1,0) = 2",
+            "triangularity violated: entry (2,1) = 5",
+        ]
+
+    def test_unknowns_are_skipped(self):
+        assert validate_cdr(cdr([[N, N], [N, N]])) == []
+        assert validate_cdr(cdr([[N, N], [3, N]])) == ["triangularity violated: entry (1,0) = 3"]
+
+    def test_wrong_kind(self):
+        with pytest.raises(InputError) as err:
+            validate_cdr(lam([[1]]))
+        assert str(err.value) == "validate_cdr expects a cdr table"
+
+
+class TestRender:
+    @pytest.mark.parametrize("coeffs, const, text", [
+        ((), 0, "0 = 0"),
+        ((), -3, "-3 = 0"),
+        ((((0, 2), 1),), 0, "(0,2) = 0"),
+        ((((0, 2), -1),), 4, "-1*(0,2) = -4"),
+        ((((0, 2), 2), ((1, 3), -1), ((2, 3), 3)), -5, "2*(0,2) = (1,3) - 3*(2,3) + 5"),
+        ((((0, 3), 1), ((1, 4), 1), ((3, 5), -1)), 0, "(0,3) = -(1,4) + (3,5)"),
+    ])
+    def test_examples(self, coeffs, const, text):
+        assert LinearRelation(coeffs, const).render() == text
+
+    def test_matches_reference_on_random_relations(self):
+        rng = random.Random(2024)
+        cells = [(p, q) for p in range(6) for q in range(6)]
+        for _ in range(100_000):
+            size = rng.randint(0, 5)
+            coeffs = tuple((cell, rng.choice((-1, 1, rng.randint(-12, 12))))
+                           for cell in rng.sample(cells, size))
+            const = rng.choice((0, rng.randint(-30, 30)))
+            relation = LinearRelation(coeffs, const)
+            assert relation.render() == reference_render(relation), relation
+
+
+def test_tables_imports_nothing_from_posets():
+    """The engine builds no complex: the Betti-list check it shares with
+    `posets` lives in `errors`."""
+    tree = ast.parse(Path(tables.__file__).read_bytes())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert "posets" not in imported and "invar.posets" not in imported, imported
 
 
 class TestEulerSum:

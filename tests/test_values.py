@@ -37,7 +37,7 @@ CASES = {
     "BettiVector": (lambda k: BettiVector([0, 1 + k, 0]), True),
     "AffineSubspace": (lambda k: AffineSubspace.from_rows(3, [[1, k, 0, "1/3"]]), True),
     "Flat": (lambda k: Flat(k, AffineSubspace.from_rows(2, [[1, 0, 0]])), True),
-    "Fan3": (lambda k: Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1 + k)], [[2, 0, 1]]), True),
+    "Fan3": (lambda k: Fan3([(1, 0, 0), (0, 1, 0), (0, 1, 1 + k)], [[2, 0, 1]]), True),
     "Wall": (lambda k: Wall(cones=(0, 1), rays=(2, 3 + k)), True),
     "FanReport": (lambda k: FanReport(True, True, (), (Wall((0, 1), (2, 3)),), ((k,),)), True),
     "PicardData": (lambda k: PicardData(1 + k, 1, True), True),
