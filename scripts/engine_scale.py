@@ -24,7 +24,9 @@ Each of them converges, and its witness must replay through
 `SpectralState.apply_page` to a limit page holding one diagonal 1 and
 nothing else.  A perturbed case adds 1 to (0,0) and to the odd cell (0,d)
 (d odd) or (1,d) (d even), which no differential touches; the alternating
-sum stays 1, but that unit can never leave, so the check must fail.
+sum stays 1, but that unit can never leave.  The top-column rule of a
+Lyubeznik table forbids that cell, so the check must refuse the table, and
+its circulation (`tables._lambda_witness`) must find no witness either.
 
 Then runs `check_cdr` on seeded CdR tables of dimension 5, 6 and 7 with
 entries up to 9 (or less) on and above the diagonal, in ambient dimension
@@ -50,6 +52,7 @@ from invar import (
     deduce_lambda,
     differential_target,
 )
+from invar.tables import _lambda_witness
 
 N = None
 
@@ -177,13 +180,22 @@ def main() -> int:
     for d, seed, top, perturbed in LAMBDA_CASES:
         table = lambda_case(d, seed, top, perturbed)
         start = perf_counter()
-        feasible, witness = check_convergence_lambda(table)
+        try:
+            feasible, witness = check_convergence_lambda(table)
+            answer = f"feasible {feasible}"
+        except InputError as exc:
+            feasible, witness, answer = None, None, f"refused ({exc})"
         elapsed = perf_counter() - start
-        right = feasible != perturbed and (not feasible or replays_to_unit(table, witness))
+        if perturbed:
+            right = feasible is None and _lambda_witness(table.entries) is None
+            expected = "refused, no circulation"
+        else:
+            right = feasible is True and replays_to_unit(table, witness)
+            expected = "feasible True"
         ok &= right
         print(f"lambda d={d} seed={seed} top={top} perturbed={perturbed}: "
               f"{elapsed * 1000:.2f} ms, largest entry {max(map(max, table.entries))}, "
-              f"feasible {feasible} (expected {not perturbed}) {'ok' if right else 'WRONG'}")
+              f"{answer} (expected {expected}) {'ok' if right else 'WRONG'}")
     for d, seed, top, shift, want in CDR_CASES:
         table, betti, n = cdr_case(d, seed, top, shift)
         start = perf_counter()

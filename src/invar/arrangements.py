@@ -5,13 +5,14 @@ exact rational linear system and stored as primitive integer reduced rows.
 The intersection lattice orders all nonempty intersections by inclusion,
 with the ambient space as unique top element.
 
-Flats are found by meeting each flat with each component.  A component
-contains a flat when each of its rows reduces to zero against the flat's
-rows; it then goes into the flat's component bitmask, and nothing is
-eliminated.  Otherwise the meet is fixed by the cut, the reduced rows of
-the nonzero remainders: components with the same cut give the same meet,
-which is made once by back-substituting the cut's pivots into the flat's
-rows.  Remainders and meets both come from `qlinalg._substitute`, its one
+Flats are found by meeting each flat, with the pivots its meet returned,
+with each component.  A component of smaller codimension contains a flat
+when each of its rows reduces to zero against the flat's rows; it then goes
+into the flat's component bitmask, and nothing is eliminated.  Otherwise
+the meet is fixed by the cut, the reduced rows of the nonzero remainders
+(empty once one reads 0 = c): components with the same cut give the same
+meet, made once by back-substituting the cut's pivots into the flat's.
+Remainders and meets both come from `qlinalg._substitute`, its one
 back-substitution step, and the rational rref from `qlinalg._rref`, so this
 module keeps no elimination loop and builds no Fraction.  A flat is the
 meet of the components in its mask, so a component whose generating set
@@ -31,8 +32,9 @@ in the package reads it.
 The Cech-de Rham table is the reduced homology of each open interval
 (F, ambient).  When every component containing F is a hyperplane,
 [F, ambient] is a geometric lattice and, by Folkman's theorem, that homology
-is |mu(F, ambient)| in degree codim F - 2 only; mu comes from one pass over
-the up-sets.  Every other interval is read off its order complex or its
+is |mu(F, ambient)| in degree codim F - 2 only, mu from one pass over the
+flats above each flat; a component's interval is empty.  Neither needs a
+complex.  Every other interval is read off its order complex or its
 crosscut complex, whichever has fewer faces, both built from the up-sets
 (the chains by `posets._chains_above`, which `order_complex` shares) and
 ranked as sparse boundary columns with clearing; the crosscut's
@@ -52,7 +54,7 @@ from math import lcm
 from .errors import InputError, InputWarning, _Frozen, _int
 from .posets import FinitePoset, SimplicialComplex, _bits, _chains_above, reduced_betti
 from .qlinalg import (
-    QMatrix, _content_free, _echelon_int, _pivot, _pivots, _primitive, _reduced_int, _rref,
+    QMatrix, _content_free, _echelon_int, _pivots, _primitive, _reduced_int, _rref,
     _scaled_to_int, _substitute, parse_rational,
 )
 from .tables import (
@@ -80,24 +82,25 @@ def _cut(rows, ncols: int) -> tuple[tuple[int, ...], ...] | None:
     """The primitive reduced rows of an integer system, or None when they
     have a pivot in the constant column: no point satisfies them all.
 
-    One row needs only to be made primitive.  The cut of a component's
-    nonzero remainders against a flat fixes their meet, so components with
-    the same cut meet the flat in one subspace.
+    A row 0 = c, c nonzero, as every remainder against a point, gives None
+    at once.  One row needs only to be made primitive.  The cut of a
+    component's nonzero remainders against a flat fixes their meet, so
+    components with the same cut meet the flat in one subspace.
     """
+    if any(row[-1] and not any(row[:-1]) for row in rows):
+        return None
     if len(rows) == 1:
         row = rows[0]
-        if not any(row[:-1]):  # 0 = c: the ambient space when c is 0, else empty
-            return None if row[-1] else ()
-        return (_primitive(row),)
+        return (_primitive(row),) if any(row) else ()  # 0 = 0: the ambient space
     echelon = _echelon_int(rows, ncols)
     if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
         return None
     return tuple(_reduced_int(echelon))
 
 
-def _meet(pivots, cut) -> tuple[tuple[int, ...], ...]:
-    """Canonical rows of a subspace, given as the (pivot column, reduced row)
-    pairs `pivots`, cut by the rows `cut` of `_cut`.
+def _meet(pivots, cut) -> tuple[tuple, list]:
+    """Canonical rows, and their (pivot column, row) pairs, of a subspace
+    given as the pairs `pivots`, cut by the rows `cut` of `_cut`.
 
     The remainders are zero at the old pivot columns, and so is their cut,
     so the old rows need back-substitution at the new pivot columns only;
@@ -110,7 +113,7 @@ def _meet(pivots, cut) -> tuple[tuple[int, ...], ...]:
         done = _substitute(row, new)
         merged.append((c, row if done is row else _content_free(done)))
     merged.sort(key=lambda pair: pair[0])
-    return tuple(row for _, row in merged)
+    return tuple(row for _, row in merged), merged
 
 
 class AffineSubspace(_Frozen):
@@ -190,7 +193,7 @@ class AffineSubspace(_Frozen):
         cut = _cut(remainders, self.ambient_dim + 1)
         if cut is None:
             return None
-        return AffineSubspace._canonical(self.ambient_dim, _meet(pivots, cut))
+        return AffineSubspace._canonical(self.ambient_dim, _meet(pivots, cut)[0])
 
     def contained_in(self, other: "AffineSubspace") -> bool:
         """Whether every equation of `other` reduces to zero against ours."""
@@ -201,21 +204,18 @@ class AffineSubspace(_Frozen):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
 
 
-def _sorted_by_rref(subspaces: Iterable[AffineSubspace]) -> list[AffineSubspace]:
-    """Sorted by dimension, then by the rational rref's rows.
+def _rref_order(pairs: dict) -> list[tuple]:
+    """The flats' row tuples, the keys of `pairs`, which maps each to its
+    (pivot column, row) pairs, sorted by dimension, then by rational rref.
 
     The rref row of a primitive row is the row divided by its pivot.  Scaled
     by a common multiple of all pivots, every rref is an integer matrix and
     the order is unchanged, as all scale by the same positive constant.
     """
-    subspaces = list(subspaces)
-    pivots = {row: row[_pivot(row)] for s in subspaces for row in s.rows}
-    scale = lcm(*pivots.values())
-    scaled = {
-        row: row if p == scale else tuple(x * (scale // p) for x in row)
-        for row, p in pivots.items()
-    }
-    return sorted(subspaces, key=lambda s: (s.dim, tuple(scaled[row] for row in s.rows)))
+    scale = lcm(*(row[c] for merged in pairs.values() for c, row in merged))
+    return sorted(pairs, key=lambda rows: (-len(rows), tuple(
+        row if row[c] == scale else tuple([x * (scale // row[c]) for x in row])
+        for c, row in pairs[rows])))
 
 
 class Flat(_Frozen):
@@ -326,37 +326,40 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
 def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
     """The intersection lattice of normalized components.
 
-    Each flat is met with the components only.  The remainders of a
-    component's rows against the flat's rows decide containment (all zero:
-    the component goes into the flat's mask); otherwise their cut fixes the
-    meet, so the components with one cut are met once, as a group.  A flat
-    is the intersection of the components in its mask, so a component j
-    whose set mask | 1 << j has been met before is skipped.  A meet lies in
-    the flat's components and in the group's: that union bounds its mask
-    from below, and only the components outside it are reduced when the
-    meet is visited.
+    Each flat is met with the components only, and carries the pairs its
+    meet returned.  A component with fewer rows than the flat contains it
+    when all remainders of its rows are zero; one with no fewer rows that
+    contains it is the flat, already in its mask bound.  Otherwise their cut
+    fixes the meet, so the components with one cut are met once, as a group.
+    A flat is the intersection of the components in its mask, so a
+    component j whose set mask | 1 << j has been met before is neither
+    reduced nor met.  A meet lies in the flat's components and in the
+    group's: that union bounds its mask from below, and only the components
+    outside it are reduced when the meet is visited.
     """
     n = comps[0].ambient_dim
     comp_rows = [c.rows for c in comps]
     all_components = (1 << len(comps)) - 1
     lower = {rows: 1 << j for j, rows in enumerate(comp_rows)}  # flat -> mask bound
+    pairs = {rows: _pivots(rows) for rows in comp_rows}  # flat -> its pivots
     masks: dict[tuple, int] = {}
     met: set[int] = set()
     worklist = list(comp_rows)
     while worklist:
         rows = worklist.pop()
-        pivots = _pivots(rows)
+        pivots = pairs[rows]
         mask = lower[rows]
-        remainders = [
-            (j, _remainders(pivots, comp_rows[j])) for j in _bits(all_components & ~mask)
-        ]
-        for j, rem in remainders:
-            if not rem:
-                mask |= 1 << j
+        remainders = {}
+        for j in _bits(all_components & ~mask):
+            if len(comp_rows[j]) < len(rows):
+                remainders[j] = rem = _remainders(pivots, comp_rows[j])
+                if not rem:
+                    mask |= 1 << j
         masks[rows] = mask
         groups: dict[tuple | None, list[int]] = {}
-        for j, rem in remainders:
-            if rem and (mask | 1 << j) not in met:
+        for j in _bits(all_components & ~mask):
+            if (mask | 1 << j) not in met:
+                rem = remainders.get(j) or _remainders(pivots, comp_rows[j])
                 groups.setdefault(_cut(rem, n + 1), []).append(j)
         for cut, group in groups.items():
             generators = mask
@@ -365,17 +368,18 @@ def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
                 generators |= 1 << j
             if cut is None:
                 continue
-            meet = _meet(pivots, cut)
+            meet, merged = _meet(pivots, cut)
             if meet in lower:
                 lower[meet] |= generators
             else:
                 lower[meet] = generators
+                pairs[meet] = merged
                 worklist.append(meet)
-    ordered = _sorted_by_rref(AffineSubspace._canonical(n, rows) for rows in masks)
-    flats = [Flat(i, s) for i, s in enumerate(ordered)]
-    top = Flat(len(flats), AffineSubspace.ambient(n))
+    ordered = _rref_order(pairs)
+    flats = [Flat(i, AffineSubspace._canonical(n, rows)) for i, rows in enumerate(ordered)]
+    top = Flat(len(flats), AffineSubspace._canonical(n, ()))
     flats.append(top)
-    flat_masks = [masks[s.rows] for s in ordered] + [0]
+    flat_masks = [masks[rows] for rows in ordered] + [0]
     everything = (1 << len(flats)) - 1
     lacking = [everything] * len(comps)  # flats whose mask lacks component j
     for i, mask in enumerate(flat_masks):
@@ -390,25 +394,31 @@ def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
     return IntersectionLattice(n, tuple(flats), top.id, tuple(flat_masks), tuple(up))
 
 
-def _moebius(lattice: IntersectionLattice) -> list[int]:
-    """mu(F, ambient) for every flat F, indexed by id.
+def _proper_above(lattice: IntersectionLattice) -> list[list[int]]:
+    """For each proper flat, by id, the ids of the proper flats above it."""
+    proper = (1 << lattice.top_id) - 1
+    return [_bits(up & proper) for up in lattice.up[: lattice.top_id]]
+
+
+def _moebius(lattice: IntersectionLattice, above=None) -> list[int]:
+    """mu(F, ambient) for every flat F, indexed by id, given `above`, the
+    `_proper_above` lists (built here when not given).
 
     mu(ambient, ambient) = 1 and mu(F, ambient) is minus the sum of mu over
     the up-set of F; one pass down the ids, as a flat above another has a
     larger id.
     """
-    up = lattice.up
-    mu = [0] * len(up)
-    mu[lattice.top_id] = 1
+    above = _proper_above(lattice) if above is None else above
+    mu = [0] * lattice.top_id + [1]
     for i in range(lattice.top_id - 1, -1, -1):
-        mu[i] = -sum(mu[g] for g in _bits(up[i]))
+        mu[i] = -1 - sum(mu[g] for g in above[i])
     return mu
 
 
-def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
+def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat], above=None):
     """Yield (flat, complex) for each of the given proper flats F, where the
     complex is homotopy equivalent to the order complex of the open interval
-    (F, ambient).
+    (F, ambient); `above` as in `_moebius`.
 
     Two complexes qualify: the order complex itself, with one face per chain
     of proper flats above F, and, by the crosscut theorem (Rota 1964;
@@ -429,8 +439,7 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
     if not flats:
         return
     masks = lattice.masks
-    proper = (1 << lattice.top_id) - 1
-    above = [_bits(up & proper) for up in lattice.up[: lattice.top_id]]
+    above = _proper_above(lattice) if above is None else above
     chains = [0] * lattice.top_id
     cross = [0] * lattice.top_id
     # a flat strictly above another has larger dimension, hence a larger id
@@ -447,11 +456,11 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat]):
 
 
 def _hyperplane_components(lattice: IntersectionLattice) -> int:
-    """The bitmask of the components that are hyperplanes: a flat of
-    dimension n - 1 is contained only in itself."""
+    """The bitmask of the components that are hyperplanes: a flat of one
+    row is contained only in itself."""
     hyperplanes = 0
     for f in lattice.flats:
-        if f.dim == lattice.ambient_dim - 1:
+        if len(f.subspace.rows) == 1:
             hyperplanes |= lattice.masks[f.id]
     return hyperplanes
 
@@ -466,23 +475,28 @@ def cdr_table(lattice: IntersectionLattice) -> InvariantTable:
     geometric lattice of rank codim F; by Folkman's theorem (J. Folkman, "The
     homology groups of a lattice", 1966) the open interval then has homology
     only in degree codim F - 2, of rank |mu(F, ambient)|, so it adds |mu| to
-    cell (p, n - 1) and no complex is built.  The table is the same on every
-    page from 2 on, because all differentials vanish for arrangements.
+    cell (p, n - 1) and no complex is built.  A component has an empty
+    interval, so it adds b_{-1} = 1 to (p, p), with no complex either.  The
+    table is the same on every page from 2 on: all differentials vanish.
     """
-    d = lattice.dim()
     n = lattice.ambient_dim
+    dims = [n - len(f.subspace.rows) for f in lattice.flats[: lattice.top_id]]
+    d = max(dims)
     rows = [[0] * (d + 1) for _ in range(d + 1)]
     hyperplanes = _hyperplane_components(lattice)
-    mu = _moebius(lattice)
-    others = []
-    for flat in lattice.proper_flats():
-        if lattice.masks[flat.id] & ~hyperplanes:
-            others.append(flat)
-        else:  # a hyperplane contains the flat, so d = n - 1
-            rows[flat.dim][n - 1] += abs(mu[flat.id])
-    for flat, complex_ in _interval_complexes(lattice, others):
+    above = _proper_above(lattice)
+    mu = _moebius(lattice, above) if hyperplanes else None
+    ranked = []
+    for i, p in enumerate(dims):
+        if not lattice.masks[i] & ~hyperplanes:  # a hyperplane contains the flat, so d = n - 1
+            rows[p][n - 1] += abs(mu[i])
+        elif above[i]:
+            ranked.append(lattice.flats[i])
+        else:  # a component that is not a hyperplane
+            rows[p][p] += 1
+    for flat, complex_ in _interval_complexes(lattice, ranked, above):
         betti = reduced_betti(complex_)
-        p = flat.dim
+        p = dims[flat.id]
         for k in range(-1, betti.max_degree() + 1):
             mult = betti[k]
             if mult == 0:

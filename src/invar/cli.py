@@ -9,9 +9,10 @@ for tables the JSON keys are always kind, dim, entries, notes in that order.
 
 One table, _GROUPS, names each group's help, handler and commands.  A
 well-formed argv, `group command --flag value ... [--flag=value] [--strict]`,
-is read straight from that table and builds no parser.  Any other argv, and
-every request for help, goes to the full argparse tree of that table, which
-alone writes help, usage and error text.
+is read straight from _CANONICAL, that table's flags, defaults and required
+options per command, built once at import, and builds no parser.  Any other
+argv, and every request for help, goes to the full argparse tree of
+_GROUPS, which alone writes help, usage and error text.
 """
 
 from __future__ import annotations
@@ -87,19 +88,18 @@ def _cmd_arrangement(args) -> tuple[int, str]:
                 f"a flat's equations have an integer longer than "
                 f"{sys.get_int_max_str_digits()} digits"
             ) from exc
+    if args.command == "oracle":
+        betti = arrangements.moebius_betti_oracle(lattice)
+        doc = {"ambient_dim": n, "betti": betti, "notes": []}
+        lines = [f"b{k} = {v}" for k, v in enumerate(betti)]
+        return EXIT_OK, _emit_doc(doc, args.format, lines)
     table = arrangements.cdr_table(lattice)
     if args.command == "cdr":
         notes = [f"ambient dimension: {n}", f"components: {len(names)}"]
         return EXIT_OK, _emit_table(table, notes, args.format)
-    if args.command == "betti":
-        betti = arrangements.complement_betti(table, n)
-        doc = {"ambient_dim": n, "betti": betti, "notes": []}
-        lines = [f"b~{k} = {v}" for k, v in enumerate(betti) if v] or ["all reduced Betti numbers vanish"]
-        return EXIT_OK, _emit_doc(doc, args.format, lines)
-    # oracle
-    betti = arrangements.moebius_betti_oracle(lattice)
+    betti = arrangements.complement_betti(table, n)
     doc = {"ambient_dim": n, "betti": betti, "notes": []}
-    lines = [f"b{k} = {v}" for k, v in enumerate(betti)]
+    lines = [f"b~{k} = {v}" for k, v in enumerate(betti) if v] or ["all reduced Betti numbers vanish"]
     return EXIT_OK, _emit_doc(doc, args.format, lines)
 
 
@@ -226,30 +226,40 @@ _GROUPS = {
 }
 
 
+# (group, command) -> (flag -> (destination, options), the defaults by destination)
+_CANONICAL = {
+    (group, command): ({f: (f[2:].replace("-", "_"), o) for f, o in arguments},
+                       {f[2:].replace("-", "_"): o.get("default", False if "action" in o else None)
+                        for f, o in arguments})
+    for group, (_, _, commands) in _GROUPS.items() for command, arguments in commands.items()
+}
+
+
 def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
     """argparse's Namespace for `group command --flag value ... [--flag=value] [--strict]`.
 
     Names, type, choices, required, default and store_true come from _GROUPS,
-    whose options use no other add_argument keyword (a test pins this).
+    by _CANONICAL, and use no other add_argument keyword (a test pins this).
     Anything else gives None: an unknown or abbreviated option, -h, --, a
     stray word, a separate value starting with "-", a missing required
     option, a bad int or choice, or --strict=....  main then parses with
     argparse, so help, usage and error text have one source.
     """
-    if len(argv) < 2 or argv[0] not in _GROUPS or argv[1] not in _GROUPS[argv[0]][2]:
+    spec = _CANONICAL.get(tuple(argv[:2]))
+    if spec is None:
         return None
-    arguments = dict(_GROUPS[argv[0]][2][argv[1]])
-    given = {}
+    arguments, defaults = spec
+    args = argparse.Namespace(group=argv[0], command=argv[1], **defaults)
     tokens = iter(argv[2:])
     for token in tokens:
         flag, equals, value = token.partition("=")
-        options = arguments.get(flag)
-        if options is None:
+        if flag not in arguments:
             return None
+        dest, options = arguments[flag]
         if "action" in options:
             if equals:
                 return None
-            given[flag] = True
+            setattr(args, dest, True)
             continue
         if not equals:
             value = next(tokens, None)
@@ -263,14 +273,10 @@ def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
                 return None
         if "choices" in options and value not in options["choices"]:
             return None
-        given[flag] = value
-    values = {"group": argv[0], "command": argv[1]}
-    for flag, options in arguments.items():
-        if flag not in given and options.get("required"):
-            return None
-        default = options.get("default", False if "action" in options else None)
-        values[flag.lstrip("-").replace("-", "_")] = given.get(flag, default)
-    return argparse.Namespace(**values)
+        setattr(args, dest, value)
+    # a required option has no default, and a given value is never None
+    missing = any(o.get("required") and getattr(args, d) is None for d, o in arguments.values())
+    return None if missing else args
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -41,7 +41,8 @@ _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_fl
 
 def load_json(path: str) -> dict:
     """The top-level JSON object of a file.  Documents and error texts are
-    those of json.load on the file opened in text mode."""
+    those of json.load on the file opened in text mode.  `decode` runs only
+    to raise "Extra data" when more than " \\t\\n\\r" follows the document."""
     try:
         with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
@@ -54,7 +55,9 @@ def load_json(path: str) -> dict:
     try:
         if text.startswith("\ufeff"):  # json.loads checks this, JSONDecoder does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        doc = _DECODER.decode(text)
+        doc, end = _DECODER.raw_decode(text, len(text) - len(text.lstrip(" \t\n\r")))
+        if text[end:].strip(" \t\n\r"):
+            _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except InputError:  # a float literal, from _reject_float

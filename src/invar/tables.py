@@ -479,10 +479,13 @@ def _lambda_witness(entries) -> tuple | None:
 def check_convergence_lambda(table: InvariantTable):
     """Decide whether differential ranks can converge the table to one socle copy.
 
-    Returns (feasible, witness); the witness is a tuple of
-    (page, source_cell, target_cell, rank) with positive ranks, or None.
+    Returns (feasible, witness); the witness is a tuple of (page,
+    source_cell, target_cell, rank) with positive ranks, or None.  A table
+    `validate_lambda` calls invalid is refused, naming the first diagnostic.
     """
     _require(table, KIND_LYUBEZNIK, "check_convergence_lambda")
+    if diagnostics := validate_lambda(table):
+        raise InputError(f"invalid table: {diagnostics[0]}")
     witness = _lambda_witness(table.entries)
     return witness is not None, witness
 
@@ -541,9 +544,12 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int):
 
     Returns (feasible, witness) as check_convergence_lambda does.  The
     witness is () exactly when the antidiagonal sums already equal the
-    target, so the degenerate solution (every rank zero) matches.
+    target, so the degenerate solution (every rank zero) matches.  A table
+    `validate_cdr` calls invalid is refused, naming the first diagnostic.
     """
     _require(table, KIND_CDR, "check_cdr", n)
+    if diagnostics := validate_cdr(table):
+        raise InputError(f"invalid table: {diagnostics[0]}")
     witness = _cdr_witness(table.entries, _normalize_betti(betti, n), n)
     return witness is not None, witness
 

@@ -1,10 +1,12 @@
 """Intersection lattices, Cech-de Rham tables, and the small Lyubeznik tables."""
 
+import importlib.util
 import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +14,10 @@ from invar import (
     AffineSubspace,
     BettiVector,
     FinitePoset,
+    KIND_CDR,
     InputError,
     InputWarning,
+    InvariantTable,
     QMatrix,
     SimplicialComplex,
     boundary_matrix,
@@ -29,15 +33,22 @@ from invar import (
 )
 from invar import arrangements
 from invar.arrangements import (
+    Flat,
+    IntersectionLattice,
     _bits,
     _cut,
     _hyperplane_components,
     _interval_complexes,
+    _lattice,
+    _meet,
     _moebius,
     _normalize_components,
-    _sorted_by_rref,
+    _remainders,
+    _rref_order,
 )
+from invar.fileio import parse_arrangement
 from invar.posets import _chains_above
+from invar.qlinalg import _echelon_int, _pivot, _pivots, _primitive, _reduced_int
 from conftest import (
     coordinate_hyperplane,
     random_hyperplane,
@@ -154,6 +165,127 @@ def reference_build_lattice(components):
         if mask_a & mask_b == mask_b and mask_a != mask_b
     ]
     return subspaces, flat_masks, FinitePoset(range(len(subspaces)), pairs)
+
+
+def reference_cut(rows, ncols):
+    """The former `_cut`, as an oracle: every system of two or more rows is
+    eliminated before a pivot in the constant column is looked for."""
+    if len(rows) == 1:
+        row = rows[0]
+        if not any(row[:-1]):  # 0 = c: the ambient space when c is 0, else empty
+            return None if row[-1] else ()
+        return (_primitive(row),)
+    echelon = _echelon_int(rows, ncols)
+    if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
+        return None
+    return tuple(_reduced_int(echelon))
+
+
+def reference_sorted_by_rref(subspaces):
+    """The former flat order, as an oracle: each row's pivot read again by
+    `_pivot`, and each row scaled once, through a dictionary of rows."""
+    subspaces = list(subspaces)
+    pivots = {row: row[_pivot(row)] for s in subspaces for row in s.rows}
+    scale = lcm(*pivots.values())
+    scaled = {
+        row: row if p == scale else tuple(x * (scale // p) for x in row)
+        for row, p in pivots.items()
+    }
+    return sorted(subspaces, key=lambda s: (s.dim, tuple(scaled[row] for row in s.rows)))
+
+
+def reference_lattice(comps):
+    """The former `_lattice` loop, as an oracle: every pop derives its
+    pivots again, every component outside the mask bound is reduced and
+    tested for containment, and every cut is eliminated (`reference_cut`)."""
+    n = comps[0].ambient_dim
+    comp_rows = [c.rows for c in comps]
+    all_components = (1 << len(comps)) - 1
+    lower = {rows: 1 << j for j, rows in enumerate(comp_rows)}
+    masks = {}
+    met = set()
+    worklist = list(comp_rows)
+    while worklist:
+        rows = worklist.pop()
+        pivots = _pivots(rows)
+        mask = lower[rows]
+        remainders = [
+            (j, _remainders(pivots, comp_rows[j])) for j in _bits(all_components & ~mask)
+        ]
+        for j, rem in remainders:
+            if not rem:
+                mask |= 1 << j
+        masks[rows] = mask
+        groups = {}
+        for j, rem in remainders:
+            if rem and (mask | 1 << j) not in met:
+                groups.setdefault(reference_cut(rem, n + 1), []).append(j)
+        for cut, group in groups.items():
+            generators = mask
+            for j in group:
+                met.add(mask | 1 << j)
+                generators |= 1 << j
+            if cut is None:
+                continue
+            meet = _meet(pivots, cut)[0]
+            if meet in lower:
+                lower[meet] |= generators
+            else:
+                lower[meet] = generators
+                worklist.append(meet)
+    ordered = reference_sorted_by_rref(AffineSubspace._canonical(n, rows) for rows in masks)
+    flats = [Flat(i, s) for i, s in enumerate(ordered)]
+    top = Flat(len(flats), AffineSubspace.ambient(n))
+    flats.append(top)
+    flat_masks = [masks[s.rows] for s in ordered] + [0]
+    everything = (1 << len(flats)) - 1
+    lacking = [everything] * len(comps)
+    for i, mask in enumerate(flat_masks):
+        for j in _bits(mask):
+            lacking[j] ^= 1 << i
+    up = []
+    for i, mask in enumerate(flat_masks):
+        above = everything
+        for j in _bits(all_components & ~mask):
+            above &= lacking[j]
+        up.append(above ^ (1 << i))
+    return IntersectionLattice(n, tuple(flats), top.id, tuple(flat_masks), tuple(up))
+
+
+def reference_moebius(lattice):
+    """The former `_moebius`, as an oracle: the sum over each whole up-set,
+    the ambient space included, read off its bits."""
+    up = lattice.up
+    mu = [0] * len(up)
+    mu[lattice.top_id] = 1
+    for i in range(lattice.top_id - 1, -1, -1):
+        mu[i] = -sum(mu[g] for g in _bits(up[i]))
+    return mu
+
+
+def reference_cdr_table(lattice):
+    """The former `cdr_table` body, as an oracle: every dimension read
+    through `Flat.dim`, mu always computed, and every proper flat not below
+    hyperplanes alone ranked through a complex, components included."""
+    d = lattice.dim()
+    n = lattice.ambient_dim
+    rows = [[0] * (d + 1) for _ in range(d + 1)]
+    hyperplanes = 0
+    for f in lattice.flats:
+        if f.dim == n - 1:
+            hyperplanes |= lattice.masks[f.id]
+    mu = reference_moebius(lattice)
+    others = []
+    for flat in lattice.proper_flats():
+        if lattice.masks[flat.id] & ~hyperplanes:
+            others.append(flat)
+        else:
+            rows[flat.dim][n - 1] += abs(mu[flat.id])
+    for flat, complex_ in _interval_complexes(lattice, others):
+        betti = reduced_betti(complex_)
+        for k in range(-1, betti.max_degree() + 1):
+            rows[flat.dim][flat.dim + 1 + k] += betti[k]
+    return InvariantTable(KIND_CDR, rows)
 
 
 def reference_normalize_components(components):
@@ -473,7 +605,10 @@ class TestAffineSubspaceAgainstReference:
         for subspaces in by_ambient.values():
             shuffled = list(subspaces)
             rng.shuffle(shuffled)
-            assert _sorted_by_rref(shuffled) == sorted(shuffled, key=subspaces.__getitem__)
+            expected = sorted(shuffled, key=subspaces.__getitem__)
+            assert reference_sorted_by_rref(shuffled) == expected
+            pairs = {s.rows: tuple(_pivots(s.rows)) for s in shuffled}
+            assert _rref_order(pairs) == [s.rows for s in expected]
 
 
 class TestBuildLattice:
@@ -586,8 +721,12 @@ class TestCdrTable:
         assert [r[-1] for r in table.entries] == [0, 24, 50, 35, 10]
         assert ranked == []
         plane = AffineSubspace.from_rows(3, [[0, 0, 1, 0]])
-        cdr_table(build_lattice([plane, coordinate_line(3, 2)]))
-        assert len(ranked) == 2  # the line and the point; the plane gets mu
+        lattice = build_lattice([plane, coordinate_line(3, 2)])
+        cdr_table(lattice)
+        # the plane gets mu and the line, a component, b~_{-1} = 1 directly
+        point = lattice.flats[0]
+        assert point.dim == 0
+        assert ranked == [complex_ for _, complex_ in _interval_complexes(lattice, [point])]
 
     def test_non_central_parallel_and_crossing_lines(self):
         # x=0, x=1, y=0: two crossing points, one parallel pair.
@@ -805,6 +944,78 @@ class TestBuildLatticeAgainstReference:
         for comps in self.corpus():
             lattice = quiet_lattice(comps)
             assert [list(r) for r in cdr_table(lattice).entries] == homology_path_table(lattice)
+
+
+def ranks_an_interval(lattice):
+    """Whether `cdr_table` ranks a complex: a proper flat below a component
+    that is not a hyperplane, with a proper flat above it."""
+    hyperplanes, top = _hyperplane_components(lattice), 1 << lattice.top_id
+    return any(lattice.masks[f.id] & ~hyperplanes and lattice.up[f.id] != top
+               for f in lattice.proper_flats())
+
+
+def workload_arrangements(seeds):
+    """The component lists of every arrangements job of the benchmark, read
+    from `bench/workloads.py`, which builds its inputs without invar."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [parse_arrangement(job["doc"])[1]
+            for seed in seeds for job in workloads.arrangement_jobs(seed)]
+
+
+class TestCarriedPivotsAgainstReference:
+    """`_lattice`, `_rref_order`, `_moebius` and `cdr_table` against the
+    bodies they replace: pivots read again on each pop, every component
+    reduced, every cut eliminated, every component ranked."""
+
+    def assert_same(self, comps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InputWarning)
+            comps = _normalize_components(comps)
+        lattice, reference = _lattice(comps), reference_lattice(comps)
+        assert lattice.flats == reference.flats  # each flat's rows, in order
+        assert lattice.masks == reference.masks
+        assert lattice.up == reference.up
+        assert _moebius(lattice) == reference_moebius(reference)
+        assert cdr_table(lattice) == reference_cdr_table(reference)
+        return lattice
+
+    def test_workload_inputs(self):
+        corpus = workload_arrangements((0, 1, 2))
+        assert len(corpus) == 3 * 112
+        for comps in corpus:
+            self.assert_same(comps)
+
+    def test_random_arrangements(self):
+        rng = random.Random(3636)
+        corpus = random_mixed_components(rng, 1400) + random_hyperplane_components(rng, 600)
+        corpus += pruning_and_cut_components()
+        ranked = sum(ranks_an_interval(self.assert_same(comps)) for comps in corpus)
+        assert len(corpus) >= 2000 and ranked >= 500
+
+    def test_cut_matches_echelon_then_reduce(self):
+        rng = random.Random(2036)
+        kinds = {"empty": 0, "ambient": 0, "cut": 0, "zero rows": 0, "0 = c rows": 0}
+        for _ in range(20000):
+            ncols = rng.randint(2, 6)
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                shape = rng.random()
+                if shape < 0.1:
+                    row = [0] * ncols
+                elif shape < 0.2:
+                    row = [0] * (ncols - 1) + [rng.choice((-3, -1, 1, 2))]
+                else:
+                    row = [rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)]
+                rows.append(row)
+            kinds["zero rows"] += any(not any(row) for row in rows)
+            kinds["0 = c rows"] += any(row[-1] and not any(row[:-1]) for row in rows)
+            cut = _cut(rows, ncols)
+            assert cut == reference_cut(rows, ncols), rows
+            kinds["empty" if cut is None else "cut" if cut else "ambient"] += 1
+        assert min(kinds.values()) >= 1000, kinds
 
 
 class TestMeetCounts:

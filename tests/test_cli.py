@@ -332,6 +332,22 @@ class TestArrangementCommands:
         assert code == 0
         assert json.loads(out)["betti"] == [1, 3, 3, 1]
 
+    def test_oracle_builds_no_table(self, tmp_path, capsys, monkeypatch):
+        def refused(lattice):
+            raise AssertionError("the oracle needs no Cech-de Rham table")
+
+        monkeypatch.setattr(cli.arrangements, "cdr_table", refused)
+        path = write(tmp_path, "boolean3.json", BOOLEAN3)
+        assert run(capsys, "arrangement", "oracle", "--input", path) == (
+            0, "b0 = 1\nb1 = 3\nb2 = 3\nb3 = 1\n", "")
+        # the plane z = 0 and the z-axis: the line is not a hyperplane
+        path = write(tmp_path, "line_and_plane.json", {"ambient_dim": 3, "subspaces": [
+            {"equations": [[0, 0, 1, 0]]},
+            {"equations": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+        ]})
+        assert run(capsys, "arrangement", "oracle", "--input", path) == (
+            2, "", "error: Moebius oracle needs hyperplane components only\n")
+
     def test_lattice(self, tmp_path, capsys):
         path = write(tmp_path, "boolean3.json", BOOLEAN3)
         code, out, _ = run(capsys, "arrangement", "lattice", "--input", path, "--format", "json")

@@ -1,6 +1,7 @@
 """Table validators, the Euler constraint, and the convergence/deduction engine."""
 
 import ast
+import json
 import random
 from collections import Counter
 from itertools import islice, product
@@ -23,7 +24,7 @@ from invar import (
     validate_cdr,
     validate_lambda,
 )
-from invar import tables
+from invar import cli, tables
 from invar.qlinalg import _extend_sparse_echelon, _nullspace_int
 from invar.tables import (
     _COMPLETION_CAP,
@@ -32,11 +33,14 @@ from invar.tables import (
     LinearRelation,
     _alternating_sum,
     _antidiagonal_sums,
+    _cdr_witness,
     _Counter,
     _FlowGraph,
     _lambda_completions,
     _lambda_graph,
     _lambda_root,
+    _lambda_witness,
+    _normalize_betti,
     _raise_floors,
     _search_limit,
     _shift,
@@ -768,6 +772,81 @@ class TestConvergenceLambda:
             check_convergence_lambda(dim3_shape())
 
 
+def flow_verdict(table, *target):
+    """(feasible, witness) of the table's circulation.  A structurally valid
+    table goes through its public check; an invalid one, which the check
+    refuses naming the validator's first diagnostic, through the circulation
+    itself, so the flow is still compared on it."""
+    if table.kind == "cdr":
+        diagnostics, check = validate_cdr(table), check_cdr
+        betti, n = target
+        flow = lambda: _cdr_witness(table.entries, _normalize_betti(betti, n), n)
+    else:
+        diagnostics, check = validate_lambda(table), check_convergence_lambda
+        flow = lambda: _lambda_witness(table.entries)
+    if not diagnostics:
+        return check(table, *target)
+    with pytest.raises(InputError) as err:
+        check(table, *target)
+    assert str(err.value) == f"invalid table: {diagnostics[0]}"
+    witness = flow()
+    return witness is not None, witness
+
+
+def structural_cases():
+    """(kind, d, cell, value, refused): one cell of the valid table with a 1
+    at (d, d) and 0 elsewhere set to value, and whether the kind's rules
+    refuse the result."""
+    for kind in ("lyubeznik", "cdr"):
+        for d in range(1, 5):
+            yield kind, d, (1, 0), 1, True  # below the diagonal
+            yield kind, d, (d, 0), 2, True
+            yield kind, d, (d, d), 0, kind == "lyubeznik"
+            for p in (0, 1):
+                # the top-column rule of a lyubeznik table holds from d = 2
+                yield kind, d, (p, d), 1, kind == "lyubeznik" and d >= 2 and p < d
+
+
+class TestChecksApplyStructuralRules:
+    """Each spectral check refuses a table its kind's validator calls
+    invalid, naming the first diagnostic that `table check` prints."""
+
+    @pytest.mark.parametrize("kind,d,cell,value,refused", list(structural_cases()))
+    def test_library_and_table_check_agree(self, kind, d, cell, value, refused, tmp_path, capsys):
+        rows = [[0] * (d + 1) for _ in range(d + 1)]
+        rows[d][d] = 1
+        rows[cell[0]][cell[1]] = value
+        table = InvariantTable(kind, rows)
+        n, betti = d + 1, [0] * (2 * d + 2)
+        if kind == "cdr":
+            diagnostics = validate_cdr(table)
+            check = lambda: check_cdr(table, betti, n)
+        else:
+            diagnostics = validate_lambda(table)
+            check = lambda: check_convergence_lambda(table)
+        assert bool(diagnostics) == refused
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"kind": kind, "dim": d, "entries": rows,
+                                    "ambient_dim": n, "betti": betti}))
+        code = cli.main(["table", "check", "--input", str(path)])
+        notes = [line[2:] for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+        if refused:
+            with pytest.raises(InputError) as err:
+                check()
+            assert str(err.value) == f"invalid table: {diagnostics[0]}"
+            assert code == 3 and notes[0] == f"invalid: {diagnostics[0]}"
+        else:
+            check()
+            assert not any(note.startswith("invalid") for note in notes)
+
+    def test_the_former_infeasible_answers(self):
+        prefix = r"^invalid table: triangularity violated: entry \(1,0\)"
+        with pytest.raises(InputError, match=prefix + " = 2$"):
+            check_cdr(InvariantTable("cdr", [[0, 0], [2, 1]]), [0, 1], 2)
+        with pytest.raises(InputError, match=prefix + " = 1 below the diagonal$"):
+            check_convergence_lambda(InvariantTable("lyubeznik", [[0, 0], [1, 1]]))
+
+
 class TestFlowAgainstSearch:
     def test_feasibility_matches_reference(self):
         rng = random.Random(4242)
@@ -777,7 +856,7 @@ class TestFlowAgainstSearch:
                 rows = random_lambda(rng, rng.randint(0, 6), adjust=i % 2 == 0)
             else:
                 rows = constructed_lambda(rng, rng.randint(2, 6), perturb=i % 2 == 0)
-            ok, witness = check_convergence_lambda(lam(rows))
+            ok, witness = flow_verdict(lam(rows))
             assert ok == (reference_convergence(rows) is not None), rows
             if ok:
                 feasible += 1
@@ -971,7 +1050,7 @@ class TestCdrFlowAgainstSearch:
         verdicts = {0: [0, 0], 1: [0, 0], 2: [0, 0]}
         degenerate = [0, 0]
         for rows, target, n, kind in self.cases():
-            ok, witness = check_cdr(cdr(rows), target, n)
+            ok, witness = flow_verdict(cdr(rows), target, n)
             assert ok == reference_cdr(rows, target, n), (rows, target, n)
             assert ok == (witness is not None)
             # the oracle for an empty witness is the comparison that check_cdr's
