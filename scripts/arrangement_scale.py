@@ -4,7 +4,8 @@ arrangements.
     PYTHONPATH=src python3 scripts/arrangement_scale.py
 
 For each case (boolean n = 6, 7, braid n = 6, 7, 8, k-equal (n, k) =
-(7, 3), (8, 4), (8, 3) and the pencil of k = 40 planes, plain and lifted), builds
+(7, 3), (8, 4), (8, 3), (9, 4) and the pencil of k = 40 planes, plain and
+lifted), builds
 the intersection lattice and the Cech-de Rham table, checks the table or the
 complement against an independent formula, and prints the wall time of both
 steps.  It also counts the meets `build_lattice` makes, the calls of
@@ -33,9 +34,9 @@ points of F_q^n off the arrangement for a prime power q (Athanasiadis), that
 is the words of length n over q letters in which no letter appears k or
 more times, chi(q) = n! [x^n] (sum_{i<k} x^i / i!)^q.  Both sides are
 compared at q = 0, ..., n + 2, enough to fix a polynomial of degree n.
-k-equal (8, 3) has 871 flats, and ranking its 870 interval complexes
-(145,883 faces) takes most of the script's time: it is the case where the
-faces' representation and their ranking show.
+k-equal (8, 3) has 871 flats and 870 interval complexes (145,883 faces),
+k-equal (9, 4) 824 flats: they are the cases where the faces'
+representation and their ranking show.
 
 The pencil is k planes of C^3 through the z-axis plus the plane z = 0.  Its
 table has the closed form [[0, 0, k-1], [0, 0, 2k-1], [0, 0, k+1]], one row
@@ -63,7 +64,7 @@ from invar import AffineSubspace, arrangements, build_lattice, cdr_table, comple
 MEETS = {
     "boolean n=6": 57, "boolean n=7": 120,
     "braid n=6": 666, "braid n=7": 3836, "braid n=8": 22982,
-    "k-equal (7,3)": 917, "k-equal (8,4)": 1314, "k-equal (8,3)": 5559,
+    "k-equal (7,3)": 917, "k-equal (8,4)": 1314, "k-equal (8,3)": 5559, "k-equal (9,4)": 6582,
     "pencil k=40": 119, "pencil k=40 lifted": 119,
 }
 
@@ -181,7 +182,7 @@ def main() -> int:
     cases = [(f"boolean n={n}", boolean(n), [poincare_check([1] * n)]) for n in (6, 7)]
     cases += [(f"braid n={n}", braid(n), [poincare_check(list(range(1, n)))]) for n in (6, 7, 8)]
     cases += [(f"k-equal ({n},{k})", k_equal(n, k), [euler_check, k_equal_chi_check(n, k)])
-              for n, k in ((7, 3), (8, 4), (8, 3))]
+              for n, k in ((7, 3), (8, 4), (8, 3), (9, 4))]
     cases += [(f"pencil k=40{' lifted' if lifted else ''}", pencil(40, lifted), [pencil_check(40)])
               for lifted in (False, True)]
     for name, comps, checks in cases:

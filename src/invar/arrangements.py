@@ -11,10 +11,11 @@ when each of its rows reduces to zero against the flat's rows; it then goes
 into the flat's component bitmask, and nothing is eliminated.  Otherwise
 the meet is fixed by the cut, the reduced rows of the nonzero remainders
 (empty once one reads 0 = c): components with the same cut give the same
-meet, made once by back-substituting the cut's pivots into the flat's.
-Remainders and meets both come from `qlinalg._substitute`, its one
-back-substitution step, and the rational rref from `qlinalg._rref`, so this
-module keeps no elimination loop and builds no Fraction.  A flat is the
+meet, made once by folding the cut's rows into the flat's pivots.
+Remainders come from `qlinalg._substitute`, its one back-substitution step,
+cuts and meets from `qlinalg._reduced`, the reduced-form fold built on it,
+and the rational rref from `qlinalg._rref`, so this module keeps no
+elimination loop and builds no Fraction.  A flat is the
 meet of the components in its mask, so a component whose generating set
 (the mask plus that component) has been met before is skipped.  A meet lies
 in the flat's components and in the group's, so that union is a lower bound
@@ -35,10 +36,11 @@ The Cech-de Rham table is the reduced homology of each open interval
 is |mu(F, ambient)| in degree codim F - 2 only, mu from one pass over the
 flats above each flat; a component's interval is empty.  Neither needs a
 complex.  Every other interval is read off its order complex or its
-crosscut complex, whichever has fewer faces, both built from the up-sets
-(the chains by `posets._chains_above`, which `order_complex` shares) and
-ranked as sparse boundary columns with clearing; the crosscut's
-vertices are the components containing F, read off F's own mask.  The
+crosscut complex, whichever has fewer faces, listed as bitmasks straight
+from the lattice (the chains over flat ids by `posets._chains_above`, which
+`order_complex` shares, the crosscut's faces over component bits from the
+masks above F) and ranked by `posets._face_betti`, as sparse coboundary
+columns with clearing; no `SimplicialComplex` is built.  The
 module also gives the reduced Betti numbers of the complement, a
 Moebius-function cross-check for central hyperplane arrangements, and the
 closed-form Lyubeznik tables in dimension <= 2, whose one number, the count
@@ -52,10 +54,9 @@ from collections.abc import Iterable, Sequence
 from math import lcm
 
 from .errors import InputError, InputWarning, _Frozen, _int
-from .posets import FinitePoset, SimplicialComplex, _bits, _chains_above, reduced_betti
+from .posets import FinitePoset, _bits, _chains_above, _face_betti
 from .qlinalg import (
-    QMatrix, _content_free, _echelon_int, _pivots, _primitive, _reduced_int, _rref,
-    _scaled_to_int, _substitute, parse_rational,
+    QMatrix, _pivots, _primitive, _reduced, _rref, _scaled_to_int, _substitute, parse_rational,
 )
 from .tables import (
     KIND_CDR,
@@ -83,36 +84,31 @@ def _cut(rows, ncols: int) -> tuple[tuple[int, ...], ...] | None:
     have a pivot in the constant column: no point satisfies them all.
 
     A row 0 = c, c nonzero, as every remainder against a point, gives None
-    at once.  One row needs only to be made primitive.  The cut of a
-    component's nonzero remainders against a flat fixes their meet, so
-    components with the same cut meet the flat in one subspace.
+    at once.  One row needs only to be made primitive; more are folded by
+    `qlinalg._reduced`.  The cut of a component's nonzero remainders against
+    a flat fixes their meet, so components with the same cut meet the flat
+    in one subspace.
     """
     if any(row[-1] and not any(row[:-1]) for row in rows):
         return None
     if len(rows) == 1:
         row = rows[0]
         return (_primitive(row),) if any(row) else ()  # 0 = 0: the ambient space
-    echelon = _echelon_int(rows, ncols)
-    if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
+    pairs = _reduced(rows)
+    if pairs and pairs[-1][0] == ncols - 1:  # a pivot in the constant column
         return None
-    return tuple(_reduced_int(echelon))
+    return tuple(row for _, row in pairs)
 
 
 def _meet(pivots, cut) -> tuple[tuple, list]:
     """Canonical rows, and their (pivot column, row) pairs, of a subspace
-    given as the pairs `pivots`, cut by the rows `cut` of `_cut`.
+    given as the pairs `pivots`, cut by the rows `cut` of `_cut`: the
+    reduced form `qlinalg._reduced` folds from both.
 
-    The remainders are zero at the old pivot columns, and so is their cut,
-    so the old rows need back-substitution at the new pivot columns only;
-    that keeps their pivots positive, and the union is the unique primitive
-    reduced form.  A row the step leaves alone is already primitive.
+    The cut's rows are zero at the old pivot columns, so each is primitive
+    as it stands, and only the old rows are cleared, at its pivot.
     """
-    new = _pivots(cut)
-    merged = list(new)
-    for c, row in pivots:
-        done = _substitute(row, new)
-        merged.append((c, row if done is row else _content_free(done)))
-    merged.sort(key=lambda pair: pair[0])
+    merged = _reduced(cut, pivots)
     return tuple(row for _, row in merged), merged
 
 
@@ -213,9 +209,9 @@ def _rref_order(pairs: dict) -> list[tuple]:
     the order is unchanged, as all scale by the same positive constant.
     """
     scale = lcm(*(row[c] for merged in pairs.values() for c, row in merged))
-    return sorted(pairs, key=lambda rows: (-len(rows), tuple(
+    return sorted(pairs, key=lambda rows: (-len(rows), tuple([
         row if row[c] == scale else tuple([x * (scale // row[c]) for x in row])
-        for c, row in pairs[rows])))
+        for c, row in pairs[rows]])))
 
 
 class Flat(_Frozen):
@@ -327,13 +323,18 @@ def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
     """The intersection lattice of normalized components.
 
     Each flat is met with the components only, and carries the pairs its
-    meet returned.  A component with fewer rows than the flat contains it
-    when all remainders of its rows are zero; one with no fewer rows that
-    contains it is the flat, already in its mask bound.  Otherwise their cut
-    fixes the meet, so the components with one cut are met once, as a group.
-    A flat is the intersection of the components in its mask, so a
-    component j whose set mask | 1 << j has been met before is neither
-    reduced nor met.  A meet lies in the flat's components and in the
+    meet returned.  A component with at least two rows fewer than the flat
+    contains it when all remainders of its rows are zero.  No other
+    component outside the mask bound can: one with no fewer rows that
+    contains it is the flat, and one with a single row fewer, C, is in the
+    bound already.  If C is not in the mask of a flat F the flat was met
+    from, the meet of C and F lies strictly inside C and contains the flat,
+    so it is the flat, and C had the cut of the flat's group against F.  A
+    component flat tests nothing, as no component lies in another.
+    Otherwise their cut fixes the meet, so the components with one cut are
+    met once, as a group.  A flat is the intersection of the components in
+    its mask, so a component j whose set mask | 1 << j has been met before
+    is neither reduced nor met.  A meet lies in the flat's components and in the
     group's: that union bounds its mask from below, and only the components
     outside it are reduced when the meet is visited.
     """
@@ -350,11 +351,12 @@ def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
         pivots = pairs[rows]
         mask = lower[rows]
         remainders = {}
-        for j in _bits(all_components & ~mask):
-            if len(comp_rows[j]) < len(rows):
-                remainders[j] = rem = _remainders(pivots, comp_rows[j])
-                if not rem:
-                    mask |= 1 << j
+        if mask & (mask - 1):  # not a component, whose mask bound is its own bit
+            for j in _bits(all_components & ~mask):
+                if len(comp_rows[j]) < len(rows) - 1:
+                    remainders[j] = rem = _remainders(pivots, comp_rows[j])
+                    if not rem:
+                        mask |= 1 << j
         masks[rows] = mask
         groups: dict[tuple | None, list[int]] = {}
         for j in _bits(all_components & ~mask):
@@ -416,25 +418,27 @@ def _moebius(lattice: IntersectionLattice, above=None) -> list[int]:
 
 
 def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat], above=None):
-    """Yield (flat, complex) for each of the given proper flats F, where the
-    complex is homotopy equivalent to the order complex of the open interval
+    """Yield (flat, faces) for each of the given proper flats F, where the
+    faces, bitmasks closed under nonempty subsets, are those of a complex
+    homotopy equivalent to the order complex of the open interval
     (F, ambient); `above` as in `_moebius`.
 
     Two complexes qualify: the order complex itself, with one face per chain
-    of proper flats above F, and, by the crosscut theorem (Rota 1964;
-    Bjorner, Topological Methods, 1995), the crosscut complex on the
-    components containing F, whose faces are the component sets with meet
-    strictly above F: the subsets of the masks of the proper flats above F.
-    Neither is small everywhere: on boolean arrangements the order complex
-    grows like n! and the crosscut like 2^n, on a pencil of planes through a
-    line the crosscut grows like 2^k and the order complex linearly.  So each
-    flat gets the one with fewer faces, counted exactly before building:
-    chains(G), the chains starting at G, and cross(G), the nonempty component
-    sets with meet exactly G, both summed over the proper flats G above F.
-    The crosscut's vertices are F's own mask when any proper flat lies above
-    F: F is then not a component, as no component lies in another after
-    pruning, so every component containing F is itself a proper flat above
-    F.  When none lies above F, F is a component and the complex is empty.
+    of proper flats above F, a bitmask over flat ids, and, by the crosscut
+    theorem (Rota 1964; Bjorner, Topological Methods, 1995), the crosscut
+    complex on the components containing F, whose faces are the component
+    sets with meet strictly above F: the nonempty submasks of the masks of
+    the proper flats above F.  Neither is small everywhere: on boolean
+    arrangements the order complex grows like n! and the crosscut like 2^n,
+    on a pencil of planes through a line the crosscut grows like 2^k and the
+    order complex linearly.  So each flat gets the one with fewer faces,
+    counted exactly before building: chains(G), the chains starting at G,
+    and cross(G), the nonempty component sets with meet exactly G, both
+    summed over the proper flats G above F.  A flat with no proper flat
+    above it is a component, and both complexes are empty.  A mask already
+    listed, as a submask of another, has had its submasks listed too, and
+    is skipped: taken by id, a flat's mask comes after the larger masks of
+    the flats below it.
     """
     if not flats:
         return
@@ -449,8 +453,14 @@ def _interval_complexes(lattice: IntersectionLattice, flats: Sequence[Flat], abo
     for f in flats:
         up = above[f.id]
         if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
-            vertices = _bits(masks[f.id]) if up else []
-            yield f, SimplicialComplex(vertices, [_bits(masks[g]) for g in up])
+            faces = set()
+            for g in up:
+                mask = sub = masks[g]
+                if mask not in faces:
+                    while sub:
+                        faces.add(sub)
+                        sub = (sub - 1) & mask
+            yield f, faces
         else:
             yield f, _chains_above(above, f.id)
 
@@ -494,8 +504,8 @@ def cdr_table(lattice: IntersectionLattice) -> InvariantTable:
             ranked.append(lattice.flats[i])
         else:  # a component that is not a hyperplane
             rows[p][p] += 1
-    for flat, complex_ in _interval_complexes(lattice, ranked, above):
-        betti = reduced_betti(complex_)
+    for flat, faces in _interval_complexes(lattice, ranked, above):
+        betti = _face_betti(faces)
         p = dims[flat.id]
         for k in range(-1, betti.max_degree() + 1):
             mult = betti[k]

@@ -3,13 +3,15 @@
 Homology is reduced throughout: the augmented chain complex always carries a
 rank-one degree -(1) term, so the empty complex has b_{-1} = 1 and a point is
 acyclic.  A complex keeps its faces as sorted vertex-position tuples grouped
-by size, closed downward once; Betti numbers come from the ranks of the
-boundary maps read off them: each simplex's boundary is a sparse integer
-column added to the exact echelon basis of `qlinalg._extend_sparse_echelon`,
-degree by degree from the top down with clearing.  Any complex can be passed
-in: the arrangement code hands over an order complex or a crosscut complex.
-Chains are enumerated in one place, `_chains_above`, from lists of the
-elements above each element: `order_complex` reads those lists off a
+by size, closed downward once.  Betti numbers come from one ranking,
+`_face_betti`, on a family of faces given as bitmasks over vertices: each
+face's coboundary is a sparse integer column added to the exact echelon
+basis of `qlinalg._extend_sparse_echelon`, degree by degree from the
+vertices up with clearing.  `reduced_betti` hands it a complex's faces; the
+arrangement code hands it the faces of an order complex or a crosscut
+complex straight from the lattice's bitsets, with no complex built.  Chains
+are enumerated in one place, `_chains_above`, as bitmasks, from lists of the
+positions above each position: `order_complex` reads those lists off a
 `FinitePoset`, and the arrangement code off the lattice's up-set bitsets.
 """
 
@@ -207,24 +209,28 @@ class BettiVector(_Frozen):
         return sum((-1) ** (k - 1) * v for k, v in enumerate(self.values))
 
 
-def _chains_above(above, lower) -> SimplicialComplex:
-    """The order complex of an open interval (lower, upper): above[lower]
-    lists the interval, and above[x], for x in it, the elements of the
-    interval strictly above x.  Each chain is grown upward from its minimum
-    in above[lower], as the chains are counted, so once only."""
-    chains = [(g,) for g in above[lower]]
+def _chains_above(above, lower) -> list[int]:
+    """The faces of the order complex of an open interval (lower, upper), as
+    bitmasks over positions: above[lower] lists the positions of the
+    interval, and above[x], for x in it, those of the elements of the
+    interval strictly above x, all larger than x.  Each chain is grown
+    upward from its minimum in above[lower], as the chains are counted, so
+    once only."""
+    chains = [1 << g for g in above[lower]]
     for chain in chains:  # the loop reaches the chains it appends
-        chains.extend(chain + (g,) for g in above[chain[-1]])
-    return SimplicialComplex(above[lower], chains)
+        chains.extend([chain | 1 << g for g in above[chain.bit_length() - 1]])
+    return chains
 
 
 def order_complex(poset: FinitePoset, lower, upper) -> SimplicialComplex:
     """Chains of the open interval (lower, upper) as a simplicial complex."""
-    interval = poset.open_interval(lower, upper)
-    less = poset.less
-    above = {x: [y for y in interval if (x, y) in less] for x in interval}
-    above[lower] = interval
-    return _chains_above(above, lower)
+    within, less = poset.open_interval(lower, upper), poset.less
+    # a linear extension: an element lies above more of the interval than any element below it
+    interval = sorted(within, key=lambda x: sum((y, x) in less for y in within))
+    above = [[j for j, y in enumerate(interval) if (x, y) in less] for x in interval]
+    above.append(range(len(interval)))
+    chains = _chains_above(above, len(interval))
+    return SimplicialComplex(interval, [map(interval.__getitem__, _bits(c)) for c in chains])
 
 
 def _boundary_column(simplex: tuple, low_index: dict) -> dict[int, int]:
@@ -251,27 +257,51 @@ def boundary_matrix(k: SimplicialComplex, degree: int) -> QMatrix:
 
 
 def reduced_betti(k: SimplicialComplex) -> BettiVector:
-    """Reduced rational Betti numbers from boundary-map ranks.
+    """Reduced rational Betti numbers of a complex: `_face_betti` on its
+    faces as bitmasks over vertex positions."""
+    return _face_betti([sum([1 << v for v in face]) for level in k.faces[1:] for face in level])
 
-    Sparse boundary columns go into one echelon basis per degree, from the
-    top down, with clearing (C. Chen and M. Kerber, "Persistent homology
-    computation with a twist", 2011): the basis rows of the boundary into
-    degree k are cycles in echelon form, so the column of a k-simplex at one
-    of their pivots lies in the span of the others, and is skipped.
+
+def _face_betti(faces: Iterable[int]) -> BettiVector:
+    """Reduced rational Betti numbers of the complex whose nonempty faces
+    are the distinct bitmasks `faces`, closed under nonempty subsets.
+
+    The ranks are those of the coboundaries, from the empty face up, with
+    clearing (C. Chen and M. Kerber, "Persistent homology computation with a
+    twist", 2011, in the cohomology form of V. de Silva, D. Morozov and M.
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).  The
+    columns of one degree are built in one pass over the faces one size up:
+    a face adds +-1 at its own index to the column of each facet it has, the
+    sign set by the position of the dropped bit.  The coboundary basis of the
+    degree below is in echelon form, and its rows are cocycles, so the column
+    of a face at one of their pivots lies in the span of the others, and is
+    skipped; rank delta_k is rank d_(k+1).  No faces at all, or the empty one
+    only, leave b_{-1} = 1.
     """
-    d = k.dim()
-    if d < 0:
-        return BettiVector([1])  # no vertices: only H~_{-1} survives
-    # the lexicographic order of the faces keeps the fill-in low
-    faces = k.faces
-    # ranks[i]: rank of the boundary of the i-vertex simplices; 1 for vertices
-    ranks = [0, 1] + [0] * (d + 1)
-    basis: dict[int, dict[int, int]] = {}
-    for size in range(d + 1, 1, -1):
-        cleared, basis = basis, {}
-        low_index = {s: i for i, s in enumerate(faces[size - 1])}
-        for j, simplex in enumerate(faces[size]):
+    levels = [[0]]  # levels[s]: the faces with s vertices
+    for face in faces:
+        size = face.bit_count()
+        while len(levels) <= size:
+            levels.append([])
+        levels[size].append(face)
+    for level in levels:
+        level.sort()
+    # ranks[s]: rank of the coboundary of levels[s]; the top level's, 0, is
+    # also ranks[-1], the degree below the empty face's
+    ranks = [0] * len(levels)
+    cleared: dict[int, dict[int, int]] = {}
+    for size in range(len(levels) - 1):
+        index = {face: j for j, face in enumerate(levels[size])}
+        columns: list[dict[int, int]] = [{} for _ in index]
+        for i, face in enumerate(levels[size + 1]):
+            sign, rest = 1, face
+            while rest:
+                bit = rest & -rest
+                columns[index[face ^ bit]][i] = sign
+                sign, rest = -sign, rest ^ bit
+        basis: dict[int, dict[int, int]] = {}
+        for j, column in enumerate(columns):
             if j not in cleared:
-                _extend_sparse_echelon(basis, _boundary_column(simplex, low_index))
-        ranks[size] = len(basis)
-    return BettiVector(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(d + 2))
+                _extend_sparse_echelon(basis, column)
+        ranks[size], cleared = len(basis), basis
+    return BettiVector(len(level) - ranks[s - 1] - ranks[s] for s, level in enumerate(levels))

@@ -2,15 +2,15 @@
 at the boundary.
 
 All elimination runs on Python ints and is fraction-free.  There is one
-forward-elimination loop, `_extend_sparse_echelon`, which adds one sparse
-row at a time to an echelon basis: it ranks the boundary maps of simplicial
-complexes and holds the deduction engine's basis of completion differences.
-There is one back-substitution step, `_substitute`, which clears a row at
-the pivot columns of reduced rows, one pivot lookup, `_pivot`, and one
-normalization, `_primitive`.  `_echelon_int` runs the loop over dense rows,
-`_reduced_int` runs the step on that to the unique primitive reduced form,
-and `_nullspace_int` reads primitive nullspace vectors off it; the other
-layers call these, and the arrangement layer the step, directly.
+sparse forward-elimination loop, `_extend_sparse_echelon`, which adds one
+sparse row at a time to an echelon basis: it ranks the coboundaries of
+simplicial complexes and holds the deduction engine's basis of completion
+differences.  There is one back-substitution step, `_substitute`, which
+clears a row at the pivot columns of reduced rows, one pivot lookup,
+`_pivot`, and one normalization, `_primitive`.  Every dense reduced form
+comes from `_reduced`, a fraction-free Gauss-Jordan fold of one row at a
+time built on them, and `_nullspace_int` reads primitive nullspace vectors
+off it; the other layers call these directly.
 `fractions.Fraction` appears only at the boundary: rational string literals,
 the `QMatrix` wrappers, and `_rref`, the one rational read-out of reduced
 rows, which `QMatrix.rref` and `AffineSubspace.rref_rows` return.  Integer
@@ -62,7 +62,7 @@ def parse_rational(value) -> int | Fraction:
 
 def _scaled_to_int(row: Sequence[int | Fraction]) -> list[int]:
     """A row of ints and Fractions times the lcm of its denominators."""
-    m = lcm(*(x.denominator for x in row))
+    m = lcm(*[x.denominator for x in row])
     return [x.numerator * (m // x.denominator) for x in row]
 
 
@@ -113,11 +113,11 @@ class QMatrix(_Frozen):
         return [_scaled_to_int(row) for row in self.entries]
 
     def rank(self) -> int:
-        return len(_echelon_int(self.scale_rows_to_int(), self.ncols))
+        return len(_reduced(self.scale_rows_to_int()))
 
     def rref(self) -> "QMatrix":
         """The unique reduced row echelon form; zero rows stay, at the bottom."""
-        rows = _rref(_reduced_int(_echelon_int(self.scale_rows_to_int(), self.ncols)))
+        rows = _rref(row for _, row in _reduced(self.scale_rows_to_int()))
         rows += [[0] * self.ncols] * (self.nrows - len(rows))
         return QMatrix(rows, ncols=self.ncols)
 
@@ -129,25 +129,6 @@ class QMatrix(_Frozen):
             free = next(x for x in reversed(vec) if x)
             basis.append(tuple(Fraction(x, free) for x in vec))
         return basis
-
-
-def _echelon_int(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Row echelon form of an integer matrix: the basis `_extend_sparse_echelon`
-    builds from the rows in order, as dense rows sorted by pivot column.
-
-    Leading entries lie in strictly increasing columns; the number of rows is
-    the rank.  The input rows are not modified.
-    """
-    basis: dict[int, dict[int, int]] = {}
-    for row in rows:
-        _extend_sparse_echelon(basis, {j: x for j, x in enumerate(row) if x})
-    out = []
-    for c in sorted(basis):
-        dense = [0] * ncols
-        for j, x in basis[c].items():
-            dense[j] = x
-        out.append(dense)
-    return out
 
 
 def _extend_sparse_echelon(basis: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
@@ -193,8 +174,10 @@ def _content_free(row: Sequence[int]) -> tuple[int, ...]:
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     """A nonzero integer row divided by its content, its pivot made positive."""
-    g = gcd(*row) if row[_pivot(row)] > 0 else -gcd(*row)
-    return tuple(x // g for x in row)
+    g = gcd(*row)
+    if row[_pivot(row)] < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple([x // g for x in row])
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -228,18 +211,30 @@ def _substitute(row: Sequence[int], pivots) -> Sequence[int]:
     return row
 
 
-def _reduced_int(echelon: list[list[int]]) -> list[tuple[int, ...]]:
-    """The reduced form of `_echelon_int` output, by back-substitution.
+def _reduced(rows: Iterable[Sequence[int]], pairs=()) -> list[tuple[int, Sequence[int]]]:
+    """The (pivot column, row) pairs of the primitive reduced form of the
+    span of `rows` and the (c, reduced row) pairs `pairs`, sorted by column.
 
-    Each row is primitive with a positive pivot, and every pivot column is
-    zero outside its pivot row; dividing each row by its pivot gives the
-    unique rref, so equal row spaces give equal results.
+    A fraction-free Gauss-Jordan fold: each row is cleared at the pivots so
+    far by `_substitute`; what is left, if anything, is made primitive, and
+    the earlier rows are cleared at its pivot and have their content divided
+    out.  Each row is primitive with a positive pivot, and every pivot column
+    is zero outside its pivot row; dividing each row by its pivot gives the
+    unique rref, so equal row spaces give equal results.  Zero rows are
+    dropped, so the number of pairs is the rank.
     """
-    done: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row), bottom up
-    for row in reversed(echelon):
-        row = _primitive(_substitute(row, done))
-        done.append((_pivot(row), row))
-    return [row for _, row in reversed(done)]
+    done = list(pairs)
+    for row in rows:
+        row = _substitute(row, done)
+        if any(row):
+            row = _primitive(row)
+            c = _pivot(row)
+            for i, (d, old) in enumerate(done):
+                if old[c]:
+                    done[i] = (d, _content_free(_substitute(old, ((c, row),))))
+            done.append((c, row))
+    done.sort()  # the columns differ, so no two rows are compared
+    return done
 
 
 def _nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
@@ -249,7 +244,7 @@ def _nullspace_int(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int,
     positive at f, zero at the other free columns, so it is a positive
     multiple of the rref-parameterized basis vector of f.
     """
-    pivots = _pivots(_reduced_int(_echelon_int(rows, ncols)))
+    pivots = _reduced(rows)
     # a common multiple of the pivots clears every denominator of the rref
     scale = lcm(*(row[c] for c, row in pivots))
     pivot_cols = {c for c, _ in pivots}

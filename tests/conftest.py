@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
-from invar import AffineSubspace, Fan3, InputError, SimplicialComplex
+from invar import AffineSubspace, BettiVector, Fan3, InputError, SimplicialComplex
 from invar.fans import primitive
+from invar.posets import _boundary_column
+from invar.qlinalg import _extend_sparse_echelon
 
 
 def p3_fan() -> Fan3:
@@ -113,6 +115,28 @@ def reference_order_complex(poset, lower, upper) -> SimplicialComplex:
     for x in interval:
         extend((x,), x)
     return SimplicialComplex(interval, chains)
+
+
+def reference_topdown_betti(k: SimplicialComplex) -> BettiVector:
+    """The former `reduced_betti` body, as an oracle: sparse boundary
+    columns go into one echelon basis per degree, from the top down, with
+    clearing; the column of a simplex at a pivot of the boundary basis of
+    the degree above is skipped."""
+    d = k.dim()
+    if d < 0:
+        return BettiVector([1])  # no vertices: only H~_{-1} survives
+    faces = k.faces
+    # ranks[i]: rank of the boundary of the i-vertex simplices; 1 for vertices
+    ranks = [0, 1] + [0] * (d + 1)
+    basis = {}
+    for size in range(d + 1, 1, -1):
+        cleared, basis = basis, {}
+        low_index = {s: i for i, s in enumerate(faces[size - 1])}
+        for j, simplex in enumerate(faces[size]):
+            if j not in cleared:
+                _extend_sparse_echelon(basis, _boundary_column(simplex, low_index))
+        ranks[size] = len(basis)
+    return BettiVector(len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(d + 2))
 
 
 def coordinate_hyperplane(n: int, axis: int) -> AffineSubspace:

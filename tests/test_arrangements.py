@@ -43,19 +43,23 @@ from invar.arrangements import (
     _meet,
     _moebius,
     _normalize_components,
+    _proper_above,
     _remainders,
     _rref_order,
 )
 from invar.fileio import parse_arrangement
-from invar.posets import _chains_above
-from invar.qlinalg import _echelon_int, _pivot, _pivots, _primitive, _reduced_int
+from invar.posets import _chains_above, _face_betti
+from invar.qlinalg import _content_free, _pivot, _pivots, _primitive, _substitute
 from conftest import (
     coordinate_hyperplane,
     random_hyperplane,
     random_subspace,
     reference_order_complex,
+    reference_topdown_betti,
 )
-from test_qlinalg import reference_echelon_int, reference_rref
+from test_qlinalg import (
+    reference_echelon_int, reference_reduced_int, reference_rref, reference_sparse_echelon_int,
+)
 
 
 def coordinate_line(n, axis):
@@ -128,6 +132,27 @@ def random_hyperplane_components(rng, count):
     return corpus
 
 
+def random_pencil_components(rng, count):
+    """Seeded lifted pencils: k >= 5 planes through a line and one plane
+    across it, all inside a hyperplane of C^4, in random integer coordinates,
+    central or affine.  Their bottom point ranks its order complex, which
+    has 5k + 3 faces against the crosscut's 2^k + k + 1."""
+    corpus = []
+    for _ in range(count):
+        while True:
+            change = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+            if QMatrix(change).rank() == 4:
+                break
+        shift = [rng.randint(-2, 2) for _ in range(4)] if rng.random() < 0.5 else [0] * 4
+        slopes = rng.sample(range(-9, 10), rng.randint(5, 7))
+        systems = [[[1, s, 0, 0], [0, 0, 0, 1]] for s in slopes] + [[[0, 0, 1, 0], [0, 0, 0, 1]]]
+        # x = change y + shift turns a x = 0 into (a change) y + a shift = 0
+        corpus.append([AffineSubspace.from_rows(4, [
+            [sum(a[i] * change[i][j] for i in range(4)) for j in range(4)]
+            + [sum(x * t for x, t in zip(a, shift))] for a in rows]) for rows in systems])
+    return corpus
+
+
 def reference_build_lattice(components):
     """The former builder, as an oracle: prune by stacked ranks, meet every
     flat with every component by eliminating the stacked system, sort by the
@@ -175,10 +200,22 @@ def reference_cut(rows, ncols):
         if not any(row[:-1]):  # 0 = c: the ambient space when c is 0, else empty
             return None if row[-1] else ()
         return (_primitive(row),)
-    echelon = _echelon_int(rows, ncols)
+    echelon = reference_sparse_echelon_int(rows, ncols)
     if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
         return None
-    return tuple(_reduced_int(echelon))
+    return tuple(reference_reduced_int(echelon))
+
+
+def reference_meet(pivots, cut):
+    """The former `_meet`, as an oracle: the cut's rows taken as they are,
+    and each old row back-substituted at their pivots."""
+    new = _pivots(cut)
+    merged = list(new)
+    for c, row in pivots:
+        done = _substitute(row, new)
+        merged.append((c, row if done is row else _content_free(done)))
+    merged.sort(key=lambda pair: pair[0])
+    return tuple(row for _, row in merged), merged
 
 
 def reference_sorted_by_rref(subspaces):
@@ -263,10 +300,34 @@ def reference_moebius(lattice):
     return mu
 
 
+def reference_interval_complexes(lattice, flats):
+    """The former `_interval_complexes` body, as an oracle: the same choice
+    of complex for each flat, built as a `SimplicialComplex`, the crosscut
+    on the flat's own mask or the chains grown as tuples of flat ids."""
+    masks = lattice.masks
+    above = _proper_above(lattice)
+    chains = [0] * lattice.top_id
+    cross = [0] * lattice.top_id
+    for i in range(lattice.top_id - 1, -1, -1):
+        chains[i] = 1 + sum(chains[g] for g in above[i])
+        cross[i] = (1 << masks[i].bit_count()) - 1 - sum(cross[g] for g in above[i])
+    for f in flats:
+        up = above[f.id]
+        if sum(cross[g] for g in up) <= sum(chains[g] for g in up):
+            vertices = _bits(masks[f.id]) if up else []
+            yield f, SimplicialComplex(vertices, [_bits(masks[g]) for g in up])
+        else:
+            walked = [(g,) for g in up]
+            for chain in walked:
+                walked.extend(chain + (g,) for g in above[chain[-1]])
+            yield f, SimplicialComplex(up, walked)
+
+
 def reference_cdr_table(lattice):
     """The former `cdr_table` body, as an oracle: every dimension read
     through `Flat.dim`, mu always computed, and every proper flat not below
-    hyperplanes alone ranked through a complex, components included."""
+    hyperplanes alone ranked through a complex, components included, by
+    the former complexes and the former top-down ranking."""
     d = lattice.dim()
     n = lattice.ambient_dim
     rows = [[0] * (d + 1) for _ in range(d + 1)]
@@ -281,8 +342,8 @@ def reference_cdr_table(lattice):
             others.append(flat)
         else:
             rows[flat.dim][n - 1] += abs(mu[flat.id])
-    for flat, complex_ in _interval_complexes(lattice, others):
-        betti = reduced_betti(complex_)
+    for flat, complex_ in reference_interval_complexes(lattice, others):
+        betti = reference_topdown_betti(complex_)
         for k in range(-1, betti.max_degree() + 1):
             rows[flat.dim][flat.dim + 1 + k] += betti[k]
     return InvariantTable(KIND_CDR, rows)
@@ -407,11 +468,12 @@ def pruning_and_cut_components():
 
 
 def homology_path_table(lattice):
-    """The Cech-de Rham table with every interval ranked through its complex."""
+    """The Cech-de Rham table with every interval ranked through its complex,
+    the former complex and the former top-down ranking."""
     d = lattice.dim()
     rows = [[0] * (d + 1) for _ in range(d + 1)]
-    for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
-        betti = reduced_betti(complex_)
+    for flat, complex_ in reference_interval_complexes(lattice, lattice.proper_flats()):
+        betti = reference_topdown_betti(complex_)
         for k in range(-1, betti.max_degree() + 1):
             rows[flat.dim][flat.dim + 1 + k] += betti[k]
     return rows
@@ -712,11 +774,11 @@ class TestCdrTable:
     def test_only_flats_below_a_non_hyperplane_are_ranked(self, monkeypatch):
         ranked = []
 
-        def counted(complex_):
-            ranked.append(complex_)
-            return reduced_betti(complex_)
+        def counted(faces):
+            ranked.append(faces)
+            return _face_betti(faces)
 
-        monkeypatch.setattr(arrangements, "reduced_betti", counted)
+        monkeypatch.setattr(arrangements, "_face_betti", counted)
         table = cdr_table(build_lattice(braid_arrangement(5)))
         assert [r[-1] for r in table.entries] == [0, 24, 50, 35, 10]
         assert ranked == []
@@ -726,7 +788,9 @@ class TestCdrTable:
         # the plane gets mu and the line, a component, b~_{-1} = 1 directly
         point = lattice.flats[0]
         assert point.dim == 0
-        assert ranked == [complex_ for _, complex_ in _interval_complexes(lattice, [point])]
+        assert ranked == [faces for _, faces in _interval_complexes(lattice, [point])]
+        [(_, complex_)] = reference_interval_complexes(lattice, [point])
+        assert _face_betti(ranked[0]) == reference_topdown_betti(complex_)
 
     def test_non_central_parallel_and_crossing_lines(self):
         # x=0, x=1, y=0: two crossing points, one parallel pair.
@@ -784,9 +848,9 @@ class TestAgainstReferencePaths:
 
     def test_interval_betti_matches_order_complex(self, rng):
         for lattice in self.corpus(rng):
-            for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
+            for flat, faces in _interval_complexes(lattice, lattice.proper_flats()):
                 reference = reference_order_complex(lattice.poset, flat.id, lattice.top_id)
-                assert reduced_betti(complex_) == qmatrix_betti(reference)
+                assert _face_betti(faces) == qmatrix_betti(reference)
 
     def test_chains_match_order_complex(self, rng):
         # every proper flat, whichever complex _interval_complexes picks for it
@@ -798,20 +862,29 @@ class TestAgainstReferencePaths:
             poset = lattice.poset
             for flat in lattice.proper_flats():
                 expected = reference_order_complex(poset, flat.id, top)
-                assert _chains_above(above, flat.id) == expected
+                chains = _chains_above(above, flat.id)
+                assert len(set(chains)) == len(chains)  # each chain once
+                assert SimplicialComplex(above[flat.id], map(_bits, chains)) == expected
                 assert order_complex(poset, flat.id, top) == expected
 
     def test_both_complexes_are_used(self):
         # faces at the bottom point, the empty face included.  Boolean n=4:
         # the crosscut has the 2^4 - 1 proper subsets of the hyperplanes, the
         # order complex 74 chains plus the empty one.  Pencil k=5: the crosscut
-        # has 2^k + k + 1 = 38 faces, the order complex 5k + 3 = 28
-        boolean = build_lattice([coordinate_hyperplane(4, i) for i in range(4)])
-        flats = boolean.proper_flats()
-        assert max(len(k.simplices) for _, k in _interval_complexes(boolean, flats)) == 2**4 - 1
-        pencil = build_lattice(pencil_arrangement(5))
-        flats = pencil.proper_flats()
-        assert max(len(k.simplices) for _, k in _interval_complexes(pencil, flats)) == 5 * 5 + 3
+        # has 2^k + k + 1 = 38 faces, the order complex 5k + 3 = 28.  The
+        # bitmask faces are the former complexes' nonempty simplices.
+        for lattice, most in [
+            (build_lattice([coordinate_hyperplane(4, i) for i in range(4)]), 2**4 - 1),
+            (build_lattice(pencil_arrangement(5)), 5 * 5 + 3),
+        ]:
+            flats = lattice.proper_flats()
+            pairs = list(_interval_complexes(lattice, flats))
+            assert max(len(faces) + 1 for _, faces in pairs) == most
+            for (flat, faces), (same, complex_) in zip(
+                    pairs, reference_interval_complexes(lattice, flats), strict=True):
+                assert flat is same and len(set(faces)) == len(faces)
+                simplices = {frozenset(_bits(face)) for face in faces} | {frozenset()}
+                assert simplices == complex_.simplices | {frozenset()}
 
     def test_pencil_of_planes(self):
         # the crosscut at the point has 2^k + k + 1 faces, so this stalls
@@ -936,8 +1009,13 @@ class TestBuildLatticeAgainstReference:
                     checked += 1
                 else:
                     assert flat in components
-                for _, complex_ in _interval_complexes(lattice, [flat]):
-                    assert sorted(complex_.vertices) in (_bits(union), above)
+                for _, faces in _interval_complexes(lattice, [flat]):
+                    vertices = 0
+                    for face in faces:
+                        vertices |= face
+                    assert _bits(vertices) in (_bits(union), above)
+                for _, complex_ in reference_interval_complexes(lattice, [flat]):
+                    assert sorted(complex_.vertices) == _bits(vertices)
         assert checked >= 500
 
     def test_table_matches_homology_path(self):
@@ -988,12 +1066,30 @@ class TestCarriedPivotsAgainstReference:
         for comps in corpus:
             self.assert_same(comps)
 
-    def test_random_arrangements(self):
+    def test_random_arrangements(self, monkeypatch):
         rng = random.Random(3636)
         corpus = random_mixed_components(rng, 1400) + random_hyperplane_components(rng, 600)
-        corpus += pruning_and_cut_components()
+        corpus += pruning_and_cut_components() + random_pencil_components(rng, 60)
+        walked = []  # the flats whose interval is ranked on its order complex
+        chains_above = arrangements._chains_above
+        monkeypatch.setattr(arrangements, "_chains_above",
+                            lambda *args: walked.append(args) or chains_above(*args))
         ranked = sum(ranks_an_interval(self.assert_same(comps)) for comps in corpus)
-        assert len(corpus) >= 2000 and ranked >= 500
+        assert len(corpus) >= 2000 and ranked >= 500 and len(walked) >= 50
+
+    def test_meet_matches_back_substitution(self):
+        rng = random.Random(3738)
+        met = 0
+        for _ in range(5000):
+            n = rng.randint(1, 5)
+            flat, other = random_subspace(rng, n, rng.random() < 0.5), random_subspace(rng, n)
+            pivots = _pivots(flat.rows)
+            remainders = _remainders(pivots, other.rows)
+            cut = _cut(remainders, n + 1) if remainders else None
+            if cut:
+                assert _meet(pivots, cut) == reference_meet(pivots, cut)
+                met += 1
+        assert met >= 1000
 
     def test_cut_matches_echelon_then_reduce(self):
         rng = random.Random(2036)
@@ -1052,6 +1148,29 @@ class TestMeetCounts:
                 assert AffineSubspace._canonical(n, _cut([row], n + 1)).equations == QMatrix(
                     expected, ncols=n + 1)
             assert _cut([row], n + 1) == _cut([row, [0] * (n + 1)], n + 1)
+
+
+class TestLatticeRemaindersCalls:
+    """Remainders `_lattice` computes, pinned exactly: a component is tested
+    for containing a flat only with at least two rows fewer, and never for
+    a component flat; every other remainder is for a new generating set.
+    The former loop, which tested every component with fewer rows, made
+    315 on braid n=5 and 112 on the affine planes."""
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: braid_arrangement(5), 285),
+        (affine_planes, 81),
+        (lambda: k_equal_arrangement(6, 3), 682),
+    ], ids=["braid-5", "affine-planes", "k-equal-6-3"])
+    def test_remainders_calls(self, monkeypatch, build, calls):
+        comps = _normalize_components(build())
+        made = []
+        remainders = arrangements._remainders
+        monkeypatch.setattr(arrangements, "_remainders",
+                            lambda *args: made.append(args) or remainders(*args))
+        lattice = _lattice(comps)
+        assert len(made) == calls
+        assert lattice.masks == reference_lattice(comps).masks
 
 
 class TestPruningCalls:

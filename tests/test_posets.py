@@ -16,12 +16,15 @@ from invar import (
     order_complex,
     reduced_betti,
 )
-from invar import arrangements, posets
+import test_arrangements
+from invar import posets
 from invar.arrangements import AffineSubspace, _interval_complexes
-from invar.posets import _vertex_key
+from invar.posets import _bits, _face_betti, _vertex_key
 from test_qlinalg import reference_echelon_int
-from test_arrangements import k_equal_arrangement, pencil_arrangement
-from conftest import cone, reference_order_complex
+from test_arrangements import (
+    k_equal_arrangement, pencil_arrangement, reference_interval_complexes,
+)
+from conftest import cone, reference_order_complex, reference_topdown_betti
 
 
 def boolean_coordinate_poset(n):
@@ -356,35 +359,68 @@ class TestReducedBetti:
                 assert all(all(x == 0 for x in row) for row in prod_rows)
 
 
+def assert_intervals_match(lattice):
+    """The bitmask faces of every interval and their coboundary ranking
+    against the former complexes, the former top-down ranking and the dense
+    ranks; the order complex of every interval too."""
+    flats = lattice.proper_flats()
+    for (flat, faces), (same, complex_) in zip(
+            _interval_complexes(lattice, flats), reference_interval_complexes(lattice, flats),
+            strict=True):
+        assert flat is same
+        betti = _face_betti(faces)
+        assert betti == reference_topdown_betti(complex_) == reference_reduced_betti(complex_)
+        assert betti == reduced_betti(complex_)
+        ordered = order_complex(lattice.poset, flat.id, lattice.top_id)
+        assert reduced_betti(ordered) == reference_reduced_betti(ordered) == betti
+
+
 class TestAgainstDenseReference:
-    """Sparse boundary ranks with clearing against dense whole-matrix ranks."""
+    """Sparse coboundary ranks with clearing against dense whole-matrix
+    ranks and against the former top-down boundary ranks."""
 
     def test_random_complexes(self, rng):
         for _ in range(600):
             k = random_complex(rng)
-            assert reduced_betti(k) == reference_reduced_betti(k)
+            assert reduced_betti(k) == reference_reduced_betti(k) == reference_topdown_betti(k)
             for deg in range(1, k.dim() + 1):
                 top, low = k.k_simplices(deg), k.k_simplices(deg - 1)
                 assert boundary_matrix(k, deg) == QMatrix(_boundary_rows(top, low), ncols=len(top))
 
+    def test_random_bitmask_families(self, rng):
+        # vertices at arbitrary bits, faces in any order, up to dimension 5
+        for _ in range(300):
+            verts = list(range(rng.randint(0, 9)))
+            simplices = [rng.sample(verts, rng.randint(1, min(6, len(verts))))
+                         for _ in range(rng.randint(0, 8) if verts else 0)]
+            k = SimplicialComplex(verts, simplices)
+            bit = rng.sample(range(40), len(verts))
+            faces = [sum(1 << bit[v] for v in face) for level in k.faces[1:] for face in level]
+            rng.shuffle(faces)
+            assert _face_betti(faces) == reference_topdown_betti(k) == reference_reduced_betti(k)
+
+    @pytest.mark.parametrize("vertices, simplices", [([], []), ([], [[]])], ids=["void", "{empty}"])
+    def test_void_and_the_empty_simplex(self, vertices, simplices):
+        k = SimplicialComplex(vertices, simplices)
+        assert reduced_betti(k) == reference_topdown_betti(k) == reference_reduced_betti(k)
+        assert _face_betti([]) == BettiVector([1])
+
     def test_every_interval_of_k_equal_6_3(self):
         lattice = build_lattice(k_equal_arrangement(6, 3))
         assert len(lattice.flats) == 53
-        for flat, complex_ in _interval_complexes(lattice, lattice.proper_flats()):
-            assert reduced_betti(complex_) == reference_reduced_betti(complex_)
-            ordered = order_complex(lattice.poset, flat.id, lattice.top_id)
-            assert reduced_betti(ordered) == reference_reduced_betti(ordered)
+        assert_intervals_match(lattice)
 
     def test_every_interval_of_the_pencil(self):
-        # the bottom point of the k = 5 pencil takes the order complex, the
-        # other flats their crosscut complexes
-        lattice = build_lattice(pencil_arrangement(5))
-        pairs = list(_interval_complexes(lattice, lattice.proper_flats()))
-        point, at_point = pairs[0]
-        assert point.dim == 0
-        assert at_point == order_complex(lattice.poset, point.id, lattice.top_id)
-        for _, complex_ in pairs:
-            assert reduced_betti(complex_) == reference_reduced_betti(complex_)
+        # the bottom point of the k = 5 pencil, plain or lifted into w = 0 of
+        # C^4, takes the order complex, the other flats their crosscut complexes
+        lifted = [AffineSubspace.from_rows(4, [row, [0, 0, 0, 1, 0]])
+                  for row in [[1, i, 0, 0, 0] for i in range(5)] + [[0, 0, 1, 0, 0]]]
+        for comps in (pencil_arrangement(5), lifted):
+            lattice = build_lattice(comps)
+            (point, at_point), = _interval_complexes(lattice, lattice.proper_flats()[:1])
+            assert point.dim == 0
+            assert len(at_point) == 5 * 5 + 2  # chains, the empty face aside
+            assert_intervals_match(lattice)
 
 
 class TestHomologyInvariants:
@@ -549,8 +585,10 @@ class TestFacesAgainstFrozensetReference:
          for row in [[1, i, 0, 0, 0] for i in range(5)] + [[0, 0, 1, 0, 0]]],
     ], ids=["k-equal-6-3", "pencil-5", "pencil-5-lifted"])
     def test_every_interval_complex(self, comps, monkeypatch):
-        # record what the arrangement code hands the constructor: crosscut
-        # and order complexes of every interval, and order_complex's inputs
+        # record what the former interval body and order_complex hand the
+        # constructor: crosscut and order complexes of every interval; the
+        # bitmask faces the arrangement code ranks are the nonempty
+        # simplices of the former complex's frozenset closure
         inputs = []
 
         def recorded(vertices, simplices):
@@ -559,11 +597,15 @@ class TestFacesAgainstFrozensetReference:
             return SimplicialComplex(vertices, simplices)
 
         lattice = build_lattice(comps)
-        monkeypatch.setattr(arrangements, "SimplicialComplex", recorded)
-        monkeypatch.setattr(posets, "SimplicialComplex", recorded)
         pairs = list(_interval_complexes(lattice, lattice.proper_flats()))
-        for flat, _ in pairs:
+        monkeypatch.setattr(test_arrangements, "SimplicialComplex", recorded)
+        monkeypatch.setattr(posets, "SimplicialComplex", recorded)
+        for flat, faces in pairs:
+            list(reference_interval_complexes(lattice, [flat]))
+            _, ref = assert_matches_reference(*inputs[-1])
+            assert len(set(faces)) == len(faces)
+            assert {frozenset(_bits(face)) for face in faces} == ref.simplices - {frozenset()}
             order_complex(lattice.poset, flat.id, lattice.top_id)
         assert len(inputs) == 2 * len(pairs) == 2 * len(lattice.proper_flats())
-        for vertices, simplices in inputs:
+        for vertices, simplices in inputs[1::2]:  # order_complex's
             assert_matches_reference(vertices, simplices)

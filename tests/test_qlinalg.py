@@ -8,7 +8,10 @@ from math import gcd
 import pytest
 
 from invar import InputError, QMatrix, parse_rational, qlinalg
-from invar.qlinalg import _echelon_int, _nullspace_int, _reduced_int, format_rational
+from invar.qlinalg import (
+    _extend_sparse_echelon, _nullspace_int, _pivot, _primitive, _reduced, _substitute,
+    format_rational,
+)
 
 
 def reference_rref(rows, ncols):
@@ -52,8 +55,8 @@ def reference_nullspace(rows, ncols):
 
 def reference_echelon_int(rows, ncols):
     """Reference oracle: dense fraction-free forward elimination (the loop
-    `_echelon_int` ran before it read the sparse kernel's basis).  Prefers
-    unit pivots and divides a row by its content once an entry passes the
+    the former `_echelon_int` ran before it read the sparse kernel's basis).
+    Prefers unit pivots and divides a row by its content once an entry passes the
     threshold.  Returns the nonzero echelon rows; their number is the rank."""
     work = [list(r) for r in rows if any(r)]
     r = 0
@@ -81,6 +84,32 @@ def reference_echelon_int(rows, ncols):
                 work[i] = row
         r += 1
     return work[:r]
+
+
+def reference_sparse_echelon_int(rows, ncols):
+    """Reference oracle: the former `_echelon_int`, the basis
+    `_extend_sparse_echelon` builds from the rows in order, as dense rows
+    sorted by pivot column."""
+    basis = {}
+    for row in rows:
+        _extend_sparse_echelon(basis, {j: x for j, x in enumerate(row) if x})
+    out = []
+    for c in sorted(basis):
+        dense = [0] * ncols
+        for j, x in basis[c].items():
+            dense[j] = x
+        out.append(dense)
+    return out
+
+
+def reference_reduced_int(echelon):
+    """Reference oracle: the former `_reduced_int`, the reduced form of
+    echelon rows by back-substitution, bottom up, each row made primitive."""
+    done = []  # (pivot column, row), bottom up
+    for row in reversed(echelon):
+        row = _primitive(_substitute(row, done))
+        done.append((_pivot(row), row))
+    return [row for _, row in reversed(done)]
 
 
 def differential_matrices(seed, count):
@@ -274,15 +303,16 @@ class TestAgainstReferenceRref:
             calls.append(row)
             return content_free(row)
 
-        # in `_echelon_int`, `_content_free` is called only by the sparse
-        # kernel's past-threshold content reduction
+        # in `reference_sparse_echelon_int`, `_content_free` is called only
+        # by the sparse kernel's past-threshold content reduction
         content_free = qlinalg._content_free
         monkeypatch.setattr(qlinalg, "_content_free", counting_content_free)
         reduced = 0
         for rows, ncols in self.CASES:
             before = len(calls)
             ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
-            assert len(_echelon_int(ints, ncols)) == len(reference_echelon_int(ints, ncols))
+            sparse = reference_sparse_echelon_int(ints, ncols)
+            assert len(sparse) == len(reference_echelon_int(ints, ncols))
             reduced += len(calls) > before
         assert reduced >= 30
         assert all(max(map(abs, row)) > qlinalg._REDUCE_THRESHOLD for row in calls)
@@ -298,18 +328,23 @@ class TestAgainstReferenceRref:
 
     def test_integer_kernel_shapes(self):
         # the huge matrices back-substitute past the threshold with no
-        # content reduction on the way
+        # content reduction on the way; the oracles and `_reduced` are held
+        # to the same shape checks, and to each other
         for rows, ncols in self.CASES + self.HUGE:
             ints = QMatrix(rows, ncols=ncols).scale_rows_to_int()
             want = [r for r in reference_rref(rows, ncols) if any(r)]
-            echelon = _echelon_int(ints, ncols)
+            echelon = reference_sparse_echelon_int(ints, ncols)
             leads = [next(j for j, x in enumerate(r) if x) for r in echelon]
             assert leads == sorted(set(leads)) and len(echelon) == len(want)
-            reduced = _reduced_int(echelon)
-            for row, ref in zip(reduced, want):
-                pivot = next(x for x in row if x)
-                assert pivot > 0 and gcd(*row) == 1
-                assert [Fraction(x, pivot) for x in row] == ref
+            reduced = reference_reduced_int(echelon)
+            pairs = _reduced(ints)
+            assert pairs == [(_pivot(row), row) for row in reduced]
+            for candidate in (reduced, [row for _, row in pairs]):
+                assert len(candidate) == len(want)
+                for row, ref in zip(candidate, want):
+                    pivot = next(x for x in row if x)
+                    assert pivot > 0 and gcd(*row) == 1
+                    assert [Fraction(x, pivot) for x in row] == ref
             for vec, ref in zip(_nullspace_int(ints, ncols), reference_nullspace(rows, ncols)):
                 assert gcd(*vec) == 1
                 free = next(x for x in reversed(vec) if x)
@@ -333,6 +368,49 @@ class TestAgainstReferenceRref:
         copy = [list(r) for r in rows]
         _nullspace_int(rows, 3)
         assert rows == copy
+
+
+class TestReducedAgainstSparseThenBackSubstitute:
+    """`_reduced`, the one dense reduced-form fold, against the sparse
+    echelon and bottom-up back-substitution it replaced."""
+
+    def test_random_systems(self):
+        rng = random.Random(3737)
+        kinds = {"zero row": 0, "0 = c row": 0, "dependent row": 0, "starting pairs": 0}
+        for _ in range(20000):
+            ncols = rng.randint(1, 7)
+            rows = []
+            for _ in range(rng.randint(0, 5)):
+                shape = rng.random()
+                if shape < 0.1:
+                    row = [0] * ncols
+                elif shape < 0.2:
+                    row = [0] * (ncols - 1) + [rng.choice((-3, -1, 1, 2))]
+                elif shape < 0.3 and rows:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    row = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
+                else:
+                    row = [rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(ncols)]
+                rows.append(row)
+            start = []
+            if rng.random() < 0.3:
+                start = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(ncols)]
+                         for _ in range(rng.randint(1, 3))]
+            pairs = _reduced(start)
+            expected = reference_reduced_int(reference_sparse_echelon_int(start + rows, ncols))
+            got = _reduced(rows, pairs)
+            assert got == [(_pivot(row), row) for row in expected], (start, rows)
+            assert all(type(row) is tuple for _, row in got)
+            kinds["zero row"] += any(not any(row) for row in rows)
+            kinds["0 = c row"] += any(row[-1] and not any(row[:-1]) for row in rows)
+            kinds["dependent row"] += len(got) < len(pairs) + len(rows)
+            kinds["starting pairs"] += bool(pairs)
+        assert min(kinds.values()) >= 2000, kinds
+
+    def test_inputs_untouched(self):
+        rows, pairs = [[2, 4, 6], [3, 1, 0]], [(0, (1, 0, 5))]
+        _reduced(rows, pairs)
+        assert rows == [[2, 4, 6], [3, 1, 0]] and pairs == [(0, (1, 0, 5))]
 
 
 class TestRationalLiterals:
