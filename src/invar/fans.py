@@ -14,14 +14,17 @@ then cover the sphere of directions with a constant degree, so they meet in
 common faces and fill space exactly when one direction off every facet
 plane lies in exactly one cone.
 
-A support function is fixed by its values on the rays, one unknown per ray,
-subject to one integer Cramer equation per ray of a cone beyond its first
-three; the Picard rank is the nullspace dimension minus 3.  Projectivity
-asks for a strictly convex support function, one inequality per wall,
-decided by exact Fourier-Motzkin elimination over the integers
-(`_eliminate`), which it asks only for feasibility: no witness is built.
-The global linear functions stay among the unknowns, which keeps the
-elimination small, and a stage over `_FM_PAIR_LIMIT` pairs of rows raises
+A support function is fixed by its values on the rays, subject to one
+integer Cramer equation per ray of a cone beyond its first three.  The
+reduced form of these equations leaves some rays free; the values on the
+free rays are the unknowns, each ray's value is stored as its few nonzero
+integer multiples of them, and the Picard rank is the number of free rays
+minus 3.  Projectivity asks for a strictly convex support function, one
+inequality per wall, decided by exact Fourier-Motzkin elimination over the
+integers (`_eliminate`), which it asks only for feasibility: no witness is
+built.  The global linear functions stay among the unknowns, which keeps
+the elimination small; the elimination stops once no row has a variable
+left, and a stage over `_FM_PAIR_LIMIT` pairs of rows raises
 SearchLimitError.  `fm_feasible` runs the same elimination on any rational
 system and back-substitutes a witness; Fractions appear only in the list
 it returns.
@@ -33,11 +36,11 @@ import warnings
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError, InputWarning, SearchLimitError, _Frozen, _echo, _int, _is_int
-from .qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
+from .qlinalg import _content_free, _reduced, _scaled_to_int, parse_rational
 from .tables import KIND_LYUBEZNIK, InvariantTable
 
 IVec = tuple[int, int, int]
@@ -87,20 +90,24 @@ def _eliminate(rows: Iterable[tuple[int, ...]], nvars: int) -> list | None:
     first the one whose elimination adds the fewest rows (least pos*neg -
     pos - neg), with each stage's positive and negative entries counted in
     one pass over its rows.  An eliminated variable is 0 in every later row,
-    so a row is constant when all its coefficients are.  A stage that would
-    combine more than `_FM_PAIR_LIMIT` pairs of rows raises
-    SearchLimitError instead.
+    so a row is constant when all its coefficients are.  The elimination
+    stops once every row left is constant: the variables not yet eliminated
+    are then unconstrained, and get no stage.  A stage that would combine
+    more than `_FM_PAIR_LIMIT` pairs of rows raises SearchLimitError
+    instead.
     """
     system = list(dict.fromkeys(rows))
     remaining = list(range(nvars))
     stages = []
-    while remaining:
+    while True:
         live = []
         for r in system:
             if any(r[:-1]):
                 live.append(r)
             elif r[-1] > 0:
                 return None
+        if not live:
+            return stages
         system = live
         npos, nneg = [0] * nvars, [0] * nvars
         for r in system:
@@ -131,9 +138,6 @@ def _eliminate(rows: Iterable[tuple[int, ...]], nvars: int) -> list | None:
             new.append(_content_free([t * a + s * b for a, b in zip(rp, rn)]))
         system = list(dict.fromkeys(new))
         remaining.remove(j)
-    if any(r[-1] > 0 for r in system):
-        return None
-    return stages
 
 
 def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | None:
@@ -147,7 +151,8 @@ def fm_feasible(inequalities: Iterable[tuple], nvars: int) -> list[Fraction] | N
     system, and the witness is then back-substituted from its stages, last
     eliminated variable first, as one integer vector over one common
     denominator: each variable takes its largest lower bound, its smallest
-    upper bound, their midpoint when it has both, or 0 when it has neither.
+    upper bound, their midpoint when it has both, or 0 when it has neither
+    or no stage.
     Only the returned list is in Fractions.  A stage over `_FM_PAIR_LIMIT`
     pairs raises SearchLimitError.
     """
@@ -452,70 +457,87 @@ def _cramer(a, b, c, v) -> tuple[int, int, int, int]:
             vx * (ay * bz - az * by) + vy * (az * bx - ax * bz) + vz * (ax * by - ay * bx))
 
 
-def _support_functions(fan: Fan3) -> list[tuple[int, ...]]:
-    """Integer basis of the support functions, as their values on the rays.
+def _ray_values(fan: Fan3) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """The support functions as values on the free rays: (the number of free
+    rays, each ray's (free ray index, value) pairs).
 
     Values on the rays extend to a function linear on every cone exactly when
     each cone's rays beyond its first three (a basis, since no three
     generators of a valid cone are coplanar) get the value of the linear form
-    through those three: one Cramer equation per extra ray.  The columns are
-    the rays in lexicographic order, a sweep across space, so the basis does
+    through those three: one Cramer equation per extra ray.  Its columns are
+    the rays in lexicographic order, a sweep across space, so the unknowns do
     not depend on the ray labels; on non-simplicial fans it keeps the
-    Fourier-Motzkin systems of `_strictly_convex` small.
-    """
-    n = len(fan.rays)
-    col = {i: c for c, i in enumerate(sorted(range(n), key=fan.rays.__getitem__))}
-    rows = []
-    for cone in fan.max_cones:
-        basis = cone[:3]
-        for v in cone[3:]:
-            det, *coeffs = _cramer(*(fan.rays[i] for i in basis), fan.rays[v])
-            row = [0] * n
-            row[col[v]] = det
-            for i, c in zip(basis, coeffs):
-                row[col[i]] = -c
-            rows.append(row)
-    return [tuple(vec[col[i]] for i in range(n)) for vec in _nullspace_int(rows, n)]
-
-
-def _strictly_convex(fan: Fan3, report: FanReport, basis) -> bool:
-    """Whether some combination of `basis` is a strictly convex support function.
-
-    Across each wall the two linear forms differ by a multiple of the wall's
-    normal, so one ray suffices: the far cone's first off-wall ray v must lie
-    strictly below the near cone's form, l_near(v) > value(v).  By homogeneity
-    each row may be divided by its content and asked to be >= 1; rows of
-    parallel walls then coincide, and `_eliminate` keeps the first of each.
-    The rows go to `_eliminate` as content-free int tuples, and only its
-    verdict is read: no witness is built.  The global linear functions stay in
-    `basis`: they add 0 to every row, so the feasible set is a cylinder along
-    them, and its projections stay small.  Pinning three ray values to 0
-    instead drops three variables but cuts the cylinder to a slice; on the
-    star subdivisions of the octant fan in `scripts/fan_scale.py`, that made
-    the elimination thousands of times slower.
+    Fourier-Motzkin systems of `_strictly_convex` small.  The reduced form
+    of the equations leaves the rays at its free columns free: unknown k is
+    the support function that is `scale`, the lcm of the pivots, on the k-th
+    free ray and 0 on the others.  A free ray has the one pair (k, scale),
+    and a pivot ray c the pairs (k, -row[f] * (scale // row[c])) of the free
+    rays f its reduced row is nonzero on.
     """
     rays = fan.rays
-    values = list(zip(*basis))  # values[i]: every basis vector's value on ray i
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    col = {i: c for c, i in enumerate(order)}
+    rows = []
+    for cone in fan.max_cones:
+        a, b, c = cone[:3]
+        for v in cone[3:]:
+            det, ca, cb, cc = _cramer(rays[a], rays[b], rays[c], rays[v])
+            row = [0] * len(rays)
+            row[col[v]], row[col[a]], row[col[b]], row[col[c]] = det, -ca, -cb, -cc
+            rows.append(row)
+    pivots = _reduced(rows)
+    scale = lcm(*(row[c] for c, row in pivots))
+    pivot_cols = {c for c, _ in pivots}
+    free = [f for f in range(len(rays)) if f not in pivot_cols]
+    values = [None] * len(rays)
+    for k, f in enumerate(free):
+        values[order[f]] = ((k, scale),)
+    for c, row in pivots:
+        q = scale // row[c]
+        values[order[c]] = tuple((k, -row[f] * q) for k, f in enumerate(free) if row[f])
+    return len(free), values
+
+
+def _strictly_convex(fan: Fan3, report: FanReport, nfree: int, values) -> bool:
+    """Whether some support function, given by `_ray_values`, is strictly convex.
+
+    Across each wall the two linear forms differ by a multiple of the wall's
+    normal, so one ray suffices: the far cone's first off-wall ray v (a
+    three-ray cone's third ray) must lie strictly below the near cone's
+    form, l_near(v) > value(v).  Each row is summed from the value pairs of
+    the wall's two rays, the near cone's off-wall ray w and v.  By
+    homogeneity each row may be divided by its content and asked to be
+    >= 1; rows of parallel walls then coincide, and `_eliminate` keeps the
+    first of each.  Only its verdict is read: no witness is built.  The
+    global linear functions stay among the unknowns: they add 0 to every
+    row, so the feasible set is a cylinder along them, and its projections
+    stay small.  Pinning three ray values to 0 instead drops three variables
+    but cuts the cylinder to a slice; on the star subdivisions of the
+    octant fan in `scripts/fan_scale.py`, that made the elimination
+    thousands of times slower.
+    """
+    rays, cones = fan.rays, fan.max_cones
     rows = []
     for wall in report.walls:
-        near, far = (fan.max_cones[k] for k in wall.cones)
+        near, far = cones[wall.cones[0]], cones[wall.cones[1]]
         i, j = wall.rays
-        w = next(r for r in near if r != i and r != j)
-        v = next(r for r in far if r != i and r != j)
+        w = sum(near) - i - j if len(near) == 3 else next(r for r in near if r != i and r != j)
+        v = sum(far) - i - j if len(far) == 3 else next(r for r in far if r != i and r != j)
         det, ca, cb, cc = _cramer(rays[i], rays[j], rays[w], rays[v])
         if det < 0:  # sign(det) * (det * l_near(v) - det * value(v))
             det, ca, cb, cc = -det, -ca, -cb, -cc
-        rows.append((*_content_free([
-            ca * x + cb * y + cc * z - det * t
-            for x, y, z, t in zip(values[i], values[j], values[w], values[v])
-        ]), 1))
-    return _eliminate(rows, len(basis)) is not None
+        row = [0] * nfree
+        for ray, coeff in ((i, ca), (j, cb), (w, cc), (v, -det)):
+            for k, x in values[ray]:
+                row[k] += coeff * x
+        rows.append((*_content_free(row), 1))
+    return _eliminate(rows, nfree) is not None
 
 
 def support_function_space_dim(fan: Fan3) -> int:
     """Dimension of the space of continuous piecewise-linear support functions."""
     _require_valid(fan)
-    return len(_support_functions(fan))
+    return _ray_values(fan)[0]
 
 
 def picard_rank(fan: Fan3) -> int:
@@ -532,16 +554,16 @@ def class_rank(fan: Fan3) -> int:
 def is_projective(fan: Fan3) -> bool:
     """Whether a strictly convex support function exists."""
     report = _require_valid(fan)
-    return _strictly_convex(fan, report, _support_functions(fan))
+    return _strictly_convex(fan, report, *_ray_values(fan))
 
 
 def picard_data(fan: Fan3) -> PicardData:
     report = _require_valid(fan)
-    basis = _support_functions(fan)
+    nfree, values = _ray_values(fan)
     return PicardData(
-        picard_rank=len(basis) - 3,
+        picard_rank=nfree - 3,
         class_rank=len(fan.rays) - 3,
-        projective=_strictly_convex(fan, report, basis),
+        projective=_strictly_convex(fan, report, nfree, values),
     )
 
 

@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,16 @@ def double_cover_fan() -> Fan3:
     equator = [(1, 0, 0), (1, 3, 0), (-4, 3, 0), (-4, -3, 0), (1, -3, 0)]
     cones = [(i, (i + 2) % 5, pole) for i in range(5) for pole in (5, 6)]
     return Fan3(equator + [(0, 0, 1), (0, 0, -1)], cones)
+
+
+def bench_workloads():
+    """`bench/workloads.py`, which builds the benchmark's inputs without
+    invar, loaded from its file rather than imported as a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def cone(k: SimplicialComplex, apex) -> SimplicialComplex:

@@ -1,12 +1,10 @@
 """Intersection lattices, Cech-de Rham tables, and the small Lyubeznik tables."""
 
-import importlib.util
 import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from pathlib import Path
 
 import pytest
 
@@ -51,6 +49,7 @@ from invar.fileio import parse_arrangement
 from invar.posets import _chains_above, _face_betti
 from invar.qlinalg import _content_free, _pivot, _pivots, _primitive, _substitute
 from conftest import (
+    bench_workloads,
     coordinate_hyperplane,
     random_hyperplane,
     random_subspace,
@@ -1033,12 +1032,8 @@ def ranks_an_interval(lattice):
 
 
 def workload_arrangements(seeds):
-    """The component lists of every arrangements job of the benchmark, read
-    from `bench/workloads.py`, which builds its inputs without invar."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    """The component lists of every arrangements job of the benchmark."""
+    workloads = bench_workloads()
     return [parse_arrangement(job["doc"])[1]
             for seed in seeds for job in workloads.arrangement_jobs(seed)]
 

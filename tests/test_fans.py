@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -28,11 +29,13 @@ from invar import (
 from invar import fans
 from invar.cli import main
 from invar.fans import (
-    PicardData, Wall, _cone_facets, _cramer, _dot, _eliminate, fm_feasible, primitive,
+    PicardData, Wall, _cone_facets, _cramer, _dot, _eliminate, _ray_values, fm_feasible,
+    primitive,
 )
 from invar.fileio import parse_fan
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
 from conftest import (
+    bench_workloads,
     cube_fan,
     double_cover_fan,
     nonprojective_fan,
@@ -299,6 +302,43 @@ class TestWitnessAgainstReference:
         assert verdicts == {True: 2 * len(DIFFERENTIAL_BASES) - 6, False: 6}
 
 
+class TestEarlyStop:
+    """`_eliminate` stops once no row has a variable left; the variables it
+    never reaches get no stage, and `fm_feasible` gives them 0."""
+
+    def test_benchmark_star_stops_after_five_of_nine_variables(self, monkeypatch):
+        job = next(job for job in bench_workloads().fan_jobs(0) if job["id"] == "star00-picard")
+        fan = Fan3(job["doc"]["rays"], job["doc"]["max_cones"])
+        data, seen = _stage_sizes(monkeypatch, lambda: picard_data(fan))
+        assert data == PicardData(picard_rank=6, class_rank=6, projective=True)
+        [(nvars, nrows, stages)] = seen
+        # a full elimination had stage sizes [14, 12, 9, 7, 2, 0, 0, 0, 0]
+        assert (nvars, nrows) == (9, 21)
+        assert [size for _, size in stages] == [14, 12, 9, 7, 2]
+
+    def test_unconstrained_variables_get_no_stage(self):
+        # x >= 1, x + y >= 0: x has no upper bound, so its elimination drops
+        # both rows, and y, like z, which is in no row, is never reached
+        rows = [(1, 0, 0, 1), (1, 1, 0, 0)]
+        assert [(j, len(system)) for j, system in _eliminate(rows, 3)] == [(0, 2)]
+        assert _eliminate([], 4) == []
+        assert _eliminate([(0, 0, 1)], 2) is None
+        system = [((1, 0, 0), 1), ((1, 1, 0), 0)]
+        assert fm_feasible(system, 3) == reference_fm_feasible(system, 3) == [1, 0, 0]
+
+    def test_random_systems_that_empty_early(self, rng):
+        early = Counter()
+        for trial in range(1500):
+            system, nvars = random_system(rng, rational=trial % 2 == 1)
+            rows = [_content_free(_scaled_to_int([parse_rational(x) for x in (*coeffs, const)]))
+                    for coeffs, const in system]
+            stages = _eliminate(rows, nvars)
+            if stages is not None and len(stages) < nvars:
+                assert _assert_witness_matches_reference(system, nvars)
+                early[trial % 2] += 1
+        assert min(early[0], early[1]) >= 50
+
+
 class TestValidation:
     def test_p3_valid_complete(self):
         report = validate_fan(p3_fan())
@@ -498,6 +538,67 @@ class TestProjectivity:
     def test_twisted_prism_has_no_lyubeznik_table(self):
         with pytest.raises(InputError, match="not projective"):
             toric_lyubeznik(prism_fan(True))
+
+
+def bundle_over_p1(a: int, b: int) -> Fan3:
+    """P(O + O(a) + O(b)) over P^1: Picard rank 2."""
+    rays = [(1, 0, 0), (-1, a, b), (0, 1, 0), (0, 0, 1), (0, -1, -1)]
+    return Fan3(rays, [(u, *pair) for u in (0, 1) for pair in combinations((2, 3, 4), 2)])
+
+
+def bundle_over_p2(a: int) -> Fan3:
+    """P(O + O(a)) over P^2, P^2 x P^1 for a = 0: Picard rank 2."""
+    rays = [(1, 0, 0), (0, 1, 0), (-1, -1, a), (0, 0, 1), (0, 0, -1)]
+    return Fan3(rays, [(*pair, f) for pair in combinations((0, 1, 2), 2) for f in (3, 4)])
+
+
+def bundle_over_hirzebruch(b: int, c: int, d: int) -> Fan3:
+    """A P^1-bundle over the Hirzebruch surface F_b, its base rays (1, 0),
+    (0, 1), (-1, b), (0, -1) lifted with heights 0, 0, c, d: Picard rank 3."""
+    rays = [(1, 0, 0), (0, 1, 0), (-1, b, c), (0, -1, d), (0, 0, 1), (0, 0, -1)]
+    return Fan3(rays, [(k, (k + 1) % 4, f) for k in range(4) for f in (4, 5)])
+
+
+class TestKleinschmidtSturmfels:
+    """P. Kleinschmidt and B. Sturmfels, "Smooth toric varieties with small
+    Picard number are projective" (Topology 30, 1991): a smooth complete
+    fan of Picard rank at most 3 is projective, whatever the solver says."""
+
+    SMOOTH = {
+        "P3": (p3_fan, 1),
+        "P2 x P1": (lambda: bundle_over_p2(0), 2),
+        "P1 x P1 x P1": (octant_fan, 3),
+        "P3 blown up at a point": (lambda: star_subdivide(p3_fan(), 0, [1, 1, 1]), 2),
+        **{f"P(O + O({a}) + O({b})) over P1": (lambda a=a, b=b: bundle_over_p1(a, b), 2)
+           for a, b in ((1, 0), (1, 1), (2, -1), (3, 2))},
+        **{f"P(O + O({a})) over P2": (lambda a=a: bundle_over_p2(a), 2) for a in (1, -2, 3)},
+        **{f"P1-bundle over F{b} with heights {c}, {d}":
+           (lambda b=b, c=c, d=d: bundle_over_hirzebruch(b, c, d), 3)
+           for b, c, d in ((0, 0, 0), (1, 0, 0), (2, 1, -1), (1, 3, 2))},
+    }
+
+    @staticmethod
+    def determinants(fan):
+        """|det| of each maximal cone's three rays."""
+        assert validate_fan(fan).valid
+        return {abs(_dot(a, _cross(b, c)))
+                for a, b, c in ([fan.rays[i] for i in cone] for cone in fan.max_cones)}
+
+    @pytest.mark.parametrize("name", SMOOTH)
+    def test_smooth_fans_of_small_picard_rank_are_projective(self, name, rng):
+        build, rank = self.SMOOTH[name]
+        fan = build()
+        for moved in [fan] + [transform_fan(fan, unimodular_matrix(rng)) for _ in range(3)]:
+            assert all(len(cone) == 3 for cone in moved.max_cones)
+            assert self.determinants(moved) == {1}
+            assert picard_data(moved) == PicardData(
+                picard_rank=rank, class_rank=len(fan.rays) - 3, projective=True)
+
+    def test_the_twisted_prism_is_not_smooth(self):
+        # Picard rank 3 and not projective, so some cone is not unimodular
+        fan = prism_fan(True)
+        assert picard_data(fan) == PicardData(picard_rank=3, class_rank=3, projective=False)
+        assert self.determinants(fan) == {2, 3}
 
 
 class TestToricLyubeznik:
@@ -733,6 +834,144 @@ class TestAgainstPairwiseReference:
         overlap = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [(0, 1, 2), (0, 1, 3)])
         for fan in (overlap, double_cover_fan()):
             assert not _assert_matches_reference(fan)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the dense basis of support functions and the wall rows
+# zipped from it, which the sparse values on the free rays replace.
+
+
+def reference_support_functions(fan: Fan3) -> list[tuple[int, ...]]:
+    """Integer basis of the support functions, as their values on the rays.
+
+    One Cramer equation per ray of a cone beyond its first three, with the
+    rays in lexicographic order as columns; one primitive nullspace vector
+    per free column."""
+    n = len(fan.rays)
+    col = {i: c for c, i in enumerate(sorted(range(n), key=fan.rays.__getitem__))}
+    rows = []
+    for cone in fan.max_cones:
+        basis = cone[:3]
+        for v in cone[3:]:
+            det, *coeffs = _cramer(*(fan.rays[i] for i in basis), fan.rays[v])
+            row = [0] * n
+            row[col[v]] = det
+            for i, c in zip(basis, coeffs):
+                row[col[i]] = -c
+            rows.append(row)
+    return [tuple(vec[col[i]] for i in range(n)) for vec in _nullspace_int(rows, n)]
+
+
+def reference_strictly_convex(fan: Fan3, report, basis) -> bool:
+    """Whether some combination of `basis` is a strictly convex support
+    function: per wall, the far cone's first off-wall ray v, found by a scan,
+    must lie strictly below the near cone's form, with every basis vector's
+    value on the four rays zipped into the row.
+
+    The global linear functions stay in `basis`: they add 0 to every row, so
+    the feasible set is a cylinder along them, and its projections stay
+    small.  Pinning three ray values to 0 instead drops three variables but
+    cuts the cylinder to a slice; on the star subdivisions of the octant fan
+    in `scripts/fan_scale.py`, that made the elimination thousands of times
+    slower."""
+    rays = fan.rays
+    values = list(zip(*basis))
+    rows = []
+    for wall in report.walls:
+        near, far = (fan.max_cones[k] for k in wall.cones)
+        i, j = wall.rays
+        w = next(r for r in near if r != i and r != j)
+        v = next(r for r in far if r != i and r != j)
+        det, ca, cb, cc = _cramer(rays[i], rays[j], rays[w], rays[v])
+        if det < 0:
+            det, ca, cb, cc = -det, -ca, -cb, -cc
+        rows.append((*_content_free([
+            ca * x + cb * y + cc * z - det * t
+            for x, y, z, t in zip(values[i], values[j], values[w], values[v])
+        ]), 1))
+    return fans._eliminate(rows, len(basis)) is not None
+
+
+def _stage_sizes(monkeypatch, call):
+    """call()'s result and, per `_eliminate` it makes, its variable count,
+    row count and (variable, rows) sizes of its stages, or None."""
+    eliminate = fans._eliminate
+    seen = []
+
+    def capturing(rows, nvars):
+        rows = list(rows)
+        stages = eliminate(rows, nvars)
+        seen.append((nvars, len(rows),
+                     None if stages is None else [(j, len(system)) for j, system in stages]))
+        return stages
+
+    with monkeypatch.context() as m:
+        m.setattr(fans, "_eliminate", capturing)
+        result = call()
+    return result, seen
+
+
+def _assert_free_rays_match_dense_basis(fan, monkeypatch):
+    report = validate_fan(fan)
+    basis = reference_support_functions(fan)
+    nfree, values = _ray_values(fan)
+    # unknown k is basis vector k times a positive factor
+    assert nfree == len(basis)
+    for k, vec in enumerate(basis):
+        dense = [dict(pairs).get(k, 0) for pairs in values]
+        g = gcd(*dense)
+        assert g > 0 and tuple(x // g for x in dense) == vec
+    data, free_stages = _stage_sizes(monkeypatch, lambda: picard_data(fan))
+    projective, dense_stages = _stage_sizes(
+        monkeypatch, lambda: reference_strictly_convex(fan, report, basis))
+    assert data.picard_rank == len(basis) - 3 == support_function_space_dim(fan) - 3
+    assert data.projective is projective is is_projective(fan)
+    assert free_stages == dense_stages and len(free_stages) == 1
+    return data
+
+
+def _workload_fans(seeds):
+    """The fan of every fans job of the benchmark, in its job's coordinates."""
+    workloads = bench_workloads()
+    return [Fan3(job["doc"]["rays"], job["doc"]["max_cones"])
+            for seed in seeds for job in workloads.fan_jobs(seed)]
+
+
+class TestFreeRaysAgainstDenseBasis:
+    """`_ray_values` and `_strictly_convex` against the dense basis and the
+    zipped wall rows: the same Picard rank, projectivity verdict and
+    elimination stage sizes."""
+
+    CONFTEST_FANS = {
+        "p3": p3_fan, "cube": cube_fan, "octants": octant_fan,
+        "prism": lambda: prism_fan(False), "twisted prism": lambda: prism_fan(True),
+        "subdivided cube k=1": lambda: subdivided_cube(1),
+        "subdivided cube k=2": lambda: subdivided_cube(2),
+        "picard rank 0": nonprojective_fan,
+    }
+
+    @pytest.mark.parametrize("name", CONFTEST_FANS)
+    def test_conftest_fans_and_their_moves(self, name, rng, monkeypatch):
+        fan = self.CONFTEST_FANS[name]()
+        expected = _assert_free_rays_match_dense_basis(fan, monkeypatch)
+        for _ in range(3):
+            moved = transform_fan(fan, unimodular_matrix(rng))
+            assert _assert_free_rays_match_dense_basis(moved, monkeypatch) == expected
+
+    def test_benchmark_fans(self, monkeypatch):
+        corpus = _workload_fans((0, 1, 2))
+        verdicts = Counter(_assert_free_rays_match_dense_basis(fan, monkeypatch).projective
+                           for fan in corpus)
+        # every benchmark fan is projective
+        assert len(corpus) == 3 * 61 and verdicts == {True: 3 * 61}
+
+    def test_star_subdivisions(self, rng, monkeypatch):
+        for steps in (1, 3, 6, 10):
+            for base in (octant_fan(), p3_fan(), prism_fan(True)):
+                fan = _stars(base, rng, steps)
+                _assert_free_rays_match_dense_basis(fan, monkeypatch)
+                _assert_free_rays_match_dense_basis(
+                    transform_fan(fan, unimodular_matrix(rng)), monkeypatch)
 
 
 def _box_ray(rng, half_space=None):
