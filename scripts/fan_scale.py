@@ -35,10 +35,15 @@ from math import gcd
 from time import perf_counter
 
 from invar import Fan3, picard_data, validate_fan
-from invar.fans import primitive
 
 # (x, y, z) -> (z, -x, y), then the shear x += z: determinant -1
 MOVE = ((0, 1, 1), (-1, 0, 0), (0, 1, 0))
+
+
+def primitive(v) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def subdivided_cube(k: int) -> Fan3:
@@ -56,11 +61,7 @@ def subdivided_cube(k: int) -> Fan3:
                     p[axis], p[u], p[v] = side, i + di, j + dj
                     cone.append(index[tuple(p)])
                 cones.append(cone)
-    rays = []
-    for p in points:
-        g = gcd(*p)
-        rays.append(tuple(x // g for x in p))
-    return Fan3(rays, cones)
+    return Fan3([primitive(p) for p in points], cones)
 
 
 def stars(steps: int) -> Fan3:

@@ -27,7 +27,6 @@ from .fans import (
     is_projective,
     picard_data,
     picard_rank,
-    support_function_space_dim,
     toric_lyubeznik,
     validate_fan,
 )

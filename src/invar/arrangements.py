@@ -56,11 +56,10 @@ from math import lcm
 from .errors import InputError, InputWarning, _Frozen, _int
 from .posets import FinitePoset, _bits, _chains_above, _face_betti
 from .qlinalg import (
-    QMatrix, _pivots, _primitive, _reduced, _rref, _scaled_to_int, _substitute, parse_rational,
+    _pivots, _primitive, _reduced, _rref, _scaled_to_int, _substitute, parse_rational,
 )
 from .tables import (
     KIND_CDR,
-    KIND_LYUBEZNIK,
     InvariantTable,
     _antidiagonal_sums,
     _require,
@@ -120,7 +119,7 @@ class AffineSubspace(_Frozen):
     when coeffs . x + const = 0 for every row.  Each row is scaled to integers
     once.  `rows` is the system's primitive integer reduced echelon form, so
     two values are equal exactly when their rows coincide; `rref_rows()` is
-    its rational rref, and `equations` the same as a `QMatrix`.
+    its rational rref.
     """
 
     __slots__ = ("ambient_dim", "rows")
@@ -164,37 +163,12 @@ class AffineSubspace(_Frozen):
         return _rref(self.rows)
 
     @property
-    def equations(self) -> QMatrix:
-        return QMatrix(self.rref_rows(), ncols=self.ambient_dim + 1)
-
-    @property
     def dim(self) -> int:
         return self.ambient_dim - len(self.rows)
 
     def is_linear(self) -> bool:
         """Whether the subspace passes through the origin."""
         return all(row[-1] == 0 for row in self.rows)
-
-    def _check_same_ambient(self, other: "AffineSubspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise InputError("subspaces live in different ambient spaces")
-
-    def intersect(self, other: "AffineSubspace") -> "AffineSubspace | None":
-        """Intersection as a subspace, or None when empty."""
-        self._check_same_ambient(other)
-        pivots = _pivots(self.rows)
-        remainders = _remainders(pivots, other.rows)
-        if not remainders:
-            return self
-        cut = _cut(remainders, self.ambient_dim + 1)
-        if cut is None:
-            return None
-        return AffineSubspace._canonical(self.ambient_dim, _meet(pivots, cut)[0])
-
-    def contained_in(self, other: "AffineSubspace") -> bool:
-        """Whether every equation of `other` reduces to zero against ours."""
-        self._check_same_ambient(other)
-        return not _remainders(_pivots(self.rows), other.rows)
 
     def __repr__(self):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
@@ -270,9 +244,6 @@ class IntersectionLattice(_Frozen):
         """Flats covered only by the ambient space: the arrangement components."""
         top = 1 << self.top_id
         return tuple(f for f in self.proper_flats() if self.up[f.id] == top)
-
-    def dim(self) -> int:
-        return max(f.dim for f in self.proper_flats())
 
     def minimal_flats(self) -> tuple[Flat, ...]:
         above_some = 0
@@ -584,16 +555,3 @@ def lyubeznik_dim2(components: Sequence[AffineSubspace]) -> InvariantTable:
             groups.append(group)
     return canonical_small_tables(2, len(groups))
 
-
-__all__ = [
-    "AffineSubspace",
-    "Flat",
-    "IntersectionLattice",
-    "build_lattice",
-    "cdr_table",
-    "complement_betti",
-    "moebius_betti_oracle",
-    "lyubeznik_dim2",
-    "KIND_LYUBEZNIK",
-    "KIND_CDR",
-]

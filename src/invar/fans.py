@@ -50,9 +50,9 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _ray(v, i: int = -1) -> IVec:
+def _ray(v, i: int) -> IVec:
     """v as a tuple of three ints, refusing anything else (bools too) and
-    zero; the message names ray i when i >= 0."""
+    zero; the message names ray i."""
     try:
         x, y, z = v
     except (TypeError, ValueError):
@@ -63,12 +63,7 @@ def _ray(v, i: int = -1) -> IVec:
         problem = "is the zero vector"
     else:
         return x, y, z
-    raise InputError(f"{f'ray {i}' if i >= 0 else 'a ray'} {problem}")
-
-
-def primitive(v: Sequence[int]) -> IVec:
-    """A nonzero integer 3-vector divided by the gcd of its entries."""
-    return _content_free(_ray(v))
+    raise InputError(f"ray {i} {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +529,11 @@ def _strictly_convex(fan: Fan3, report: FanReport, nfree: int, values) -> bool:
     return _eliminate(rows, nfree) is not None
 
 
-def support_function_space_dim(fan: Fan3) -> int:
-    """Dimension of the space of continuous piecewise-linear support functions."""
-    _require_valid(fan)
-    return _ray_values(fan)[0]
-
-
 def picard_rank(fan: Fan3) -> int:
-    """Rank of the Picard group: support functions modulo global linear ones."""
-    return support_function_space_dim(fan) - 3
+    """Rank of the Picard group: support functions modulo global linear ones,
+    the free rays less 3."""
+    _require_valid(fan)
+    return _ray_values(fan)[0] - 3
 
 
 def class_rank(fan: Fan3) -> int:
@@ -584,19 +575,3 @@ def toric_lyubeznik(fan: Fan3) -> InvariantTable:
     rows = [[0, 0, 0, p, 0], [0] * 5, [0, 0, 0, 0, p], [0] * 5, [0, 0, 0, 0, 1]]
     return InvariantTable(KIND_LYUBEZNIK, rows)
 
-
-__all__ = [
-    "Fan3",
-    "Wall",
-    "FanReport",
-    "PicardData",
-    "fm_feasible",
-    "primitive",
-    "validate_fan",
-    "support_function_space_dim",
-    "picard_rank",
-    "class_rank",
-    "is_projective",
-    "picard_data",
-    "toric_lyubeznik",
-]

@@ -78,9 +78,6 @@ class FinitePoset(_Frozen):
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "less", frozenset(pairs))
 
-    def less_than(self, a, b) -> bool:
-        return (a, b) in self.less
-
     def open_interval(self, lower, upper) -> tuple:
         """Elements strictly between lower and upper, in element order."""
         for x in (lower, upper):
@@ -150,10 +147,6 @@ class SimplicialComplex(_Frozen):
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "faces", tuple(tuple(sorted(level)) for level in by_size if level))
 
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls((), ())
-
     @property
     def simplices(self) -> frozenset:
         """Every simplex as a frozenset of vertices, the empty one included."""
@@ -161,21 +154,9 @@ class SimplicialComplex(_Frozen):
             frozenset(map(self.vertices.__getitem__, s)) for level in self.faces for s in level
         )
 
-    def is_empty(self) -> bool:
-        return not self.faces
-
     def dim(self) -> int:
         """Largest simplex dimension; -1 for {empty simplex}, -2 if void."""
         return len(self.faces) - 2
-
-    def k_simplices(self, k: int) -> list[tuple]:
-        """The k-simplices as vertex tuples in vertex order, lexicographically."""
-        level = self.faces[k + 1] if 0 <= _int(k, "k") + 1 < len(self.faces) else ()
-        return [tuple(map(self.vertices.__getitem__, s)) for s in level]
-
-    def euler_characteristic_reduced(self) -> int:
-        """Alternating simplex count over the augmented complex (degree -1 included)."""
-        return sum((-1) ** k * len(level) for k, level in enumerate(self.faces[1:])) - 1
 
 
 class BettiVector(_Frozen):
@@ -204,9 +185,6 @@ class BettiVector(_Frozen):
 
     def max_degree(self) -> int:
         return len(self.values) - 2
-
-    def euler_characteristic_reduced(self) -> int:
-        return sum((-1) ** (k - 1) * v for k, v in enumerate(self.values))
 
 
 def _chains_above(above, lower) -> list[int]:

@@ -103,11 +103,6 @@ class QMatrix(_Frozen):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"QMatrix({self.nrows}x{self.ncols}: {body})"
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= _int(i, "i") < self.nrows and 0 <= _int(j, "j") < self.ncols):
-            raise InputError(f"entry ({i},{j}) outside a {self.nrows}x{self.ncols} matrix")
-        return self.entries[i][j]
-
     def scale_rows_to_int(self) -> list[list[int]]:
         """Clear denominators row by row (rank-preserving)."""
         return [_scaled_to_int(row) for row in self.entries]

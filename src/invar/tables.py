@@ -52,6 +52,8 @@ from .qlinalg import _extend_sparse_echelon, _nullspace_int, _primitive
 KIND_LYUBEZNIK = "lyubeznik"
 KIND_CDR = "cdr"
 _KINDS = (KIND_LYUBEZNIK, KIND_CDR)
+# the diagnostic of both validators for a nonzero entry (p,q) = v with p > q
+_BELOW_DIAGONAL = "triangularity violated: entry ({},{}) = {} below the diagonal"
 
 DEFAULT_BOUND = 10
 DEFAULT_SEARCH_LIMIT = 10**7
@@ -186,7 +188,7 @@ def validate_lambda(table: InvariantTable, bounds: OgusBounds | None = None) -> 
             if v is None:
                 continue
             if p > q and v != 0:
-                diags.append(f"triangularity violated: entry ({p},{q}) = {v} below the diagonal")
+                diags.append(_BELOW_DIAGONAL.format(p, q, v))
             if d >= 2 and q == d and p in (0, 1) and v != 0:
                 diags.append(
                     f"entry ({p},{d}) = {v} must vanish: top-column entries (0,d) and (1,d) "
@@ -217,7 +219,7 @@ def validate_cdr(table: InvariantTable) -> list[str]:
     which must be upper-triangular; an empty list means valid."""
     if table.kind != KIND_CDR:
         raise InputError("validate_cdr expects a cdr table")
-    return [f"triangularity violated: entry ({p},{q}) = {v}"
+    return [_BELOW_DIAGONAL.format(p, q, v)
             for p, row in enumerate(table.entries) for q, v in enumerate(row[:p]) if v]
 
 
@@ -584,9 +586,6 @@ class SpectralState(_Frozen):
         """Source/target pairs that admit a nonzero rank on this page."""
         return [(src, tgt) for r, src, tgt in _arrows(self.entries, self.kind)
                 if r == self.page]
-
-    def euler(self) -> int:
-        return _alternating_sum(self.entries)
 
     def apply_page(self, ranks: Mapping[Cell, int]) -> "SpectralState":
         """Advance one page, subtracting each rank from its source and target."""

@@ -3,14 +3,26 @@
 import importlib.util
 import random
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from invar import AffineSubspace, BettiVector, Fan3, InputError, SimplicialComplex
-from invar.fans import primitive
 from invar.posets import _boundary_column
 from invar.qlinalg import _extend_sparse_echelon
+
+
+def primitive(v) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def reduced_euler(k: SimplicialComplex) -> int:
+    """The reduced Euler characteristic of a complex summed over its faces,
+    the empty face in degree -1 (a void complex counts it too)."""
+    return sum((-1) ** size * len(level) for size, level in enumerate(k.faces[1:])) - 1
 
 
 def p3_fan() -> Fan3:

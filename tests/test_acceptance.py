@@ -39,6 +39,7 @@ from conftest import (
     p3_fan,
     random_hyperplane,
     random_subspace,
+    reduced_euler,
 )
 from test_qlinalg import transposed
 
@@ -84,11 +85,16 @@ def independent_rref(rows):
 def independent_contained(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     """Inclusion test via a from-scratch reduction: outer's equations must be
     combinations of inner's."""
-    base = [list(row) for row in inner.equations.entries]
+    base = [list(row) for row in inner.rows]
     base_rank = sum(1 for row in independent_rref(base) if any(row))
-    stacked = base + [list(row) for row in outer.equations.entries]
+    stacked = base + [list(row) for row in outer.rows]
     stacked_rank = sum(1 for row in independent_rref(stacked) if any(row))
     return stacked_rank == base_rank
+
+
+def betti_euler(betti) -> int:
+    """The alternating sum of reduced Betti numbers, from degree -1."""
+    return sum((-1) ** (i - 1) * v for i, v in enumerate(betti.values))
 
 
 def gf_rank(rows, p):
@@ -367,7 +373,7 @@ def test_criterion_8_numerical_core():
     for _ in range(50):
         k = random_complex(crng)
         betti = reduced_betti(k)
-        ok &= betti.euler_characteristic_reduced() == k.euler_characteristic_reduced()
+        ok &= betti_euler(betti) == reduced_euler(k)
         coned = cone(k, "apex")
         cb = reduced_betti(coned)
         ok &= all(cb[deg] == 0 for deg in range(-1, cb.max_degree() + 1))

@@ -589,8 +589,24 @@ class TestTableCommands:
         doc = {"kind": "cdr", "dim": 1, "entries": [[0, 0], [2, 1]], "ambient_dim": 2,
                "betti": [0, 1]}
         path = write(tmp_path, "t.json", doc)
-        assert run(capsys, "table", "check", "--input", path) == (
-            3, "·  ·\n2  1\n# invalid: triangularity violated: entry (1,0) = 2\n", "")
+        assert run(capsys, "table", "check", "--input", path) == (3, (
+            "·  ·\n"
+            "2  1\n"
+            "# invalid: triangularity violated: entry (1,0) = 2 below the diagonal\n"), "")
+
+    def test_check_lambda_below_the_diagonal_is_invalid(self, tmp_path, capsys):
+        # every diagnostic, in row-major order, with the cdr check's triangularity text
+        doc = {"kind": "lyubeznik", "dim": 2, "entries": [[0, 0, 1], [1, 0, 0], [0, 2, 0]]}
+        path = write(tmp_path, "t.json", doc)
+        assert run(capsys, "table", "check", "--input", path) == (3, (
+            "·  ·  1\n"
+            "1  ·  ·\n"
+            "·  2  ·\n"
+            "# invalid: entry (0,2) = 1 must vanish: top-column entries (0,d) and (1,d) "
+            "are zero whenever d >= 2\n"
+            "# invalid: triangularity violated: entry (1,0) = 1 below the diagonal\n"
+            "# invalid: triangularity violated: entry (2,1) = 2 below the diagonal\n"
+            "# invalid: entry (2,2) must be positive\n"), "")
 
     def test_check_cdr_missing_betti(self, tmp_path, capsys):
         doc = {"kind": "cdr", "dim": 2, "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}

@@ -21,7 +21,6 @@ from invar import (
     is_projective,
     picard_data,
     picard_rank,
-    support_function_space_dim,
     toric_lyubeznik,
     validate_fan,
     validate_lambda,
@@ -30,7 +29,6 @@ from invar import fans
 from invar.cli import main
 from invar.fans import (
     PicardData, Wall, _cone_facets, _cramer, _dot, _eliminate, _ray_values, fm_feasible,
-    primitive,
 )
 from invar.fileio import parse_fan
 from invar.qlinalg import _content_free, _nullspace_int, _scaled_to_int, parse_rational
@@ -41,6 +39,7 @@ from conftest import (
     nonprojective_fan,
     octant_fan,
     p3_fan,
+    primitive,
     prism_fan,
     subdivided_cube,
 )
@@ -115,6 +114,8 @@ class TestCramer:
 
 
 class TestPrimitive:
+    """`Fan3` divides each ray by its content and refuses any other ray."""
+
     @pytest.mark.parametrize("v, expected", [
         ((2, 4, 6), (1, 2, 3)),
         ([2, 4, 6], (1, 2, 3)),
@@ -123,20 +124,22 @@ class TestPrimitive:
         ((1, 1, 1), (1, 1, 1)),
     ], ids=["tuple", "list", "negative", "axis", "primitive"])
     def test_divides_by_the_content(self, v, expected):
-        assert primitive(v) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InputWarning)
+            assert Fan3([v], []).rays == (expected,)
 
     @pytest.mark.parametrize("v, message", [
-        ((2, 4, 6, 8), "a ray must be a list of three integers"),
-        ((2, 4), "a ray must be a list of three integers"),
-        ((1.0, 2, 3), "a ray must be a list of three integers"),
-        ((True, 0, 0), "a ray must be a list of three integers"),
-        (("1", 0, 0), "a ray must be a list of three integers"),
-        (5, "a ray must be a list of three integers"),
-        ((0, 0, 0), "a ray is the zero vector"),
+        ((2, 4, 6, 8), "ray 0 must be a list of three integers"),
+        ((2, 4), "ray 0 must be a list of three integers"),
+        ((1.0, 2, 3), "ray 0 must be a list of three integers"),
+        ((True, 0, 0), "ray 0 must be a list of three integers"),
+        (("1", 0, 0), "ray 0 must be a list of three integers"),
+        (5, "ray 0 must be a list of three integers"),
+        ((0, 0, 0), "ray 0 is the zero vector"),
     ], ids=["four entries", "two entries", "float", "bool", "str", "int", "zero"])
     def test_refuses_anything_but_a_nonzero_integer_3_vector(self, v, message):
         with pytest.raises(InputError) as err:
-            primitive(v)
+            Fan3([v], [])
         assert str(err.value) == message
 
 
@@ -470,15 +473,13 @@ class TestValidation:
 
 class TestPicard:
     def test_p3(self):
-        # support-function system solved independently: dimension 4 expected
-        assert support_function_space_dim(p3_fan()) == 4
+        # support functions of dimension 4, less the 3 global linear ones
         assert picard_rank(p3_fan()) == 1
 
     def test_cube(self):
         assert picard_rank(cube_fan()) == 1
 
     def test_octants(self):
-        assert support_function_space_dim(octant_fan()) == 6
         assert picard_rank(octant_fan()) == 3
 
     def test_class_rank(self):
@@ -924,7 +925,7 @@ def _assert_free_rays_match_dense_basis(fan, monkeypatch):
     data, free_stages = _stage_sizes(monkeypatch, lambda: picard_data(fan))
     projective, dense_stages = _stage_sizes(
         monkeypatch, lambda: reference_strictly_convex(fan, report, basis))
-    assert data.picard_rank == len(basis) - 3 == support_function_space_dim(fan) - 3
+    assert data.picard_rank == len(basis) - 3 == picard_rank(fan)
     assert data.projective is projective is is_projective(fan)
     assert free_stages == dense_stages and len(free_stages) == 1
     return data
@@ -1263,7 +1264,6 @@ class TestPicardRankZero:
     def test_picard_data(self):
         fan = nonprojective_fan()
         assert picard_data(fan) == PicardData(picard_rank=0, class_rank=5, projective=False)
-        assert support_function_space_dim(fan) == 3
         assert picard_rank(fan) == 0
         assert not is_projective(fan)
 

@@ -20,10 +20,11 @@ import json
 import re
 import sys
 import warnings
+from math import gcd
 
 from invar.arrangements import AffineSubspace
 from invar.errors import _ECHO_CHARS, InputError, InputWarning, _echo
-from invar.fans import Fan3, primitive
+from invar.fans import Fan3
 from invar.fileio import _reject_float, load_json, parse_arrangement, parse_fan, parse_table
 from invar.tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable
 
@@ -100,7 +101,8 @@ def reference_parse_fan(doc: dict) -> Fan3:
             raise InputError(f"ray {i} must be a list of three integers")
         if ray == [0, 0, 0]:
             raise InputError(f"ray {i} is the zero vector")
-        prim = primitive(ray)
+        g = gcd(*ray)
+        prim = tuple(x // g for x in ray)
         if tuple(ray) != prim:
             warnings.warn(f"ray {i} = {ray} rescaled to primitive {list(prim)}", InputWarning)
         clean_rays.append(prim)

@@ -32,6 +32,7 @@ from invar import (
 )
 from invar.errors import _int, _is_int
 from invar.fans import fm_feasible
+from invar.fileio import parse_table
 from invar.posets import boundary_matrix
 
 
@@ -101,18 +102,18 @@ INTEGER_ARGUMENTS = {
     "differential_target cell": lambda v: differential_target("cdr", 2, (v, 0)),
     "InvariantTable.entry p": lambda v: LAMBDA.entry(v, 0),
     "InvariantTable.entry q": lambda v: LAMBDA.entry(0, v),
-    "k_simplices": lambda v: SimplicialComplex("ab", ["ab"]).k_simplices(v),
     "with_entries cell": lambda v: LAMBDA.with_entries({(v, 0): 0}),
     "InvariantTable entry": lambda v: InvariantTable("cdr", [[v]]),
     "AffineSubspace": lambda v: AffineSubspace(v, []),
+    "AffineSubspace.from_rows": lambda v: AffineSubspace.from_rows(v, [[1, 0]]),
+    "AffineSubspace.ambient": AffineSubspace.ambient,
     "Fan3 ray": lambda v: Fan3([[1, 0, v]], []),
     "Fan3 cone index": lambda v: Fan3([[1, 0, 0]], [[v]]),
     "boundary_matrix degree": lambda v: boundary_matrix(SimplicialComplex("ab", ["ab"]), v),
     "FinitePoset.from_up_sets": lambda v: FinitePoset.from_up_sets([0, 1], [v, 0]),
     "QMatrix ncols": lambda v: QMatrix([], ncols=v),
-    "QMatrix.entry i": lambda v: QMatrix([[1, 2]]).entry(v, 0),
-    "QMatrix.entry j": lambda v: QMatrix([[1, 2]]).entry(0, v),
     "fm_feasible nvars": lambda v: fm_feasible([], v),
+    "parse_table dim": lambda v: parse_table({"kind": "cdr", "dim": v, "entries": [[1]]}),
     "DeductionResult.implies coeff": lambda v: DEDUCTION.implies({(0, 1): v}),
     "DeductionResult.implies const": lambda v: DEDUCTION.implies({}, v),
 }
@@ -140,13 +141,14 @@ def test_none_is_accepted_where_it_means_a_default_or_an_unknown(name):
 
 
 @pytest.mark.parametrize("call, text", [
-    (lambda: QMatrix([[1, 2]]).entry(-1, 0), "entry (-1,0) outside a 1x2 matrix"),
-    (lambda: QMatrix([[1, 2]]).entry(0, 2), "entry (0,2) outside a 1x2 matrix"),
+    (lambda: AffineSubspace.from_rows(0, []), "ambient_dim must be a positive integer, got 0"),
+    (lambda: parse_table({"kind": "cdr", "dim": -1, "entries": []}),
+     "dim must be a nonnegative integer, got -1"),
     (lambda: fm_feasible([], -1), "nvars must be a nonnegative integer, got -1"),
     (lambda: DEDUCTION.implies({(0, 1): "a"}),
      "coefficient of cell (0, 1) must be an integer, got 'a'"),
     (lambda: DEDUCTION.implies({}, "x"), "const must be an integer, got 'x'"),
-], ids=["negative row", "column past the end", "negative nvars", "str coefficient", "str const"])
+], ids=["zero ambient_dim", "negative dim", "negative nvars", "str coefficient", "str const"])
 def test_index_and_count_refusals(call, text):
     with pytest.raises(InputError) as err:
         call()
@@ -154,7 +156,8 @@ def test_index_and_count_refusals(call, text):
 
 
 def test_integer_arguments_that_pass():
-    assert QMatrix([[1, 2], [3, 4]]).entry(1, 0) == 3
+    assert AffineSubspace.from_rows(Count(1), [[1, 0]]).dim == 0
+    assert parse_table({"kind": "cdr", "dim": 0, "entries": [[1]]})[0].d == 0
     assert fm_feasible([((1,), 0)], 1) == [0]
     assert fm_feasible([], 0) == []
     assert DEDUCTION.implies({(0, 1): 1}, 0) and not DEDUCTION.implies({(0, 1): 1}, -1)

@@ -24,7 +24,7 @@ from test_qlinalg import reference_echelon_int
 from test_arrangements import (
     k_equal_arrangement, pencil_arrangement, reference_interval_complexes,
 )
-from conftest import cone, reference_order_complex, reference_topdown_betti
+from conftest import cone, reduced_euler, reference_order_complex, reference_topdown_betti
 
 
 def boolean_coordinate_poset(n):
@@ -98,9 +98,6 @@ class ReferenceComplex:
         self.simplices = frozenset(closed)
         self.pos = {v: i for i, v in enumerate(verts)}
 
-    def is_empty(self):
-        return not self.simplices
-
     def dim(self):
         if not self.simplices:
             return -2
@@ -110,8 +107,11 @@ class ReferenceComplex:
         found = [sorted(map(self.pos.__getitem__, s)) for s in self.simplices if len(s) == k + 1]
         return [tuple(self.vertices[i] for i in s) for s in sorted(found)]
 
-    def euler_characteristic_reduced(self):
-        return sum((-1) ** (len(s) - 1) for s in self.simplices if s) - 1
+
+def k_simplices(k, deg):
+    """The deg-simplices of a complex, 0 <= deg <= dim, as vertex tuples in
+    vertex order, read off its faces."""
+    return [tuple(map(k.vertices.__getitem__, s)) for s in k.faces[deg + 1]]
 
 
 def _boundary_rows(top, low):
@@ -132,7 +132,7 @@ def reference_reduced_betti(k):
     d = k.dim()
     if d < 0:
         return BettiVector([1])
-    by_degree = [k.k_simplices(deg) for deg in range(d + 1)]
+    by_degree = [k_simplices(k, deg) for deg in range(d + 1)]
     ranks = {-1: 0, 0: 1, d + 1: 0}  # degree 0 is the augmentation
     for deg in range(1, d + 1):
         top = by_degree[deg]
@@ -150,14 +150,13 @@ class TestOrderComplex:
         poset, bottom, top = boolean_coordinate_poset(3)
         k = order_complex(poset, bottom, top)
         assert len(k.vertices) == 6
-        assert len(k.k_simplices(1)) == 6
-        assert k.k_simplices(2) == []
+        assert len(k.faces) == 3 and len(k.faces[2]) == 6  # 6 edges, no triangle
         assert reduced_betti(k) == BettiVector([0, 0, 1])
 
     def test_empty_interior(self):
         poset = FinitePoset([0, 1], [(0, 1)])
         k = order_complex(poset, 0, 1)
-        assert k.is_empty()
+        assert k.faces == ()
         assert reduced_betti(k) == BettiVector([1])
 
     def test_antichain_gives_isolated_vertices(self):
@@ -166,7 +165,7 @@ class TestOrderComplex:
         poset = FinitePoset(elements, pairs)
         k = order_complex(poset, 0, 4)
         assert len(k.vertices) == 3
-        assert k.k_simplices(1) == []
+        assert len(k.faces) == 2  # no edge
         assert reduced_betti(k)[0] == 2
 
     def test_unknown_ids(self):
@@ -223,7 +222,7 @@ class TestPosetValidation:
 
     def test_transitive_closure(self):
         poset = FinitePoset([0, 1, 2], [(0, 1), (1, 2)])
-        assert poset.less_than(0, 2)
+        assert (0, 2) in poset.less
 
     def test_closure_matches_pairwise_fixpoint(self, rng):
         def fixpoint(pairs):
@@ -289,7 +288,7 @@ class TestFromUpSets:
 
 class TestReducedBetti:
     def test_empty_complex(self):
-        assert reduced_betti(SimplicialComplex.empty())[-1] == 1
+        assert reduced_betti(SimplicialComplex((), ()))[-1] == 1
 
     def test_two_points(self):
         k = SimplicialComplex([0, 1], [])
@@ -351,7 +350,7 @@ class TestReducedBetti:
                 high = boundary_matrix(k, deg)
                 prod_rows = [
                     [
-                        sum(low.entry(i, t) * high.entry(t, j) for t in range(high.nrows))
+                        sum(low.entries[i][t] * high.entries[t][j] for t in range(high.nrows))
                         for j in range(high.ncols)
                     ]
                     for i in range(low.nrows)
@@ -384,7 +383,7 @@ class TestAgainstDenseReference:
             k = random_complex(rng)
             assert reduced_betti(k) == reference_reduced_betti(k) == reference_topdown_betti(k)
             for deg in range(1, k.dim() + 1):
-                top, low = k.k_simplices(deg), k.k_simplices(deg - 1)
+                top, low = k_simplices(k, deg), k_simplices(k, deg - 1)
                 assert boundary_matrix(k, deg) == QMatrix(_boundary_rows(top, low), ncols=len(top))
 
     def test_random_bitmask_families(self, rng):
@@ -428,10 +427,7 @@ class TestHomologyInvariants:
         for _ in range(50):
             k = random_complex(rng)
             betti = reduced_betti(k)
-            assert (
-                betti.euler_characteristic_reduced()
-                == k.euler_characteristic_reduced()
-            )
+            assert sum((-1) ** (i - 1) * v for i, v in enumerate(betti.values)) == reduced_euler(k)
 
     def test_cone_is_acyclic(self, rng):
         for _ in range(50):
@@ -503,10 +499,6 @@ def assert_matches_reference(vertices, simplices):
                  for s in ref.simplices if len(s) == size]
         assert level == tuple(sorted(found))
     assert k.dim() == ref.dim()
-    assert k.is_empty() == ref.is_empty()
-    assert k.euler_characteristic_reduced() == ref.euler_characteristic_reduced()
-    for deg in range(-3, k.dim() + 3):
-        assert k.k_simplices(deg) == ref.k_simplices(deg)
     top = ref.k_simplices(0)
     assert boundary_matrix(k, 0) == QMatrix([[1] * len(top)], ncols=len(top))
     for deg in range(1, k.dim() + 3):
