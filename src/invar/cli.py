@@ -10,16 +10,18 @@ for tables the JSON keys are always kind, dim, entries, notes in that order.
 One table, _GROUPS, names each group's help, handler and commands.  A
 well-formed argv, `group command --flag value ... [--flag=value] [--strict]`,
 is read straight from _CANONICAL, that table's flags, defaults and required
-options per command, built once at import, and builds no parser.  Any other
-argv, and every request for help, goes to the full argparse tree of
-_GROUPS, which alone writes help, usage and error text.
+options per command, built once at import, into a SimpleNamespace with
+argparse's fields and values; it builds no parser and imports no argparse.
+Any other argv, and every request for help, goes to the full argparse tree
+of _GROUPS, which alone writes help, usage and error text, and which alone
+imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import arrangements, fans, tables
 from .errors import InputError, InputWarning, SearchLimitError
@@ -162,13 +164,13 @@ def _cmd_table(args) -> tuple[int, str]:
         raise InputError("table check needs fully known entries; use table deduce")
     notes: list[str] = []
     if table.kind == tables.KIND_LYUBEZNIK:
+        # euler_sum and check_convergence_lambda would repeat the checks made here
         diags = tables.validate_lambda(table)
         if diags:
             return EXIT_INFEASIBLE, _emit_table(table, ["invalid: " + d for d in diags], args.format)
-        es = tables.euler_sum(table)
-        notes.append(f"euler sum: {es}")
-        feasible, witness = tables.check_convergence_lambda(table)
-        if not feasible:
+        notes.append(f"euler sum: {tables._alternating_sum(table.entries)}")
+        witness = tables._lambda_witness(table.entries)
+        if witness is None:
             notes.append("convergence: infeasible")
             return EXIT_INFEASIBLE, _emit_table(table, notes, args.format)
         notes.append("convergence: feasible")
@@ -235,8 +237,9 @@ _CANONICAL = {
 }
 
 
-def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
-    """argparse's Namespace for `group command --flag value ... [--flag=value] [--strict]`.
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The fields and values of argparse's Namespace, in a SimpleNamespace,
+    for `group command --flag value ... [--flag=value] [--strict]`.
 
     Names, type, choices, required, default and store_true come from _GROUPS,
     by _CANONICAL, and use no other add_argument keyword (a test pins this).
@@ -249,7 +252,7 @@ def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
     if spec is None:
         return None
     arguments, defaults = spec
-    args = argparse.Namespace(group=argv[0], command=argv[1], **defaults)
+    args = SimpleNamespace(group=argv[0], command=argv[1], **defaults)
     tokens = iter(argv[2:])
     for token in tokens:
         flag, equals, value = token.partition("=")
@@ -269,7 +272,7 @@ def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
         if "type" in options:
             try:
                 value = options["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 return None
         if "choices" in options and value not in options["choices"]:
             return None
@@ -279,12 +282,15 @@ def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
     return None if missing else args
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The full argparse tree of _GROUPS.
 
     main builds it only for an argv that _read_canonical declines, so it is
-    the one source of help, usage and error text.
+    the one source of help, usage and error text, and argparse is imported
+    only here.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="invar",
         description="Invariant tables of subspace arrangements and toric 3-folds",

@@ -15,11 +15,16 @@ InputWarning.  A table's dim, ambient_dim, betti and bound, which no
 constructor reads here, go through the checks the library makes of them
 (`errors._int`; `errors._betti` once betti is a list).  The readers add only
 the subspace's label to its messages.
+
+`load_json` reads a file by os.open, os.read and os.close, with no file
+object, and `dumps_table` writes its document as text, byte for byte what
+json.dumps writes; `dumps_doc` is json.dumps.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -35,8 +40,15 @@ def _reject_float(text: str):
     )
 
 
+# json.dumps's writer of a str, ensure_ascii included
+_json_string = json.encoder.encode_basestring_ascii
+
 # json.load builds a fresh decoder whenever it gets a parse_* argument
 _DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
+# bytes asked of each os.read; a larger file takes more than one read
+_CHUNK = 1 << 16
 
 
 def load_json(path: str) -> dict:
@@ -44,10 +56,21 @@ def load_json(path: str) -> dict:
     those of json.load on the file opened in text mode.  `decode` runs only
     to raise "Extra data" when more than " \\t\\n\\r" follows the document."""
     try:
-        with open(path, "rb", buffering=0) as fh:
-            text = fh.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        chunks = [os.read(fd, _CHUNK)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, _CHUNK))
+    except IsADirectoryError as exc:  # open() refused it with its name, os.open does not
+        raise InputError(f"cannot read {path}: {OSError(exc.errno, exc.strerror, path)}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    finally:
+        os.close(fd)
+    try:
+        text = b"".join(chunks).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     if "\r" in text:  # text mode's universal newlines; keeps error positions
@@ -146,8 +169,13 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
 
 
 def dumps_table(table: InvariantTable, notes: Sequence[str] = ()) -> str:
-    """Serialize a table as a single JSON document with stable key order."""
-    return json.dumps(table.as_json_dict(notes))
+    """Serialize a table as a single JSON document with stable key order,
+    written as text: byte for byte `json.dumps(table.as_json_dict(notes))`."""
+    # json.dumps writes an int, an int subclass too, by int.__repr__
+    rows = "], [".join([", ".join(["null" if v is None else int.__repr__(v) for v in row])
+                        for row in table.entries])
+    return (f'{{"kind": {_json_string(table.kind)}, "dim": {table.d}, '
+            f'"entries": [[{rows}]], "notes": [{", ".join(map(_json_string, notes))}]}}')
 
 
 def dumps_doc(doc: dict) -> str:

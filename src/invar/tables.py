@@ -120,10 +120,11 @@ class InvariantTable(_Frozen):
         return [(p, q) for p in range(n) for q in range(n)]
 
     def unknown_cells(self) -> tuple[Cell, ...]:
-        return tuple((p, q) for p, q in self.cells() if self.entries[p][q] is None)
+        return tuple((p, q) for p, row in enumerate(self.entries)
+                     for q, v in enumerate(row) if v is None)
 
     def is_complete(self) -> bool:
-        return not self.unknown_cells()
+        return not any(v is None for row in self.entries for v in row)
 
     def with_entries(self, assignment: Mapping[Cell, int | None]) -> "InvariantTable":
         rows = [list(r) for r in self.entries]

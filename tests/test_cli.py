@@ -1054,7 +1054,8 @@ class TestAgainstReferenceParser:
         path = str(Path(__file__).resolve().parent / "in.json")
         benchmark = ("table", "deduce", "--input", path, "--bound", "8", "--format", "json")
         for argv in [*valid_argvs(), benchmark]:
-            assert cli._read_canonical(list(argv)) == reference_parse(list(argv)), argv
+            # a SimpleNamespace against argparse's Namespace: the same fields and values
+            assert vars(cli._read_canonical(list(argv))) == vars(reference_parse(list(argv))), argv
 
     def test_reader_agrees_on_random_argvs(self):
         accepted = 0
@@ -1093,7 +1094,7 @@ class TestAgainstReferenceParser:
     ], ids=["format-equals", "negative-bound-equals", "empty-input", "last-format-wins"])
     def test_reader_accepts(self, argv, dest, value):
         args = cli._read_canonical(list(argv))
-        assert args == reference_parse(list(argv))
+        assert vars(args) == vars(reference_parse(list(argv)))
         assert getattr(args, dest) == value
 
 
@@ -1118,10 +1119,25 @@ class TestJsonRoundTrip:
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
     """Every command runs in a fresh process, which would pay for these
-    three modules at start-up; under `-S` no `site` preloads any of them."""
+    modules at start-up; under `-S` no `site` preloads any of them.  Only an
+    argv that `_read_canonical` declines imports argparse."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import invar.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (["tables", "small", "--dim", "1", "--format", "json"], False),
+    (["tables", "small", "--dim", "1", "--format=json", "--strict"], False),
+    (["tables", "small", "--dim", "1", "--form", "json"], True),
+], ids=["canonical", "canonical-equals", "abbreviated"])
+def test_only_a_declined_argv_imports_argparse(argv, imported):
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import invar.cli; "
+            "code = invar.cli.main(sys.argv[2:]); print(code, 'argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(src), *argv],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {imported}"

@@ -2,7 +2,8 @@
 
 `load_json` reads bytes and decodes them itself; `reference_load_json` is
 the text-mode `json.load` it replaced.  On every file of the corpus both
-must return an equal document or raise an `InputError` with identical text.
+must return an equal document or raise an `InputError` with identical text,
+except on a path with a NUL in it, where the reference crashes.
 
 `parse_arrangement`, `parse_fan` and `parse_table` check only the shape of a
 document and leave every value check to the constructors.  The
@@ -11,21 +12,36 @@ themselves first.  On a generated corpus of malformed documents both must
 return equal values, raise identical `InputError` texts and warn alike,
 except on the cases named in `CHANGED`.
 
+`dumps_table` writes its document as text; on seeded random tables and notes
+it must give what `json.dumps(table.as_json_dict(notes))` gives, byte for byte.
+
 The module imports nothing outside the standard library and `invar`, so the
 comparisons also run without pytest: pass any fresh directory as `tmp_path`.
 """
 
 import copy
+import io
 import json
+import random
 import re
 import sys
 import warnings
+from contextlib import redirect_stderr
 from math import gcd
 
+from invar import cli
 from invar.arrangements import AffineSubspace
 from invar.errors import _ECHO_CHARS, InputError, InputWarning, _echo
 from invar.fans import Fan3
-from invar.fileio import _reject_float, load_json, parse_arrangement, parse_fan, parse_table
+from invar.fileio import (
+    _CHUNK,
+    _reject_float,
+    dumps_table,
+    load_json,
+    parse_arrangement,
+    parse_fan,
+    parse_table,
+)
 from invar.tables import KIND_CDR, KIND_LYUBEZNIK, InvariantTable
 
 
@@ -183,6 +199,10 @@ DOCS = {
 VALID = b'{"ambient_dim": 1, "subspaces": [{"equations": [[1, 0]]}], '
 
 
+LONG_PREFIX = b'{"a": "'
+LONG_TEXT = "x" * (_CHUNK - 1 - len(LONG_PREFIX)) + "é" + "y" * (2 * _CHUNK)
+
+
 def corpus() -> dict[str, bytes]:
     cases = {}
     for kind, doc in DOCS.items():
@@ -222,6 +242,9 @@ def corpus() -> dict[str, bytes]:
         "only-bom": b"\xef\xbb\xbf",
         "trailing-data": body + b"\r\n{}",
         "escaped-unicode": b'{"a": "\\u00e9\\ud834\\udd1e"}',
+        # more than two reads, with the two bytes of an é on either side of
+        # the first read's end
+        "larger-than-chunk": LONG_PREFIX + LONG_TEXT.encode("utf-8") + b'"}',
     })
     return cases
 
@@ -231,6 +254,8 @@ def outcome(reader, path: str):
         doc = reader(path)
     except InputError as exc:
         return "error", str(exc)
+    except ValueError as exc:
+        return "crash", f"{type(exc).__name__}: {exc}"
     return "doc", repr(doc)
 
 
@@ -242,6 +267,9 @@ def written_corpus(tmp_path) -> dict[str, str]:
         paths[name] = str(path)
     paths["missing"] = str(tmp_path / "missing.json")
     paths["directory"] = str(tmp_path)
+    (tmp_path / "symlink.json").symlink_to(tmp_path / "arrangement.json")
+    paths["symlink"] = str(tmp_path / "symlink.json")
+    paths["nul-path"] = str(tmp_path / "a\x00b.json")
     return paths
 
 
@@ -250,7 +278,11 @@ def test_load_json_matches_reference(tmp_path):
     differ = {name: (outcome(load_json, path), outcome(reference_load_json, path))
               for name, path in paths.items()}
     differ = {name: pair for name, pair in differ.items() if pair[0] != pair[1]}
-    assert not differ
+    # open() lets a NUL in the path escape as a bare ValueError
+    assert differ == {"nul-path": (
+        ("error", f"cannot read {paths['nul-path']}: embedded null byte"),
+        ("crash", "ValueError: embedded null byte"),
+    )}
 
 
 def test_corpus_reaches_each_outcome(tmp_path):
@@ -269,6 +301,7 @@ def test_corpus_reaches_each_outcome(tmp_path):
         "empty": "Expecting value: line 1 column 1 (char 0)",
         "missing": "cannot read",
         "directory": "Is a directory",
+        "nul-path": "cannot read",
     }
     for name, fragment in expected.items():
         kind, text = outcome(load_json, paths[name])
@@ -277,6 +310,17 @@ def test_corpus_reaches_each_outcome(tmp_path):
         for variant in ("", "-valid-lf", "-valid-crlf", "-valid-cr"):
             assert load_json(paths[name + variant]) == DOCS[name]
     assert load_json(paths["mixed-line-ends"]) == {"a": 1, "b": 2, "c": [1, 2]}
+    assert load_json(paths["symlink"]) == DOCS["arrangement"]
+    assert load_json(paths["larger-than-chunk"]) == {"a": LONG_TEXT}
+
+
+def test_nul_in_path_is_an_input_error():
+    # open() raised a bare ValueError, so the command crashed with a traceback;
+    # load_json's text is pinned by the corpus comparison above
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert cli.main(["table", "check", "--input", "a\x00b"]) == cli.EXIT_INPUT
+    assert err.getvalue() == "error: cannot read a\x00b: embedded null byte\n"
 
 
 def test_long_integer_literal_is_an_input_error(tmp_path):
@@ -515,3 +559,49 @@ def test_document_corpus_reaches_each_reader_outcome():
     for name in ("arrangement: valid", "arrangement: ('subspaces', 0, 'name')=61-char str",
                  "fan: valid", "table: valid", "table: ('kind',)=lyubeznik"):
         assert outcomes[name][0][0] == "value", name
+
+
+# ---------------------------------------------------------------------------
+# the table writer against json.dumps
+
+
+class Loud(int):
+    """An int whose str and repr are not int.__repr__, which json.dumps writes."""
+
+    def __str__(self):
+        return f"loud {int(self)}"
+
+    __repr__ = __str__
+
+
+NOTE_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\U0001d11e", "\ud800",
+             "a", "euler sum: 1", " ", "/"]
+
+
+def random_cell(rng):
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.25:
+        return rng.randrange(2**64, 2**200)
+    if roll < 0.35:
+        return Loud(rng.randrange(0, 10**6))
+    return rng.choice((0, 0, 0, 1, 2, 3, rng.randrange(1000)))
+
+
+def test_dumps_table_matches_json_dumps():
+    rng = random.Random(4040)
+    seen = set()
+    for kind in (KIND_LYUBEZNIK, KIND_CDR):
+        for d in range(7):
+            for _ in range(30):
+                table = InvariantTable(kind, [[random_cell(rng) for _ in range(d + 1)]
+                                              for _ in range(d + 1)])
+                notes = ["".join(rng.choices(NOTE_TEXT, k=rng.randrange(6)))
+                         for _ in range(rng.randrange(4))]
+                text = dumps_table(table, notes)
+                assert text == json.dumps(table.as_json_dict(notes)), (table.entries, notes)
+                seen.update(type(v) if v is None or v < 2**64 else "big"
+                            for row in table.entries for v in row)
+    # the tables reach every kind of cell the writer sees
+    assert seen == {type(None), int, Loud, "big"}

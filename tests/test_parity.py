@@ -33,12 +33,12 @@ def test_compare_reports_only_an_injected_change(tmp_path):
     assert sum(sum(c.values()) for c in codes.values()) == len(argvs)
     assert not differ and first is None
 
-    tables = trees[1] / "invar" / "tables.py"
-    text = tables.read_text(encoding="utf-8")
-    cell = '"entries": [list(row) for row in self.entries],'
-    assert text.count(cell) == 1
-    tables.write_text(text.replace(
-        cell, '"entries": [[1, *self.entries[0][1:]], *map(list, self.entries[1:])],'
+    fileio = trees[1] / "invar" / "fileio.py"
+    text = fileio.read_text(encoding="utf-8")
+    rows = "for row in table.entries])"
+    assert text.count(rows) == 1
+    fileio.write_text(text.replace(
+        rows, "for row in ((1, *table.entries[0][1:]), *table.entries[1:])])"
     ), encoding="utf-8")
     codes, differ, first = parity.compare(*trees, argvs, work)
     assert sum(differ.values()) >= 1
