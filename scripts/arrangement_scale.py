@@ -9,10 +9,13 @@ lifted), builds
 the intersection lattice and the Cech-de Rham table, checks the table or the
 complement against an independent formula, and prints the wall time of both
 steps.  It also counts the meets `build_lattice` makes, the calls of
-`arrangements._meet`, by wrapping that function, and checks them against
-the exact counts recorded here: one meet per distinct cut of a popped flat.
-A change in the count is a change in the lattice builder's work, even when
-the lattice stays right.
+`arrangements._meet`, and the cuts, the calls of `arrangements._cut`, by
+wrapping those functions, and checks them against the exact counts recorded
+here: one cut per component reduced against a popped flat, one meet per
+distinct cut.  The components of each case have one dimension, so the
+pruning reduces none of them and every cut is made by the lattice loop.  A
+change in a count is a change in the lattice builder's work, even when the
+lattice stays right.
 
 Boolean and braid are hyperplane arrangements, so every cell comes from a
 Moebius number and the time is the lattice's: braid n = 8 has 4,140 flats.
@@ -48,7 +51,8 @@ same, but every interval is now ranked through a complex, and the origin's
 is its order complex of 5k + 3 faces, where the crosscut complex would have
 2^k + k + 1.
 
-Exits 1 if a table, a characteristic polynomial or a meet count is wrong.
+Exits 1 if a table, a characteristic polynomial, a meet count or a cut
+count is wrong.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ MEETS = {
     "braid n=6": 666, "braid n=7": 3836, "braid n=8": 22982,
     "k-equal (7,3)": 917, "k-equal (8,4)": 1314, "k-equal (8,3)": 5559, "k-equal (9,4)": 6582,
     "pencil k=40": 119, "pencil k=40 lifted": 119,
+}
+# components reduced against a flat by build_lattice, one fold each; the
+# former remainders step made as many
+CUTS = {
+    "boolean n=6": 131, "boolean n=7": 350,
+    "braid n=6": 1935, "braid n=7": 13083, "braid n=8": 88438,
+    "k-equal (7,3)": 5754, "k-equal (8,4)": 10315, "k-equal (8,3)": 42868,
+    "k-equal (9,4)": 90945,
+    "pencil k=40": 1601, "pencil k=40 lifted": 1601,
 }
 
 
@@ -163,22 +176,22 @@ def k_equal_chi_check(n: int, k: int):
     return check
 
 
-def count_meets() -> list[int]:
-    """Wrap arrangements._meet so that each call adds 1 to the returned list."""
-    meets = [0]
-    meet = arrangements._meet
+def counted(name: str) -> list[int]:
+    """Wrap arrangements.<name> so that each call adds 1 to the returned list."""
+    calls = [0]
+    function = getattr(arrangements, name)
 
-    def counted(*args):
-        meets[0] += 1
-        return meet(*args)
+    def wrapper(*args):
+        calls[0] += 1
+        return function(*args)
 
-    arrangements._meet = counted
-    return meets
+    setattr(arrangements, name, wrapper)
+    return calls
 
 
 def main() -> int:
     ok = True
-    meets = count_meets()
+    meets, cuts = counted("_meet"), counted("_cut")
     cases = [(f"boolean n={n}", boolean(n), [poincare_check([1] * n)]) for n in (6, 7)]
     cases += [(f"braid n={n}", braid(n), [poincare_check(list(range(1, n)))]) for n in (6, 7, 8)]
     cases += [(f"k-equal ({n},{k})", k_equal(n, k), [euler_check, k_equal_chi_check(n, k)])
@@ -186,18 +199,18 @@ def main() -> int:
     cases += [(f"pencil k=40{' lifted' if lifted else ''}", pencil(40, lifted), [pencil_check(40)])
               for lifted in (False, True)]
     for name, comps, checks in cases:
-        meets[0] = 0
+        meets[0] = cuts[0] = 0
         start = perf_counter()
         lattice = build_lattice(comps)
         built = perf_counter()
         table = cdr_table(lattice)
         done = perf_counter()
         verdicts = [check(lattice, table) for check in checks]
-        counted = meets[0] == MEETS[name]
-        ok &= counted and all(right for right, _ in verdicts)
+        counts = [(meets[0], MEETS[name], "meets"), (cuts[0], CUTS[name], "cuts")]
+        verdicts += [(got == want, f"{got} {what} (expected {want})") for got, want, what in counts]
+        ok &= all(right for right, _ in verdicts)
         claims = ", ".join(f"{claim} {'ok' if right else 'WRONG'}" for right, claim in verdicts)
-        print(f"{name}: {len(lattice.flats)} flats, {meets[0]} meets (expected {MEETS[name]}) "
-              f"{'ok' if counted else 'WRONG'}, build_lattice {built - start:.2f} s, "
+        print(f"{name}: {len(lattice.flats)} flats, build_lattice {built - start:.2f} s, "
               f"cdr_table {done - built:.2f} s, total {done - start:.2f} s, {claims}")
     return 0 if ok else 1
 

@@ -6,22 +6,22 @@ The intersection lattice orders all nonempty intersections by inclusion,
 with the ambient space as unique top element.
 
 Flats are found by meeting each flat, with the pivots its meet returned,
-with each component.  A component of smaller codimension contains a flat
-when each of its rows reduces to zero against the flat's rows; it then goes
-into the flat's component bitmask, and nothing is eliminated.  Otherwise
-the meet is fixed by the cut, the reduced rows of the nonzero remainders
-(empty once one reads 0 = c): components with the same cut give the same
-meet, made once by folding the cut's rows into the flat's pivots.
-Remainders come from `qlinalg._substitute`, its one back-substitution step,
-cuts and meets from `qlinalg._reduced`, the reduced-form fold built on it,
-and the rational rref from `qlinalg._rref`, so this module keeps no
-elimination loop and builds no Fraction.  A flat is the
+with each component.  One `_cut` per (flat, component) pair folds the
+component's rows against the flat's pivots by `qlinalg._reduced`, stopping
+at the first row that reads 0 = c.  An empty cut means the component
+contains the flat: it goes into the flat's component bitmask, and nothing is
+met.  Otherwise the cut, the reduced form of the remainders, fixes the meet:
+components with the same cut give the same meet, made once by clearing the
+flat's rows at the cut's pivots with `qlinalg._substitute` and adding the
+cut's rows as they are.  The rational rref comes from `qlinalg._rref`, so
+this module keeps no elimination loop and builds no Fraction.  A flat is the
 meet of the components in its mask, so a component whose generating set
 (the mask plus that component) has been met before is skipped.  A meet lies
 in the flat's components and in the group's, so that union is a lower bound
 on its mask, and those components are not reduced against it again.  Flats
-are listed by dimension, then by rational rref, compared exactly as integer
-rows scaled by one common multiple of all pivots.
+are numbered as they are found, looked up by their rows once per meet, and
+listed by dimension, then by rational rref, compared exactly as integer
+rows scaled by a common multiple of the pivots of their dimension.
 
 F lies below G exactly when mask(G) is a proper subset of mask(F).  So each
 flat's up-set, the flats strictly above it, is a bitset over flat ids: the
@@ -56,7 +56,7 @@ from math import lcm
 from .errors import InputError, InputWarning, _Frozen, _int
 from .posets import FinitePoset, _bits, _chains_above, _face_betti
 from .qlinalg import (
-    _pivots, _primitive, _reduced, _rref, _scaled_to_int, _substitute, parse_rational,
+    _content_free, _pivots, _reduced, _rref, _scaled_to_int, _substitute, parse_rational,
 )
 from .tables import (
     KIND_CDR,
@@ -67,48 +67,37 @@ from .tables import (
 )
 
 
-def _remainders(pivots, others) -> list[Sequence[int]]:
-    """The nonzero remainders of the rows `others` reduced against the
-    (pivot column, reduced row) pairs `pivots`.
+def _cut(pivots, rows, ncols: int) -> list[tuple[int, tuple[int, ...]]] | None:
+    """The (pivot column, row) pairs of the primitive reduced form of the
+    remainders of the rows `rows` against the (c, reduced row) pairs
+    `pivots`, or None once one of them has a pivot in the constant column:
+    no point of the flat they reduce against satisfies them all.
 
-    A remainder is zero at every pivot column.  It vanishes exactly when its
-    row lies in the span of the reduced rows.
+    Each row is cleared at `pivots` by `qlinalg._substitute` as the one
+    `qlinalg._reduced` fold reads it, so the fold stops at the first 0 = c
+    remainder and makes no remainder after it.  The pairs are empty exactly
+    when every row reduces to zero: the flat lies in the subspace the rows
+    cut out.  Otherwise the cut fixes their meet, so components with the
+    same cut meet the flat in one subspace.
     """
-    reduced = (_substitute(row, pivots) for row in others)
-    return [row for row in reduced if any(row)]
-
-
-def _cut(rows, ncols: int) -> tuple[tuple[int, ...], ...] | None:
-    """The primitive reduced rows of an integer system, or None when they
-    have a pivot in the constant column: no point satisfies them all.
-
-    A row 0 = c, c nonzero, as every remainder against a point, gives None
-    at once.  One row needs only to be made primitive; more are folded by
-    `qlinalg._reduced`.  The cut of a component's nonzero remainders against
-    a flat fixes their meet, so components with the same cut meet the flat
-    in one subspace.
-    """
-    if any(row[-1] and not any(row[:-1]) for row in rows):
-        return None
-    if len(rows) == 1:
-        row = rows[0]
-        return (_primitive(row),) if any(row) else ()  # 0 = 0: the ambient space
-    pairs = _reduced(rows)
-    if pairs and pairs[-1][0] == ncols - 1:  # a pivot in the constant column
-        return None
-    return tuple(row for _, row in pairs)
+    return _reduced((_substitute(row, pivots) for row in rows), stop=ncols - 1)
 
 
 def _meet(pivots, cut) -> tuple[tuple, list]:
     """Canonical rows, and their (pivot column, row) pairs, of a subspace
-    given as the pairs `pivots`, cut by the rows `cut` of `_cut`: the
-    reduced form `qlinalg._reduced` folds from both.
+    given as the pairs `pivots`, cut by the pairs `cut` of `_cut`.
 
-    The cut's rows are zero at the old pivot columns, so each is primitive
-    as it stands, and only the old rows are cleared, at its pivot.
+    The cut's rows are primitive and zero at the old pivot columns, so they
+    are taken as they are.  Each old row is cleared at the cut's pivots by
+    one `qlinalg._substitute`, which keeps its pivot positive, and has its
+    content divided out only when it changed.
     """
-    merged = _reduced(cut, pivots)
-    return tuple(row for _, row in merged), merged
+    merged = list(cut)
+    for c, row in pivots:
+        cleared = _substitute(row, cut)
+        merged.append((c, row if cleared is row else _content_free(cleared)))
+    merged.sort()  # the columns differ, so no two rows are compared
+    return tuple([row for _, row in merged]), merged
 
 
 class AffineSubspace(_Frozen):
@@ -136,11 +125,11 @@ class AffineSubspace(_Frozen):
                     f"every equation row needs exactly {width} entries (coefficients then constant)"
                 )
             scaled.append(_scaled_to_int(row))
-        rows = _cut(scaled, width)
-        if rows is None:
+        pairs = _reduced(scaled, stop=width - 1)
+        if pairs is None:
             raise InputError("inconsistent linear system: no solutions")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple([row for _, row in pairs]))
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "AffineSubspace":
@@ -174,18 +163,28 @@ class AffineSubspace(_Frozen):
         return f"AffineSubspace(n={self.ambient_dim}, dim={self.dim})"
 
 
-def _rref_order(pairs: dict) -> list[tuple]:
-    """The flats' row tuples, the keys of `pairs`, which maps each to its
-    (pivot column, row) pairs, sorted by dimension, then by rational rref.
+def _rref_order(rows: Sequence[tuple], pairs: Sequence[list]) -> list[int]:
+    """The ids of the flats with rows `rows[i]` and (pivot column, row)
+    pairs `pairs[i]`, sorted by dimension, then by rational rref.
 
-    The rref row of a primitive row is the row divided by its pivot.  Scaled
-    by a common multiple of all pivots, every rref is an integer matrix and
-    the order is unchanged, as all scale by the same positive constant.
+    The rref row of a primitive row is the row divided by its pivot, and
+    flats of one dimension have as many rows.  Scaled by a common multiple
+    of the pivots of such a class, every rref is an integer matrix and the
+    order within the class is unchanged, as all scale by the same positive
+    constant.
     """
-    scale = lcm(*(row[c] for merged in pairs.values() for c, row in merged))
-    return sorted(pairs, key=lambda rows: (-len(rows), tuple([
-        row if row[c] == scale else tuple([x * (scale // row[c]) for x in row])
-        for c, row in pairs[rows]])))
+    classes: dict[int, list[int]] = {}
+    for i, flat in enumerate(rows):
+        classes.setdefault(len(flat), []).append(i)
+    order = []
+    for size in sorted(classes, reverse=True):
+        ids = classes[size]
+        scale = lcm(*[row[c] for i in ids for c, row in pairs[i]])
+        ids.sort(key=lambda i: [
+            row if row[c] == scale else tuple([x * (scale // row[c]) for x in row])
+            for c, row in pairs[i]])
+        order += ids
+    return order
 
 
 class Flat(_Frozen):
@@ -274,7 +273,8 @@ def _normalize_components(components: Sequence[AffineSubspace]) -> list[AffineSu
     kept = []
     for c in unique:
         pivots = _pivots(c.rows)
-        if any(o.dim > c.dim and not _remainders(pivots, o.rows) for o in unique):
+        if any(o.dim > c.dim and not any(any(_substitute(row, pivots)) for row in o.rows)
+               for o in unique):
             warnings.warn(
                 f"component of dimension {c.dim} is contained in another component; pruned",
                 InputWarning,
@@ -293,76 +293,93 @@ def build_lattice(components: Sequence[AffineSubspace]) -> IntersectionLattice:
 def _lattice(comps: Sequence[AffineSubspace]) -> IntersectionLattice:
     """The intersection lattice of normalized components.
 
-    Each flat is met with the components only, and carries the pairs its
-    meet returned.  A component with at least two rows fewer than the flat
-    contains it when all remainders of its rows are zero.  No other
-    component outside the mask bound can: one with no fewer rows that
-    contains it is the flat, and one with a single row fewer, C, is in the
-    bound already.  If C is not in the mask of a flat F the flat was met
-    from, the meet of C and F lies strictly inside C and contains the flat,
-    so it is the flat, and C had the cut of the flat's group against F.  A
-    component flat tests nothing, as no component lies in another.
-    Otherwise their cut fixes the meet, so the components with one cut are
-    met once, as a group.  A flat is the intersection of the components in
-    its mask, so a component j whose set mask | 1 << j has been met before
-    is neither reduced nor met.  A meet lies in the flat's components and in the
+    Flats are numbered as they are found, and their rows, pairs and mask
+    bounds kept in lists by that number; the first are the components.  Each
+    flat is met with the components only, and carries the pairs its meet
+    returned.  Each component outside the mask bound is reduced against it
+    by one `_cut`.  A component with at least two rows fewer than the flat
+    contains it when its cut is empty.  No other component outside the mask
+    bound can: one with no fewer rows that contains it is the flat, and one
+    with a single row fewer, C, is in the bound already.  If C is not in the
+    mask of a flat F the flat was met from, the meet of C and F lies
+    strictly inside C and contains the flat, so it is the flat, and C had
+    the cut of the flat's group against F.  A component flat tests nothing,
+    as no component lies in another.  Otherwise their cut fixes the meet, so
+    the components with one cut are met once, as a group, kept as a bitmask.
+    A flat is the intersection of the components in its mask, so a
+    component j whose set mask | 1 << j has been met before is neither
+    reduced nor met.  A meet lies in the flat's components and in the
     group's: that union bounds its mask from below, and only the components
     outside it are reduced when the meet is visited.
     """
     n = comps[0].ambient_dim
+    width = n + 1
     comp_rows = [c.rows for c in comps]
-    all_components = (1 << len(comps)) - 1
-    lower = {rows: 1 << j for j, rows in enumerate(comp_rows)}  # flat -> mask bound
-    pairs = {rows: _pivots(rows) for rows in comp_rows}  # flat -> its pivots
-    masks: dict[tuple, int] = {}
+    sizes = [len(rows) for rows in comp_rows]
+    count = len(comps)
+    flat_rows = list(comp_rows)  # by flat id
+    flat_pairs = [_pivots(rows) for rows in comp_rows]
+    # the mask bound, made the mask when the flat is popped; a later bound
+    # holds components containing the flat, which the mask has already
+    masks = [1 << j for j in range(count)]
+    index = {rows: i for i, rows in enumerate(flat_rows)}
     met: set[int] = set()
-    worklist = list(comp_rows)
+    worklist = list(range(count))
     while worklist:
-        rows = worklist.pop()
-        pivots = pairs[rows]
-        mask = lower[rows]
-        remainders = {}
+        i = worklist.pop()
+        pivots = flat_pairs[i]
+        mask = masks[i]
+        cuts = {}
         if mask & (mask - 1):  # not a component, whose mask bound is its own bit
-            for j in _bits(all_components & ~mask):
-                if len(comp_rows[j]) < len(rows) - 1:
-                    remainders[j] = rem = _remainders(pivots, comp_rows[j])
-                    if not rem:
+            small = len(flat_rows[i]) - 1
+            for j in range(count):
+                if not mask >> j & 1 and sizes[j] < small:
+                    cut = _cut(pivots, comp_rows[j], width)
+                    if cut == []:
                         mask |= 1 << j
-        masks[rows] = mask
-        groups: dict[tuple | None, list[int]] = {}
-        for j in _bits(all_components & ~mask):
-            if (mask | 1 << j) not in met:
-                rem = remainders.get(j) or _remainders(pivots, comp_rows[j])
-                groups.setdefault(_cut(rem, n + 1), []).append(j)
+                    else:
+                        cuts[j] = cut
+        masks[i] = mask
+        groups: dict[tuple | None, int] = {}  # cut -> its components
+        for j in range(count):
+            if not mask >> j & 1 and (mask | 1 << j) not in met:
+                cut = cuts[j] if j in cuts else _cut(pivots, comp_rows[j], width)
+                key = None if cut is None else tuple(cut)
+                groups[key] = groups.get(key, 0) | 1 << j
         for cut, group in groups.items():
-            generators = mask
-            for j in group:
-                met.add(mask | 1 << j)
-                generators |= 1 << j
+            rest = group
+            while rest:
+                low = rest & -rest
+                met.add(mask | low)
+                rest ^= low
             if cut is None:
                 continue
             meet, merged = _meet(pivots, cut)
-            if meet in lower:
-                lower[meet] |= generators
+            k = index.setdefault(meet, len(flat_rows))
+            if k == len(flat_rows):
+                flat_rows.append(meet)
+                flat_pairs.append(merged)
+                masks.append(mask | group)
+                worklist.append(k)
             else:
-                lower[meet] = generators
-                pairs[meet] = merged
-                worklist.append(meet)
-    ordered = _rref_order(pairs)
-    flats = [Flat(i, AffineSubspace._canonical(n, rows)) for i, rows in enumerate(ordered)]
+                masks[k] |= mask | group
+    ordered = _rref_order(flat_rows, flat_pairs)
+    flats = [Flat(i, AffineSubspace._canonical(n, flat_rows[k])) for i, k in enumerate(ordered)]
     top = Flat(len(flats), AffineSubspace._canonical(n, ()))
     flats.append(top)
-    flat_masks = [masks[rows] for rows in ordered] + [0]
+    flat_masks = [masks[k] for k in ordered] + [0]
     everything = (1 << len(flats)) - 1
-    lacking = [everything] * len(comps)  # flats whose mask lacks component j
+    lacking = [everything] * count  # flats whose mask lacks component j
     for i, mask in enumerate(flat_masks):
-        for j in _bits(mask):
-            lacking[j] ^= 1 << i
+        for j in range(count):
+            if mask >> j & 1:
+                lacking[j] ^= 1 << i
     up = []
     for i, mask in enumerate(flat_masks):
         above = everything
-        for j in _bits(all_components & ~mask):
-            above &= lacking[j]
+        for j in range(count):
+            if not mask >> j & 1:
+                above &= lacking[j]
         up.append(above ^ (1 << i))
     return IntersectionLattice(n, tuple(flats), top.id, tuple(flat_masks), tuple(up))
 

@@ -181,13 +181,13 @@ def _cmd_table(args) -> tuple[int, str]:
             )
         return EXIT_OK, _emit_table(table, notes, args.format)
 
-    # cdr tables need the abutment data
+    # cdr tables need the abutment data; check_cdr would repeat the checks made here
     if ambient is None or betti is None:
         raise InputError("checking a cdr table needs 'ambient_dim' and 'betti' in the file")
     bad = tables.validate_cdr(table)
     if bad:
         return EXIT_INFEASIBLE, _emit_table(table, ["invalid: " + b for b in bad], args.format)
-    feasible, witness = tables.check_cdr(table, betti, ambient)
+    feasible, witness = tables._cdr_verdict(table, betti, ambient)
     if not feasible:
         notes.append("abutment: infeasible against the given Betti numbers")
         return EXIT_INFEASIBLE, _emit_table(table, notes, args.format)

@@ -169,8 +169,9 @@ def parse_table(doc: dict) -> tuple[InvariantTable, int | None, list[int] | None
 
 
 def dumps_table(table: InvariantTable, notes: Sequence[str] = ()) -> str:
-    """Serialize a table as a single JSON document with stable key order,
-    written as text: byte for byte `json.dumps(table.as_json_dict(notes))`."""
+    """Serialize a table as a single JSON document with the keys kind, dim,
+    entries and notes in that order, written as text: byte for byte what
+    `json.dumps` writes of that dict, the rows as lists."""
     # json.dumps writes an int, an int subclass too, by int.__repr__
     rows = "], [".join([", ".join(["null" if v is None else int.__repr__(v) for v in row])
                         for row in table.entries])

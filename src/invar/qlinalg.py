@@ -10,7 +10,10 @@ clears a row at the pivot columns of reduced rows, one pivot lookup,
 `_pivot`, and one normalization, `_primitive`.  Every dense reduced form
 comes from `_reduced`, a fraction-free Gauss-Jordan fold of one row at a
 time built on them, and `_nullspace_int` reads primitive nullspace vectors
-off it; the other layers call these directly.
+off it; the other layers call these directly.  The fold reads its rows
+lazily and can stop at the first pivot in a given column: a system with a
+pivot in its constant column has no point, and the rows after it are never
+made.
 `fractions.Fraction` appears only at the boundary: rational string literals,
 the `QMatrix` wrappers, and `_rref`, the one rational read-out of reduced
 rows, which `QMatrix.rref` and `AffineSubspace.rref_rows` return.  Integer
@@ -206,9 +209,11 @@ def _substitute(row: Sequence[int], pivots) -> Sequence[int]:
     return row
 
 
-def _reduced(rows: Iterable[Sequence[int]], pairs=()) -> list[tuple[int, Sequence[int]]]:
+def _reduced(rows: Iterable[Sequence[int]],
+             stop: int | None = None) -> list[tuple[int, Sequence[int]]] | None:
     """The (pivot column, row) pairs of the primitive reduced form of the
-    span of `rows` and the (c, reduced row) pairs `pairs`, sorted by column.
+    span of `rows`, sorted by column; None as soon as a pivot lands in
+    column `stop`.
 
     A fraction-free Gauss-Jordan fold: each row is cleared at the pivots so
     far by `_substitute`; what is left, if anything, is made primitive, and
@@ -216,14 +221,18 @@ def _reduced(rows: Iterable[Sequence[int]], pairs=()) -> list[tuple[int, Sequenc
     out.  Each row is primitive with a positive pivot, and every pivot column
     is zero outside its pivot row; dividing each row by its pivot gives the
     unique rref, so equal row spaces give equal results.  Zero rows are
-    dropped, so the number of pairs is the rank.
+    dropped, so the number of pairs is the rank.  `rows` is read one row at
+    a time, and a pivot column never leaves the fold, so a pivot in `stop`
+    at any step is one in the result and no later row is read.
     """
-    done = list(pairs)
+    done = []
     for row in rows:
         row = _substitute(row, done)
         if any(row):
-            row = _primitive(row)
             c = _pivot(row)
+            if c == stop:
+                return None
+            row = _primitive(row)
             for i, (d, old) in enumerate(done):
                 if old[c]:
                     done[i] = (d, _content_free(_substitute(old, ((c, row),))))

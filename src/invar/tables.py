@@ -145,14 +145,6 @@ class InvariantTable(_Frozen):
         width = max(len(c) for row in cells for c in row)
         return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
-    def as_json_dict(self, notes: Sequence[str] = ()) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.d,
-            "entries": [list(row) for row in self.entries],
-            "notes": list(notes),
-        }
-
 
 class OgusBounds(_Frozen):
     """Thresholds above which local cohomology is Artinian (f_y) or zero (v_y).
@@ -234,8 +226,15 @@ def _require(table: InvariantTable, kind: str, caller: str, n=None) -> None:
         raise InputError(f"{caller} expects a {kind} table")
     if not table.is_complete():
         raise InputError(f"{caller} requires a table without unknown cells")
-    if kind == KIND_CDR and _int(n, "ambient_dim", 1) < table.d + 1:
-        raise InputError(f"ambient dimension {n} is too small for a table of dimension {table.d}")
+    if kind == KIND_CDR:
+        _check_ambient(n, table.d)
+
+
+def _check_ambient(n, d: int) -> None:
+    """Refuse an ambient dimension n that is not an int of at least d+1,
+    the least a cdr table of dimension d needs."""
+    if _int(n, "ambient_dim", 1) < d + 1:
+        raise InputError(f"ambient dimension {n} is too small for a table of dimension {d}")
 
 
 def _alternating_sum(entries) -> int:
@@ -553,6 +552,16 @@ def check_cdr(table: InvariantTable, betti: Sequence[int], n: int):
     _require(table, KIND_CDR, "check_cdr", n)
     if diagnostics := validate_cdr(table):
         raise InputError(f"invalid table: {diagnostics[0]}")
+    return _cdr_verdict(table, betti, n)
+
+
+def _cdr_verdict(table: InvariantTable, betti: Sequence[int], n: int):
+    """`check_cdr`'s answer for a complete cdr table that `validate_cdr`
+    passes: the ambient dimension n is checked, with `_require`'s text, then
+    the Betti vector read and the circulation solved.  `table check` calls
+    it after its own validation, so an invalid table is reported as such
+    even when n is too small for it."""
+    _check_ambient(n, table.d)
     witness = _cdr_witness(table.entries, _normalize_betti(betti, n), n)
     return witness is not None, witness
 

@@ -42,12 +42,11 @@ from invar.arrangements import (
     _moebius,
     _normalize_components,
     _proper_above,
-    _remainders,
     _rref_order,
 )
 from invar.fileio import parse_arrangement
 from invar.posets import _chains_above, _face_betti
-from invar.qlinalg import _content_free, _pivot, _pivots, _primitive, _substitute
+from invar.qlinalg import _pivot, _pivots, _primitive, _reduced, _substitute
 from conftest import (
     bench_workloads,
     coordinate_hyperplane,
@@ -191,7 +190,7 @@ def reference_build_lattice(components):
         flat = worklist.pop()
         mask = 0
         for j, c in enumerate(comps):
-            rows = _cut(flat.rows + c.rows, n + 1)
+            rows = reference_cut(flat.rows + c.rows, n + 1)
             meet = None if rows is None else AffineSubspace.from_rows(n, rows)
             if meet == flat:
                 mask |= 1 << j
@@ -225,15 +224,37 @@ def reference_cut(rows, ncols):
     return tuple(reference_reduced_int(echelon))
 
 
+def reference_remainders(pivots, others):
+    """The former `_remainders`, as an oracle: the nonzero remainders of the
+    rows `others` back-substituted at the (pivot column, reduced row) pairs
+    `pivots`, each row on its own."""
+    reduced = (_substitute(row, pivots) for row in others)
+    return [row for row in reduced if any(row)]
+
+
+def reference_two_step_cut(pivots, rows, ncols):
+    """The former `_remainders` then `_cut`, as an oracle: every remainder
+    is made first, then a 0 = c remainder gives None, one remainder is made
+    primitive, and more are reduced together before their pivots are read.
+    Returns the cut's rows, () when every remainder vanishes."""
+    rem = reference_remainders(pivots, rows)
+    if any(row[-1] and not any(row[:-1]) for row in rem):
+        return None
+    if len(rem) == 1:
+        return (_primitive(rem[0]),)
+    echelon = reference_sparse_echelon_int(rem, ncols)
+    if echelon and not any(echelon[-1][:-1]):  # a pivot in the constant column
+        return None
+    return tuple(reference_reduced_int(echelon))
+
+
 def reference_meet(pivots, cut):
-    """The former `_meet`, as an oracle: the cut's rows taken as they are,
-    and each old row back-substituted at their pivots."""
-    new = _pivots(cut)
-    merged = list(new)
-    for c, row in pivots:
-        done = _substitute(row, new)
-        merged.append((c, row if done is row else _content_free(done)))
-    merged.sort(key=lambda pair: pair[0])
+    """The former `_meet`, as an oracle: the flat's rows and the cut's rows
+    folded together by `qlinalg._reduced`, which makes each of them
+    primitive and clears it at every other pivot again.  The former fold
+    started from the flat's pairs; the primitive reduced form is unique, so
+    folding their rows first gives the same pairs."""
+    merged = _reduced([row for _, row in pivots] + list(cut))
     return tuple(row for _, row in merged), merged
 
 
@@ -253,7 +274,9 @@ def reference_sorted_by_rref(subspaces):
 def reference_lattice(comps):
     """The former `_lattice` loop, as an oracle: every pop derives its
     pivots again, every component outside the mask bound is reduced and
-    tested for containment, and every cut is eliminated (`reference_cut`)."""
+    tested for containment, every cut is eliminated (`reference_cut`) from
+    all the remainders (`reference_remainders`), flats are keyed by their
+    rows, and each meet is the former fold (`reference_meet`)."""
     n = comps[0].ambient_dim
     comp_rows = [c.rows for c in comps]
     all_components = (1 << len(comps)) - 1
@@ -266,7 +289,8 @@ def reference_lattice(comps):
         pivots = _pivots(rows)
         mask = lower[rows]
         remainders = [
-            (j, _remainders(pivots, comp_rows[j])) for j in _bits(all_components & ~mask)
+            (j, reference_remainders(pivots, comp_rows[j]))
+            for j in _bits(all_components & ~mask)
         ]
         for j, rem in remainders:
             if not rem:
@@ -283,7 +307,7 @@ def reference_lattice(comps):
                 generators |= 1 << j
             if cut is None:
                 continue
-            meet = _meet(pivots, cut)[0]
+            meet = reference_meet(pivots, cut)[0]
             if meet in lower:
                 lower[meet] |= generators
             else:
@@ -600,8 +624,9 @@ def random_presentation_pairs(seed, count):
 
 
 def qmatrix_canonical(n, rows):
-    """Canonical rows by way of the QMatrix parse, the former constructor path."""
-    return _cut(QMatrix(rows, ncols=n + 1).scale_rows_to_int(), n + 1)
+    """Canonical rows by way of the QMatrix parse and the reference
+    elimination, the former constructor path."""
+    return reference_cut(QMatrix(rows, ncols=n + 1).scale_rows_to_int(), n + 1)
 
 
 class TestFromRows:
@@ -702,8 +727,77 @@ class TestAffineSubspaceAgainstReference:
             rng.shuffle(shuffled)
             expected = sorted(shuffled, key=subspaces.__getitem__)
             assert reference_sorted_by_rref(shuffled) == expected
-            pairs = {s.rows: tuple(_pivots(s.rows)) for s in shuffled}
-            assert _rref_order(pairs) == [s.rows for s in expected]
+            rows = [s.rows for s in shuffled]
+            order = _rref_order(rows, [_pivots(r) for r in rows])
+            assert [rows[i] for i in order] == [s.rows for s in expected]
+
+
+def unit_pivot_subspace(rng, n):
+    """A random subspace whose primitive reduced rows all have pivot 1:
+    each row is 1 at its pivot, 0 at the other pivots, and any integer at
+    the free columns and the constant."""
+    pivots = sorted(rng.sample(range(n), rng.randint(1, n)))
+    rows = []
+    for c in pivots:
+        row = [0] * c + [1] + [rng.randint(-3, 3) for _ in range(n - c)]
+        for d in pivots:
+            if d != c:
+                row[d] = 0
+        rows.append(row)
+    return AffineSubspace.from_rows(n, rows)
+
+
+class TestRrefOrder:
+    """`_rref_order` against `reference_sorted_by_rref` on flat sets that
+    have dimension classes of one flat, classes whose pivots are all 1, and
+    classes of mixed pivots."""
+
+    def test_against_reference(self):
+        rng = random.Random(5151)
+        classes = {"one flat": 0, "unit pivots": 0, "mixed pivots": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            subspaces = set()
+            for _ in range(rng.randint(1, 12)):
+                make = unit_pivot_subspace if rng.random() < 0.5 else random_subspace
+                subspaces.add(make(rng, n))
+            if rng.random() < 0.3:  # a class of unit pivots only
+                subspaces = {s for s in subspaces if all(r[_pivot(r)] == 1 for r in s.rows)}
+                subspaces = subspaces or {unit_pivot_subspace(rng, n)}
+            shuffled = list(subspaces)
+            rng.shuffle(shuffled)
+            rows = [s.rows for s in shuffled]
+            order = _rref_order(rows, [_pivots(r) for r in rows])
+            assert [shuffled[i] for i in order] == reference_sorted_by_rref(shuffled)
+            by_dim = {}
+            for s in shuffled:
+                by_dim.setdefault(s.dim, []).append(s)
+            for members in by_dim.values():
+                if len(members) == 1:
+                    classes["one flat"] += 1
+                elif all(r[_pivot(r)] == 1 for s in members for r in s.rows):
+                    classes["unit pivots"] += 1
+                else:
+                    classes["mixed pivots"] += 1
+        assert min(classes.values()) >= 300, classes
+
+    def test_hand_classes(self):
+        # dimension 2: one flat; dimension 1: pivots 1 only; dimension 0: mixed
+        flats = [
+            sub(3, [1, 2, 0, 0]),
+            sub(3, [1, 0, 0, 0], [0, 1, 5, 0]),
+            sub(3, [1, 0, -1, 0], [0, 1, 0, 0]),
+            sub(3, [2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]),
+            sub(3, [1, 0, 0, 0], [0, 3, 0, 1], [0, 0, 1, 0]),
+            sub(3, [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]),
+        ]
+        rows = [s.rows for s in flats]
+        order = _rref_order(rows, [_pivots(r) for r in rows])
+        # the points' first rref rows are [1 0 0 0] < [1 0 0 1/2] < [1 0 0 1],
+        # compared as integers scaled by the class's lcm of pivots, 6; the
+        # lines' [1 0 -1 0] < [1 0 0 0]
+        assert [flats[i] for i in order] == reference_sorted_by_rref(flats)
+        assert order == [4, 3, 5, 2, 1, 0]
 
 
 class TestBuildLattice:
@@ -1107,19 +1201,76 @@ class TestCarriedPivotsAgainstReference:
         ranked = sum(ranks_an_interval(self.assert_same(comps)) for comps in corpus)
         assert len(corpus) >= 2000 and ranked >= 500 and len(walked) >= 50
 
-    def test_meet_matches_back_substitution(self):
+    def test_meet_matches_the_former_fold(self):
         rng = random.Random(3738)
         met = 0
         for _ in range(5000):
             n = rng.randint(1, 5)
             flat, other = random_subspace(rng, n, rng.random() < 0.5), random_subspace(rng, n)
             pivots = _pivots(flat.rows)
-            remainders = _remainders(pivots, other.rows)
-            cut = _cut(remainders, n + 1) if remainders else None
+            cut = _cut(pivots, other.rows, n + 1)
             if cut:
-                assert _meet(pivots, cut) == reference_meet(pivots, cut)
+                assert _meet(pivots, cut) == reference_meet(pivots, [row for _, row in cut])
                 met += 1
         assert met >= 1000
+
+    def test_cut_matches_the_two_step_cut(self):
+        """One fold per (flat, component) pair against the former remainders
+        then cut, on every outcome: the flat in the component, no meet, and a
+        cut of one row or of several."""
+        rng = random.Random(4141)
+        kinds = dict.fromkeys(("contained", "empty", "one row", "several rows"), 0)
+        remainders = {"zero": 0, "0 = c": 0}
+        for _ in range(6000):
+            n = rng.randint(1, 5)
+            central = rng.random() < 0.7
+            flat = random_subspace(rng, n, central)
+            pivots = _pivots(flat.rows)
+            parallel = rng.random() < 0.2
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                source = rng.random()
+                if source < 0.3:  # in the flat's span: a zero remainder
+                    row = [sum(rng.randint(-2, 2) * r[j] for r in flat.rows) for j in range(n + 1)]
+                elif parallel:  # a flat row moved off the flat: 0 = c
+                    parallel = False
+                    row = list(rng.choice(flat.rows))
+                    row[-1] += rng.choice((-2, -1, 1, 3))
+                else:
+                    row = [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+                    row.append(0 if central else rng.randint(-2, 2))
+                rows.append(row)
+            rem = [_substitute(row, pivots) for row in rows]
+            remainders["zero"] += any(not any(row) for row in rem)
+            remainders["0 = c"] += any(row[-1] and not any(row[:-1]) for row in rem)
+            expected = reference_two_step_cut(pivots, rows, n + 1)
+            cut = _cut(pivots, rows, n + 1)
+            if cut is None:
+                assert expected is None, (flat.rows, rows)
+                kinds["empty"] += 1
+                continue
+            got = tuple(row for _, row in cut)
+            assert got == expected, (flat.rows, rows)
+            assert cut == [(_pivot(row), row) for row in got]
+            assert all(type(row) is tuple for row in got)
+            kinds["contained" if not got else "one row" if len(got) == 1 else "several rows"] += 1
+        assert min(kinds.values()) >= 500, kinds
+        assert min(remainders.values()) >= 500, remainders
+
+    def test_cut_stops_at_the_first_0_eq_c_remainder(self):
+        def rows():
+            yield [1, 2, 0]
+            yield [0, 0, 5]  # 0 = 5 against the point x = 0
+            raise AssertionError("a row after the stop was reduced")
+
+        point = [(0, (1, 0, 0)), (1, (0, 1, 0))]
+        assert _cut(point[:1], rows(), 3) is None
+        assert _cut([(0, (1, 0))], [[0, 5]], 2) is None
+        assert _cut([(0, (1, 2))], [[3, 6]], 2) == []
+        assert _cut(point[:1], [[2, 1, 3]], 3) == [(1, (0, 1, 3))]
+        flat, rows = [(0, (1, 0, 5))], [[2, 4, 6], [3, 1, 0]]
+        _cut(flat, rows, 3)
+        assert flat == [(0, (1, 0, 5))] and rows == [[2, 4, 6], [3, 1, 0]]
 
     def test_cut_matches_echelon_then_reduce(self):
         rng = random.Random(2036)
@@ -1138,7 +1289,8 @@ class TestCarriedPivotsAgainstReference:
                 rows.append(row)
             kinds["zero rows"] += any(not any(row) for row in rows)
             kinds["0 = c rows"] += any(row[-1] and not any(row[:-1]) for row in rows)
-            cut = _cut(rows, ncols)
+            pairs = _cut((), rows, ncols)
+            cut = None if pairs is None else tuple(row for _, row in pairs)
             assert cut == reference_cut(rows, ncols), rows
             kinds["empty" if cut is None else "cut" if cut else "ambient"] += 1
         assert min(kinds.values()) >= 1000, kinds
@@ -1172,20 +1324,23 @@ class TestMeetCounts:
             n = rng.randint(1, 4)
             row = [rng.choice((0, rng.randint(-6, 6))) for _ in range(n + 1)]
             expected = reference_canonical(n, [row])
+            pairs = _cut((), [row], n + 1)
             if expected is None:
-                assert _cut([row], n + 1) is None
+                assert pairs is None
             else:
-                cut = AffineSubspace._canonical(n, _cut([row], n + 1))
+                cut = AffineSubspace._canonical(n, tuple(row for _, row in pairs))
                 assert tuple(map(tuple, cut.rref_rows())) == expected
-            assert _cut([row], n + 1) == _cut([row, [0] * (n + 1)], n + 1)
+            assert pairs == _cut((), [row, [0] * (n + 1)], n + 1)
 
 
 class TestLatticeRemaindersCalls:
-    """Remainders `_lattice` computes, pinned exactly: a component is tested
-    for containing a flat only with at least two rows fewer, and never for
-    a component flat; every other remainder is for a new generating set.
-    The former loop, which tested every component with fewer rows, made
-    315 on braid n=5 and 112 on the affine planes."""
+    """The components `_lattice` reduces against a flat, one `_cut` each,
+    pinned exactly: a component is tested for containing a flat only with
+    at least two rows fewer, and never for a component flat; every other
+    cut is for a new generating set.  These are the counts of the former
+    `_remainders`, which the fold replaced.  The former loop, which tested
+    every component with fewer rows, made 315 on braid n=5 and 112 on the
+    affine planes."""
 
     @pytest.mark.parametrize("build, calls", [
         (lambda: braid_arrangement(5), 285),
@@ -1195,16 +1350,16 @@ class TestLatticeRemaindersCalls:
     def test_remainders_calls(self, monkeypatch, build, calls):
         comps = _normalize_components(build())
         made = []
-        remainders = arrangements._remainders
-        monkeypatch.setattr(arrangements, "_remainders",
-                            lambda *args: made.append(args) or remainders(*args))
+        cut = arrangements._cut
+        monkeypatch.setattr(arrangements, "_cut", lambda *args: made.append(args) or cut(*args))
         lattice = _lattice(comps)
         assert len(made) == calls
         assert lattice.masks == reference_lattice(comps).masks
 
 
 class TestPruningCalls:
-    """Containment tests the pruning makes, pinned exactly: after
+    """Containment tests the pruning makes, pinned exactly, each counted by
+    the `_substitute` of the larger component's first row: after
     deduplication a component can lie only in one of larger dimension, so
     no other pair is reduced.  The former pruning reduced every ordered
     pair up to the first containing component: 90 on braid n=5, 14 on the
@@ -1219,12 +1374,15 @@ class TestPruningCalls:
         (lambda: pruning_and_cut_components()[1], 4, 3),
     ], ids=["braid-5", "chain"])
     def test_remainders_calls(self, monkeypatch, build, calls, pruned):
+        comps = build()
+        firsts = [c.rows[0] for c in comps]
         made = []
-        remainders = arrangements._remainders
-        monkeypatch.setattr(arrangements, "_remainders",
-                            lambda *args: made.append(args) or remainders(*args))
-        kept, texts = recorded_warnings(arrangements._normalize_components, build())
-        assert len(made) == calls
+        substitute = arrangements._substitute
+        monkeypatch.setattr(arrangements, "_substitute",
+                            lambda row, pivots: made.append(row) or substitute(row, pivots))
+        kept, texts = recorded_warnings(arrangements._normalize_components, comps)
+        # each test reduces the larger component's first row first
+        assert sum(any(row is first for first in firsts) for row in made) == calls
         assert sum(text.endswith("pruned") for text in texts) == pruned
         assert kept == recorded_warnings(reference_normalize_components, build())[0]
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from invar import cli
+from invar import cli, tables
 from invar.cli import main
 from invar.fileio import dumps_table, parse_table
 from invar.tables import InvariantTable
@@ -584,6 +584,37 @@ class TestTableCommands:
                "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
         assert run(capsys, "table", "check", "--input", write(tmp_path, "t.json", doc)) == (
             2, "", "error: ambient dimension 2 is too small for a table of dimension 2\n")
+
+    def test_check_cdr_invalid_before_the_ambient_size(self, tmp_path, capsys):
+        # the table is checked first: an ambient dimension too small for it
+        # is not reached
+        doc = {"kind": "cdr", "dim": 1, "entries": [[0, 0], [2, 1]], "ambient_dim": 1,
+               "betti": [0, 1]}
+        path = write(tmp_path, "t.json", doc)
+        assert run(capsys, "table", "check", "--input", path) == (3, (
+            "·  ·\n"
+            "2  1\n"
+            "# invalid: triangularity violated: entry (1,0) = 2 below the diagonal\n"), "")
+
+    @pytest.mark.parametrize("betti", [[0, 3, 3, 1], [0, 1, 3, 1], [0, 3, 3, 1, 0, 0], [1]])
+    def test_check_cdr_derives_each_fact_once(self, betti, tmp_path, capsys, monkeypatch):
+        # one validate_cdr and one witness, no check_cdr; the verdict is check_cdr's
+        doc = {"kind": "cdr", "dim": 2, "ambient_dim": 3, "betti": betti,
+               "entries": [[0, 0, 1], [0, 0, 3], [0, 0, 3]]}
+        table = InvariantTable("cdr", doc["entries"])
+        feasible, witness = tables.check_cdr(table, betti, 3)
+        calls = []
+        for name in ("validate_cdr", "check_cdr", "_cdr_witness"):
+            original = getattr(tables, name)
+            monkeypatch.setattr(tables, name, lambda *args, name=name, original=original:
+                                calls.append(name) or original(*args))
+        code, out, _ = run(capsys, "table", "check", "--input", write(tmp_path, "t.json", doc),
+                           "--format", "json")
+        assert calls == ["validate_cdr", "_cdr_witness"]
+        assert code == (0 if feasible else 3)
+        assert json.loads(out)["notes"] == ([
+            "abutment: feasible", f"degenerate solution matches: {'yes' if witness == () else 'no'}"
+        ] if feasible else ["abutment: infeasible against the given Betti numbers"])
 
     def test_check_cdr_below_the_diagonal_is_invalid(self, tmp_path, capsys):
         doc = {"kind": "cdr", "dim": 1, "entries": [[0, 0], [2, 1]], "ambient_dim": 2,

@@ -13,7 +13,8 @@ return equal values, raise identical `InputError` texts and warn alike,
 except on the cases named in `CHANGED`.
 
 `dumps_table` writes its document as text; on seeded random tables and notes
-it must give what `json.dumps(table.as_json_dict(notes))` gives, byte for byte.
+it must give what `json.dumps(reference_json_dict(table, notes))` gives, byte
+for byte, and read back as that dict.
 
 The module imports nothing outside the standard library and `invar`, so the
 comparisons also run without pytest: pass any fresh directory as `tmp_path`.
@@ -589,6 +590,17 @@ def random_cell(rng):
     return rng.choice((0, 0, 0, 1, 2, 3, rng.randrange(1000)))
 
 
+def reference_json_dict(table, notes=()):
+    """The former `InvariantTable.as_json_dict`, as the reference for
+    `dumps_table`: the document as a dict, in key order."""
+    return {
+        "kind": table.kind,
+        "dim": table.d,
+        "entries": [list(row) for row in table.entries],
+        "notes": list(notes),
+    }
+
+
 def test_dumps_table_matches_json_dumps():
     rng = random.Random(4040)
     seen = set()
@@ -600,7 +612,9 @@ def test_dumps_table_matches_json_dumps():
                 notes = ["".join(rng.choices(NOTE_TEXT, k=rng.randrange(6)))
                          for _ in range(rng.randrange(4))]
                 text = dumps_table(table, notes)
-                assert text == json.dumps(table.as_json_dict(notes)), (table.entries, notes)
+                expected = reference_json_dict(table, notes)
+                assert text == json.dumps(expected), (table.entries, notes)
+                assert json.loads(text) == expected
                 seen.update(type(v) if v is None or v < 2**64 else "big"
                             for row in table.entries for v in row)
     # the tables reach every kind of cell the writer sees

@@ -396,9 +396,10 @@ class TestReducedAgainstSparseThenBackSubstitute:
             if rng.random() < 0.3:
                 start = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(ncols)]
                          for _ in range(rng.randint(1, 3))]
+            # a reduced form folded on: the rows of one fold fed to another
             pairs = _reduced(start)
             expected = reference_reduced_int(reference_sparse_echelon_int(start + rows, ncols))
-            got = _reduced(rows, pairs)
+            got = _reduced([row for _, row in pairs] + rows)
             assert got == [(_pivot(row), row) for row in expected], (start, rows)
             assert all(type(row) is tuple for _, row in got)
             kinds["zero row"] += any(not any(row) for row in rows)
@@ -407,10 +408,59 @@ class TestReducedAgainstSparseThenBackSubstitute:
             kinds["starting pairs"] += bool(pairs)
         assert min(kinds.values()) >= 2000, kinds
 
+    def test_remainders_and_stop_column(self):
+        """The remainders of rows against reduced pairs, made by `_substitute`
+        as the fold reads them (as `arrangements._cut` does), and the stop
+        column, against the reduced form of the remainders taken over the
+        rationals: None exactly when that form has a pivot there."""
+        rng = random.Random(3939)
+        kinds = {"stopped": 0, "held": 0, "contained": 0, "ran through": 0}
+        for _ in range(5000):
+            ncols = rng.randint(1, 7)
+            entry = lambda: rng.choice((0, 0, rng.randint(-5, 5)))
+            held = _reduced([[entry() for _ in range(ncols)] for _ in range(rng.randint(0, 3))])
+            rows = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+            if held and rng.random() < 0.3:  # rows in the held span too
+                rows.append([sum(rng.randint(-2, 2) * r[j] for _, r in held) for j in range(ncols)])
+            stop = rng.randrange(ncols)
+            remainders = []
+            for row in rows:
+                rem = [Fraction(x) for x in row]
+                for c, r in held:
+                    factor = rem[c] / r[c]
+                    rem = [a - factor * b for a, b in zip(rem, r)]
+                scale = 1
+                for x in rem:
+                    scale = scale * x.denominator // gcd(scale, x.denominator)
+                remainders.append([int(x * scale) for x in rem])
+            expected = reference_reduced_int(reference_sparse_echelon_int(remainders, ncols))
+            expected = [(_pivot(row), row) for row in expected]
+            got = _reduced((_substitute(row, held) for row in rows), stop=stop)
+            if any(c == stop for c, _ in expected):
+                assert got is None, (held, rows, stop)
+                kinds["stopped"] += 1
+                continue
+            assert got == expected, (held, rows, stop)
+            assert all(row[c] == 0 for _, row in got for c, _ in held)
+            kinds["held"] += bool(held)
+            kinds["contained"] += bool(rows) and not got
+            kinds["ran through"] += 1
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_stops_at_the_first_pivot_in_the_stop_column(self):
+        def rows():
+            yield [1, 2, 0]
+            yield [2, 4, 3]  # 0 = 3 once cleared at column 0
+            raise AssertionError("a row after the stop was read")
+
+        assert _reduced(rows(), stop=2) is None
+        assert _reduced(iter([[1, 2, 0], [0, 1, 3]]), stop=2) == [(0, (1, 0, -6)), (1, (0, 1, 3))]
+
     def test_inputs_untouched(self):
-        rows, pairs = [[2, 4, 6], [3, 1, 0]], [(0, (1, 0, 5))]
-        _reduced(rows, pairs)
-        assert rows == [[2, 4, 6], [3, 1, 0]] and pairs == [(0, (1, 0, 5))]
+        rows = [[2, 4, 6], [3, 1, 0]]
+        _reduced(rows)
+        _reduced(rows, stop=2)
+        assert rows == [[2, 4, 6], [3, 1, 0]]
 
 
 class TestRationalLiterals:
